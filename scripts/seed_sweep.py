@@ -16,7 +16,6 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from reokit import dsl, rescue
 from reokit.automata import compile_circuit
-from reokit.circuit import boundary_ports
 from reokit.sim import SimConfig, simulate
 
 
@@ -39,9 +38,7 @@ def main() -> int:
 
     circuit = rescue.builtin_circuit()
     auto = compile_circuit(circuit)
-    ins, outs = boundary_ports(circuit)
-    ins = frozenset(p.name for p in ins)
-    outs = frozenset(p.name for p in outs)
+    ins, outs = circuit.inputs, circuit.outputs
     env = busy_env(circuit, args.rounds)
 
     alarm_orders = Counter()

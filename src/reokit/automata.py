@@ -16,7 +16,7 @@ from __future__ import annotations
 import functools
 import itertools
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .circuit import (
     ASYNC_DRAIN,
@@ -32,6 +32,7 @@ from .circuit import (
     Circuit,
     InvalidCircuitError,
     Node,
+    partition,
     validate_circuit,
 )
 
@@ -138,51 +139,44 @@ def project(
     return _project_cached(g.atoms, keep, names, alphabet)
 
 
+def _classes(
+    atoms, names, alphabet: frozenset[str]
+) -> tuple[dict[str, str], dict[str, frozenset[str]]]:
+    """Equality classes of ``names`` under the eq atoms.
+
+    Returns the class root of each name and the values each root still
+    allows after the const and member atoms.
+    """
+    root = partition(names, ((a[1], a[2]) for a in atoms if a[0] == EQ))
+    allowed = {r: alphabet for r in root.values()}
+    for atom in atoms:
+        if atom[0] == CONST:
+            allowed[root[atom[1]]] &= {atom[2]}
+        elif atom[0] == MEMBER:
+            allowed[root[atom[1]]] &= frozenset(atom[2])
+    return root, allowed
+
+
 @functools.lru_cache(maxsize=1 << 18)
 def _project_cached(
     atoms: frozenset, keep: frozenset[str], names: frozenset[str], alphabet: frozenset[str]
 ) -> Constraint | None:
-    g = Constraint(atoms)
-    parent: dict[str, str] = {n: n for n in names}
-
-    def find(x: str) -> str:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    allowed: dict[str, frozenset[str]] = {n: alphabet for n in names}
-    for atom in g.atoms:
-        if atom[0] == EQ:
-            ra, rb = find(atom[1]), find(atom[2])
-            if ra != rb:
-                parent[ra] = rb
-    for atom in g.atoms:
-        if atom[0] == CONST:
-            r = find(atom[1])
-            allowed[r] = allowed[r] & {atom[2]}
-        elif atom[0] == MEMBER:
-            r = find(atom[1])
-            allowed[r] = allowed[r] & frozenset(atom[2])
-    # fold per-member restrictions into class roots
-    classes: dict[str, list[str]] = {}
-    for n in names:
-        classes.setdefault(find(n), []).append(n)
+    root, allowed = _classes(atoms, names, alphabet)
+    if not all(allowed.values()):
+        return None
+    visible: dict[str, list[str]] = {}
+    for n in sorted(names & keep):
+        visible.setdefault(root[n], []).append(n)
     out = TRUE
-    for root, members in classes.items():
-        vals = allowed[root]
-        if not vals:
-            return None
-        visible = sorted(m for m in members if m in keep)
-        if not visible:
-            continue
-        for a, b in zip(visible, visible[1:]):
+    for r, members in visible.items():
+        for a, b in zip(members, members[1:]):
             out = out.conj(eq(a, b))
+        vals = allowed[r]
         if vals != alphabet:
             if len(vals) == 1:
-                out = out.conj(const(visible[0], next(iter(vals))))
+                out = out.conj(const(members[0], next(iter(vals))))
             else:
-                out = out.conj(member(visible[0], vals))
+                out = out.conj(member(members[0], vals))
     return out
 
 
@@ -198,36 +192,16 @@ def sat_assignments(
     extra = g.names() - sync
     if extra:
         raise UnknownNameError(f"constraint names {sorted(extra)} outside sync-set")
-    ports = sorted(sync)
-    parent = {p: p for p in ports}
-
-    def find(x: str) -> str:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for atom in g.atoms:
-        if atom[0] == EQ:
-            ra, rb = find(atom[1]), find(atom[2])
-            if ra != rb:
-                parent[ra] = rb
-    allowed: dict[str, frozenset[str]] = {p: alphabet for p in ports}
-    for atom in g.atoms:
-        if atom[0] == CONST:
-            r = find(atom[1])
-            allowed[r] = allowed[r] & {atom[2]}
-        elif atom[0] == MEMBER:
-            r = find(atom[1])
-            allowed[r] = allowed[r] & frozenset(atom[2])
-    roots = sorted({find(p) for p in ports})
+    root, allowed = _classes(g.atoms, sync, alphabet)
+    roots = sorted(allowed)
     choices = [sorted(allowed[r]) for r in roots]
-    if any(not c for c in choices):
+    if not all(choices):
         return []
+    ports = sorted(sync)
     result = []
     for combo in itertools.product(*choices):
         value = dict(zip(roots, combo))
-        result.append({p: value[find(p)] for p in ports})
+        result.append({p: value[root[p]] for p in ports})
     result.sort(key=lambda a: tuple(sorted(a.items())))
     return result
 
@@ -245,7 +219,12 @@ class Transition:
 
 @dataclass(frozen=True)
 class ConstraintAutomaton:
-    """States are dense ints; ``labels[i]`` keeps a debug name for state i."""
+    """States are dense ints; ``labels[i]`` keeps a debug name for state i.
+
+    Transitions of ``build_automaton`` and ``compile_circuit`` results are
+    in ``Transition.sort_key`` order; ``join`` and ``hide`` results are
+    only grouped by source state, ascending.
+    """
 
     names: frozenset[str]
     labels: tuple[str, ...]
@@ -257,8 +236,15 @@ class ConstraintAutomaton:
     def n_states(self) -> int:
         return len(self.labels)
 
-    def outgoing(self, state: int) -> list[Transition]:
-        return [t for t in self.transitions if t.src == state]
+    @functools.cached_property
+    def _outgoing(self) -> dict[int, tuple[Transition, ...]]:
+        index: dict[int, list[Transition]] = {}
+        for t in self.transitions:
+            index.setdefault(t.src, []).append(t)
+        return {s: tuple(ts) for s, ts in index.items()}
+
+    def outgoing(self, state: int) -> tuple[Transition, ...]:
+        return self._outgoing.get(state, ())
 
 
 def build_automaton(
@@ -381,76 +367,83 @@ def ca_of_node(node: Node, alphabet) -> ConstraintAutomaton:
     return build_automaton(names, ["q"], "q", trans, frozenset(alphabet))
 
 
-def join(a: ConstraintAutomaton, b: ConstraintAutomaton) -> ConstraintAutomaton:
-    """Synchronized product: shared names fire together.
+def _explore(start, steps) -> tuple[list, tuple[Transition, ...]]:
+    """Number the states reachable from ``start`` and collect their moves.
 
-    Two transitions combine when they agree on the other side's names
-    (N1 & B.names == N2 & A.names); a transition whose sync-set avoids the
-    other automaton's names entirely may also fire alone. Only state pairs
-    reachable from the joint initial are kept.
+    ``steps(state)`` yields (sync, guard, successor). The search is
+    breadth-first and each level's new states are numbered in sorted
+    order, so the numbering depends only on the reachable states and
+    their depth, never on the order ``steps`` yields. Returns the states
+    in numbering order and the deduplicated transitions, grouped by
+    source state in ascending order.
     """
-    if a.alphabet != b.alphabet:
-        raise ValueError("join requires a common alphabet")
-    names = a.names | b.names
-    a_out = {s: [] for s in range(a.n_states)}
-    for t in a.transitions:
-        a_out[t.src].append(t)
-    b_out = {s: [] for s in range(b.n_states)}
-    for t in b.transitions:
-        b_out[t.src].append(t)
-
-    # group B's transitions by their footprint on A's names, so each A
-    # transition only meets compatible partners
-    b_by_shared: dict[int, dict[frozenset, list[Transition]]] = {}
-    for q in range(b.n_states):
-        groups: dict[frozenset, list[Transition]] = {}
-        for tb in b_out[q]:
-            groups.setdefault(tb.sync & a.names, []).append(tb)
-        b_by_shared[q] = groups
-
-    start = (a.initial, b.initial)
-    order: list[tuple[int, int]] = [start]
+    order = [start]
     seen = {start}
-    raw: list[tuple[tuple[int, int], frozenset, Constraint, tuple[int, int]]] = []
+    raw = []
     frontier = [start]
     while frontier:
-        nxt: list[tuple[int, int]] = []
-        for p, q in frontier:
-            candidates = []
-            for ta in a_out[p]:
-                shared = ta.sync & b.names
-                if not shared:
-                    candidates.append((ta.sync, ta.guard, (ta.dst, q)))
-                for tb in b_by_shared[q].get(shared, ()):
-                    candidates.append(
-                        (ta.sync | tb.sync, ta.guard.conj(tb.guard), (ta.dst, tb.dst))
-                    )
-            for tb in b_by_shared[q].get(frozenset(), ()):
-                candidates.append((tb.sync, tb.guard, (p, tb.dst)))
-            for sync, guard, dst in candidates:
-                norm = project(guard, sync, sync, a.alphabet)
-                if norm is None:
-                    continue
-                raw.append(((p, q), sync, norm, dst))
+        nxt = []
+        for s in frontier:
+            for sync, guard, dst in steps(s):
+                raw.append((s, sync, guard, dst))
                 if dst not in seen:
                     seen.add(dst)
                     nxt.append(dst)
         nxt.sort()
         order.extend(nxt)
         frontier = nxt
+    index = {s: i for i, s in enumerate(order)}
+    transitions = dict.fromkeys(
+        Transition(index[src], sync, guard, index[dst]) for src, sync, guard, dst in raw
+    )
+    return order, tuple(transitions)
 
-    labels = tuple(f"{a.labels[p]}|{b.labels[q]}" for p, q in order)
-    index = {pq: i for i, pq in enumerate(order)}
-    transitions = {
-        Transition(index[src], sync, guard, index[dst])
-        for src, sync, guard, dst in raw
-        if dst in index
-    }
+
+def join(a: ConstraintAutomaton, b: ConstraintAutomaton) -> ConstraintAutomaton:
+    """Synchronized product: shared names fire together.
+
+    Two transitions combine when they agree on the other side's names
+    (N1 & B.names == N2 & A.names); a transition whose sync-set avoids the
+    other automaton's names entirely may also fire alone. Only state pairs
+    reachable from the joint initial are kept; transitions are grouped by
+    source state, not sorted.
+    """
+    if a.alphabet != b.alphabet:
+        raise ValueError("join requires a common alphabet")
+    # group B's transitions by their footprint on A's names, so each A
+    # transition only meets compatible partners
+    b_by_shared: dict[int, dict[frozenset, list[Transition]]] = {}
+    for q in range(b.n_states):
+        groups: dict[frozenset, list[Transition]] = {}
+        for tb in b.outgoing(q):
+            groups.setdefault(tb.sync & a.names, []).append(tb)
+        b_by_shared[q] = groups
+
+    def steps(pq: tuple[int, int]):
+        p, q = pq
+        groups = b_by_shared[q]
+        candidates = []
+        for ta in a.outgoing(p):
+            shared = ta.sync & b.names
+            if not shared:
+                candidates.append((ta.sync, ta.guard, (ta.dst, q)))
+            for tb in groups.get(shared, ()):
+                candidates.append(
+                    (ta.sync | tb.sync, ta.guard.conj(tb.guard), (ta.dst, tb.dst))
+                )
+        for tb in groups.get(frozenset(), ()):
+            candidates.append((tb.sync, tb.guard, (p, tb.dst)))
+        for sync, guard, dst in candidates:
+            norm = project(guard, sync, sync, a.alphabet)
+            if norm is not None:
+                yield sync, norm, dst
+
+    order, transitions = _explore((a.initial, b.initial), steps)
     return ConstraintAutomaton(
-        names=names,
-        labels=labels,
+        names=a.names | b.names,
+        labels=tuple(f"{a.labels[p]}|{b.labels[q]}" for p, q in order),
         initial=0,
-        transitions=tuple(sorted(transitions, key=Transition.sort_key)),
+        transitions=transitions,
         alphabet=a.alphabet,
     )
 
@@ -461,14 +454,14 @@ def hide(a: ConstraintAutomaton, hidden) -> ConstraintAutomaton:
     Constraints are existentially eliminated over the hidden names;
     transitions whose sync-set empties become internal moves and are
     collapsed by epsilon-closure into their successors. Unreachable
-    states are pruned and the rest re-indexed.
+    states are pruned and the rest re-indexed; transitions are grouped
+    by source state, not sorted.
     """
     hidden = frozenset(hidden)
     if not hidden <= a.names:
         raise UnknownNameError(
             f"cannot hide {sorted(hidden - a.names)}: not names of the automaton"
         )
-    keep = a.names - hidden
     observable: dict[int, list[tuple[frozenset, Constraint, int]]] = {
         s: [] for s in range(a.n_states)
     }
@@ -494,39 +487,16 @@ def hide(a: ConstraintAutomaton, hidden) -> ConstraintAutomaton:
                     stack.append(nxt)
         return sorted(out)
 
-    merged: dict[int, set[tuple[frozenset, Constraint, int]]] = {}
-    for s in range(a.n_states):
-        steps: set[tuple[frozenset, Constraint, int]] = set()
-        for c in closure(s):
-            steps.update(observable[c])
-        merged[s] = steps
+    def steps(state: int):
+        for c in closure(state):
+            yield from observable[c]
 
-    order = [a.initial]
-    seen = {a.initial}
-    frontier = [a.initial]
-    while frontier:
-        nxt = []
-        for s in frontier:
-            for _, _, dst in sorted(merged[s], key=lambda e: (tuple(sorted(e[0])), e[2])):
-                if dst not in seen:
-                    seen.add(dst)
-                    nxt.append(dst)
-        nxt.sort()
-        order.extend(nxt)
-        frontier = nxt
-
-    index = {s: i for i, s in enumerate(order)}
-    transitions = {
-        Transition(index[s], sync, guard, index[dst])
-        for s in order
-        for sync, guard, dst in merged[s]
-        if dst in index
-    }
+    order, transitions = _explore(a.initial, steps)
     return ConstraintAutomaton(
-        names=keep,
+        names=a.names - hidden,
         labels=tuple(a.labels[s] for s in order),
         initial=0,
-        transitions=tuple(sorted(transitions, key=Transition.sort_key)),
+        transitions=transitions,
         alphabet=a.alphabet,
     )
 
@@ -584,7 +554,8 @@ def join_many(
 ) -> ConstraintAutomaton:
     """Fold join over the automata, compacting labels after each step.
 
-    With ``keep_names`` given, names outside it are hidden as soon as no
+    Keys missing from ``order`` are joined last, in sorted order. With
+    ``keep_names`` given, names outside it are hidden as soon as no
     pending automaton mentions them (hide-early); this is behavior-
     preserving because a name shared with nothing can never synchronize
     again, and it keeps intermediate products small.
@@ -594,7 +565,7 @@ def join_many(
     pool = dict(autos)
     if order is None:
         order = [key for key, _ in autos]
-    full_order = list(order) + sorted(k for k in pool if k not in set(order))
+    full_order = list(order) + sorted(pool.keys() - set(order))
     uses: dict[str, int] = {}
     for _, auto in autos:
         for name in auto.names:
@@ -616,20 +587,15 @@ def join_many(
 
 def _compact(a: ConstraintAutomaton) -> ConstraintAutomaton:
     """Shorten state labels to dense indices (pair labels grow fast)."""
-    return ConstraintAutomaton(
-        names=a.names,
-        labels=tuple(str(i) for i in range(a.n_states)),
-        initial=a.initial,
-        transitions=a.transitions,
-        alphabet=a.alphabet,
-    )
+    return replace(a, labels=tuple(str(i) for i in range(a.n_states)))
 
 
 def compile_circuit(c: Circuit) -> ConstraintAutomaton:
-    """Full pipeline: join every primitive automaton, then hide internals.
+    """Full pipeline: join every primitive automaton, hiding internals early.
 
-    The result's names are exactly the declared boundary ports; states are
-    relabeled s0..sN in discovery order.
+    Hide-early leaves exactly the declared boundary ports as names. States
+    are relabeled s0..sN in discovery order, and the transitions are
+    sorted by ``Transition.sort_key``, once, here.
     """
     report = validate_circuit(c)
     if not report.ok:
@@ -639,13 +605,10 @@ def compile_circuit(c: Circuit) -> ConstraintAutomaton:
         return identity_automaton(c.alphabet)
     port_names = frozenset(p.name for p in c.ports)
     joined = join_many(autos, _flow_order(c), keep_names=port_names)
-    result = hide(joined, joined.names - port_names)
-    return ConstraintAutomaton(
-        names=result.names,
-        labels=tuple(f"s{i}" for i in range(result.n_states)),
-        initial=result.initial,
-        transitions=result.transitions,
-        alphabet=result.alphabet,
+    return replace(
+        joined,
+        labels=tuple(f"s{i}" for i in range(joined.n_states)),
+        transitions=tuple(sorted(joined.transitions, key=Transition.sort_key)),
     )
 
 

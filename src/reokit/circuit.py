@@ -92,6 +92,16 @@ class Circuit:
     ports: tuple[PortId, ...]
     channels: tuple[Channel, ...]
 
+    @property
+    def inputs(self) -> frozenset[str]:
+        """Names of the boundary-in ports."""
+        return frozenset(p.name for p in self.ports if p.kind == PORT_IN)
+
+    @property
+    def outputs(self) -> frozenset[str]:
+        """Names of the boundary-out ports."""
+        return frozenset(p.name for p in self.ports if p.kind == PORT_OUT)
+
     def nodes(self) -> tuple[Node, ...]:
         """All nodes, auto-created from channel ends and port declarations."""
         incoming: dict[str, set[str]] = {}
@@ -269,25 +279,35 @@ def validate_circuit(c: Circuit) -> ValidationReport:
     return rep
 
 
-def _check_connectivity(c: Circuit, rep: ValidationReport) -> None:
-    nodes = [n.name for n in c.nodes()]
-    if len(nodes) <= 1:
-        return
-    parent = {n: n for n in nodes}
+def partition(items, pairs) -> dict:
+    """Union-find: map each item to one representative of its class.
 
-    def find(x: str) -> str:
+    Items joined by a pair, directly or through other pairs, share a
+    representative.
+    """
+    parent = {x: x for x in items}
+
+    def find(x):
         while parent[x] != x:
             parent[x] = parent[parent[x]]
             x = parent[x]
         return x
 
-    for ch in c.channels:
-        ra, rb = find(ch.end_a), find(ch.end_b)
+    for a, b in pairs:
+        ra, rb = find(a), find(b)
         if ra != rb:
             parent[ra] = rb
+    return {x: find(x) for x in parent}
+
+
+def _check_connectivity(c: Circuit, rep: ValidationReport) -> None:
+    nodes = [n.name for n in c.nodes()]
+    if len(nodes) <= 1:
+        return
+    root = partition(nodes, ((ch.end_a, ch.end_b) for ch in c.channels))
     components: dict[str, list[str]] = {}
     for n in nodes:
-        components.setdefault(find(n), []).append(n)
+        components.setdefault(root[n], []).append(n)
     if len(components) > 1:
         groups = sorted(components.values(), key=len, reverse=True)
         for group in groups[1:]:
@@ -303,8 +323,8 @@ def boundary_ports(c: Circuit) -> tuple[frozenset[PortId], frozenset[PortId]]:
     rep = validate_circuit(c)
     if not rep.ok:
         raise InvalidCircuitError(rep)
-    ins = frozenset(p for p in c.ports if p.kind == PORT_IN)
-    outs = frozenset(p for p in c.ports if p.kind == PORT_OUT)
+    ins = frozenset(PortId(n, PORT_IN) for n in c.inputs)
+    outs = frozenset(PortId(n, PORT_OUT) for n in c.outputs)
     return ins, outs
 
 

@@ -16,7 +16,7 @@ import sys
 from . import dsl, rescue
 from .analysis import analyze
 from .automata import automaton_to_dot, automaton_to_json, compile_circuit
-from .circuit import PORT_IN, PORT_OUT, export_dot, validate_circuit
+from .circuit import export_dot, validate_circuit
 from .semlog import ComplianceEngine, ORIGIN_SCRIPT, ORIGIN_TRACE
 from .sim import (
     EnvMismatchError,
@@ -53,8 +53,11 @@ def _note(args, message: str) -> None:
 
 def _emit(text: str, out_path: str | None) -> None:
     if out_path:
-        with open(out_path, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(out_path, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise ToolError(f"cannot write {out_path}: {exc.strerror}")
     else:
         sys.stdout.write(text)
 
@@ -86,10 +89,8 @@ def cmd_simulate(args) -> int:
     c = dsl.parse_circuit(_read(args.path))
     env = dsl.parse_env(_read(args.env), c)
     auto = compile_circuit(c)
-    ins = frozenset(p.name for p in c.ports if p.kind == PORT_IN)
-    outs = frozenset(p.name for p in c.ports if p.kind == PORT_OUT)
     cfg = SimConfig(seed=args.seed, max_rounds=args.rounds)
-    trace = simulate(auto, env, cfg, inputs=ins, outputs=outs, circuit_name=c.name)
+    trace = simulate(auto, env, cfg, inputs=c.inputs, outputs=c.outputs, circuit_name=c.name)
     _emit(trace.to_json(auto), args.trace)
     fired = len(trace.firings())
     _note(args, f"{len(trace.steps)} rounds, {fired} firings")
@@ -155,8 +156,6 @@ def cmd_scenario(args) -> int:
 def cmd_repl(args) -> int:
     c = dsl.parse_circuit(_read(args.path))
     auto = compile_circuit(c)
-    ins = {p.name for p in c.ports if p.kind == PORT_IN}
-    outs = {p.name for p in c.ports if p.kind == PORT_OUT}
     state = auto.initial
     round_no = 1
     offers: dict[str, str] = {}
@@ -173,7 +172,7 @@ def cmd_repl(args) -> int:
                 break
             elif cmd == "offer":
                 port, _, tok = rest.replace(" ", "").partition("=")
-                if port not in ins:
+                if port not in c.inputs:
                     print(f"unknown boundary-in port {port!r}")
                 elif tok not in c.alphabet:
                     print(f"unknown data item {tok!r}")
@@ -181,7 +180,7 @@ def cmd_repl(args) -> int:
                     offers[port] = tok
             elif cmd == "ready":
                 ports = [p.strip() for p in rest.split(",") if p.strip()]
-                bad = [p for p in ports if p not in outs]
+                bad = [p for p in ports if p not in c.outputs]
                 if bad:
                     print(f"unknown boundary-out ports {bad}")
                 else:

@@ -600,11 +600,8 @@ def parse_env(text: str, circuit: Circuit | None = None) -> EnvScript:
     policy = POLICY_ALL_READY
     rounds: list[tuple[int, Round]] = []
     seen_rounds: set[int] = set()
-    ins: set[str] | None = None
-    outs: set[str] | None = None
-    if circuit is not None:
-        ins = {p.name for p in circuit.ports if p.kind == PORT_IN}
-        outs = {p.name for p in circuit.ports if p.kind == PORT_OUT}
+    ins = circuit.inputs if circuit is not None else None
+    outs = circuit.outputs if circuit is not None else None
     for line_no, line in enumerate(text.splitlines(), start=1):
         stripped = line.split("#", 1)[0].strip()
         if not stripped:

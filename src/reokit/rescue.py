@@ -16,7 +16,7 @@ from importlib import resources
 from . import dsl
 from .analysis import AnalysisReport, analyze
 from .automata import ConstraintAutomaton, compile_circuit
-from .circuit import PORT_IN, PORT_OUT, Circuit
+from .circuit import Circuit
 from .dsl import EventMap, EventScript
 from .semlog import (
     Atom,
@@ -112,14 +112,12 @@ def run_rescue(
     auto = automaton if automaton is not None else compile_circuit(c)
     env = env if env is not None else builtin_env()
     mapping = mapping if mapping is not None else builtin_map()
-    ins = frozenset(p.name for p in c.ports if p.kind == PORT_IN)
-    outs = frozenset(p.name for p in c.ports if p.kind == PORT_OUT)
     trace = simulate(
         auto,
         env,
         SimConfig(seed=seed, max_rounds=rounds),
-        inputs=ins,
-        outputs=outs,
+        inputs=c.inputs,
+        outputs=c.outputs,
         circuit_name=c.name,
     )
     events = map_trace(trace, mapping)

@@ -10,6 +10,7 @@ Unconsumed offers do not persist into the next round.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import random
@@ -43,14 +44,18 @@ class EnvScript:
     def __len__(self) -> int:
         return max((n for n, _ in self.rounds), default=0)
 
+    @functools.cached_property
+    def _by_number(self) -> dict[int, Round]:
+        # reversed, so the first listing of a round number wins
+        return dict(reversed(self.rounds))
+
     def round(self, n: int, all_outs: frozenset[str]) -> tuple[dict[str, str], frozenset[str]]:
         """Offers and effective readiness for round n."""
         default_ready = all_outs if self.default_policy == POLICY_ALL_READY else frozenset()
-        for num, r in self.rounds:
-            if num == n:
-                ready = r.ready if r.explicit_ready else default_ready
-                return r.offer_map(), ready
-        return {}, default_ready
+        r = self._by_number.get(n)
+        if r is None:
+            return {}, default_ready
+        return r.offer_map(), r.ready if r.explicit_ready else default_ready
 
     def mentioned_ports(self) -> set[str]:
         out = set()

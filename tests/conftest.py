@@ -1,6 +1,6 @@
 import pytest
 
-from reokit import automata, circuit, rescue
+from reokit import automata, rescue
 
 
 @pytest.fixture(scope="session")
@@ -10,17 +10,13 @@ def rescue_circuit():
 
 @pytest.fixture(scope="session")
 def rescue_auto(rescue_circuit):
-    # compiled once; ~3s, shared across every test that needs it
+    # compiled once (the slowest fixture), shared across every test that needs it
     return automata.compile_circuit(rescue_circuit)
 
 
 @pytest.fixture(scope="session")
 def rescue_boundary(rescue_circuit):
-    ins, outs = circuit.boundary_ports(rescue_circuit)
-    return (
-        frozenset(p.name for p in ins),
-        frozenset(p.name for p in outs),
-    )
+    return rescue_circuit.inputs, rescue_circuit.outputs
 
 
 @pytest.fixture(scope="session")

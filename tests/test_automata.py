@@ -1,4 +1,9 @@
+import hashlib
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -352,3 +357,44 @@ def test_export_formats_deterministic():
     assert A.automaton_to_json(auto) == A.automaton_to_json(auto)
     assert A.automaton_to_dot(auto) == A.automaton_to_dot(auto)
     assert '"names"' in A.automaton_to_json(auto)
+
+
+# sha256 of automaton_to_json(compile_circuit(builtin_circuit())); any change
+# to join, hide or the final sort that alters the output moves it
+RESCUE_JSON_SHA256 = "83a7895db792bcb197844b877db19b50dcb996887ee5b98ac2553456551ebdde"
+
+
+def test_rescue_compile_json_pinned(rescue_auto):
+    text = A.automaton_to_json(rescue_auto)
+    assert hashlib.sha256(text.encode()).hexdigest() == RESCUE_JSON_SHA256
+
+
+_ORDER_SCRIPT = """
+import random
+from reokit import automata as A
+from util import random_circuit
+rng = random.Random(11)
+for _ in range(6):
+    c = random_circuit(rng, max_extra=3)
+    joined = A.join_many(A.circuit_automata(c))
+    ports = frozenset(p.name for p in c.ports)
+    for auto in (A.compile_circuit(c), joined, A.hide(joined, joined.names - ports)):
+        print(A.automaton_to_json(auto))
+"""
+
+
+def test_transition_order_independent_of_hash_seed():
+    # join and hide do not sort their transitions; the order they emit
+    # must not follow set iteration, which changes with the string hash seed
+    here = Path(__file__).resolve().parent
+    outputs = []
+    for seed in ("0", "1"):
+        env = dict(os.environ, PYTHONHASHSEED=seed)
+        env["PYTHONPATH"] = os.pathsep.join([str(here.parent / "src"), str(here)])
+        result = subprocess.run(
+            [sys.executable, "-c", _ORDER_SCRIPT],
+            capture_output=True, text=True, env=env, timeout=120, check=True,
+        )
+        outputs.append(result.stdout)
+    assert outputs[0] == outputs[1]
+    assert outputs[0].count('"names"') == 18

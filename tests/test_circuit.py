@@ -98,8 +98,9 @@ def test_boundary_ports_requires_valid_circuit():
 def test_boundary_ports_partitions():
     c = parse_circuit(MINIMAL_SYNC_TEXT)
     ins, outs = C.boundary_ports(c)
-    assert {p.name for p in ins} == {"a"}
-    assert {p.name for p in outs} == {"b"}
+    assert ins == {C.PortId("a", C.PORT_IN)}
+    assert outs == {C.PortId("b", C.PORT_OUT)}
+    assert (c.inputs, c.outputs) == ({"a"}, {"b"})
 
 
 def test_boundary_ports_empty():

@@ -238,6 +238,18 @@ def test_scenario_runs_clean(tmp_path):
     assert doc["analysis"]["deadlocks"] == []
 
 
+def test_unwritable_output_exits_two(mini, tmp_path):
+    missing = tmp_path / "no" / "such" / "dir"
+    env = tmp_path / "mini.env"
+    env.write_text("round 1: offer a=ok")
+    result = run_cli("simulate", str(mini), "--env", str(env), "--trace", str(missing / "t.json"))
+    assert result.returncode == 2
+    assert result.stderr.startswith("error: cannot write")
+    result = run_cli("scenario", "--json", str(missing / "x.json"), "--quiet")
+    assert result.returncode == 2
+    assert result.stderr.startswith("error: cannot write")
+
+
 def test_repl_session(mini):
     result = run_cli(
         "repl", str(mini),

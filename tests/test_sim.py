@@ -5,20 +5,13 @@ import pytest
 from reokit import automata as A
 from reokit import dsl
 from reokit import sim
-from reokit.circuit import boundary_ports
 
 from util import ALPHABET, LOSSY_TEXT, MERGER_TEXT, MINIMAL_SYNC_TEXT, random_circuit
 
 
 def compiled(text):
     c = dsl.parse_circuit(text)
-    ins, outs = boundary_ports(c)
-    return (
-        c,
-        A.compile_circuit(c),
-        frozenset(p.name for p in ins),
-        frozenset(p.name for p in outs),
-    )
+    return c, A.compile_circuit(c), c.inputs, c.outputs
 
 
 def env_lines(text, circuit=None):
@@ -99,6 +92,19 @@ def test_simulate_records_stalls_in_place():
     kinds = [type(s).__name__ for s in trace.steps]
     assert kinds == ["Firing", "Stall", "Firing"]
     assert trace.steps[1].round == 2
+    # sparse script: unlisted rounds stall under either policy, and an
+    # explicit ready clause overrides the policy only in its own round
+    text = "round 1: offer a=ok\nround 5: offer a=ok; ready b\nround 10000: offer a=ok"
+    for policy, fired in (("all-ready", [1, 5, 10000]), ("closed", [5])):
+        env = env_lines(f"policy {policy}\n{text}", c)
+        assert len(env) == 10000
+        assert env.round(7, outs) == ({}, outs if policy == "all-ready" else frozenset())
+        trace = sim.simulate(auto, env, sim.SimConfig(seed=0), ins, outs, c.name)
+        assert len(trace.steps) == 10000
+        assert [f.round for f in trace.firings()] == fired
+    # a script built by hand may list a round twice: the first listing wins
+    twice = sim.EnvScript(rounds=((2, sim.Round(offers=(("a", "ok"),))), (2, sim.Round())))
+    assert twice.round(2, outs) == ({"a": "ok"}, outs)
 
 
 def test_simulate_unknown_port_rejected_before_round_one():
@@ -117,9 +123,7 @@ def test_simulate_deterministic_across_runs():
     subjects = [dsl.parse_circuit(LOSSY_TEXT)]
     subjects += [random_circuit(rng, max_extra=2) for _ in range(4)]
     for c in subjects:
-        ins, outs = boundary_ports(c)
-        ins = frozenset(p.name for p in ins)
-        outs = frozenset(p.name for p in outs)
+        ins, outs = c.inputs, c.outputs
         auto = A.compile_circuit(c)
         offers = ", ".join(f"{p}=ok" for p in sorted(ins))
         env = env_lines("\n".join(f"round {n}: offer {offers}" for n in range(1, 9)), c)
