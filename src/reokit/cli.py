@@ -2,7 +2,8 @@
 
 Exit codes are part of the contract: 0 means success with no findings,
 1 means the tool ran fine but found something (deadlocks, failures,
-warnings, order violations), 2 means usage or parse errors. Structured
+warnings, order violations, or derivations dropped at a limit), 2 means
+usage, parse or I/O errors and saturation that found no fixpoint. Structured
 output is JSON with sorted keys; human-readable notes go to stderr so
 scripts can consume stdout directly.
 """
@@ -17,7 +18,7 @@ from . import dsl, rescue
 from .analysis import analyze
 from .automata import automaton_to_dot, automaton_to_json, compile_circuit
 from .circuit import export_dot, validate_circuit
-from .semlog import ComplianceEngine, ORIGIN_SCRIPT, ORIGIN_TRACE
+from .semlog import ComplianceEngine, NotConvergedError, ORIGIN_SCRIPT, ORIGIN_TRACE
 from .sim import (
     EnvMismatchError,
     Firing,
@@ -284,7 +285,7 @@ def main(argv: list[str] | None = None) -> int:
         for err in exc.errors:
             print(err.render(), file=sys.stderr)
         return EXIT_USAGE
-    except (ToolError, EnvMismatchError, ValueError) as exc:
+    except (ToolError, EnvMismatchError, NotConvergedError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -7,6 +7,13 @@ Events stream in one occurrence at a time; occurrence counting and
 event-implication rules run at ingest, everything else saturates to a
 least fixpoint afterwards.
 
+Saturation is semi-naive: each pass tries only the rule bindings that
+use a fact added since the previous pass began, so a verdict after each
+event costs work in proportion to the new facts, not to the history.
+The engine keeps one persistent fact index, a ``term_key``-sorted list
+of ``(key, fact)`` pairs per head, so no pass and no report sorts the
+store.
+
 Two counting rules are engine built-ins rather than rulebase patterns:
 set-based fact storage cannot observe "A AND A", so "A => (1)A" and
 "A AND (I)A => (I+1)A" are applied per ingested occurrence instead.
@@ -14,7 +21,9 @@ set-based fact storage cannot observe "A AND A", so "A => (1)A" and
 
 from __future__ import annotations
 
+import bisect
 import json
+from collections import deque
 from dataclasses import dataclass, field
 
 P_OP = "P"
@@ -156,6 +165,23 @@ def term_key(t: Term) -> tuple:
         return (9, "", (term_key(t.lhs), term_key(t.rhs)))
     if isinstance(t, Var):
         return (10, t.name, ())
+    raise TypeError(t)
+
+
+def _tag(t: Term) -> tuple:
+    """The fact-index bucket of a fact or non-variable pattern.
+
+    Buckets sort as the ``term_key`` of their facts do, so walking them
+    in sorted order visits every fact in key order.
+    """
+    if isinstance(t, Atom):
+        return (0, t.name)
+    if isinstance(t, Op):
+        return (_OP_RANK[t.op],)
+    if isinstance(t, Count):
+        return (8,)
+    if isinstance(t, Implies):
+        return (9,)
     raise TypeError(t)
 
 
@@ -372,23 +398,36 @@ class OrderViolation:
 
 @dataclass
 class Verdict:
+    """The judgements over a saturated fact store.
+
+    ``diagnostics`` lists what the engine dropped on the way: events or
+    facts beyond ``max_depth``, event cascades cut at their limit, runs
+    without a fixpoint. A verdict that dropped anything is not ``clean``,
+    because a dropped derivation may have led to a finding; the CLI then
+    exits 1 as for a finding.
+    """
+
     failures: list[tuple[Term, Derivation]]
     warnings: list[tuple[Term, Derivation]]
     resolved: list[tuple[Term, Derivation]]
     order_violations: list[OrderViolation]
     facts_total: int
+    diagnostics: list[str] = field(default_factory=list)
 
     @property
     def clean(self) -> bool:
-        return not (self.failures or self.warnings or self.order_violations)
+        return not (
+            self.failures or self.warnings or self.order_violations or self.diagnostics
+        )
 
     def resolved_warnings(self) -> list[Term]:
         """The Warning(...) terms that carry a matching Resolved fact."""
         return [t for t, _ in self.resolved]
 
     def to_dict(self) -> dict:
+        """JSON form; ``diagnostics`` appears only when there are some."""
         resolved_terms = {pretty(t) for t in self.resolved_warnings()}
-        return {
+        doc = {
             "failures": [pretty(t) for t, _ in self.failures],
             "warnings": [
                 {"term": pretty(t), "resolved": pretty(t) in resolved_terms}
@@ -406,6 +445,9 @@ class Verdict:
             ],
             "facts_total": self.facts_total,
         }
+        if self.diagnostics:
+            doc["diagnostics"] = list(self.diagnostics)
+        return doc
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), indent=2, sort_keys=True) + "\n"
@@ -437,6 +479,28 @@ class UnknownFactError(KeyError):
     pass
 
 
+class _OrderWatch:
+    """Prefix-discipline state of one declared order over a growing event log."""
+
+    def __init__(self, order: tuple[str, ...]):
+        self.order = order
+        self.positions = {a: i for i, a in enumerate(order)}
+        self.seen: set[str] = set()
+        self.violations: list[OrderViolation] = []
+
+    def observe(self, ev: Event) -> None:
+        if not isinstance(ev.term, Atom) or ev.term.name not in self.positions:
+            return
+        order, seen = self.order, self.seen
+        i = self.positions[ev.term.name]
+        if any(a not in seen for a in order[:i]):
+            expected = tuple(
+                a for j, a in enumerate(order) if all(p in seen for p in order[:j])
+            )
+            self.violations.append(OrderViolation(order, ev.index, ev.term.name, expected))
+        seen.add(ev.term.name)
+
+
 def check_sequence(
     events: list[Event], orders: tuple[tuple[str, ...], ...]
 ) -> list[OrderViolation]:
@@ -444,31 +508,27 @@ def check_sequence(
 
     Restricted to each order's atoms, an occurrence is legal only when
     every predecessor atom has occurred at least once before it. Every
-    occurrence, legal or not, counts as seen afterwards.
+    occurrence, legal or not, counts as seen afterwards. Violations are
+    listed order by order, in declaration order.
     """
     violations = []
     for order in orders:
-        positions = {a: i for i, a in enumerate(order)}
-        seen: set[str] = set()
+        watch = _OrderWatch(order)
         for ev in events:
-            if not isinstance(ev.term, Atom) or ev.term.name not in positions:
-                continue
-            i = positions[ev.term.name]
-            if any(a not in seen for a in order[:i]):
-                expected = tuple(
-                    a
-                    for j, a in enumerate(order)
-                    if all(p in seen for p in order[:j])
-                )
-                violations.append(
-                    OrderViolation(order, ev.index, ev.term.name, expected)
-                )
-            seen.add(ev.term.name)
+            watch.observe(ev)
+        violations.extend(watch.violations)
     return violations
 
 
 class ComplianceEngine:
-    """Single-writer fact store with ingest-time counting and saturation."""
+    """Single-writer fact store with ingest-time counting and saturation.
+
+    Facts live in ``facts`` and in one persistent index, ``_index``: per
+    ``_tag`` bucket, a list of ``(term_key(fact), fact)`` pairs kept in
+    key order by ``bisect.insort``; ``_tags`` lists the buckets in sorted
+    order. ``_fresh`` collects the pairs added since the last saturation
+    pass began, which is the next pass's delta.
+    """
 
     def __init__(self, rulebase: RuleBase, max_depth: int = 8, max_iterations: int = 10000):
         for rule in rulebase.rules:
@@ -484,11 +544,17 @@ class ComplianceEngine:
         self.events: list[Event] = []
         self.diagnostics: list[str] = []
         self._counts: dict[Term, int] = {}
-        self._converged = True
+        self._converged = False  # the standing facts are the first delta
+        self._event_rules = rulebase.event_implications()
+        self._fact_rules = rulebase.fact_rules()
+        self._index: dict[tuple, list[tuple[tuple, Term]]] = {}
+        self._tags: list[tuple] = []
+        self._fresh: list[tuple[tuple, Term]] = []
+        self._order_watches = [_OrderWatch(order) for order in rulebase.orders]
         for sf in rulebase.facts:
             label = f"standing fact {sf.name}" if sf.name else "standing fact"
             self._add_fact(sf.term, Derivation(label, (), 0), set())
-        for rule in rulebase.event_implications():
+        for rule in self._event_rules:
             if is_ground(rule.premises[0]) and is_ground(rule.conclusion):
                 self._add_fact(
                     Implies(rule.premises[0], rule.conclusion),
@@ -509,10 +575,10 @@ class ComplianceEngine:
         if not is_ground(term):
             raise ValueError(f"events must be ground terms: {pretty(term)}")
         new: set[Term] = set()
-        queue: list[tuple[Term, str, tuple | None]] = [(term, origin, None)]
+        queue: deque[tuple[Term, str, tuple | None]] = deque([(term, origin, None)])
         processed = 0
         while queue:
-            current, current_origin, via = queue.pop(0)
+            current, current_origin, via = queue.popleft()
             processed += 1
             if processed > _CASCADE_LIMIT:
                 self._diag(f"EVENT_CASCADE_LIMIT: dropped {pretty(current)}")
@@ -527,6 +593,8 @@ class ComplianceEngine:
             return
         event = Event(len(self.events) + 1, term, origin)
         self.events.append(event)
+        for watch in self._order_watches:
+            watch.observe(event)
         if via is None:
             derivation = Derivation(f"event #{event.index}", (), 0)
         else:
@@ -547,7 +615,7 @@ class ComplianceEngine:
                     Derivation(name, premises, self._depth_after(*premises)),
                     new,
                 )
-        for rule in self.rulebase.event_implications():
+        for rule in self._event_rules:
             binding = match(rule.premises[0], term, {})
             if binding is None:
                 continue
@@ -579,12 +647,18 @@ class ComplianceEngine:
         self.facts.add(term)
         self.derivations[term] = derivation
         new.add(term)
+        pair = (term_key(term), term)
+        tag = _tag(term)
+        bucket = self._index.get(tag)
+        if bucket is None:
+            bucket = self._index[tag] = []
+            bisect.insort(self._tags, tag)
+        bisect.insort(bucket, pair)
+        self._fresh.append(pair)
 
     def _depth_after(self, *premises: Term) -> int:
-        return 1 + max(
-            (self.derivations[p].depth for p in premises if p in self.derivations),
-            default=0,
-        )
+        known = [d.depth for d in map(self.derivations.get, premises) if d is not None]
+        return 1 + max(known, default=0)
 
     def _diag(self, message: str) -> None:
         if message not in self.diagnostics:
@@ -593,37 +667,52 @@ class ComplianceEngine:
     # -- saturation -------------------------------------------------------
 
     def saturate(self) -> SaturationResult:
-        """Apply fact-rules to a least fixpoint, deterministically."""
-        rules = self.rulebase.fact_rules()
+        """Apply fact-rules to a least fixpoint, deterministically.
+
+        Each pass is semi-naive (see ``_pass``). A run cut off by
+        ``max_iterations`` leaves its last delta for the next run.
+        """
         passes = 0
         converged = False
         while passes < self.max_iterations:
             passes += 1
-            added = self._pass(rules)
-            if not added:
+            if not self._pass():
                 converged = True
                 break
         if not converged:
             self._diag(f"NOT_CONVERGED: no fixpoint within {self.max_iterations} passes")
         self._converged = converged
         return SaturationResult(
-            facts=sorted(self.facts, key=term_key),
+            facts=self.sorted_facts(),
             converged=converged,
             passes=passes,
             diagnostics=list(self.diagnostics),
         )
 
-    def _pass(self, rules) -> bool:
-        by_tag: dict = {}
-        for fact in sorted(self.facts, key=term_key):
-            by_tag.setdefault(self._tag(fact), []).append(fact)
-        pending: list[tuple[Term, Derivation]] = []
-        for rule in rules:
-            for binding in self._bindings(rule.premises, {}, by_tag):
+    def _pass(self) -> bool:
+        """One semi-naive pass; returns whether it added a fact.
+
+        Bindings are enumerated rule by rule, premise by premise, facts in
+        key order, and only those that use a fresh fact (one added since
+        the previous pass began) are tried. Every other binding uses only
+        facts the previous pass already saw, which then stored its
+        conclusion, rejected it by a guard or dropped it with a diagnostic,
+        so skipping it changes neither the conclusions nor their order. New conclusions are stored only after
+        the enumeration, so the pass reads one fixed store.
+        """
+        fresh_pairs = sorted(self._fresh)
+        self._fresh = []
+        fresh: dict = {None: fresh_pairs}
+        for pair in fresh_pairs:
+            fresh.setdefault(_tag(pair[1]), []).append(pair)
+        fresh_terms = {t for _, t in fresh_pairs}
+        pending: dict[Term, Derivation] = {}  # first derivation of each conclusion
+        for rule in self._fact_rules:
+            for binding in self._bindings(rule.premises, {}, fresh, fresh_terms, False):
                 if not all(self._guard_ok(g, binding) for g in rule.guards):
                     continue
                 conclusion = substitute(rule.conclusion, binding)
-                if conclusion in self.facts:
+                if conclusion in self.facts or conclusion in pending:
                     continue
                 if depth(conclusion) > self.max_depth:
                     self._diag(f"DEPTH_LIMIT: dropped {pretty(conclusion)}")
@@ -631,51 +720,55 @@ class ComplianceEngine:
                 premises = tuple(
                     substitute(p, binding) for p in rule.premises
                 )
-                pending.append(
-                    (conclusion, Derivation(rule.name, premises, self._depth_after(*premises)))
+                pending[conclusion] = Derivation(
+                    rule.name, premises, self._depth_after(*premises)
                 )
-        added = False
         new: set[Term] = set()
-        for conclusion, derivation in pending:
-            before = len(self.facts)
+        for conclusion, derivation in pending.items():
             self._add_fact(conclusion, derivation, new)
-            added = added or len(self.facts) > before
-        return added
+        return bool(pending)
 
-    @staticmethod
-    def _tag(t: Term):
-        if isinstance(t, Atom):
-            return ("atom", t.name)
-        if isinstance(t, Op):
-            return ("op", t.op)
-        if isinstance(t, Count):
-            return ("count",)
-        if isinstance(t, Implies):
-            return ("implies",)
-        raise TypeError(t)
+    def _candidates(self, pattern: Term, fresh) -> list[tuple[tuple, Term]]:
+        """The ``(key, fact)`` pairs that may match a non-bound ``pattern``.
 
-    def _candidates(self, pattern: Term, by_tag) -> list[Term]:
+        In key order, from ``fresh`` (the pass's delta by tag, ``None``
+        holding all of it) when given, else from the whole index.
+        """
+        if fresh is not None:
+            return fresh.get(None if isinstance(pattern, Var) else _tag(pattern), ())
         if isinstance(pattern, Var):
-            return sorted(self.facts, key=term_key)
-        if isinstance(pattern, Atom):
-            return by_tag.get(("atom", pattern.name), [])
-        if isinstance(pattern, Op):
-            return by_tag.get(("op", pattern.op), [])
-        if isinstance(pattern, Count):
-            return by_tag.get(("count",), [])
-        if isinstance(pattern, Implies):
-            return by_tag.get(("implies",), [])
-        raise TypeError(pattern)
+            return [pair for tag in self._tags for pair in self._index[tag]]
+        return self._index.get(_tag(pattern), ())
 
-    def _bindings(self, premises, binding, by_tag):
+    def _bindings(self, premises, binding, fresh, fresh_terms, used_fresh):
+        """Bindings of ``premises`` that use a fresh fact, in key order.
+
+        ``used_fresh`` says whether an earlier premise matched a fresh
+        fact; when none did, the last premise draws from the fresh facts
+        only.
+        """
         if not premises:
             yield binding
             return
         head, rest = premises[0], premises[1:]
-        for fact in self._candidates(head, by_tag):
+        only_fresh = not rest and not used_fresh
+        if isinstance(head, Var) and head.name in binding:
+            term = binding[head.name]
+            if term in (fresh_terms if only_fresh else self.facts):
+                yield from self._bindings(
+                    rest, binding, fresh, fresh_terms, used_fresh or term in fresh_terms
+                )
+            return
+        for _, fact in self._candidates(head, fresh if only_fresh else None):
             extended = match(head, fact, binding)
             if extended is not None:
-                yield from self._bindings(rest, extended, by_tag)
+                yield from self._bindings(
+                    rest,
+                    extended,
+                    fresh,
+                    fresh_terms,
+                    used_fresh or (bool(rest) and fact in fresh_terms),
+                )
 
     @staticmethod
     def _guard_ok(guard: Guard, binding: dict) -> bool:
@@ -692,27 +785,19 @@ class ComplianceEngine:
                 raise NotConvergedError(
                     f"saturation did not converge within {self.max_iterations} passes"
                 )
-        failures = []
-        warnings = []
-        resolved = []
-        for fact in sorted(self.facts, key=term_key):
-            if not isinstance(fact, Op):
-                continue
-            item = (fact, self.derivations[fact])
-            if fact.op == FAILURE_OP:
-                failures.append(item)
-            elif fact.op == WARNING_OP:
-                warnings.append(item)
-            elif fact.op == RESOLVED_OP:
-                # store the warned Warning(...) term, provenance of the Resolved fact
-                resolved.append((fact.arg, self.derivations[fact]))
         return Verdict(
-            failures=failures,
-            warnings=warnings,
-            resolved=resolved,
-            order_violations=check_sequence(self.events, self.rulebase.orders),
+            failures=self._judged(FAILURE_OP),
+            warnings=self._judged(WARNING_OP),
+            # the warned Warning(...) term, with the provenance of its Resolved fact
+            resolved=[(fact.arg, d) for fact, d in self._judged(RESOLVED_OP)],
+            order_violations=[v for w in self._order_watches for v in w.violations],
             facts_total=len(self.facts),
+            diagnostics=list(self.diagnostics),
         )
+
+    def _judged(self, op: str) -> list[tuple[Term, Derivation]]:
+        bucket = self._index.get((_OP_RANK[op],), ())
+        return [(fact, self.derivations[fact]) for _, fact in bucket]
 
     def explain(self, fact: Term) -> DerivationNode:
         if fact not in self.facts:
@@ -722,7 +807,7 @@ class ComplianceEngine:
         return DerivationNode(fact, derivation.rule, children)
 
     def sorted_facts(self) -> list[Term]:
-        return sorted(self.facts, key=term_key)
+        return [fact for tag in self._tags for _, fact in self._index[tag]]
 
     def max_count(self, term: Term) -> int:
         return self._counts.get(term, 0)

@@ -6,6 +6,7 @@ from pathlib import Path
 
 import pytest
 
+from reokit import cli, semlog
 from util import BLOCKER_TEXT, MINIMAL_SYNC_TEXT
 
 PKG_ROOT = Path(__file__).resolve().parent.parent
@@ -181,6 +182,36 @@ def test_comply_resolved_still_exits_one(tmp_path):
     doc = json.loads(result.stdout)
     assert doc["warnings"][0]["resolved"] is True
     assert doc["resolved"] == ["Warning(P((Very)BudgetConsuming))"]
+
+
+def test_comply_truncated_verdict_is_not_clean(tmp_path):
+    events = tmp_path / "heli.events"
+    events.write_text("HelicopterMission\n" * 4)
+    rules = str(DATA / "rescue.rules")
+    full = run_cli("comply", "--rules", rules, "--events", str(events))
+    assert full.returncode == 1
+    assert "diagnostics" not in json.loads(full.stdout)
+    # at depth 2 the warning's premise P((Very)BudgetConsuming) is dropped,
+    # so the verdict has no finding, but it must not read as clean either
+    cut = run_cli("comply", "--rules", rules, "--events", str(events), "--max-depth", "2")
+    assert cut.returncode == 1
+    doc = json.loads(cut.stdout)
+    assert doc["warnings"] == []
+    assert "DEPTH_LIMIT: dropped P((Very)BudgetConsuming)" in doc["diagnostics"]
+
+
+def test_comply_not_converged_exits_two(tmp_path, monkeypatch, capsys):
+    rules = tmp_path / "grow.rules"
+    rules.write_text("fact s: P(x)\nrule g: P(A) => P(P(A))\n")
+    events = tmp_path / "e.events"
+    events.write_text("x\n")
+    monkeypatch.setattr(
+        cli, "ComplianceEngine",
+        lambda rb, **kw: semlog.ComplianceEngine(rb, max_iterations=1, **kw),
+    )
+    code = cli.main(["comply", "--rules", str(rules), "--events", str(events)])
+    assert code == 2
+    assert capsys.readouterr().err.startswith("error: saturation did not converge")
 
 
 def test_comply_empty_events_clean(tmp_path):

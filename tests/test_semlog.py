@@ -1,3 +1,4 @@
+import hashlib
 import random
 from importlib import resources
 
@@ -5,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from reokit import dsl
+from reokit import dsl, semlog
 from reokit.semlog import (
     Atom,
     ComplianceEngine,
@@ -137,6 +138,10 @@ def test_depth_limit_drops_with_diagnostic():
     eng.ingest(Very(Very(Very(BUDGET))))
     assert any("DEPTH_LIMIT" in d for d in eng.diagnostics)
     assert eng.events == []  # the dropped occurrence never entered the log
+    verdict = eng.verdict()
+    assert verdict.diagnostics == eng.diagnostics
+    assert not verdict.clean  # a dropped derivation may have been a finding
+    assert verdict.to_dict()["diagnostics"] == eng.diagnostics
 
 
 def test_reified_implications_present_with_provenance():
@@ -194,6 +199,13 @@ def test_rule13_modus_ponens_on_reified_implication():
     eng.add_fact(P(HELI))
     eng.saturate()
     assert P(BUDGET) in eng.facts
+
+
+def test_standing_facts_saturate_without_events():
+    eng = unit_engine(
+        "fact f: Forbidden(x)\nfact p: P(x)\nrule r7: Forbidden(A) AND P(A) => Warning(P(A))\n"
+    )
+    assert [pretty(t) for t, _ in eng.verdict().warnings] == ["Warning(P(x))"]
 
 
 def test_saturation_deterministic_and_batch_independent():
@@ -393,3 +405,87 @@ def test_random_streams_saturate(names):
         eng.ingest(Atom(name))
     result = eng.saturate()
     assert result.converged
+
+
+# -- incremental (semi-naive) saturation --------------------------------------
+
+
+STREAM_POOL = [Atom(n) for n in RESCUE_ATOMS] + [
+    HELI,
+    DoubleCheck(P(Very(BUDGET))),
+    Very(BUDGET),
+]
+
+
+def pool_stream(seed, n):
+    rng = random.Random(seed)
+    return [rng.choice(STREAM_POOL) for _ in range(n)]
+
+
+def test_online_monitor_output_pinned():
+    # Verdict after every event, then every fact with its derivation, the
+    # diagnostics and the total saturation passes. The digest was recorded
+    # with the naive saturation that re-matched every rule against the whole
+    # store on every pass; the semi-naive passes must reproduce it exactly.
+    eng = rescue_engine()
+    lines = []
+    passes = 0
+    for i, term in enumerate(pool_stream(2024, 300)):
+        eng.ingest(term)
+        passes += eng.saturate().passes
+        lines.append(f"{i} {eng.verdict().to_json()}")
+    for fact in eng.sorted_facts():
+        d = eng.derivations[fact]
+        lines.append(f"{pretty(fact)} [{d.rule}] {[pretty(p) for p in d.premises]} {d.depth}")
+    lines.append(repr(eng.diagnostics))
+    lines.append(f"passes {passes}")
+    digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+    assert digest == "b10f2fe64ec632a3aeecfec13b043afb23977bbb93ceaf12ed0dbfa8aba02679"
+
+
+def test_verdict_work_does_not_grow_with_history(monkeypatch):
+    calls = [0]
+    real_match = semlog.match
+
+    def counting_match(pattern, term, binding):
+        calls[0] += 1
+        return real_match(pattern, term, binding)
+
+    monkeypatch.setattr(semlog, "match", counting_match)
+    stream = pool_stream(7, 1000)
+    stream[99] = stream[999] = HELI
+    eng = rescue_engine()
+    cost = {}
+    for i, term in enumerate(stream, start=1):
+        before = calls[0]
+        eng.ingest(term)
+        eng.verdict()
+        cost[i] = calls[0] - before
+    assert 0 < cost[1000] <= 2 * cost[100]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 10**6), st.integers(0, 80))
+def test_incremental_order_violations_match_batch_check(seed, n):
+    rules = dsl.parse_rulebase(RULES_TEXT)
+    orders = rules.orders + (
+        ("BudgetConsuming", "FireRequest"),
+        ("HelicopterMission", "AmbulanceRequest", "PoliceRequest"),
+    )
+    eng = ComplianceEngine(RuleBase(orders, rules.facts, rules.rules), max_depth=3)
+    rng = random.Random(seed)
+    protocol = ["AmbulanceRequest", "FireRequest", "PoliceRequest"]
+    stream = []
+    for i in range(n):
+        roll = rng.random()
+        if roll < 0.1:
+            stream.append(HELI)
+        elif roll < 0.15:
+            stream.append(Very(Very(Very(BUDGET))))  # dropped beyond max_depth
+        else:
+            stream.append(Atom(protocol[i % 3]))
+            if rng.random() < 0.2 and len(stream) >= 2:
+                stream[-1], stream[-2] = stream[-2], stream[-1]
+    for term in stream:
+        eng.ingest(term)
+        assert eng.verdict().order_violations == check_sequence(eng.events, orders)
