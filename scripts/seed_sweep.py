@@ -38,13 +38,12 @@ def main() -> int:
 
     circuit = rescue.builtin_circuit()
     auto = compile_circuit(circuit)
-    ins, outs = circuit.inputs, circuit.outputs
     env = busy_env(circuit, args.rounds)
 
     alarm_orders = Counter()
     dispatch_total = 0
     for seed in range(args.seeds):
-        trace = simulate(auto, env, SimConfig(seed=seed), ins, outs, circuit.name)
+        trace = simulate(auto, env, SimConfig(seed=seed), circuit.name)
         dispatched = []
         ea = police = 0
         first_pair = []

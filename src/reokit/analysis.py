@@ -10,7 +10,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 
-from .automata import ConstraintAutomaton, sat_assignments
+from .automata import ConstraintAutomaton, sat_assignments, state_name
 
 # A step is (sorted sync tuple, sorted (name, item) pairs); a word is a
 # tuple of steps. Plain tuples keep everything orderable and hashable.
@@ -174,5 +174,5 @@ def analyze(a: ConstraintAutomaton) -> AnalysisReport:
     dead = deadlocks(a)
     return AnalysisReport(
         reachable_count=len(reach),
-        deadlock_states=[a.labels[s] for s in dead],
+        deadlock_states=[state_name(s) for s in dead],
     )

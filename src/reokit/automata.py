@@ -16,6 +16,7 @@ from __future__ import annotations
 import functools
 import itertools
 import json
+import re
 from dataclasses import dataclass, replace
 
 from .circuit import (
@@ -219,22 +220,21 @@ class Transition:
 
 @dataclass(frozen=True)
 class ConstraintAutomaton:
-    """States are dense ints; ``labels[i]`` keeps a debug name for state i.
+    """States are the ints ``0..n_states-1``, written by ``state_name``.
 
-    Transitions of ``build_automaton`` and ``compile_circuit`` results are
-    in ``Transition.sort_key`` order; ``join`` and ``hide`` results are
-    only grouped by source state, ascending.
+    ``inputs`` are the boundary-in names among ``names``; in a compiled
+    automaton the boundary-out names are ``names - inputs``. Transitions
+    of ``build_automaton`` and ``compile_circuit`` results are in
+    ``Transition.sort_key`` order; ``join`` and ``hide`` results are only
+    grouped by source state, ascending.
     """
 
     names: frozenset[str]
-    labels: tuple[str, ...]
+    n_states: int
     initial: int
     transitions: tuple[Transition, ...]
     alphabet: frozenset[str]
-
-    @property
-    def n_states(self) -> int:
-        return len(self.labels)
+    inputs: frozenset[str] = frozenset()
 
     @functools.cached_property
     def _outgoing(self) -> dict[int, tuple[Transition, ...]]:
@@ -247,19 +247,33 @@ class ConstraintAutomaton:
         return self._outgoing.get(state, ())
 
 
+def state_name(i: int) -> str:
+    """How every output writes state ``i``."""
+    return f"s{i}"
+
+
+def state_index(name) -> int:
+    """The state a ``state_name`` stands for; ValueError for anything else."""
+    if not (isinstance(name, str) and re.fullmatch(r"s[0-9]+", name)):
+        raise ValueError(f"state reference {name!r} is not s<int>")
+    return int(name[1:])
+
+
 def build_automaton(
     names,
     state_labels,
     initial_label,
     transitions,
     alphabet,
+    inputs=(),
 ) -> ConstraintAutomaton:
     """Assemble an automaton from labeled parts.
 
-    ``transitions`` is an iterable of (src_label, sync, guard, dst_label).
-    Guards are canonicalized; unsatisfiable or empty-sync transitions are
-    rejected, duplicates collapse, and the result is deterministically
-    sorted.
+    States are numbered in the order ``state_labels`` lists them; the
+    labels are not kept. ``transitions`` is an iterable of (src_label,
+    sync, guard, dst_label). Guards are canonicalized; unsatisfiable or
+    empty-sync transitions are rejected, duplicates collapse, and the
+    result is deterministically sorted.
     """
     names = frozenset(names)
     alphabet = frozenset(alphabet)
@@ -267,6 +281,8 @@ def build_automaton(
     index = {lab: i for i, lab in enumerate(labels)}
     if len(index) != len(labels):
         raise ValueError("duplicate state labels")
+    if not names >= frozenset(inputs):
+        raise UnknownNameError(f"inputs {sorted(frozenset(inputs) - names)} are not names")
     canonical: set[Transition] = set()
     for src, sync, guard, dst in transitions:
         sync = frozenset(sync)
@@ -284,10 +300,11 @@ def build_automaton(
         canonical.add(Transition(index[src], sync, norm, index[dst]))
     return ConstraintAutomaton(
         names=names,
-        labels=labels,
+        n_states=len(labels),
         initial=index[initial_label],
         transitions=tuple(sorted(canonical, key=Transition.sort_key)),
         alphabet=alphabet,
+        inputs=frozenset(inputs),
     )
 
 
@@ -295,7 +312,7 @@ def identity_automaton(alphabet) -> ConstraintAutomaton:
     """The neutral element of join: no names, one state, no transitions."""
     return ConstraintAutomaton(
         names=frozenset(),
-        labels=("q",),
+        n_states=1,
         initial=0,
         transitions=(),
         alphabet=frozenset(alphabet),
@@ -351,9 +368,11 @@ def ca_of_node(node: Node, alphabet) -> ConstraintAutomaton:
     that input synchronously with every output, all carrying equal data."""
     inputs = sorted(node.incoming)
     outputs = sorted(node.outgoing)
+    boundary_in = ()
     if node.port is not None:
         if node.port.kind == PORT_IN:
             inputs.append(node.port.name)
+            boundary_in = (node.port.name,)
         elif node.port.kind == PORT_OUT:
             outputs.append(node.port.name)
     if not inputs and not outputs:
@@ -364,39 +383,36 @@ def ca_of_node(node: Node, alphabet) -> ConstraintAutomaton:
         sync = {i, *outputs}
         guard = conj(*(eq(i, o) for o in outputs))
         trans.append(("q", sync, guard, "q"))
-    return build_automaton(names, ["q"], "q", trans, frozenset(alphabet))
+    return build_automaton(names, ["q"], "q", trans, frozenset(alphabet), boundary_in)
 
 
-def _explore(start, steps) -> tuple[list, tuple[Transition, ...]]:
+def _explore(start, steps) -> tuple[int, tuple[Transition, ...]]:
     """Number the states reachable from ``start`` and collect their moves.
 
     ``steps(state)`` yields (sync, guard, successor). The search is
     breadth-first and each level's new states are numbered in sorted
     order, so the numbering depends only on the reachable states and
-    their depth, never on the order ``steps`` yields. Returns the states
-    in numbering order and the deduplicated transitions, grouped by
-    source state in ascending order.
+    their depth, never on the order ``steps`` yields. Returns the number
+    of states and the deduplicated transitions, grouped by source state
+    in ascending order.
     """
-    order = [start]
-    seen = {start}
+    index = {start: 0}
     raw = []
     frontier = [start]
     while frontier:
-        nxt = []
+        nxt = set()
         for s in frontier:
             for sync, guard, dst in steps(s):
                 raw.append((s, sync, guard, dst))
-                if dst not in seen:
-                    seen.add(dst)
-                    nxt.append(dst)
-        nxt.sort()
-        order.extend(nxt)
-        frontier = nxt
-    index = {s: i for i, s in enumerate(order)}
+                if dst not in index:
+                    nxt.add(dst)
+        frontier = sorted(nxt)
+        for s in frontier:
+            index[s] = len(index)
     transitions = dict.fromkeys(
         Transition(index[src], sync, guard, index[dst]) for src, sync, guard, dst in raw
     )
-    return order, tuple(transitions)
+    return len(index), tuple(transitions)
 
 
 def join(a: ConstraintAutomaton, b: ConstraintAutomaton) -> ConstraintAutomaton:
@@ -438,13 +454,14 @@ def join(a: ConstraintAutomaton, b: ConstraintAutomaton) -> ConstraintAutomaton:
             if norm is not None:
                 yield sync, norm, dst
 
-    order, transitions = _explore((a.initial, b.initial), steps)
+    n_states, transitions = _explore((a.initial, b.initial), steps)
     return ConstraintAutomaton(
         names=a.names | b.names,
-        labels=tuple(f"{a.labels[p]}|{b.labels[q]}" for p, q in order),
+        n_states=n_states,
         initial=0,
         transitions=transitions,
         alphabet=a.alphabet,
+        inputs=a.inputs | b.inputs,
     )
 
 
@@ -491,13 +508,14 @@ def hide(a: ConstraintAutomaton, hidden) -> ConstraintAutomaton:
         for c in closure(state):
             yield from observable[c]
 
-    order, transitions = _explore(a.initial, steps)
+    n_states, transitions = _explore(a.initial, steps)
     return ConstraintAutomaton(
         names=a.names - hidden,
-        labels=tuple(a.labels[s] for s in order),
+        n_states=n_states,
         initial=0,
         transitions=transitions,
         alphabet=a.alphabet,
+        inputs=a.inputs - hidden,
     )
 
 
@@ -552,7 +570,7 @@ def join_many(
     order: list[str] | None = None,
     keep_names: frozenset[str] | None = None,
 ) -> ConstraintAutomaton:
-    """Fold join over the automata, compacting labels after each step.
+    """Fold join over the automata, left to right.
 
     Keys missing from ``order`` are joined last, in sorted order. With
     ``keep_names`` given, names outside it are hidden as soon as no
@@ -573,7 +591,7 @@ def join_many(
     result: ConstraintAutomaton | None = None
     for key in full_order:
         nxt = pool.pop(key)
-        result = nxt if result is None else _compact(join(result, nxt))
+        result = nxt if result is None else join(result, nxt)
         for name in nxt.names:
             uses[name] -= 1
         if keep_names is not None:
@@ -581,21 +599,17 @@ def join_many(
                 n for n in result.names if uses[n] == 0 and n not in keep_names
             )
             if done:
-                result = _compact(hide(result, done))
+                result = hide(result, done)
     return result
-
-
-def _compact(a: ConstraintAutomaton) -> ConstraintAutomaton:
-    """Shorten state labels to dense indices (pair labels grow fast)."""
-    return replace(a, labels=tuple(str(i) for i in range(a.n_states)))
 
 
 def compile_circuit(c: Circuit) -> ConstraintAutomaton:
     """Full pipeline: join every primitive automaton, hiding internals early.
 
-    Hide-early leaves exactly the declared boundary ports as names. States
-    are relabeled s0..sN in discovery order, and the transitions are
-    sorted by ``Transition.sort_key``, once, here.
+    Hide-early leaves exactly the declared boundary ports as names, with
+    the boundary-in ports as ``inputs``. States are numbered in discovery
+    order, and the transitions are sorted by ``Transition.sort_key``,
+    once, here.
     """
     report = validate_circuit(c)
     if not report.ok:
@@ -606,16 +620,14 @@ def compile_circuit(c: Circuit) -> ConstraintAutomaton:
     port_names = frozenset(p.name for p in c.ports)
     joined = join_many(autos, _flow_order(c), keep_names=port_names)
     return replace(
-        joined,
-        labels=tuple(f"s{i}" for i in range(joined.n_states)),
-        transitions=tuple(sorted(joined.transitions, key=Transition.sort_key)),
+        joined, transitions=tuple(sorted(joined.transitions, key=Transition.sort_key))
     )
 
 
 def automaton_to_json(a: ConstraintAutomaton) -> str:
     doc = {
         "names": sorted(a.names),
-        "states": list(a.labels),
+        "states": [state_name(i) for i in range(a.n_states)],
         "initial": a.initial,
         "transitions": [
             {
@@ -636,11 +648,11 @@ def automaton_to_dot(a: ConstraintAutomaton) -> str:
 
     out = ["digraph automaton {", "  rankdir=LR;"]
     out.append('  __start [shape=none label=""];')
-    for i, label in enumerate(a.labels):
-        out.append(f"  {q(f's{i}')} [label={q(label)} shape=circle];")
-    out.append(f"  __start -> {q(f's{a.initial}')};")
+    for i in range(a.n_states):
+        out.append(f"  {q(state_name(i))} [label={q(state_name(i))} shape=circle];")
+    out.append(f"  __start -> {q(state_name(a.initial))};")
     for t in a.transitions:
         label = "{" + ",".join(sorted(t.sync)) + "} " + t.guard.pretty()
-        out.append(f"  {q(f's{t.src}')} -> {q(f's{t.dst}')} [label={q(label)}];")
+        out.append(f"  {q(state_name(t.src))} -> {q(state_name(t.dst))} [label={q(label)}];")
     out.append("}")
     return "\n".join(out) + "\n"

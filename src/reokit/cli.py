@@ -16,7 +16,7 @@ import sys
 
 from . import dsl, rescue
 from .analysis import analyze
-from .automata import automaton_to_dot, automaton_to_json, compile_circuit
+from .automata import automaton_to_dot, automaton_to_json, compile_circuit, state_name
 from .circuit import export_dot, validate_circuit
 from .semlog import ComplianceEngine, NotConvergedError, ORIGIN_SCRIPT, ORIGIN_TRACE
 from .sim import (
@@ -91,8 +91,8 @@ def cmd_simulate(args) -> int:
     env = dsl.parse_env(_read(args.env), c)
     auto = compile_circuit(c)
     cfg = SimConfig(seed=args.seed, max_rounds=args.rounds)
-    trace = simulate(auto, env, cfg, inputs=c.inputs, outputs=c.outputs, circuit_name=c.name)
-    _emit(trace.to_json(auto), args.trace)
+    trace = simulate(auto, env, cfg, circuit_name=c.name)
+    _emit(trace.to_json(), args.trace)
     fired = len(trace.firings())
     _note(args, f"{len(trace.steps)} rounds, {fired} firings")
     return EXIT_OK
@@ -187,7 +187,7 @@ def cmd_repl(args) -> int:
                 else:
                     ready.update(ports)
             elif cmd == "state":
-                print(f"state {auto.labels[state]} (round {round_no})")
+                print(f"state {state_name(state)} (round {round_no})")
             elif cmd == "enabled":
                 options = enabled(auto, state, offers, frozenset(ready))
                 if not options:

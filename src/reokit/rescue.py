@@ -76,11 +76,10 @@ class ScenarioReport:
     events: list[Event]
     verdict: Verdict
     analysis: AnalysisReport
-    automaton: ConstraintAutomaton
 
     def to_json(self) -> str:
         doc = {
-            "trace": json.loads(self.trace.to_json(self.automaton)),
+            "trace": json.loads(self.trace.to_json()),
             "events": [
                 {"index": e.index, "term": pretty(e.term), "origin": e.origin}
                 for e in self.events
@@ -112,14 +111,7 @@ def run_rescue(
     auto = automaton if automaton is not None else compile_circuit(c)
     env = env if env is not None else builtin_env()
     mapping = mapping if mapping is not None else builtin_map()
-    trace = simulate(
-        auto,
-        env,
-        SimConfig(seed=seed, max_rounds=rounds),
-        inputs=c.inputs,
-        outputs=c.outputs,
-        circuit_name=c.name,
-    )
+    trace = simulate(auto, env, SimConfig(seed=seed, max_rounds=rounds), circuit_name=c.name)
     events = map_trace(trace, mapping)
     engine = ComplianceEngine(builtin_rules(), max_depth=max_depth)
     for event in events:
@@ -133,5 +125,4 @@ def run_rescue(
         events=engine.events,
         verdict=verdict,
         analysis=analyze(auto),
-        automaton=auto,
     )

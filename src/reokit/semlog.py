@@ -382,6 +382,9 @@ class Derivation:
 
 @dataclass
 class SaturationResult:
+    """One ``saturate()`` run; ``NOT_CONVERGED`` in ``diagnostics`` is this
+    run's alone, not the engine's, so a later run can still come out clean."""
+
     facts: list[Term]
     converged: bool
     passes: int
@@ -401,10 +404,10 @@ class Verdict:
     """The judgements over a saturated fact store.
 
     ``diagnostics`` lists what the engine dropped on the way: events or
-    facts beyond ``max_depth``, event cascades cut at their limit, runs
-    without a fixpoint. A verdict that dropped anything is not ``clean``,
-    because a dropped derivation may have led to a finding; the CLI then
-    exits 1 as for a finding.
+    facts beyond ``max_depth`` and event cascades cut at their limit. A
+    verdict that dropped anything is not ``clean``, because a dropped
+    derivation may have led to a finding; the CLI then exits 1 as for a
+    finding.
     """
 
     failures: list[tuple[Term, Derivation]]
@@ -679,14 +682,13 @@ class ComplianceEngine:
             if not self._pass():
                 converged = True
                 break
-        if not converged:
-            self._diag(f"NOT_CONVERGED: no fixpoint within {self.max_iterations} passes")
         self._converged = converged
+        stopped = f"NOT_CONVERGED: no fixpoint within {self.max_iterations} passes"
         return SaturationResult(
             facts=self.sorted_facts(),
             converged=converged,
             passes=passes,
-            diagnostics=list(self.diagnostics),
+            diagnostics=self.diagnostics + ([] if converged else [stopped]),
         )
 
     def _pass(self) -> bool:

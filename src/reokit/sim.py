@@ -16,7 +16,9 @@ import json
 import random
 from dataclasses import dataclass, field
 
-from .automata import ConstraintAutomaton, Transition, const, sat_assignments
+from .automata import (
+    ConstraintAutomaton, Transition, const, sat_assignments, state_index, state_name
+)
 
 POLICY_CLOSED = "closed"
 POLICY_ALL_READY = "all-ready"
@@ -57,13 +59,6 @@ class EnvScript:
             return {}, default_ready
         return r.offer_map(), r.ready if r.explicit_ready else default_ready
 
-    def mentioned_ports(self) -> set[str]:
-        out = set()
-        for _, r in self.rounds:
-            out.update(p for p, _ in r.offers)
-            out.update(r.ready)
-        return out
-
 
 @dataclass(frozen=True)
 class SimConfig:
@@ -97,55 +92,55 @@ class Trace:
     def firings(self) -> list[Firing]:
         return [s for s in self.steps if isinstance(s, Firing)]
 
-    def to_json(self, automaton: ConstraintAutomaton | None = None) -> str:
+    def to_json(self) -> str:
         rounds = []
         for s in self.steps:
             if isinstance(s, Stall):
                 rounds.append({"round": s.round, "kind": "stall"})
             else:
-                entry = {
-                    "round": s.round,
-                    "kind": "firing",
-                    "sync": sorted(s.sync),
-                    "data": dict(s.assignment),
-                }
-                if automaton is not None:
-                    entry["from"] = automaton.labels[s.state_before]
-                    entry["to"] = automaton.labels[s.state_after]
-                else:
-                    entry["from"] = s.state_before
-                    entry["to"] = s.state_after
-                rounds.append(entry)
+                rounds.append(
+                    {
+                        "round": s.round,
+                        "kind": "firing",
+                        "sync": sorted(s.sync),
+                        "data": dict(s.assignment),
+                        "from": state_name(s.state_before),
+                        "to": state_name(s.state_after),
+                    }
+                )
         doc = {"circuit": self.circuit, "seed": self.seed, "rounds": rounds}
         return json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
 
 def trace_from_json(text: str) -> Trace:
-    """Rebuild a Trace from its JSON form.
+    """Rebuild a Trace from its JSON form, exactly: state ``sN`` is ``N``.
 
-    State references that were serialized as labels come back as -1;
-    the firing data (sync-set and assignment) is what downstream
-    consumers such as the event mapper rely on.
+    Raises ValueError for a document that is not an object, a missing
+    key, a value of the wrong type, or a state reference that is not
+    ``s<int>``.
     """
     doc = json.loads(text)
-    trace = Trace(circuit=doc.get("circuit", ""), seed=doc.get("seed", 0))
-    for entry in doc.get("rounds", []):
-        if entry.get("kind") == "firing":
-            def state_of(key: str) -> int:
-                value = entry.get(key, -1)
-                return value if isinstance(value, int) else -1
-
+    if not isinstance(doc, dict):
+        raise ValueError("trace JSON must be an object")
+    try:
+        trace = Trace(circuit=doc["circuit"], seed=doc["seed"])
+        for entry in doc["rounds"]:
+            if entry["kind"] == "stall":
+                trace.steps.append(Stall(round=entry["round"]))
+                continue
             trace.steps.append(
                 Firing(
                     round=entry["round"],
                     sync=frozenset(entry["sync"]),
                     assignment=tuple(sorted(entry["data"].items())),
-                    state_before=state_of("from"),
-                    state_after=state_of("to"),
+                    state_before=state_index(entry["from"]),
+                    state_after=state_index(entry["to"]),
                 )
             )
-        else:
-            trace.steps.append(Stall(round=entry["round"]))
+    except KeyError as exc:
+        raise ValueError(f"trace JSON lacks key {exc}") from None
+    except (TypeError, AttributeError) as exc:
+        raise ValueError(f"malformed trace JSON: {exc}") from None
     return trace
 
 
@@ -208,15 +203,15 @@ def simulate(
     a: ConstraintAutomaton,
     env: EnvScript,
     cfg: SimConfig,
-    inputs: frozenset[str],
-    outputs: frozenset[str],
     circuit_name: str = "",
 ) -> Trace:
     """Fold step over rounds 1..min(len(env), max_rounds).
 
-    ``inputs``/``outputs`` partition the automaton's boundary names; the
-    script is cross-checked against them before round 1.
+    Port direction comes from the automaton: offers must name its
+    ``inputs`` and readiness its boundary-out names, ``names - inputs``;
+    the script is checked against them before round 1.
     """
+    inputs, outputs = a.inputs, a.names - a.inputs
     for _, r in env.rounds:
         for port, _tok in r.offers:
             if port not in inputs:
@@ -224,9 +219,6 @@ def simulate(
         for port in r.ready:
             if port not in outputs:
                 raise EnvMismatchError(f"ready on {port!r}: not a boundary-out port")
-    unknown = env.mentioned_ports() - set(a.names)
-    if unknown:
-        raise EnvMismatchError(f"env references unknown ports {sorted(unknown)}")
 
     trace = Trace(circuit=circuit_name, seed=cfg.seed)
     state = a.initial

@@ -15,10 +15,5 @@ def rescue_auto(rescue_circuit):
 
 
 @pytest.fixture(scope="session")
-def rescue_boundary(rescue_circuit):
-    return rescue_circuit.inputs, rescue_circuit.outputs
-
-
-@pytest.fixture(scope="session")
 def rescue_rules():
     return rescue.builtin_rules()

@@ -51,51 +51,54 @@ def _ok(n, message):
 
 def transition_set(auto):
     return {
-        (auto.labels[t.src], tuple(sorted(t.sync)), tuple(sorted(t.guard.atoms)), auto.labels[t.dst])
+        (t.src, tuple(sorted(t.sync)), tuple(sorted(t.guard.atoms)), t.dst)
         for t in auto.transitions
     }
 
 
 def test_criterion_1_channel_semantics_oracle():
+    # states are numbered in build_automaton's listing order: a stateless
+    # channel has the one state 0; fifo1 has 0 = empty, 1 = full(bad),
+    # 2 = full(ok)
     a, b = "c.a", "c.b"
     eq_ab = ("eq", a, b)
     expected = {
-        "sync": ({"q"}, "q", {("q", (a, b), (eq_ab,), "q")}),
+        "sync": (1, 0, {(0, (a, b), (eq_ab,), 0)}),
         "lossysync": (
-            {"q"},
-            "q",
-            {("q", (a, b), (eq_ab,), "q"), ("q", (a,), (), "q")},
+            1,
+            0,
+            {(0, (a, b), (eq_ab,), 0), (0, (a,), (), 0)},
         ),
-        "syncdrain": ({"q"}, "q", {("q", (a, b), (), "q")}),
+        "syncdrain": (1, 0, {(0, (a, b), (), 0)}),
         "asyncdrain": (
-            {"q"},
-            "q",
-            {("q", (a,), (), "q"), ("q", (b,), (), "q")},
+            1,
+            0,
+            {(0, (a,), (), 0), (0, (b,), (), 0)},
         ),
         "filter": (
-            {"q"},
-            "q",
+            1,
+            0,
             {
-                ("q", (a, b), (("const", a, "ok"), eq_ab), "q"),
-                ("q", (a,), (("const", a, "bad"),), "q"),
+                (0, (a, b), (("const", a, "ok"), eq_ab), 0),
+                (0, (a,), (("const", a, "bad"),), 0),
             },
         ),
         "transform": (
-            {"q"},
-            "q",
+            1,
+            0,
             {
-                ("q", (a, b), (("const", a, "bad"), ("const", b, "ok")), "q"),
-                ("q", (a, b), (("const", a, "ok"), ("const", b, "bad")), "q"),
+                (0, (a, b), (("const", a, "bad"), ("const", b, "ok")), 0),
+                (0, (a, b), (("const", a, "ok"), ("const", b, "bad")), 0),
             },
         ),
         "fifo1": (
-            {"empty", "full(bad)", "full(ok)"},
-            "empty",
+            3,
+            0,
             {
-                ("empty", (a,), (("const", a, "bad"),), "full(bad)"),
-                ("empty", (a,), (("const", a, "ok"),), "full(ok)"),
-                ("full(bad)", (b,), (("const", b, "bad"),), "empty"),
-                ("full(ok)", (b,), (("const", b, "ok"),), "empty"),
+                (0, (a,), (("const", a, "bad"),), 1),
+                (0, (a,), (("const", a, "ok"),), 2),
+                (1, (b,), (("const", b, "bad"),), 0),
+                (2, (b,), (("const", b, "ok"),), 0),
             },
         ),
     }
@@ -109,10 +112,10 @@ def test_criterion_1_channel_semantics_oracle():
         "transform": C.Channel("c", C.TRANSFORM, "x", "y", transform=swap),
         "fifo1": C.Channel("c", C.FIFO1, "x", "y"),
     }
-    for kind, (states, initial, transitions) in expected.items():
+    for kind, (n_states, initial, transitions) in expected.items():
         auto = A.ca_of_channel(channels[kind], ALPHABET)
-        assert set(auto.labels) == states, kind
-        assert auto.labels[auto.initial] == initial, kind
+        assert auto.n_states == n_states, kind
+        assert auto.initial == initial, kind
         assert transition_set(auto) == transitions, kind
         assert auto.names == frozenset({"c.a", "c.b"}), kind
     _ok(1, "all 7 channel kinds match their hand-written automata")
@@ -176,15 +179,15 @@ def test_criterion_4_sequencer_law():
 # -- 5. rescue behavior ----------------------------------------------------------
 
 
-def test_criterion_5_rescue_behavior(rescue_circuit, rescue_auto, rescue_boundary):
-    ins, outs = rescue_boundary
+def test_criterion_5_rescue_behavior(rescue_circuit, rescue_auto):
+    outs = rescue_circuit.outputs
     env = rescue.builtin_env()
 
     def case_ports(f):
         return [n for n in sorted(f.sync) if n.startswith("case")]
 
     for seed in range(50):
-        trace = simulate(rescue_auto, env, SimConfig(seed=seed), ins, outs, "rescue")
+        trace = simulate(rescue_auto, env, SimConfig(seed=seed), "rescue")
         dispatched = [case_ports(f)[0] for f in trace.firings() if case_ports(f)]
         assert dispatched == ["case1", "case2", "case3"]
         ea = police = 0
@@ -202,12 +205,12 @@ def test_criterion_5_rescue_behavior(rescue_circuit, rescue_auto, rescue_boundar
         rescue_circuit,
     )
     for seed in range(50):
-        trace = simulate(rescue_auto, bad_env, SimConfig(seed=seed), ins, outs, "rescue")
+        trace = simulate(rescue_auto, bad_env, SimConfig(seed=seed), "rescue")
         assert all(not case_ports(f) for f in trace.firings())
 
     def alarm_order(lines):
         env = dsl.parse_env("policy all-ready\n" + "\n".join(lines), rescue_circuit)
-        trace = simulate(rescue_auto, env, SimConfig(seed=0), ins, outs, "rescue")
+        trace = simulate(rescue_auto, env, SimConfig(seed=0), "rescue")
         return [
             alarm
             for f in trace.firings()
@@ -292,8 +295,7 @@ def test_criterion_7_order_checking():
 # -- 8. determinism ------------------------------------------------------------------
 
 
-def test_criterion_8_determinism(rescue_circuit, rescue_auto, rescue_boundary):
-    ins, outs = rescue_boundary
+def test_criterion_8_determinism(rescue_circuit, rescue_auto):
     lines = [
         f"round {n}: offer citizens=ok, sensors=ok, act1=tick, act2=tick,"
         " act3=tick, ps_enable=tick, fs_enable=tick"
@@ -301,9 +303,9 @@ def test_criterion_8_determinism(rescue_circuit, rescue_auto, rescue_boundary):
     ]
     env = dsl.parse_env("policy all-ready\n" + "\n".join(lines), rescue_circuit)
     for seed in range(20):
-        first = simulate(rescue_auto, env, SimConfig(seed=seed), ins, outs, "rescue")
-        second = simulate(rescue_auto, env, SimConfig(seed=seed), ins, outs, "rescue")
-        assert first.to_json(rescue_auto) == second.to_json(rescue_auto)
+        first = simulate(rescue_auto, env, SimConfig(seed=seed), "rescue")
+        second = simulate(rescue_auto, env, SimConfig(seed=seed), "rescue")
+        assert first.to_json() == second.to_json()
 
     stream = [HELI, Atom("FireRequest"), HELI, Very(BUDGET), HELI]
     batched = rescue_engine()

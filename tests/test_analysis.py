@@ -41,7 +41,7 @@ def test_reachable_counts():
     assert len(AN.reachable(fifo)) == 3
     unsat = A.ConstraintAutomaton(
         names=frozenset({"a"}),
-        labels=("q0", "q1"),
+        n_states=2,
         initial=0,
         transitions=(
             A.Transition(0, frozenset({"a"}), A.Constraint(frozenset({("in", "a", ())})), 1),

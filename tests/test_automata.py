@@ -28,13 +28,6 @@ def sync_ab(a="a", b="b", alphabet=ALPHABET):
     )
 
 
-def transitions_as_set(auto):
-    return {
-        (auto.labels[t.src], tuple(sorted(t.sync)), t.guard.sort_key(), auto.labels[t.dst])
-        for t in auto.transitions
-    }
-
-
 # -- constraints ------------------------------------------------------------
 
 
@@ -225,14 +218,21 @@ def test_join_agrees_with_brute_force_oracle_on_fifo_pair():
     assert len(reach) == 4
     joined = A.join(fab, fbc)
     assert joined.n_states == len(reach)
-    index_of = {lab: i for i, lab in enumerate(joined.labels)}
-    mapped = set()
-    for (p, q), sync, guard_key, (p2, q2) in transitions:
-        if (p, q) not in reach:
-            continue
-        src = index_of[f"{fab.labels[p]}|{fbc.labels[q]}"]
-        dst = index_of[f"{fab.labels[p2]}|{fbc.labels[q2]}"]
-        mapped.add((src, tuple(sorted(sync)), guard_key, dst))
+    # number the oracle's pairs as join documents it: breadth-first from
+    # the joint initial, each level's new pairs in sorted order
+    start = (fab.initial, fbc.initial)
+    number = {start: 0}
+    level = [start]
+    while level:
+        level = sorted({d for s, _, _, d in transitions if s in level and d not in number})
+        for pq in level:
+            number[pq] = len(number)
+    assert number.keys() == reach
+    mapped = {
+        (number[src], tuple(sorted(sync)), guard_key, number[dst])
+        for src, sync, guard_key, dst in transitions
+        if src in number
+    }
     ours = {
         (t.src, tuple(sorted(t.sync)), t.guard.sort_key(), t.dst)
         for t in joined.transitions
@@ -269,7 +269,8 @@ def test_hide_noop_and_degenerate():
 
 
 def test_hide_epsilon_closure_pulls_successors():
-    # q0 --{h}--> q1 --{a}--> q2 ; hiding h makes q0 behave like q1
+    # q0 --{h}--> q1 --{a}--> q2 ; hiding h makes q0 behave like q1, and
+    # q1 is no longer reachable: q0 is state 0, q2 the next level's state 1
     auto = A.build_automaton(
         {"a", "h"},
         ["q0", "q1", "q2"],
@@ -282,8 +283,9 @@ def test_hide_epsilon_closure_pulls_successors():
     )
     hidden = A.hide(auto, {"h"})
     assert hidden.names == frozenset({"a"})
-    steps = {(hidden.labels[t.src], tuple(sorted(t.sync))) for t in hidden.transitions}
-    assert ("q0", ("a",)) in steps
+    assert hidden.n_states == 2
+    steps = {(t.src, tuple(sorted(t.sync)), t.guard, t.dst) for t in hidden.transitions}
+    assert steps == {(0, ("a",), A.TRUE, 1)}
 
 
 # -- compile ------------------------------------------------------------------
@@ -293,6 +295,26 @@ def test_compile_minimal_sync_bisimilar_to_primitive():
     c = parse_circuit(MINIMAL_SYNC_TEXT)
     auto = A.compile_circuit(c)
     assert AN.bisimilar(auto, sync_ab("a", "b"))
+
+
+def test_compiled_automaton_carries_boundary_direction(rescue_circuit, rescue_auto):
+    # ca_of_node marks boundary-in ports, join unites and hide subtracts,
+    # so a compiled automaton's inputs are the circuit's and the rest of
+    # its names are the boundary-out ports
+    rng = random.Random(77)
+    subjects = [(rescue_circuit, rescue_auto)]
+    subjects += [(c, A.compile_circuit(c)) for c in (random_circuit(rng) for _ in range(10))]
+    for c, auto in subjects:
+        assert auto.inputs == c.inputs
+        assert auto.names - auto.inputs == c.outputs
+    a = A.build_automaton({"a", "b"}, ["q"], "q", [("q", {"a", "b"}, A.TRUE, "q")],
+                          ALPHABET, inputs={"a"})
+    b = A.build_automaton({"b", "c"}, ["q"], "q", [("q", {"b", "c"}, A.TRUE, "q")],
+                          ALPHABET, inputs={"c"})
+    assert A.join(a, b).inputs == {"a", "c"}
+    assert A.hide(A.join(a, b), {"a", "b"}).inputs == {"c"}
+    with pytest.raises(A.UnknownNameError):
+        A.build_automaton({"a"}, ["q"], "q", [], ALPHABET, inputs={"z"})
 
 
 def test_compile_rejects_invalid_circuit():

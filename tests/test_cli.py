@@ -260,6 +260,27 @@ def test_comply_from_trace_and_map(mini, tmp_path):
     assert doc["order_violations"][0]["atom"] == "PoliceRequest"
 
 
+def test_comply_malformed_trace_exits_two(tmp_path):
+    firing = {"round": 1, "kind": "firing", "sync": ["police_alarm"],
+              "data": {"police_alarm": "ok"}, "from": "s0", "to": "s1"}
+    no_sync = {k: v for k, v in firing.items() if k != "sync"}
+    cases = {
+        "top-level array": [firing],
+        "firing without sync": {"circuit": "rescue", "seed": 0, "rounds": [no_sync]},
+        "state not s<int>": {"circuit": "rescue", "seed": 0, "rounds": [{**firing, "to": 3}]},
+    }
+    for what, doc in cases.items():
+        trace = tmp_path / "t.json"
+        trace.write_text(json.dumps(doc))
+        result = run_cli(
+            "comply", "--rules", str(DATA / "rescue.rules"),
+            "--trace", str(trace), "--map", str(DATA / "rescue.map"),
+        )
+        assert result.returncode == 2, what
+        assert result.stderr.startswith("error: "), what
+        assert "Traceback" not in result.stderr, what
+
+
 def test_scenario_runs_clean(tmp_path):
     out = tmp_path / "report.json"
     result = run_cli("scenario", "--seed", "7", "--json", str(out), "--quiet")
@@ -291,5 +312,5 @@ def test_repl_session(mini):
     assert "{a,b} a=ok,b=ok" in out
     assert "fired {a,b}" in out
     assert "stall" in out
-    assert "state" in out
+    assert "state s0 (round 3)" in out
     assert "unknown command 'wat'" in out

@@ -94,8 +94,8 @@ def test_canned_run_dispatches_in_order(rescue_circuit, rescue_auto):
     assert report.analysis.deadlock_states == []
 
 
-def test_enabled_bad_offer_is_filter_drop_only(rescue_auto, rescue_boundary):
-    _, outs = rescue_boundary
+def test_enabled_bad_offer_is_filter_drop_only(rescue_circuit, rescue_auto):
+    outs = rescue_circuit.outputs
     options = enabled(rescue_auto, rescue_auto.initial, {"citizens": "bad"}, outs)
     assert options
     for transition, assignment in options:
@@ -191,15 +191,10 @@ def busy_env():
     return canned_env(lines)
 
 
-def test_exclusive_dispatch_and_round_robin_over_seeds(
-    rescue_circuit, rescue_auto, rescue_boundary
-):
-    ins, outs = rescue_boundary
+def test_exclusive_dispatch_and_round_robin_over_seeds(rescue_auto):
     env = busy_env()
     for seed in range(50):
-        trace = simulate(
-            rescue_auto, env, SimConfig(seed=seed), ins, outs, "rescue"
-        )
+        trace = simulate(rescue_auto, env, SimConfig(seed=seed), "rescue")
         dispatched = []
         ea_count = police_count = 0
         for f in trace.firings():

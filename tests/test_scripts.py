@@ -1,0 +1,44 @@
+"""Smoke runs of the scripts under ``scripts/``: each exits 0 and states its laws."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def run_script(name, *argv):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = str(ROOT / "src")
+    return subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / name), *argv],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=300,
+    )
+
+
+def test_seed_sweep_smoke():
+    result = run_script("seed_sweep.py", "--seeds", "2", "--rounds", "6")
+    assert result.returncode == 0, result.stderr
+    out = result.stdout
+    assert "seeds: 2, rounds each: 6" in out
+    assert "(round-robin law held for every seed)" in out
+    assert "alarm gating (pending notification required) held for every seed" in out
+
+
+def test_run_scenario_smoke():
+    result = run_script("run_scenario.py", "--seed", "1")
+    assert result.returncode == 0, result.stderr
+    out = result.stdout
+    assert "automaton: 96 states, 900 transitions" in out
+    sections = out.split("--- ")[1:]
+    assert len(sections) == 3
+    canned, warned, checked = sections
+    assert "warnings:   []" in canned and "failures:   []" in canned
+    assert "warnings:   ['Warning(P((Very)BudgetConsuming))']" in warned
+    assert "resolved:   []" in warned
+    assert "resolved:   ['Warning(P((Very)BudgetConsuming))']" in checked
+    assert all("violations: 0" in s for s in sections)

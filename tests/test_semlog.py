@@ -267,6 +267,23 @@ def test_nonconvergence_detected():
         eng.verdict()
 
 
+def test_later_convergence_leaves_verdict_clean():
+    # P(P(A)) => P(A) strips one P per pass, so from P^5(x) three passes
+    # are too few; the next saturate() reaches the fixpoint, and the
+    # verdict must not carry the earlier run's NOT_CONVERGED
+    strip = Rule("strip", (P(P(Var("A"))),), (), P(Var("A")))
+    eng = ComplianceEngine(RuleBase(rules=(strip,)), max_iterations=3)
+    eng.add_fact(P(P(P(P(P(Atom("x")))))))
+    first = eng.saturate()
+    assert not first.converged
+    assert [d.split(":")[0] for d in first.diagnostics] == ["NOT_CONVERGED"]
+    assert eng.saturate().converged
+    verdict = eng.verdict()
+    assert P(Atom("x")) in eng.facts
+    assert verdict.diagnostics == [] and eng.diagnostics == []
+    assert verdict.clean
+
+
 def test_builtin_rule_shadowing_rejected():
     with pytest.raises(ValueError):
         ComplianceEngine(RuleBase(rules=(Rule("r10", (Var("A"),), (), Var("A")),)))

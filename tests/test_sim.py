@@ -1,9 +1,10 @@
+import json
 import random
 
 import pytest
 
 from reokit import automata as A
-from reokit import dsl
+from reokit import dsl, rescue
 from reokit import sim
 
 from util import ALPHABET, LOSSY_TEXT, MERGER_TEXT, MINIMAL_SYNC_TEXT, random_circuit
@@ -11,7 +12,7 @@ from util import ALPHABET, LOSSY_TEXT, MERGER_TEXT, MINIMAL_SYNC_TEXT, random_ci
 
 def compiled(text):
     c = dsl.parse_circuit(text)
-    return c, A.compile_circuit(c), c.inputs, c.outputs
+    return c, A.compile_circuit(c)
 
 
 def env_lines(text, circuit=None):
@@ -19,7 +20,7 @@ def env_lines(text, circuit=None):
 
 
 def test_enabled_sync_requires_offer_and_ready():
-    _, auto, _, _ = compiled(MINIMAL_SYNC_TEXT)
+    _, auto = compiled(MINIMAL_SYNC_TEXT)
     pairs = sim.enabled(auto, auto.initial, {"a": "ok"}, frozenset({"b"}))
     assert len(pairs) == 1
     _, assignment = pairs[0]
@@ -29,7 +30,7 @@ def test_enabled_sync_requires_offer_and_ready():
 
 
 def test_step_stall_and_singleton():
-    _, auto, _, _ = compiled(MINIMAL_SYNC_TEXT)
+    _, auto = compiled(MINIMAL_SYNC_TEXT)
     rng = random.Random(0)
     outcome = sim.step(auto, auto.initial, 1, {}, frozenset(), rng)
     assert isinstance(outcome, sim.Stall)
@@ -42,7 +43,7 @@ def test_step_stall_and_singleton():
 
 
 def test_step_uniform_tie_break_on_lossy():
-    _, auto, _, _ = compiled(LOSSY_TEXT)
+    _, auto = compiled(LOSSY_TEXT)
     passes = 0
     for seed in range(100):
         outcome = sim.step(
@@ -55,7 +56,7 @@ def test_step_uniform_tie_break_on_lossy():
 
 
 def test_merger_sees_both_alternatives():
-    _, auto, _, _ = compiled(MERGER_TEXT)
+    _, auto = compiled(MERGER_TEXT)
     seen = set()
     for seed in range(40):
         outcome = sim.step(
@@ -71,27 +72,26 @@ def test_merger_sees_both_alternatives():
 
 
 def test_simulate_three_rounds_and_empty():
-    c, auto, ins, outs = compiled(MINIMAL_SYNC_TEXT)
+    c, auto = compiled(MINIMAL_SYNC_TEXT)
     env = env_lines(
         "round 1: offer a=ok\nround 2: offer a=ok\nround 3: offer a=ok", c
     )
-    trace = sim.simulate(auto, env, sim.SimConfig(seed=1), ins, outs, c.name)
+    trace = sim.simulate(auto, env, sim.SimConfig(seed=1), c.name)
     assert len(trace.steps) == 3
     assert all(isinstance(s, sim.Firing) for s in trace.steps)
     assert all(s.sync == frozenset({"a", "b"}) for s in trace.steps)
-    empty = sim.simulate(
-        auto, env, sim.SimConfig(seed=1, max_rounds=0), ins, outs, c.name
-    )
+    empty = sim.simulate(auto, env, sim.SimConfig(seed=1, max_rounds=0), c.name)
     assert empty.steps == []
 
 
 def test_simulate_records_stalls_in_place():
-    c, auto, ins, outs = compiled(MINIMAL_SYNC_TEXT)
+    c, auto = compiled(MINIMAL_SYNC_TEXT)
     env = env_lines("round 1: offer a=ok\nround 3: offer a=ok", c)
-    trace = sim.simulate(auto, env, sim.SimConfig(seed=0), ins, outs, c.name)
+    trace = sim.simulate(auto, env, sim.SimConfig(seed=0), c.name)
     kinds = [type(s).__name__ for s in trace.steps]
     assert kinds == ["Firing", "Stall", "Firing"]
     assert trace.steps[1].round == 2
+    outs = c.outputs
     # sparse script: unlisted rounds stall under either policy, and an
     # explicit ready clause overrides the policy only in its own round
     text = "round 1: offer a=ok\nround 5: offer a=ok; ready b\nround 10000: offer a=ok"
@@ -99,7 +99,7 @@ def test_simulate_records_stalls_in_place():
         env = env_lines(f"policy {policy}\n{text}", c)
         assert len(env) == 10000
         assert env.round(7, outs) == ({}, outs if policy == "all-ready" else frozenset())
-        trace = sim.simulate(auto, env, sim.SimConfig(seed=0), ins, outs, c.name)
+        trace = sim.simulate(auto, env, sim.SimConfig(seed=0), c.name)
         assert len(trace.steps) == 10000
         assert [f.round for f in trace.firings()] == fired
     # a script built by hand may list a round twice: the first listing wins
@@ -108,13 +108,19 @@ def test_simulate_records_stalls_in_place():
 
 
 def test_simulate_unknown_port_rejected_before_round_one():
-    c, auto, ins, outs = compiled(MINIMAL_SYNC_TEXT)
-    env = sim.EnvScript(rounds=((1, sim.Round(offers=(("zz", "ok"),))),))
-    with pytest.raises(sim.EnvMismatchError):
-        sim.simulate(auto, env, sim.SimConfig(), ins, outs, c.name)
-    backwards = sim.EnvScript(rounds=((1, sim.Round(offers=(("b", "ok"),))),))
-    with pytest.raises(sim.EnvMismatchError):
-        sim.simulate(auto, env=backwards, cfg=sim.SimConfig(), inputs=ins, outputs=outs)
+    # direction comes from the automaton: a is its input, b its output
+    c, auto = compiled(MINIMAL_SYNC_TEXT)
+    assert (auto.inputs, auto.names - auto.inputs) == ({"a"}, {"b"})
+    bad_rounds = [
+        sim.Round(offers=(("zz", "ok"),)),
+        sim.Round(offers=(("b", "ok"),)),
+        sim.Round(ready=frozenset({"zz"}), explicit_ready=True),
+        sim.Round(ready=frozenset({"a"}), explicit_ready=True),
+    ]
+    for bad in bad_rounds:
+        env = sim.EnvScript(rounds=((1, sim.Round()), (2, bad)))
+        with pytest.raises(sim.EnvMismatchError):
+            sim.simulate(auto, env, sim.SimConfig(), c.name)
 
 
 def test_simulate_deterministic_across_runs():
@@ -123,26 +129,25 @@ def test_simulate_deterministic_across_runs():
     subjects = [dsl.parse_circuit(LOSSY_TEXT)]
     subjects += [random_circuit(rng, max_extra=2) for _ in range(4)]
     for c in subjects:
-        ins, outs = c.inputs, c.outputs
         auto = A.compile_circuit(c)
-        offers = ", ".join(f"{p}=ok" for p in sorted(ins))
+        offers = ", ".join(f"{p}=ok" for p in sorted(c.inputs))
         env = env_lines("\n".join(f"round {n}: offer {offers}" for n in range(1, 9)), c)
         for seed in range(20):
-            t1 = sim.simulate(auto, env, sim.SimConfig(seed=seed), ins, outs, c.name)
-            t2 = sim.simulate(auto, env, sim.SimConfig(seed=seed), ins, outs, c.name)
-            assert t1.to_json(auto) == t2.to_json(auto)
+            t1 = sim.simulate(auto, env, sim.SimConfig(seed=seed), c.name)
+            t2 = sim.simulate(auto, env, sim.SimConfig(seed=seed), c.name)
+            assert t1.to_json() == t2.to_json()
 
 
 def test_firings_are_sound_and_chain():
-    c, auto, ins, outs = compiled(LOSSY_TEXT)
+    c, auto = compiled(LOSSY_TEXT)
     env = env_lines("\n".join(f"round {n}: offer a=ok" for n in range(1, 9)), c)
-    trace = sim.simulate(auto, env, sim.SimConfig(seed=3), ins, outs, c.name)
+    trace = sim.simulate(auto, env, sim.SimConfig(seed=3), c.name)
     state = auto.initial
     for stp in trace.steps:
         if isinstance(stp, sim.Stall):
             continue
         assert stp.state_before == state
-        offers, ready = env.round(stp.round, outs)
+        offers, ready = env.round(stp.round, c.outputs)
         options = sim.enabled(auto, state, offers, ready)
         assert (stp.sync, dict(stp.assignment)) in [
             (t.sync, a) for t, a in options
@@ -151,10 +156,10 @@ def test_firings_are_sound_and_chain():
 
 
 def test_trace_json_roundtrip():
-    c, auto, ins, outs = compiled(MINIMAL_SYNC_TEXT)
+    c, auto = compiled(MINIMAL_SYNC_TEXT)
     env = env_lines("round 1: offer a=ok\nround 3: offer a=ok", c)
-    trace = sim.simulate(auto, env, sim.SimConfig(seed=0), ins, outs, c.name)
-    text = trace.to_json(auto)
+    trace = sim.simulate(auto, env, sim.SimConfig(seed=0), c.name)
+    text = trace.to_json()
     back = sim.trace_from_json(text)
     assert back.circuit == c.name
     assert [type(s).__name__ for s in back.steps] == [
@@ -163,3 +168,29 @@ def test_trace_json_roundtrip():
     fir = back.firings()[0]
     assert fir.sync == frozenset({"a", "b"})
     assert dict(fir.assignment) == {"a": "ok", "b": "ok"}
+    assert back == trace
+
+
+def test_trace_roundtrip_is_exact(rescue_auto):
+    # states, sync-sets, data, rounds and stalls all come back as written:
+    # the rescue canned environment, then random circuits under random offers
+    trace = sim.simulate(rescue_auto, rescue.builtin_env(), sim.SimConfig(seed=0), "rescue")
+    assert {f.state_after for f in trace.firings()} - {0}
+    text = trace.to_json()
+    # states are written sN, as compile --json names them
+    written = [(r["from"], r["to"]) for r in json.loads(text)["rounds"] if r["kind"] == "firing"]
+    assert written == [(f"s{f.state_before}", f"s{f.state_after}") for f in trace.firings()]
+    assert sim.trace_from_json(text) == trace
+    rng = random.Random(4321)
+    for seed in range(8):
+        c = random_circuit(rng, max_extra=2)
+        auto = A.compile_circuit(c)
+        lines = []
+        for n in range(1, 13):
+            offered = [p for p in sorted(c.inputs) if rng.random() < 0.7]
+            picks = ", ".join(f"{p}={rng.choice(sorted(ALPHABET))}" for p in offered)
+            lines.append(f"round {n}: offer {picks}" if picks else f"round {n}:")
+        env = env_lines("\n".join(lines), c)
+        trace = sim.simulate(auto, env, sim.SimConfig(seed=seed), c.name)
+        assert len(trace.steps) == 12
+        assert sim.trace_from_json(trace.to_json()) == trace, seed
