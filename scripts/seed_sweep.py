@@ -10,6 +10,7 @@ independent alarm considerations came out in each order.
 import argparse
 import sys
 from collections import Counter
+from dataclasses import replace
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
@@ -35,6 +36,10 @@ def main() -> int:
     parser.add_argument("--seeds", type=int, default=100)
     parser.add_argument("--rounds", type=int, default=24)
     args = parser.parse_args()
+    try:
+        cap = SimConfig(max_rounds=args.rounds)
+    except ValueError as exc:
+        parser.error(str(exc))
 
     circuit = rescue.builtin_circuit()
     auto = compile_circuit(circuit)
@@ -43,7 +48,7 @@ def main() -> int:
     alarm_orders = Counter()
     dispatch_total = 0
     for seed in range(args.seeds):
-        trace = simulate(auto, env, SimConfig(seed=seed), circuit.name)
+        trace = simulate(auto, env, replace(cap, seed=seed), circuit.name)
         dispatched = []
         ea = police = 0
         first_pair = []

@@ -10,7 +10,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 
-from .automata import ConstraintAutomaton, sat_assignments, state_name
+from .automata import ConstraintAutomaton, state_name
 
 # A step is (sorted sync tuple, sorted (name, item) pairs); a word is a
 # tuple of steps. Plain tuples keep everything orderable and hashable.
@@ -18,18 +18,13 @@ Step = tuple[tuple[str, ...], tuple[tuple[str, str], ...]]
 Word = tuple[Step, ...]
 
 
-def _step(sync, assignment: dict[str, str]) -> Step:
-    return (tuple(sorted(sync)), tuple(sorted(assignment.items())))
-
-
 def expanded_steps(a: ConstraintAutomaton, state: int) -> list[tuple[Step, int]]:
     """All (label, successor) pairs from a state, fully expanded and sorted."""
-    out = []
-    for t in a.outgoing(state):
-        for assignment in sat_assignments(t.guard, t.sync, a.alphabet):
-            out.append((_step(t.sync, assignment), t.dst))
-    out.sort()
-    return out
+    return sorted(
+        ((tuple(sorted(t.sync)), assignment), t.dst)
+        for t, assignments in a.moves(state)
+        for assignment in assignments
+    )
 
 
 def reachable(a: ConstraintAutomaton) -> set[int]:
@@ -38,8 +33,8 @@ def reachable(a: ConstraintAutomaton) -> set[int]:
     stack = [a.initial]
     while stack:
         s = stack.pop()
-        for t in a.outgoing(s):
-            if t.dst not in seen and sat_assignments(t.guard, t.sync, a.alphabet):
+        for t, assignments in a.moves(s):
+            if assignments and t.dst not in seen:
                 seen.add(t.dst)
                 stack.append(t.dst)
     return seen
@@ -47,13 +42,11 @@ def reachable(a: ConstraintAutomaton) -> set[int]:
 
 def deadlocks(a: ConstraintAutomaton) -> list[int]:
     """Reachable states with no satisfiable outgoing transition."""
-    dead = []
-    for s in sorted(reachable(a)):
-        if not any(
-            sat_assignments(t.guard, t.sync, a.alphabet) for t in a.outgoing(s)
-        ):
-            dead.append(s)
-    return dead
+    return [
+        s
+        for s in sorted(reachable(a))
+        if not any(assignments for _, assignments in a.moves(s))
+    ]
 
 
 def traces_upto(a: ConstraintAutomaton, k: int) -> list[Word]:

@@ -226,7 +226,8 @@ class ConstraintAutomaton:
     automaton the boundary-out names are ``names - inputs``. Transitions
     of ``build_automaton`` and ``compile_circuit`` results are in
     ``Transition.sort_key`` order; ``join`` and ``hide`` results are only
-    grouped by source state, ascending.
+    grouped by source state, ascending. ``moves`` is the one expansion of
+    a state into steps, which simulation and analysis read.
     """
 
     names: frozenset[str]
@@ -245,6 +246,24 @@ class ConstraintAutomaton:
 
     def outgoing(self, state: int) -> tuple[Transition, ...]:
         return self._outgoing.get(state, ())
+
+    @functools.cached_property
+    def _moves(self) -> dict[int, tuple]:
+        return {}
+
+    def moves(self, state: int) -> tuple:
+        """``state``'s transitions in ``Transition.sort_key`` order, each paired
+        with its ``sat_assignments`` as sorted ``(name, value)`` tuples; a
+        state is expanded on first use and kept."""
+        if state not in self._moves:
+            self._moves[state] = tuple(
+                (t, tuple(
+                    tuple(sorted(a.items()))
+                    for a in sat_assignments(t.guard, t.sync, self.alphabet)
+                ))
+                for t in sorted(self.outgoing(state), key=Transition.sort_key)
+            )
+        return self._moves[state]
 
 
 def state_name(i: int) -> str:

@@ -126,12 +126,6 @@ class Circuit:
             for n in sorted(names)
         )
 
-    def node(self, name: str) -> Node:
-        for n in self.nodes():
-            if n.name == name:
-                return n
-        raise KeyError(name)
-
 
 @dataclass(frozen=True)
 class Finding:

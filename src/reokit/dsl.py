@@ -571,13 +571,18 @@ class EventScript:
         return [e.term for e in self.entries]
 
 
+def _content_lines(text: str):
+    """``(line_no, stripped)`` of each line not blank once its ``#`` comment is cut."""
+    for line_no, line in enumerate(text.splitlines(), start=1):
+        stripped = line.split("#", 1)[0].strip()
+        if stripped:
+            yield line_no, stripped
+
+
 def parse_events(text: str) -> EventScript:
     """One ground term per line; blank lines and # comments are skipped."""
     entries = []
-    for line_no, line in enumerate(text.splitlines(), start=1):
-        stripped = line.split("#", 1)[0].strip()
-        if not stripped:
-            continue
+    for line_no, stripped in _content_lines(text):
         tokens = _lex(stripped, first_line=line_no)
         p = _TermParser(tokens, allow_vars=False)
         term = p.parse_term()
@@ -602,10 +607,7 @@ def parse_env(text: str, circuit: Circuit | None = None) -> EnvScript:
     seen_rounds: set[int] = set()
     ins = circuit.inputs if circuit is not None else None
     outs = circuit.outputs if circuit is not None else None
-    for line_no, line in enumerate(text.splitlines(), start=1):
-        stripped = line.split("#", 1)[0].strip()
-        if not stripped:
-            continue
+    for line_no, stripped in _content_lines(text):
         if stripped.startswith("policy"):
             value = stripped[len("policy"):].strip()
             if value not in (POLICY_CLOSED, POLICY_ALL_READY):
@@ -714,10 +716,7 @@ def parse_map(text: str, circuit: Circuit | None = None) -> EventMap:
         ports = {p.name for p in circuit.ports}
     entries: list[tuple[str, str | None, str]] = []
     seen: set[tuple[str, str | None]] = set()
-    for line_no, line in enumerate(text.splitlines(), start=1):
-        stripped = line.split("#", 1)[0].strip()
-        if not stripped:
-            continue
+    for line_no, stripped in _content_lines(text):
         p = _Parser(_lex(stripped, first_line=line_no))
         port_tok = p.expect_ident()
         datum = None

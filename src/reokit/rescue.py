@@ -107,11 +107,12 @@ def run_rescue(
     trace-mapped ones (the helicopter-mission demo uses this hook).
     A pre-compiled automaton can be passed to skip recompilation.
     """
+    cfg = SimConfig(seed=seed, max_rounds=rounds)
     c = circuit if circuit is not None else builtin_circuit()
     auto = automaton if automaton is not None else compile_circuit(c)
     env = env if env is not None else builtin_env()
     mapping = mapping if mapping is not None else builtin_map()
-    trace = simulate(auto, env, SimConfig(seed=seed, max_rounds=rounds), circuit_name=c.name)
+    trace = simulate(auto, env, cfg, circuit_name=c.name)
     events = map_trace(trace, mapping)
     engine = ComplianceEngine(builtin_rules(), max_depth=max_depth)
     for event in events:

@@ -16,9 +16,7 @@ import json
 import random
 from dataclasses import dataclass, field
 
-from .automata import (
-    ConstraintAutomaton, Transition, const, sat_assignments, state_index, state_name
-)
+from .automata import ConstraintAutomaton, Transition, state_index, state_name
 
 POLICY_CLOSED = "closed"
 POLICY_ALL_READY = "all-ready"
@@ -64,6 +62,10 @@ class EnvScript:
 class SimConfig:
     seed: int = 0
     max_rounds: int = 2**31
+
+    def __post_init__(self) -> None:
+        if self.max_rounds < 0:
+            raise ValueError(f"round cap must be >= 0, got {self.max_rounds}")
 
 
 @dataclass(frozen=True)
@@ -150,25 +152,16 @@ def enabled(
     offers: dict[str, str],
     ready: frozenset[str],
 ) -> list[tuple[Transition, dict[str, str]]]:
-    """The (transition, assignment) pairs fireable under this environment.
-
-    Every sync-set name must be either offered (with agreeing data) or
-    ready; the assignment must satisfy the transition's constraint.
-    Offered values are pinned into the constraint before enumeration.
-    Deterministically sorted.
-    """
-    out = []
-    for t in a.outgoing(state):
-        if any(n not in offers and n not in ready for n in t.sync):
-            continue
-        pinned = t.guard
-        for n in sorted(t.sync):
-            if n in offers:
-                pinned = pinned.conj(const(n, offers[n]))
-        for assignment in sat_assignments(pinned, t.sync, a.alphabet):
-            out.append((t, assignment))
-    out.sort(key=lambda pair: (pair[0].sort_key(), tuple(sorted(pair[1].items()))))
-    return out
+    """The (transition, assignment) pairs of ``a.moves(state)``, in that
+    order, whose sync-set names are all offered or ready and whose offered
+    names all carry the offered value."""
+    return [
+        (t, dict(assignment))
+        for t, assignments in a.moves(state)
+        if all(n in offers or n in ready for n in t.sync)
+        for assignment in assignments
+        if all(offers.get(n, v) == v for n, v in assignment)
+    ]
 
 
 def round_rng(seed: int, round_no: int) -> random.Random:

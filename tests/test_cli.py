@@ -118,6 +118,19 @@ def test_simulate_rounds_zero_empty_trace(mini, tmp_path):
     assert json.loads(result.stdout)["rounds"] == []
 
 
+def test_negative_rounds_exits_two(mini, tmp_path):
+    env_file = tmp_path / "mini.env"
+    env_file.write_text("round 1: offer a=ok\n")
+    for argv in (
+        ("simulate", str(mini), "--env", str(env_file), "--rounds", "-3"),
+        ("scenario", "--rounds", "-1"),
+    ):
+        result = run_cli(*argv)
+        assert result.returncode == 2, argv
+        assert result.stderr.startswith("error: round cap must be >= 0"), argv
+        assert result.stdout == "", argv
+
+
 def test_simulate_env_mismatch_exits_two(mini, tmp_path):
     env_file = tmp_path / "mini.env"
     env_file.write_text("round 1: offer nope=ok\n")

@@ -29,6 +29,12 @@ def test_seed_sweep_smoke():
     assert "alarm gating (pending notification required) held for every seed" in out
 
 
+def test_seed_sweep_negative_rounds_exits_two():
+    result = run_script("seed_sweep.py", "--seeds", "0", "--rounds", "-1")
+    assert result.returncode == 2
+    assert "round cap must be >= 0" in result.stderr
+
+
 def test_run_scenario_smoke():
     result = run_script("run_scenario.py", "--seed", "1")
     assert result.returncode == 0, result.stderr

@@ -1,3 +1,5 @@
+import dataclasses
+import itertools
 import json
 import random
 
@@ -27,6 +29,72 @@ def test_enabled_sync_requires_offer_and_ready():
     assert assignment == {"a": "ok", "b": "ok"}
     assert sim.enabled(auto, auto.initial, {"a": "ok"}, frozenset()) == []
     assert sim.enabled(auto, auto.initial, {}, frozenset({"b"})) == []
+
+
+def enabled_oracle(auto, state, offers, ready):
+    """``enabled`` by definition: every alphabet product over each sync-set
+    that satisfies the guard, is offered or ready, and agrees with the
+    offers; transitions in ``sort_key`` order, assignments in value order."""
+    out = []
+    for t in sorted(auto.outgoing(state), key=A.Transition.sort_key):
+        ports = sorted(t.sync)
+        for values in itertools.product(sorted(auto.alphabet), repeat=len(ports)):
+            assignment = dict(zip(ports, values))
+            if t.guard.holds(assignment) and all(
+                offers[n] == v if n in offers else n in ready
+                for n, v in assignment.items()
+            ):
+                out.append((t, assignment))
+    return out
+
+
+def test_enabled_matches_brute_force_oracle():
+    # compiled automata are sorted, join_many products are not; offers draw
+    # values the guards forbid and one outside the alphabet
+    rng = random.Random(2024)
+    unsorted_states = forbidden_offers = 0
+    for _ in range(12):
+        c = random_circuit(rng, max_extra=3)
+        for auto in (A.compile_circuit(c), A.join_many(A.circuit_automata(c))):
+            values = sorted(auto.alphabet) + ["elsewhere"]
+            names = sorted(auto.names)
+            for state in range(auto.n_states):
+                out = list(auto.outgoing(state))
+                unsorted_states += out != sorted(out, key=A.Transition.sort_key)
+                for _ in range(4):
+                    offers = {n: rng.choice(values) for n in names if rng.random() < 0.5}
+                    ready = frozenset(n for n in names if rng.random() < 0.6)
+                    expected = enabled_oracle(auto, state, offers, ready)
+                    assert sim.enabled(auto, state, offers, ready) == expected
+                    unpinned = enabled_oracle(auto, state, {}, ready | offers.keys())
+                    forbidden_offers += len(unpinned) > len(expected)
+    assert unsorted_states and forbidden_offers
+
+
+def test_simulate_expands_each_state_once(rescue_auto, monkeypatch):
+    # the guards are enumerated once per transition, not once per round
+    auto = dataclasses.replace(rescue_auto)  # no expansion cached yet
+    calls = []
+    real = A.sat_assignments
+
+    def counting(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(A, "sat_assignments", counting)
+    monkeypatch.setattr(sim, "sat_assignments", counting, raising=False)
+    rng = random.Random(6)
+    values = sorted(auto.alphabet)
+    env = sim.EnvScript(
+        tuple(
+            (n, sim.Round(tuple((p, rng.choice(values)) for p in sorted(auto.inputs)
+                                if rng.random() < 0.6)))
+            for n in range(1, 2001)
+        )
+    )
+    trace = sim.simulate(auto, env, sim.SimConfig(seed=6), "rescue")
+    assert len(trace.firings()) > 500
+    assert 0 < len(calls) <= len(auto.transitions)
 
 
 def test_step_stall_and_singleton():
@@ -82,6 +150,8 @@ def test_simulate_three_rounds_and_empty():
     assert all(s.sync == frozenset({"a", "b"}) for s in trace.steps)
     empty = sim.simulate(auto, env, sim.SimConfig(seed=1, max_rounds=0), c.name)
     assert empty.steps == []
+    with pytest.raises(ValueError, match="round cap"):
+        sim.SimConfig(seed=1, max_rounds=-1)
 
 
 def test_simulate_records_stalls_in_place():

@@ -139,13 +139,12 @@ def random_tame_circuit(rng: random.Random, max_branching: int = 4):
     branching factor, so circuits above the bound are resampled; the
     draw stays deterministic for a seeded rng.
     """
-    from reokit import analysis as AN  # local import to avoid cycles at load
-
     for _ in range(200):
         c = random_circuit(rng, max_extra=1, max_ins=1)
         auto = A.compile_circuit(c)
         widths = [
-            len(AN.expanded_steps(auto, s)) for s in range(auto.n_states)
+            sum(len(assignments) for _, assignments in auto.moves(s))
+            for s in range(auto.n_states)
         ]
         if max(widths, default=0) <= max_branching:
             return c, auto
