@@ -36,6 +36,8 @@ def main() -> int:
     parser.add_argument("--seeds", type=int, default=100)
     parser.add_argument("--rounds", type=int, default=24)
     args = parser.parse_args()
+    if args.seeds < 0:
+        parser.error(f"seed count must be >= 0, got {args.seeds}")
     try:
         cap = SimConfig(max_rounds=args.rounds)
     except ValueError as exc:

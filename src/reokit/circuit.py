@@ -294,6 +294,66 @@ def partition(items, pairs) -> dict:
     return {x: find(x) for x in parent}
 
 
+# Channels whose b-end fires only together with their a-end.
+SYNCHRONOUS_KINDS = frozenset({SYNC, LOSSY_SYNC, FILTER, TRANSFORM})
+
+
+def value_domains(c: Circuit) -> dict[str, frozenset[str]]:
+    """The values each node can ever hold: a least fixpoint over the channels.
+
+    A boundary-in port holds the whole alphabet. ``sync`` and ``lossysync``
+    copy their a-end's values to their b-end, ``filter`` keeps the accepted
+    ones, ``transform`` maps them through its table, ``fifo1`` adds its
+    ``init``, and drains pass nothing on. A node holds the union of what
+    flows into it.
+
+    Constraint automata have no causality: a cycle of synchronous channels
+    can carry any value its equalities allow, with nothing feeding it. So
+    every node on such a cycle starts with the whole alphabet; seeded from
+    the boundary-in ports alone, the fixpoint would be unsound.
+    """
+    flows = [ch for ch in c.channels if ch.kind not in DRAIN_KINDS]
+    held: dict[str, set[str]] = {n.name: set() for n in c.nodes()}
+    for name in c.inputs | _on_synchronous_cycle(c.channels):
+        held[name] = set(c.alphabet)
+    changed = True
+    while changed:
+        changed = False
+        for ch in flows:
+            values = held[ch.end_a]
+            if ch.kind == FILTER:
+                values = values & (ch.accept or frozenset())
+            elif ch.kind == TRANSFORM:
+                mapping = ch.transform_map()
+                values = {mapping[v] for v in values}
+            elif ch.kind == FIFO1 and ch.init is not None:
+                values = values | {ch.init}
+            if not values <= held[ch.end_b]:
+                held[ch.end_b] |= values
+                changed = True
+    return {name: frozenset(values) for name, values in held.items()}
+
+
+def _on_synchronous_cycle(channels) -> set[str]:
+    """Nodes that reach themselves along synchronous channels, a-end to b-end."""
+    succ: dict[str, set[str]] = {}
+    for ch in channels:
+        if ch.kind in SYNCHRONOUS_KINDS:
+            succ.setdefault(ch.end_a, set()).add(ch.end_b)
+    cyclic = set()
+    for start in succ:
+        seen: set[str] = set()
+        stack = list(succ[start])
+        while stack:
+            n = stack.pop()
+            if n not in seen:
+                seen.add(n)
+                stack.extend(succ.get(n, ()))
+        if start in seen:
+            cyclic.add(start)
+    return cyclic
+
+
 def _check_connectivity(c: Circuit, rep: ValidationReport) -> None:
     nodes = [n.name for n in c.nodes()]
     if len(nodes) <= 1:

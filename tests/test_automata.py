@@ -130,6 +130,15 @@ def test_channel_construction_counts():
     assert len(fifo.transitions) == 4
     sync = A.ca_of_channel(C.Channel("s", C.SYNC, "x", "y"), ALPHABET)
     assert sync.n_states == 1 and len(sync.transitions) == 1
+    # over a value domain a fifo keeps only those values and its init
+    ok_only = A.ca_of_channel(C.Channel("f", C.FIFO1, "x", "y"), ALPHABET, {"ok"})
+    assert ok_only.n_states == 2
+    assert {t.guard.pretty() for t in ok_only.transitions} == {"d(f.a)=ok", "d(f.b)=ok"}
+    with_init = A.ca_of_channel(
+        C.Channel("f", C.FIFO1, "x", "y", init="bad"), ALPHABET, {"ok"}
+    )
+    assert with_init.n_states == 3 and len(with_init.transitions) == 4
+    assert with_init.initial == 1  # full(bad) sorts before full(ok), as over ALPHABET
 
 
 def test_filter_pass_and_drop():
@@ -362,6 +371,41 @@ def test_compile_order_insensitive():
         joined = A.join_many(autos, keys)
         shuffled = A.hide(joined, joined.names - ports)
         assert AN.bisimilar(reference, shuffled)
+
+
+# A synchronous cycle fed by nothing can still carry any value, because
+# constraint automata have no causality; value domains must not lose it.
+@pytest.mark.parametrize(
+    "channels", ["sync(x, x); fifo1(x, o);", "sync(x, y); sync(y, x); fifo1(y, o);"]
+)
+def test_synchronous_cycle_keeps_every_value(channels):
+    c = parse_circuit(f"circuit loop {{ data {{ ok, bad }} ports {{ out o; }} {channels} }}")
+    auto = A.compile_circuit(c)
+    moves = {(tuple(sorted(t.sync)), t.guard.pretty()) for t in auto.transitions}
+    assert moves >= {(("o",), "d(o)=bad"), (("o",), "d(o)=ok")}
+
+
+def full_domain_compile(c):
+    """Oracle: compile's join order and hide-early, every fifo over the alphabet."""
+    autos = [(f"ch:{ch.id}", A.ca_of_channel(ch, c.alphabet)) for ch in c.channels]
+    autos += [(f"nd:{node.name}", A.ca_of_node(node, c.alphabet)) for node in c.nodes()]
+    ports = frozenset(p.name for p in c.ports)
+    return A.join_many(autos, A._flow_order(c), keep_names=ports)
+
+
+def test_value_domains_preserve_behaviour():
+    rng = random.Random(7)
+    shrunk = 0
+    for _ in range(300):
+        c = random_circuit(rng, max_extra=4)
+        fifos = {f"ch:{ch.id}" for ch in c.channels if ch.kind == C.FIFO1}
+        shrunk += sum(
+            auto.n_states <= len(c.alphabet)
+            for key, auto in A.circuit_automata(c)
+            if key in fifos
+        )
+        assert AN.bisimilar(A.compile_circuit(c), full_domain_compile(c))
+    assert shrunk > 0
 
 
 def test_compiled_transitions_all_satisfiable():

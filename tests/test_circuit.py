@@ -138,3 +138,27 @@ def test_fuzz_validated_circuits_compile():
         assert report.ok, report.render()
         auto = A.compile_circuit(c)
         assert auto.names == frozenset(p.name for p in c.ports)
+
+
+def test_value_domains_of_rescue(rescue_circuit):
+    domains = C.value_domains(rescue_circuit)
+    for ring in ("s1", "s2", "s3"):
+        assert domains[ring] == {"tick"}
+    behind_filter = ["cc", "ea", "pp", "ff"] + [f"{n}{k}" for n in "dg" for k in (1, 2, 3)]
+    for name in behind_filter:
+        assert domains[name] == {"ok"}, name
+    for name in rescue_circuit.inputs | {"intake"}:
+        assert domains[name] == rescue_circuit.alphabet, name
+
+
+def test_value_domains_transform_init_and_drain():
+    c = parse_circuit(
+        "circuit t { data { ok, bad } ports { in a; out o; }"
+        " filter(a, x, accept={ok}); transform(x, y, map={ok->bad, bad->ok});"
+        " fifo1(y, z, init=ok); syncdrain(x, w); sync(z, o); }"
+    )
+    domains = C.value_domains(c)
+    assert domains["x"] == {"ok"}
+    assert domains["y"] == {"bad"}
+    assert domains["z"] == domains["o"] == {"ok", "bad"}
+    assert domains["w"] == frozenset()

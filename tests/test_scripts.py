@@ -35,6 +35,13 @@ def test_seed_sweep_negative_rounds_exits_two():
     assert "round cap must be >= 0" in result.stderr
 
 
+def test_seed_sweep_negative_seeds_exits_two():
+    result = run_script("seed_sweep.py", "--seeds", "-2", "--rounds", "3")
+    assert result.returncode == 2
+    assert "seed count must be >= 0" in result.stderr
+    assert "held for every seed" not in result.stdout
+
+
 def test_run_scenario_smoke():
     result = run_script("run_scenario.py", "--seed", "1")
     assert result.returncode == 0, result.stderr
