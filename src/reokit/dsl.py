@@ -3,13 +3,19 @@
 Four languages plus one table: the circuit DSL, the rule DSL, event
 scripts (one ground term per line), environment scripts (per-round
 offers and readiness), and the event map (boundary firing -> atom).
-All share one tokenizer; ``#`` comments run to end of line and
-whitespace is insignificant except in the line-oriented formats.
+All share one tokenizer, ``_lex``; ``#`` comments run to end of line
+and whitespace is insignificant except in the line-oriented formats.
+Env ``round`` lines, the bulk of a long script, first try one
+full-line pattern that tokenizes exactly like ``_lex``. That path never
+raises: a line it does not take goes through the token parser, so every
+error code, span and message comes from there.
 """
 
 from __future__ import annotations
 
+import functools
 import re
+import sys
 from dataclasses import dataclass, field
 
 from . import semlog
@@ -595,93 +601,173 @@ def parse_events(text: str) -> EventScript:
 # environment script
 
 
+# The common case of an env round line, as one full-line pattern that
+# tokenizes like ``_lex``: whitespace is only ``[ \t\r]``, and a word
+# must not be followed by a word character (``_END``), which gives maximal
+# munch: ``okready`` stays one identifier rather than backtracking into
+# ``ok`` plus the keyword ``ready``. ``offer`` and ``ready`` may also be
+# port names.
+_W = r"[ \t\r]*"
+_END = r"(?![A-Za-z0-9_])"
+_NAME = rf"[A-Za-z_][A-Za-z0-9_]*{_END}"
+_PAIR = rf"{_NAME}{_W}={_W}{_NAME}"
+_CLAUSE = (
+    rf"(?:offer{_END}{_W}({_PAIR}(?:{_W},{_W}{_PAIR})*)"
+    rf"|ready{_END}{_W}({_NAME}(?:{_W},{_W}{_NAME})*))"
+    rf"{_W}(?:;{_W})?"
+)
+_ROUND_DIGITS = len(str(sys.maxsize))
+
+
+@functools.cache
+def _round_grammar() -> tuple[re.Pattern, re.Pattern, re.Pattern, re.Pattern]:
+    """The compiled patterns of a round line, a clause, an offer pair and a name.
+
+    Compiled on first use, not at import: they take a few milliseconds,
+    which every command would pay otherwise.
+    """
+    return (
+        re.compile(rf"round{_END}{_W}([0-9]+){_W}:{_W}((?:{_CLAUSE})*)"),
+        re.compile(_CLAUSE),
+        re.compile(rf"({_NAME}){_W}={_W}({_NAME})"),
+        re.compile(_NAME),
+    )
+
+
+def _fast_round(stripped, seen_rounds, ins, outs, alphabet) -> tuple[int, Round] | None:
+    """``_token_round`` for a line the round-line pattern matches that passes every check.
+
+    Never raises: any other line gives None, and ``_token_round`` then
+    parses it again and reports the error.
+    """
+    line_re, clause_re, pair_re, name_re = _round_grammar()
+    m = line_re.fullmatch(stripped)
+    if m is None or len(m[1]) > _ROUND_DIGITS:
+        return None
+    number = int(m[1])
+    if not 1 <= number <= sys.maxsize or number in seen_rounds:
+        return None
+    offers: list[tuple[str, str]] = []
+    ready: set[str] = set()
+    explicit_ready = False
+    for offer_list, ready_list in clause_re.findall(m[2]):
+        if offer_list:
+            offers += pair_re.findall(offer_list)
+        else:
+            ready.update(name_re.findall(ready_list))
+            explicit_ready = True
+    if ins is not None and not (
+        all(port in ins and tok in alphabet for port, tok in offers) and ready <= outs
+    ):
+        return None
+    return number, Round(tuple(offers), frozenset(ready), explicit_ready)
+
+
+def _token_round(stripped, line_no, seen_rounds, ins, outs, alphabet) -> tuple[int, Round]:
+    """One ``round`` line through the token parser; raises its ParseFailure."""
+    p = _Parser(_lex(stripped, first_line=line_no))
+    p.expect_ident("round")
+    number_tok = p.expect_int()
+    digits = number_tok.text.lstrip("0") or "0"
+    if len(digits) > _ROUND_DIGITS or int(digits) > sys.maxsize:
+        raise p.fail_at(number_tok, "BAD_ROUND", f"round numbers stop at {sys.maxsize}")
+    number = int(digits)
+    if number < 1:
+        raise p.fail_at(number_tok, "BAD_ROUND", "rounds are numbered from 1")
+    if number in seen_rounds:
+        raise p.fail_at(number_tok, "DUP_ROUND", f"round {number} defined twice")
+    p.expect_sym(":")
+    offers: list[tuple[str, str]] = []
+    ready: set[str] = set()
+    explicit_ready = False
+    while p.peek().kind != "eof":
+        if p.at_ident("offer"):
+            p.next()
+            while True:
+                port_tok = p.expect_ident()
+                p.expect_sym("=")
+                tok = p.expect_ident()
+                if ins is not None and port_tok.text not in ins:
+                    raise p.fail_at(
+                        port_tok,
+                        "UNKNOWN_PORT",
+                        f"{port_tok.text!r} is not a boundary-in port",
+                    )
+                if alphabet is not None and tok.text not in alphabet:
+                    raise p.fail_at(
+                        tok,
+                        "UNKNOWN_TOKEN",
+                        f"{tok.text!r} is not in the data alphabet",
+                    )
+                offers.append((port_tok.text, tok.text))
+                if p.at_sym(","):
+                    p.next()
+                    continue
+                break
+        elif p.at_ident("ready"):
+            p.next()
+            explicit_ready = True
+            while True:
+                port_tok = p.expect_ident()
+                if outs is not None and port_tok.text not in outs:
+                    raise p.fail_at(
+                        port_tok,
+                        "UNKNOWN_PORT",
+                        f"{port_tok.text!r} is not a boundary-out port",
+                    )
+                ready.add(port_tok.text)
+                if p.at_sym(","):
+                    p.next()
+                    continue
+                break
+        else:
+            raise p.fail("SYNTAX", "expected 'offer' or 'ready'", {"offer", "ready"})
+        if p.at_sym(";"):
+            p.next()
+    return number, Round(tuple(offers), frozenset(ready), explicit_ready)
+
+
 def parse_env(text: str, circuit: Circuit | None = None) -> EnvScript:
     """Per-round offers and readiness.
 
-    Lines: ``policy closed|all-ready`` (at most once, first), then
-    ``round N: offer p=tok[, ...]; ready p[, ...]`` with both clauses
-    optional. With a circuit supplied, ports are cross-checked.
+    Lines: ``policy closed|all-ready`` (at most once, before any round),
+    then ``round N: offer p=tok[, ...]; ready p[, ...]`` with both clauses
+    optional, in any order, and repeatable. ``N`` runs from 1 to
+    ``sys.maxsize``. With a circuit supplied, ports and tokens are
+    cross-checked.
+
+    Each round line tries one full-line pattern first (``_fast_round``);
+    that path never raises. A line it does not take goes to the token
+    parser (``_token_round``), the one place a round line's ParseError
+    comes from.
     """
     policy = POLICY_ALL_READY
     rounds: list[tuple[int, Round]] = []
     seen_rounds: set[int] = set()
-    ins = circuit.inputs if circuit is not None else None
-    outs = circuit.outputs if circuit is not None else None
-    for line_no, stripped in _content_lines(text):
-        if stripped.startswith("policy"):
-            value = stripped[len("policy"):].strip()
-            if value not in (POLICY_CLOSED, POLICY_ALL_READY):
+    checks = (
+        (circuit.inputs, circuit.outputs, circuit.alphabet)
+        if circuit is not None
+        else (None, None, None)
+    )
+    for index, (line_no, stripped) in enumerate(_content_lines(text)):
+        entry = _fast_round(stripped, seen_rounds, *checks)
+        if entry is None:
+            words = stripped.split(None, 1)
+            if words[0] == "policy":
+                value = words[1] if len(words) > 1 else ""
+                if value not in (POLICY_CLOSED, POLICY_ALL_READY):
+                    message = f"policy must be 'closed' or 'all-ready', found {value!r}"
+                elif index > 0:
+                    message = "policy may be given once, before the first round"
+                else:
+                    policy = value
+                    continue
                 raise ParseFailure(
-                    [
-                        ParseError(
-                            SourceSpan(line_no, 1, len(stripped)),
-                            "BAD_POLICY",
-                            f"policy must be 'closed' or 'all-ready', found {value!r}",
-                        )
-                    ]
+                    [ParseError(SourceSpan(line_no, 1, len(stripped)), "BAD_POLICY", message)]
                 )
-            policy = value
-            continue
-        p = _Parser(_lex(stripped, first_line=line_no))
-        p.expect_ident("round")
-        number_tok = p.expect_int()
-        number = int(number_tok.text)
-        if number < 1:
-            raise p.fail_at(number_tok, "BAD_ROUND", "rounds are numbered from 1")
-        if number in seen_rounds:
-            raise p.fail_at(number_tok, "DUP_ROUND", f"round {number} defined twice")
-        seen_rounds.add(number)
-        p.expect_sym(":")
-        offers: list[tuple[str, str]] = []
-        ready: set[str] = set()
-        explicit_ready = False
-        while p.peek().kind != "eof":
-            if p.at_ident("offer"):
-                p.next()
-                while True:
-                    port_tok = p.expect_ident()
-                    p.expect_sym("=")
-                    tok = p.expect_ident()
-                    if ins is not None and port_tok.text not in ins:
-                        raise p.fail_at(
-                            port_tok,
-                            "UNKNOWN_PORT",
-                            f"{port_tok.text!r} is not a boundary-in port",
-                        )
-                    if circuit is not None and tok.text not in circuit.alphabet:
-                        raise p.fail_at(
-                            tok,
-                            "UNKNOWN_TOKEN",
-                            f"{tok.text!r} is not in the data alphabet",
-                        )
-                    offers.append((port_tok.text, tok.text))
-                    if p.at_sym(","):
-                        p.next()
-                        continue
-                    break
-            elif p.at_ident("ready"):
-                p.next()
-                explicit_ready = True
-                while True:
-                    port_tok = p.expect_ident()
-                    if outs is not None and port_tok.text not in outs:
-                        raise p.fail_at(
-                            port_tok,
-                            "UNKNOWN_PORT",
-                            f"{port_tok.text!r} is not a boundary-out port",
-                        )
-                    ready.add(port_tok.text)
-                    if p.at_sym(","):
-                        p.next()
-                        continue
-                    break
-            else:
-                raise p.fail("SYNTAX", "expected 'offer' or 'ready'", {"offer", "ready"})
-            if p.at_sym(";"):
-                p.next()
-        rounds.append(
-            (number, Round(tuple(offers), frozenset(ready), explicit_ready))
-        )
+            entry = _token_round(stripped, line_no, seen_rounds, *checks)
+        seen_rounds.add(entry[0])
+        rounds.append(entry)
     rounds.sort(key=lambda pair: pair[0])
     return EnvScript(rounds=tuple(rounds), default_policy=policy)
 

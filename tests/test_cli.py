@@ -131,6 +131,19 @@ def test_negative_rounds_exits_two(mini, tmp_path):
         assert result.stdout == "", argv
 
 
+def test_oversized_round_number_exits_two(tmp_path):
+    env_file = tmp_path / "big.env"
+    env_file.write_text("round 99999999999999999999999: offer citizens=ok\n")
+    for argv in (
+        ("scenario", "--env", str(env_file)),
+        ("simulate", str(DATA / "rescue.circuit"), "--env", str(env_file)),
+    ):
+        result = run_cli(*argv)
+        assert result.returncode == 2, argv
+        assert result.stderr.startswith("1:7: BAD_ROUND: "), argv
+        assert "Traceback" not in result.stderr, argv
+
+
 def test_simulate_env_mismatch_exits_two(mini, tmp_path):
     env_file = tmp_path / "mini.env"
     env_file.write_text("round 1: offer nope=ok\n")

@@ -1,7 +1,10 @@
 import random
+import re
+import sys
+from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from reokit import dsl, semlog as S
@@ -215,13 +218,62 @@ def test_nested_prefix_terms():
     assert dsl.parse_term("(2)(Very)X") == S.Count(2, S.Very(S.Atom("X")))
 
 
+def _env_error(text, circuit=None):
+    """``(code, (line, column, length), message)`` of the one error parse_env raises."""
+    with pytest.raises(dsl.ParseFailure) as exc:
+        dsl.parse_env(text, circuit)
+    (err,) = exc.value.errors
+    return err.code, (err.span.line, err.span.column, err.span.length), err.message
+
+
 def test_env_round_numbering_errors():
-    with pytest.raises(dsl.ParseFailure) as exc:
-        dsl.parse_env("round 0: offer a=ok")
-    assert exc.value.errors[0].code == "BAD_ROUND"
-    with pytest.raises(dsl.ParseFailure) as exc:
-        dsl.parse_env("round 1: offer a=ok\nround 1: offer a=ok")
-    assert exc.value.errors[0].code == "DUP_ROUND"
+    assert _env_error("round 0: offer a=ok") == (
+        "BAD_ROUND", (1, 7, 1), "rounds are numbered from 1"
+    )
+    assert _env_error("round 1: offer a=ok\nround 1: offer a=ok") == (
+        "DUP_ROUND", (2, 7, 1), "round 1 defined twice"
+    )
+    # A round past sys.maxsize cannot be a length or an index.
+    assert _env_error("round 99999999999999999999999: offer a=ok") == (
+        "BAD_ROUND", (1, 7, 23), f"round numbers stop at {sys.maxsize}"
+    )
+    assert _env_error("round " + "9" * 5000 + ": offer a=ok")[:2] == ("BAD_ROUND", (1, 7, 5000))
+    assert len(dsl.parse_env(f"round 000{sys.maxsize}: offer a=ok")) == sys.maxsize
+    assert len(dsl.parse_env("round " + "0" * 5000 + "2: offer a=ok")) == 2
+
+
+def test_env_syntax_errors_pinned():
+    assert _env_error("round 1 offer a=ok") == ("SYNTAX", (1, 9, 5), "expected ':', found 'offer'")
+    assert _env_error("round 1: offer a=ok;;") == (
+        "SYNTAX", (1, 21, 1), "expected 'offer' or 'ready', found ';'"
+    )
+    assert _env_error("round 1x: ready b") == ("SYNTAX", (1, 8, 1), "expected ':', found 'x'")
+    assert _env_error("round 1: offer a=okready b") == (
+        "SYNTAX", (1, 26, 1), "expected 'offer' or 'ready', found 'b'"
+    )
+    assert _env_error("round 1: offer a=ok, ready b") == (
+        "SYNTAX", (1, 28, 1), "expected '=', found 'b'"
+    )
+    assert _env_error("round 1: ready b @") == ("LEX_ERROR", (1, 18, 1), "unknown character '@'")
+    assert _env_error("policy sometimes") == (
+        "BAD_POLICY", (1, 1, 16), "policy must be 'closed' or 'all-ready', found 'sometimes'"
+    )
+    assert _env_error("policy") == (
+        "BAD_POLICY", (1, 1, 6), "policy must be 'closed' or 'all-ready', found ''"
+    )
+
+
+def test_env_policy_comes_once_and_first():
+    placement = "policy may be given once, before the first round"
+    assert _env_error("round 1: offer a=ok\npolicy closed") == ("BAD_POLICY", (2, 1, 13), placement)
+    assert _env_error("# header\npolicy closed\n\npolicy all-ready") == (
+        "BAD_POLICY", (4, 1, 16), placement
+    )
+    assert _env_error("policyclosed") == (
+        "SYNTAX", (1, 1, 12), "expected 'round', found 'policyclosed'"
+    )
+    env = dsl.parse_env("# header\n\n policy \t closed \nround 1: offer a=ok")
+    assert env.default_policy == POLICY_CLOSED
 
 
 def test_parse_events_three_occurrences():
@@ -256,15 +308,18 @@ def test_parse_env_policy_and_defaults():
 
 def test_parse_env_cross_checks_circuit():
     c = dsl.parse_circuit(MINIMAL_SYNC_TEXT)
-    with pytest.raises(dsl.ParseFailure) as exc:
-        dsl.parse_env("round 1: offer nope=ok", c)
-    assert exc.value.errors[0].code == "UNKNOWN_PORT"
-    with pytest.raises(dsl.ParseFailure) as exc:
-        dsl.parse_env("round 1: offer a=zap", c)
-    assert exc.value.errors[0].code == "UNKNOWN_TOKEN"
-    with pytest.raises(dsl.ParseFailure) as exc:
-        dsl.parse_env("round 1: ready a", c)
-    assert exc.value.errors[0].code == "UNKNOWN_PORT"
+    assert _env_error("round 1: offer nope=ok", c) == (
+        "UNKNOWN_PORT", (1, 16, 4), "'nope' is not a boundary-in port"
+    )
+    assert _env_error("round 1: offer a=zap", c) == (
+        "UNKNOWN_TOKEN", (1, 18, 3), "'zap' is not in the data alphabet"
+    )
+    assert _env_error("round 1: ready a", c) == (
+        "UNKNOWN_PORT", (1, 16, 1), "'a' is not a boundary-out port"
+    )
+    assert _env_error("round 1: offer a=ok; ready b, zz", c) == (
+        "UNKNOWN_PORT", (1, 31, 2), "'zz' is not a boundary-out port"
+    )
 
 
 def test_parse_map_entries_and_precedence():
@@ -283,3 +338,141 @@ def test_parse_map_duplicate_and_unknown_port():
     with pytest.raises(dsl.ParseFailure) as exc:
         dsl.parse_map("zz -> A", c)
     assert exc.value.errors[0].code == "UNKNOWN_PORT"
+
+
+# -- env: the line grammar agrees with the token parser ------------------------
+
+KEYWORD_PORTS_TEXT = (
+    "circuit kw { data { ok, bad } ports { in a; in offer; out b; out ready; } "
+    "sync(a, b) sync(offer, ready) }"
+)
+# (where, replacement) faults for _env_line, each spliced in at one match.
+_ENV_FAULTS = tuple(
+    (re.compile(where), replacement)
+    for where, replacement in (
+        (r"[ \t]+", ""),  # glue two words: round1, okready
+        (r"(?<=offer|ready)[ \t]+", ""),  # offera=ok, readyb
+        (r"[ \t]+", "\xa0"),
+        (r"[ \t]+", "\r"),
+        (r";", ";;"),
+        (r";", ","),
+        (r"[ \t]+|$", " @"),
+        (r"[ \t]+|$", " ="),
+        (r"\d+", "0"),
+        (r"\d+", "007"),
+        (r"\d+", "0000000000000000000004"),
+        (r"\d+", "9999999999999999999"),  # above sys.maxsize, as long
+        (r"\d+", "99999999999999999999999"),
+        (r"\d+", r"\g<0>x"),
+        (r"\ba\b", "ready"),  # not a boundary-in port
+        (r"\bb\b", "nope"),
+        (r"=[ \t]*(ok|bad)", "=zap"),
+    )
+)
+
+
+@st.composite
+def _env_line(draw, faults=()):
+    """A round line for KEYWORD_PORTS_TEXT, well-formed but for one of ``faults``, if given."""
+    gap = lambda: draw(st.sampled_from(("", " ", "\t", " \t")))
+    word_gap = lambda: draw(st.sampled_from((" ", "\t", "  ")))
+    body = ""
+    for _ in range(draw(st.integers(1 if faults else 0, 3))):
+        if draw(st.booleans()):
+            pairs = [
+                f"{draw(st.sampled_from(('a', 'offer')))}{gap()}={gap()}"
+                + draw(st.sampled_from(("ok", "bad")))
+                for _ in range(draw(st.integers(1, 3)))
+            ]
+            body += f"offer{word_gap()}" + f"{gap()},{gap()}".join(pairs)
+        else:
+            ports = [draw(st.sampled_from(("b", "ready"))) for _ in range(draw(st.integers(1, 3)))]
+            body += f"ready{word_gap()}" + f"{gap()},{gap()}".join(ports)
+        body += draw(st.sampled_from((" ", ";", "; ", " ;\t", "\t", "")))  # "": okready b
+    line = f"round{word_gap()}{draw(st.integers(1, 12))}{gap()}:{gap()}{body}"
+    if faults:
+        where, replacement = draw(st.sampled_from(faults))
+        spots = list(where.finditer(line))
+        if spots:
+            m = draw(st.sampled_from(spots))
+            line = line[: m.start()] + m.expand(replacement) + line[m.end() :]
+    return line
+
+
+def _env_outcome(text, circuit):
+    try:
+        return dsl.parse_env(text, circuit)
+    except dsl.ParseFailure as exc:
+        return [(e.code, e.span, e.message, e.expected) for e in exc.errors]
+
+
+@given(
+    lines=st.lists(_env_line(), max_size=3),
+    odd_line=_env_line(_ENV_FAULTS),
+    at=st.integers(0, 3),
+    policy=st.sampled_from(("", "", "policy closed\n", "policy\tall-ready\n", "policyclosed\n")),
+    late_policy=st.booleans(),
+)
+@example([], "round 1: offer a=okready b", 0, "", False)
+@example(["round 1: offer offer=ok; ready ready"], "round 2x: ready b", 1, "", False)
+@example([], "round 1: ready b; offer a=ok ready ready offer offer=bad;", 0, "", False)
+@settings(max_examples=400, deadline=None)
+def test_parse_env_line_grammar_agrees_with_token_parser(lines, odd_line, at, policy, late_policy):
+    lines.insert(at, odd_line)
+    text = policy + "\n".join(lines) + ("\npolicy closed" if late_policy else "")
+    for circuit in (None, dsl.parse_circuit(KEYWORD_PORTS_TEXT)):
+        with mock.patch.object(dsl, "_fast_round", lambda *args: None):
+            expected = _env_outcome(text, circuit)
+        got = _env_outcome(text, circuit)
+        assert got == expected
+        assert repr(got) == repr(expected)
+
+
+def _varied_env(rng: random.Random, rounds: int) -> list[str]:
+    """Well-formed lines for KEYWORD_PORTS_TEXT in every accepted clause form."""
+    gap = lambda: rng.choice(("", " ", "\t", "  "))
+    lines = ["# seeded env", "policy closed"]
+    for n in range(1, rounds + 1):
+        offer = "offer " + f"{gap()},{gap()}".join(
+            f"{p}{gap()}={gap()}{rng.choice(('ok', 'bad'))}"
+            for p in rng.sample(("a", "offer"), rng.randint(1, 2))
+        )
+        ready = "ready " + ", ".join(rng.sample(("b", "ready"), rng.randint(1, 2)))
+        clauses = rng.choice(
+            ([], [offer], [ready], [offer, ready], [ready, offer], [offer, offer], [ready, ready, offer])
+        )
+        sep = rng.choice((";", "; ", " ", " ;\t"))
+        number = f"{n:0{rng.randint(1, 6)}d}"
+        line = f"round{rng.choice((' ', chr(9), '  '))}{number}{gap()}:{gap()}" + sep.join(clauses)
+        lines.append(line + rng.choice((";", "") if clauses else ("",)) + rng.choice(("", " # note")))
+        if rng.random() < 0.05:
+            lines.append("")
+    return lines
+
+
+def test_parse_env_fast_path_never_lexes_well_formed_lines():
+    circuit = dsl.parse_circuit(KEYWORD_PORTS_TEXT)
+    lines = _varied_env(random.Random(8), 2000)
+    calls = []
+    real_lex = dsl._lex
+
+    def counting_lex(*args, **kwargs):
+        calls.append(args)
+        return real_lex(*args, **kwargs)
+
+    with mock.patch.object(dsl, "_lex", counting_lex):
+        env = dsl.parse_env("\n".join(lines), circuit)
+        assert calls == []
+        assert len(env.rounds) == 2000
+        for broken, code in (
+            ("round 2001: offer a=", "SYNTAX"),
+            ("round 2001: ready nope", "UNKNOWN_PORT"),
+            ("round 2001: offer a=zap", "UNKNOWN_TOKEN"),
+        ):
+            with pytest.raises(dsl.ParseFailure) as exc:
+                dsl.parse_env("\n".join(lines[:1000] + [broken] + lines[1000:]), circuit)
+            assert exc.value.errors[0].code == code
+            assert len(calls) == 1, broken
+            calls.clear()
+    with mock.patch.object(dsl, "_fast_round", lambda *args: None):
+        assert dsl.parse_env("\n".join(lines), circuit) == env
