@@ -44,18 +44,15 @@ def main() -> int:
     auto = compile_circuit(circuit)
     print(f"automaton: {auto.n_states} states, {len(auto.transitions)} transitions\n")
 
-    base = rescue.run_rescue(seed=args.seed, circuit=circuit, automaton=auto)
+    base = rescue.run_rescue(seed=args.seed, automaton=auto)
     describe(base, "canned environment (protocol-compliant)")
 
     missions = dsl.parse_events("HelicopterMission\n" * 3)
-    warned = rescue.run_rescue(
-        seed=args.seed, circuit=circuit, automaton=auto, extra_events=missions
-    )
+    warned = rescue.run_rescue(seed=args.seed, automaton=auto, extra_events=missions)
     describe(warned, "same trace + three helicopter missions (budget warning)")
 
     checked = rescue.run_rescue(
         seed=args.seed,
-        circuit=circuit,
         automaton=auto,
         extra_events=dsl.parse_events(
             "HelicopterMission\n" * 3 + "DoubleCheck(P((Very)BudgetConsuming))\n"

@@ -144,13 +144,15 @@ class AnalysisReport:
     deadlock_states: list[str]
     notes: list[str] = field(default_factory=list)
 
-    def to_json(self) -> str:
-        doc = {
+    def to_dict(self) -> dict:
+        return {
             "reachable": self.reachable_count,
             "deadlocks": self.deadlock_states,
             "notes": self.notes,
         }
-        return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+
+    def to_json(self) -> str:
+        return json.dumps(self.to_dict(), indent=2, sort_keys=True) + "\n"
 
     def render(self) -> str:
         lines = [f"reachable states: {self.reachable_count}"]

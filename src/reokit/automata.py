@@ -568,7 +568,8 @@ def _flow_order(c: Circuit) -> list[str]:
     Starting from the boundary-in ports in declaration order keeps data
     restrictions (filters, fifo contents) in the product early, so the
     intermediate state spaces stay close to the final reachable one.
-    Channels are visited in id order at each node.
+    Channels are visited in id order at each node. Every key of
+    ``circuit_automata(c)`` is listed once.
     """
     nodes = {n.name: n for n in c.nodes()}
     by_end: dict[str, list[Channel]] = {}
@@ -580,7 +581,7 @@ def _flow_order(c: Circuit) -> list[str]:
     order: list[str] = []
     added_channels: set[str] = set()
     queue: list[str] = []
-    while remaining:
+    while remaining or queue:
         if not queue:
             seed = next((s for s in starts if s in remaining), min(remaining))
             queue.append(seed)
@@ -599,55 +600,34 @@ def _flow_order(c: Circuit) -> list[str]:
 
 
 def join_many(
-    autos: list[tuple[str, ConstraintAutomaton]],
-    order: list[str] | None = None,
-    keep_names: frozenset[str] | None = None,
+    autos: list[tuple[str, ConstraintAutomaton]], order: list[str] | None = None
 ) -> ConstraintAutomaton:
-    """Fold join over the automata, left to right.
+    """Fold join over the automata, left to right in ``order``.
 
-    Keys missing from ``order`` are joined last, in sorted order. With
-    ``keep_names`` given, names outside it are hidden as soon as no
-    pending automaton mentions them (hide-early), which keeps
-    intermediate products small. A name shared with nothing can never
-    synchronize again, so hide-early preserves the boundary traces. It
-    does not always preserve strong bisimulation, and whether it does
-    depends on the join order. ``random_circuit(random.Random(17))``
-    from ``tests/util.py``, joined in the order ``nd:x0, ch:c5, nd:i0,
-    ch:c1, nd:i1, ch:c3, nd:x1, nd:o0, ch:c6, ch:c4, ch:c2``, is
-    trace-equal to depth 5 but not bisimilar to hiding once at the end.
+    ``order`` lists every key of ``autos`` exactly once, and defaults to
+    the order of ``autos``. Join is associative and commutative up to
+    bisimulation, so the order changes only the sizes of the
+    intermediate products and the state numbering.
     """
     if not autos:
         raise ValueError("nothing to join")
     pool = dict(autos)
     if order is None:
-        order = [key for key, _ in autos]
-    full_order = list(order) + sorted(pool.keys() - set(order))
-    uses: dict[str, int] = {}
-    for _, auto in autos:
-        for name in auto.names:
-            uses[name] = uses.get(name, 0) + 1
-    result: ConstraintAutomaton | None = None
-    for key in full_order:
-        nxt = pool.pop(key)
-        result = nxt if result is None else join(result, nxt)
-        for name in nxt.names:
-            uses[name] -= 1
-        if keep_names is not None:
-            done = frozenset(
-                n for n in result.names if uses[n] == 0 and n not in keep_names
-            )
-            if done:
-                result = hide(result, done)
-    return result
+        order = list(pool)
+    if sorted(order) != sorted(pool):
+        raise ValueError(f"join order {order} must list each of {sorted(pool)} exactly once")
+    return functools.reduce(join, (pool[key] for key in order))
 
 
 def compile_circuit(c: Circuit) -> ConstraintAutomaton:
-    """Full pipeline: join every primitive automaton, hiding internals early.
+    """Full pipeline: join every primitive automaton, then hide the internals.
 
-    Hide-early leaves exactly the declared boundary ports as names, with
-    the boundary-in ports as ``inputs``. States are numbered in discovery
-    order, and the transitions are sorted by ``Transition.sort_key``,
-    once, here.
+    The automata are joined in ``_flow_order`` and every name that is not
+    a declared boundary port is hidden once, at the end, which is the
+    definition of the circuit's behaviour. The result has exactly the
+    boundary ports as names, with the boundary-in ports as ``inputs``.
+    States are numbered in discovery order, and the transitions are
+    sorted by ``Transition.sort_key``, once, here.
     """
     report = validate_circuit(c)
     if not report.ok:
@@ -655,10 +635,10 @@ def compile_circuit(c: Circuit) -> ConstraintAutomaton:
     autos = circuit_automata(c)
     if not autos:
         return identity_automaton(c.alphabet)
-    port_names = frozenset(p.name for p in c.ports)
-    joined = join_many(autos, _flow_order(c), keep_names=port_names)
+    joined = join_many(autos, _flow_order(c))
+    hidden = hide(joined, joined.names - frozenset(p.name for p in c.ports))
     return replace(
-        joined, transitions=tuple(sorted(joined.transitions, key=Transition.sort_key))
+        hidden, transitions=tuple(sorted(hidden.transitions, key=Transition.sort_key))
     )
 
 

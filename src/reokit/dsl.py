@@ -578,9 +578,14 @@ class EventScript:
 
 
 def _content_lines(text: str):
-    """``(line_no, stripped)`` of each line not blank once its ``#`` comment is cut."""
-    for line_no, line in enumerate(text.splitlines(), start=1):
-        stripped = line.split("#", 1)[0].strip()
+    """``(line_no, stripped)`` of each line not blank once its ``#`` comment is cut.
+
+    As in ``_lex``, lines break only at ``\\n`` and only ``[ \\t\\r]`` is
+    whitespace, so any other control or separator character reaches ``_lex``
+    and is a ``LEX_ERROR`` at the line it is on.
+    """
+    for line_no, line in enumerate(text.split("\n"), start=1):
+        stripped = line.split("#", 1)[0].strip(" \t\r")
         if stripped:
             yield line_no, stripped
 
@@ -752,7 +757,7 @@ def parse_env(text: str, circuit: Circuit | None = None) -> EnvScript:
     for index, (line_no, stripped) in enumerate(_content_lines(text)):
         entry = _fast_round(stripped, seen_rounds, *checks)
         if entry is None:
-            words = stripped.split(None, 1)
+            words = re.split("[ \t\r]+", stripped, maxsplit=1)
             if words[0] == "policy":
                 value = words[1] if len(words) > 1 else ""
                 if value not in (POLICY_CLOSED, POLICY_ALL_READY):

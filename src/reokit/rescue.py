@@ -79,13 +79,13 @@ class ScenarioReport:
 
     def to_json(self) -> str:
         doc = {
-            "trace": json.loads(self.trace.to_json()),
+            "trace": self.trace.to_dict(),
             "events": [
                 {"index": e.index, "term": pretty(e.term), "origin": e.origin}
                 for e in self.events
             ],
             "verdict": self.verdict.to_dict(),
-            "analysis": json.loads(self.analysis.to_json()),
+            "analysis": self.analysis.to_dict(),
         }
         return json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
@@ -94,26 +94,24 @@ def run_rescue(
     seed: int = 0,
     rounds: int = 12,
     env: EnvScript | None = None,
-    mapping: EventMap | None = None,
     extra_events: EventScript | None = None,
     max_depth: int = 8,
-    circuit: Circuit | None = None,
     automaton: ConstraintAutomaton | None = None,
 ) -> ScenarioReport:
     """compile -> simulate -> map -> ingest+saturate -> verdict.
 
-    Defaults to the canned 12-round environment and the shipped map.
-    ``extra_events`` are scripted compliance events ingested after the
-    trace-mapped ones (the helicopter-mission demo uses this hook).
-    A pre-compiled automaton can be passed to skip recompilation.
+    Runs the shipped circuit and map, by default against the canned
+    12-round environment. ``extra_events`` are scripted compliance events
+    ingested after the trace-mapped ones (the helicopter-mission demo uses
+    this hook). ``automaton``, the compiled shipped circuit, can be passed
+    to skip recompilation.
     """
     cfg = SimConfig(seed=seed, max_rounds=rounds)
-    c = circuit if circuit is not None else builtin_circuit()
+    c = builtin_circuit()
     auto = automaton if automaton is not None else compile_circuit(c)
     env = env if env is not None else builtin_env()
-    mapping = mapping if mapping is not None else builtin_map()
     trace = simulate(auto, env, cfg, circuit_name=c.name)
-    events = map_trace(trace, mapping)
+    events = map_trace(trace, builtin_map())
     engine = ComplianceEngine(builtin_rules(), max_depth=max_depth)
     for event in events:
         engine.ingest(event, origin=ORIGIN_TRACE)

@@ -94,7 +94,7 @@ class Trace:
     def firings(self) -> list[Firing]:
         return [s for s in self.steps if isinstance(s, Firing)]
 
-    def to_json(self) -> str:
+    def to_dict(self) -> dict:
         rounds = []
         for s in self.steps:
             if isinstance(s, Stall):
@@ -110,8 +110,10 @@ class Trace:
                         "to": state_name(s.state_after),
                     }
                 )
-        doc = {"circuit": self.circuit, "seed": self.seed, "rounds": rounds}
-        return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+        return {"circuit": self.circuit, "seed": self.seed, "rounds": rounds}
+
+    def to_json(self) -> str:
+        return json.dumps(self.to_dict(), indent=2, sort_keys=True) + "\n"
 
 
 def trace_from_json(text: str) -> Trace:

@@ -4,6 +4,7 @@ import random
 import subprocess
 import sys
 from pathlib import Path
+from unittest import mock
 
 import pytest
 
@@ -373,6 +374,46 @@ def test_compile_order_insensitive():
         assert AN.bisimilar(reference, shuffled)
 
 
+def join_all_then_hide(c, autos, order):
+    """The definition: join every automaton, then hide the internal names once."""
+    joined = A.join_many(autos, order)
+    return A.hide(joined, joined.names - frozenset(p.name for p in c.ports))
+
+
+# Hiding names between joins made seeds 135 and 265 depend on the join order.
+@pytest.mark.parametrize("seed", [135, 265, *range(20)])
+def test_compile_agrees_with_join_all_then_hide(seed):
+    c = random_circuit(random.Random(seed))
+    auto = A.compile_circuit(c)
+    autos = A.circuit_automata(c)
+    keys = [k for k, _ in autos]
+    rng = random.Random(seed)
+    for _ in range(3):
+        rng.shuffle(keys)
+        assert AN.bisimilar(auto, join_all_then_hide(c, autos, keys))
+
+
+def test_compile_hides_once(rescue_circuit):
+    with mock.patch.object(A, "hide", wraps=A.hide) as hide:
+        A.compile_circuit(rescue_circuit)
+    assert hide.call_count == 1
+
+
+def test_flow_order_lists_every_automaton(rescue_circuit):
+    rng = random.Random(3)
+    for c in [rescue_circuit] + [random_circuit(rng) for _ in range(100)]:
+        assert sorted(A._flow_order(c)) == sorted(k for k, _ in A.circuit_automata(c))
+
+
+def test_join_many_rejects_a_bad_order():
+    autos = A.circuit_automata(parse_circuit(MINIMAL_SYNC_TEXT))
+    keys = [k for k, _ in autos]
+    assert AN.bisimilar(A.join_many(autos, keys[::-1]), A.join_many(autos))
+    for order in (keys[1:], keys + keys[:1], keys + ["ch:nope"]):
+        with pytest.raises(ValueError, match="exactly once"):
+            A.join_many(autos, order)
+
+
 # A synchronous cycle fed by nothing can still carry any value, because
 # constraint automata have no causality; value domains must not lose it.
 @pytest.mark.parametrize(
@@ -386,11 +427,10 @@ def test_synchronous_cycle_keeps_every_value(channels):
 
 
 def full_domain_compile(c):
-    """Oracle: compile's join order and hide-early, every fifo over the alphabet."""
+    """Oracle: join in compile's order and hide once, every fifo over the alphabet."""
     autos = [(f"ch:{ch.id}", A.ca_of_channel(ch, c.alphabet)) for ch in c.channels]
     autos += [(f"nd:{node.name}", A.ca_of_node(node, c.alphabet)) for node in c.nodes()]
-    ports = frozenset(p.name for p in c.ports)
-    return A.join_many(autos, A._flow_order(c), keep_names=ports)
+    return join_all_then_hide(c, autos, A._flow_order(c))
 
 
 def test_value_domains_preserve_behaviour():

@@ -340,6 +340,37 @@ def test_parse_map_duplicate_and_unknown_port():
     assert exc.value.errors[0].code == "UNKNOWN_PORT"
 
 
+# str.splitlines breaks at each of these, str.strip drops \xa0; _lex does neither
+ODD_CHARS = ["\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029", "\xa0"]
+
+
+@pytest.mark.parametrize("odd", ODD_CHARS, ids=lambda odd: f"U+{ord(odd):04X}")
+@pytest.mark.parametrize(
+    "parse, text",
+    [
+        (dsl.parse_env, "round 1: offer a=ok{} ready b"),
+        (dsl.parse_env, "policy{}closed"),
+        (dsl.parse_events, "A{}B"),
+        (dsl.parse_events, "A{}"),
+        (dsl.parse_map, "a -> X{}b -> Y"),
+    ],
+    ids=["env-round", "env-policy", "events", "events-trailing", "map"],
+)
+def test_line_formats_split_lines_like_lex(parse, text, odd):
+    with pytest.raises(dsl.ParseFailure) as exc:
+        parse("# first\n" + text.format(odd))
+    (err,) = exc.value.errors
+    assert (err.code, err.span.line, err.span.column) == ("LEX_ERROR", 2, text.index("{") + 1)
+    assert err.message == f"unknown character {odd!r}"
+
+
+def test_line_formats_read_crlf():
+    env = dsl.parse_env("policy closed\r\nround 1: offer a=ok \r\n\r\nround 2: ready b\r\n")
+    assert env.default_policy == POLICY_CLOSED and len(env) == 2
+    assert dsl.parse_events("A\r\n  B \r\n").terms() == [S.Atom("A"), S.Atom("B")]
+    assert dsl.parse_map("a -> X\r\nb=ok -> Y\r\n").entries == (("a", None, "X"), ("b", "ok", "Y"))
+
+
 # -- env: the line grammar agrees with the token parser ------------------------
 
 KEYWORD_PORTS_TEXT = (

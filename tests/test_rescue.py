@@ -18,14 +18,9 @@ def canned_env(lines):
     return dsl.parse_env("policy all-ready\n" + "\n".join(lines), rescue.builtin_circuit())
 
 
-def run(seed=0, env=None, extra=None, rc=None, auto=None, rounds=12):
+def run(seed=0, env=None, extra=None, auto=None, rounds=12):
     return rescue.run_rescue(
-        seed=seed,
-        rounds=rounds,
-        env=env,
-        extra_events=extra,
-        circuit=rc,
-        automaton=auto,
+        seed=seed, rounds=rounds, env=env, extra_events=extra, automaton=auto
     )
 
 
@@ -82,8 +77,8 @@ def test_map_trace_specific_beats_port_only():
     assert [e.index for e in events] == [1, 2]
 
 
-def test_canned_run_dispatches_in_order(rescue_circuit, rescue_auto):
-    report = run(seed=0, rc=rescue_circuit, auto=rescue_auto)
+def test_canned_run_dispatches_in_order(rescue_auto):
+    report = run(seed=0, auto=rescue_auto)
     dispatched = [case_ports(f) for f in report.trace.firings() if case_ports(f)]
     assert dispatched == [["case1"], ["case2"], ["case3"]]
     assert [pretty(e.term) for e in report.events] == [
@@ -104,16 +99,16 @@ def test_enabled_bad_offer_is_filter_drop_only(rescue_circuit, rescue_auto):
         assert not [n for n in transition.sync if n.startswith("case")]
 
 
-def test_bad_request_never_dispatches(rescue_circuit, rescue_auto):
+def test_bad_request_never_dispatches(rescue_auto):
     env = canned_env(["round 1: offer citizens=bad", "round 2: offer sensors=bad"])
-    report = run(env=env, rc=rescue_circuit, auto=rescue_auto, rounds=2)
+    report = run(env=env, auto=rescue_auto, rounds=2)
     for firing in report.trace.firings():
         assert case_ports(firing) == []
         assert "citizens" in firing.sync or "sensors" in firing.sync
     assert len(report.trace.firings()) == 2  # drops are still firings
 
 
-def test_withheld_ps_enable_blocks_police_only(rescue_circuit, rescue_auto):
+def test_withheld_ps_enable_blocks_police_only(rescue_auto):
     env = canned_env(
         [
             "round 1: offer citizens=ok",
@@ -122,7 +117,7 @@ def test_withheld_ps_enable_blocks_police_only(rescue_circuit, rescue_auto):
             "round 4: offer fs_enable=tick",
         ]
     )
-    report = run(env=env, rc=rescue_circuit, auto=rescue_auto, rounds=4)
+    report = run(env=env, auto=rescue_auto, rounds=4)
     fired = [f.sync for f in report.trace.firings()]
     assert any("fire_alarm" in s for s in fired)
     assert not any("police_alarm" in s for s in fired)
@@ -130,7 +125,7 @@ def test_withheld_ps_enable_blocks_police_only(rescue_circuit, rescue_auto):
     assert report.trace.steps[3].__class__.__name__ == "Stall"
 
 
-def test_alarm_order_witnesses(rescue_circuit, rescue_auto):
+def test_alarm_order_witnesses(rescue_auto):
     fire_first = canned_env(
         [
             "round 1: offer citizens=ok",
@@ -149,7 +144,7 @@ def test_alarm_order_witnesses(rescue_circuit, rescue_auto):
     )
 
     def first_alarm_order(env):
-        report = run(env=env, rc=rescue_circuit, auto=rescue_auto, rounds=4)
+        report = run(env=env, auto=rescue_auto, rounds=4)
         out = []
         for f in report.trace.firings():
             for alarm in ("fire_alarm", "police_alarm"):
@@ -161,7 +156,7 @@ def test_alarm_order_witnesses(rescue_circuit, rescue_auto):
     assert first_alarm_order(police_first) == ["police_alarm", "fire_alarm"]
 
 
-def test_police_before_fire_is_an_order_violation(rescue_circuit, rescue_auto):
+def test_police_before_fire_is_an_order_violation(rescue_auto):
     env = canned_env(
         [
             "round 1: offer citizens=ok",
@@ -170,7 +165,7 @@ def test_police_before_fire_is_an_order_violation(rescue_circuit, rescue_auto):
             "round 4: offer fs_enable=tick",
         ]
     )
-    report = run(env=env, rc=rescue_circuit, auto=rescue_auto, rounds=4)
+    report = run(env=env, auto=rescue_auto, rounds=4)
     (violation,) = report.verdict.order_violations
     assert violation.atom == "PoliceRequest"
     assert violation.index == 2
@@ -219,23 +214,23 @@ def test_exclusive_dispatch_and_round_robin_over_seeds(rescue_auto):
         assert len(dispatched) >= 3
 
 
-def test_end_to_end_compliance_demo(rescue_circuit, rescue_auto):
+def test_end_to_end_compliance_demo(rescue_auto):
     extra = dsl.parse_events("HelicopterMission\n" * 3)
-    report = run(extra=extra, rc=rescue_circuit, auto=rescue_auto)
+    report = run(extra=extra, auto=rescue_auto)
     warned = [pretty(t) for t, _ in report.verdict.warnings]
     assert "Warning(P((Very)BudgetConsuming))" in warned
     assert report.verdict.failures == []
     extra2 = dsl.parse_events(
         "HelicopterMission\n" * 3 + "DoubleCheck(P((Very)BudgetConsuming))\n"
     )
-    report2 = run(extra=extra2, rc=rescue_circuit, auto=rescue_auto)
+    report2 = run(extra=extra2, auto=rescue_auto)
     resolved = [pretty(t) for t in report2.verdict.resolved_warnings()]
     assert "Warning(P((Very)BudgetConsuming))" in resolved
 
 
-def test_scenario_report_json_deterministic(rescue_circuit, rescue_auto):
-    a = run(seed=5, rc=rescue_circuit, auto=rescue_auto).to_json()
-    b = run(seed=5, rc=rescue_circuit, auto=rescue_auto).to_json()
+def test_scenario_report_json_deterministic(rescue_auto):
+    a = run(seed=5, auto=rescue_auto).to_json()
+    b = run(seed=5, auto=rescue_auto).to_json()
     assert a == b
     doc = json.loads(a)
     assert set(doc) == {"trace", "events", "verdict", "analysis"}
