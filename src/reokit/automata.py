@@ -33,6 +33,7 @@ from .circuit import (
     Circuit,
     InvalidCircuitError,
     Node,
+    dot_quote,
     partition,
     validate_circuit,
     value_domains,
@@ -83,9 +84,6 @@ class Constraint:
                     return False
         return True
 
-    def conj(self, other: "Constraint") -> "Constraint":
-        return Constraint(self.atoms | other.atoms)
-
     def sort_key(self) -> tuple:
         return tuple(sorted(self.atoms))
 
@@ -128,19 +126,6 @@ def conj(*constraints: Constraint) -> Constraint:
     return Constraint(atoms)
 
 
-def project(
-    g: Constraint, keep: frozenset[str], names: frozenset[str], alphabet: frozenset[str]
-) -> Constraint | None:
-    """Existentially eliminate every name outside ``keep``.
-
-    Returns the projected constraint in canonical form, or None when ``g``
-    is unsatisfiable over ``alphabet``. With ``keep == names`` this is a
-    canonicalizer-plus-satisfiability check. Join and hide ask for the
-    same few projections over and over, hence the cache.
-    """
-    return _project_cached(g.atoms, keep, names, alphabet)
-
-
 def _classes(
     atoms, names, alphabet: frozenset[str]
 ) -> tuple[dict[str, str], dict[str, frozenset[str]]]:
@@ -159,27 +144,32 @@ def _classes(
     return root, allowed
 
 
-@functools.lru_cache(maxsize=1 << 18)
-def _project_cached(
-    atoms: frozenset, keep: frozenset[str], names: frozenset[str], alphabet: frozenset[str]
+def project(
+    g: Constraint, keep: frozenset[str], names: frozenset[str], alphabet: frozenset[str]
 ) -> Constraint | None:
-    root, allowed = _classes(atoms, names, alphabet)
+    """Existentially eliminate every name outside ``keep``.
+
+    Returns the projected constraint in canonical form, or None when ``g``
+    is unsatisfiable over ``alphabet``. With ``keep == names`` this is a
+    canonicalizer-plus-satisfiability check, and it returns a canonical
+    guard unchanged.
+    """
+    root, allowed = _classes(g.atoms, names, alphabet)
     if not all(allowed.values()):
         return None
     visible: dict[str, list[str]] = {}
     for n in sorted(names & keep):
         visible.setdefault(root[n], []).append(n)
-    out = TRUE
+    atoms = set()
     for r, members in visible.items():
-        for a, b in zip(members, members[1:]):
-            out = out.conj(eq(a, b))
+        atoms.update((EQ, a, b) for a, b in zip(members, members[1:]))
         vals = allowed[r]
         if vals != alphabet:
             if len(vals) == 1:
-                out = out.conj(const(members[0], next(iter(vals))))
+                atoms.add((CONST, members[0], next(iter(vals))))
             else:
-                out = out.conj(member(members[0], vals))
-    return out
+                atoms.add((MEMBER, members[0], tuple(sorted(vals))))
+    return Constraint(frozenset(atoms))
 
 
 def sat_assignments(
@@ -228,7 +218,9 @@ class ConstraintAutomaton:
     of ``build_automaton`` and ``compile_circuit`` results are in
     ``Transition.sort_key`` order; ``join`` and ``hide`` results are only
     grouped by source state, ascending. ``moves`` is the one expansion of
-    a state into steps, which simulation and analysis read.
+    a state into steps, which simulation and analysis read. Invariant: every
+    guard is canonical, ``project(t.guard, t.sync, t.sync, alphabet) == t.guard``;
+    ``build_automaton``, ``join`` and ``hide`` keep it, and ``join`` relies on it.
     """
 
     names: frozenset[str]
@@ -450,7 +442,8 @@ def join(a: ConstraintAutomaton, b: ConstraintAutomaton) -> ConstraintAutomaton:
     (N1 & B.names == N2 & A.names); a transition whose sync-set avoids the
     other automaton's names entirely may also fire alone. Only state pairs
     reachable from the joint initial are kept; transitions are grouped by
-    source state, not sorted.
+    source state, not sorted. A move that fires alone keeps its canonical
+    guard; a combined pair's guard is projected once per call.
     """
     if a.alphabet != b.alphabet:
         raise ValueError("join requires a common alphabet")
@@ -462,25 +455,26 @@ def join(a: ConstraintAutomaton, b: ConstraintAutomaton) -> ConstraintAutomaton:
         for tb in b.outgoing(q):
             groups.setdefault(tb.sync & a.names, []).append(tb)
         b_by_shared[q] = groups
+    combined: dict[tuple, tuple[frozenset, Constraint | None]] = {}
 
     def steps(pq: tuple[int, int]):
         p, q = pq
         groups = b_by_shared[q]
-        candidates = []
         for ta in a.outgoing(p):
             shared = ta.sync & b.names
             if not shared:
-                candidates.append((ta.sync, ta.guard, (ta.dst, q)))
+                yield ta.sync, ta.guard, (ta.dst, q)
             for tb in groups.get(shared, ()):
-                candidates.append(
-                    (ta.sync | tb.sync, ta.guard.conj(tb.guard), (ta.dst, tb.dst))
-                )
+                key = (ta.sync, ta.guard.atoms, tb.sync, tb.guard.atoms)
+                if key not in combined:
+                    sync = ta.sync | tb.sync
+                    guard = project(conj(ta.guard, tb.guard), sync, sync, a.alphabet)
+                    combined[key] = (sync, guard)
+                sync, guard = combined[key]
+                if guard is not None:
+                    yield sync, guard, (ta.dst, tb.dst)
         for tb in groups.get(frozenset(), ()):
-            candidates.append((tb.sync, tb.guard, (p, tb.dst)))
-        for sync, guard, dst in candidates:
-            norm = project(guard, sync, sync, a.alphabet)
-            if norm is not None:
-                yield sync, norm, dst
+            yield tb.sync, tb.guard, (p, tb.dst)
 
     n_states, transitions = _explore((a.initial, b.initial), steps)
     return ConstraintAutomaton(
@@ -500,7 +494,8 @@ def hide(a: ConstraintAutomaton, hidden) -> ConstraintAutomaton:
     transitions whose sync-set empties become internal moves and are
     collapsed by epsilon-closure into their successors. Unreachable
     states are pruned and the rest re-indexed; transitions are grouped
-    by source state, not sorted.
+    by source state, not sorted. Each guard is projected once per call,
+    to the canonical guard of its new sync-set.
     """
     hidden = frozenset(hidden)
     if not hidden <= a.names:
@@ -511,9 +506,13 @@ def hide(a: ConstraintAutomaton, hidden) -> ConstraintAutomaton:
         s: [] for s in range(a.n_states)
     }
     silent: dict[int, set[int]] = {s: set() for s in range(a.n_states)}
+    projected: dict[tuple, tuple[frozenset, Constraint | None]] = {}
     for t in a.transitions:
-        sync = t.sync - hidden
-        guard = project(t.guard, sync, t.sync, a.alphabet)
+        key = (t.sync, t.guard.atoms)
+        if key not in projected:
+            sync = t.sync - hidden
+            projected[key] = (sync, project(t.guard, sync, t.sync, a.alphabet))
+        sync, guard = projected[key]
         if guard is None:
             continue
         if sync:
@@ -661,16 +660,15 @@ def automaton_to_json(a: ConstraintAutomaton) -> str:
 
 
 def automaton_to_dot(a: ConstraintAutomaton) -> str:
-    def q(s: str) -> str:
-        return '"' + s.replace('"', '\\"') + '"'
-
     out = ["digraph automaton {", "  rankdir=LR;"]
     out.append('  __start [shape=none label=""];')
     for i in range(a.n_states):
-        out.append(f"  {q(state_name(i))} [label={q(state_name(i))} shape=circle];")
-    out.append(f"  __start -> {q(state_name(a.initial))};")
+        s = dot_quote(state_name(i))
+        out.append(f"  {s} [label={s} shape=circle];")
+    out.append(f"  __start -> {dot_quote(state_name(a.initial))};")
     for t in a.transitions:
-        label = "{" + ",".join(sorted(t.sync)) + "} " + t.guard.pretty()
-        out.append(f"  {q(state_name(t.src))} -> {q(state_name(t.dst))} [label={q(label)}];")
+        src, dst = dot_quote(state_name(t.src)), dot_quote(state_name(t.dst))
+        label = dot_quote("{" + ",".join(sorted(t.sync)) + "} " + t.guard.pretty())
+        out.append(f"  {src} -> {dst} [label={label}];")
     out.append("}")
     return "\n".join(out) + "\n"

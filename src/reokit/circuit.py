@@ -382,7 +382,7 @@ def boundary_ports(c: Circuit) -> tuple[frozenset[PortId], frozenset[PortId]]:
     return ins, outs
 
 
-def _dot_quote(s: str) -> str:
+def dot_quote(s: str) -> str:
     return '"' + s.replace('"', '\\"') + '"'
 
 
@@ -404,7 +404,7 @@ def export_dot(c: Circuit) -> str:
     houses, internal nodes as points; output is sorted so equal circuits
     produce byte-identical text.
     """
-    out = [f"digraph {_dot_quote(c.name)} {{"]
+    out = [f"digraph {dot_quote(c.name)} {{"]
     out.append("  rankdir=LR;")
     for node in c.nodes():  # already sorted by name
         if node.port is not None and node.port.kind == PORT_IN:
@@ -413,12 +413,12 @@ def export_dot(c: Circuit) -> str:
             shape = "invhouse"
         else:
             shape = "circle"
-        out.append(f"  {_dot_quote(node.name)} [shape={shape}];")
+        out.append(f"  {dot_quote(node.name)} [shape={shape}];")
     for ch in sorted(c.channels, key=lambda ch: ch.id):
         style = " style=dashed" if ch.kind in DRAIN_KINDS else ""
         out.append(
-            f"  {_dot_quote(ch.end_a)} -> {_dot_quote(ch.end_b)}"
-            f" [label={_dot_quote(channel_label(ch))}{style}];"
+            f"  {dot_quote(ch.end_a)} -> {dot_quote(ch.end_b)}"
+            f" [label={dot_quote(channel_label(ch))}{style}];"
         )
     out.append("}")
     return "\n".join(out) + "\n"

@@ -85,10 +85,10 @@ _IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 _INT_RE = re.compile(r"[0-9]+")
 
 
-def _lex(text: str, first_line: int = 1) -> list[Token]:
+def _lex(text: str, first_line: int = 1, first_column: int = 1) -> list[Token]:
     tokens: list[Token] = []
     line = first_line
-    col = 1
+    col = first_column
     i = 0
     n = len(text)
     while i < n:
@@ -578,27 +578,28 @@ class EventScript:
 
 
 def _content_lines(text: str):
-    """``(line_no, stripped)`` of each line not blank once its ``#`` comment is cut.
+    """``(line_no, column, stripped)`` of each line not blank once its ``#`` comment is cut.
 
-    As in ``_lex``, lines break only at ``\\n`` and only ``[ \\t\\r]`` is
-    whitespace, so any other control or separator character reaches ``_lex``
-    and is a ``LEX_ERROR`` at the line it is on.
+    ``column`` is where ``stripped`` starts. As in ``_lex``, lines break only at
+    ``\\n`` and only ``[ \\t\\r]`` is whitespace, so any other control or separator
+    character reaches ``_lex`` and is a ``LEX_ERROR`` where it stands.
     """
     for line_no, line in enumerate(text.split("\n"), start=1):
-        stripped = line.split("#", 1)[0].strip(" \t\r")
+        body = line.split("#", 1)[0].rstrip(" \t\r")
+        stripped = body.lstrip(" \t\r")
         if stripped:
-            yield line_no, stripped
+            yield line_no, len(body) - len(stripped) + 1, stripped
 
 
 def parse_events(text: str) -> EventScript:
     """One ground term per line; blank lines and # comments are skipped."""
     entries = []
-    for line_no, stripped in _content_lines(text):
-        tokens = _lex(stripped, first_line=line_no)
+    for line_no, column, stripped in _content_lines(text):
+        tokens = _lex(stripped, line_no, column)
         p = _TermParser(tokens, allow_vars=False)
         term = p.parse_term()
         p.expect_eof()
-        entries.append(ScriptedEvent(term, SourceSpan(line_no, 1, len(stripped))))
+        entries.append(ScriptedEvent(term, SourceSpan(line_no, column, len(stripped))))
     return EventScript(tuple(entries))
 
 
@@ -668,9 +669,9 @@ def _fast_round(stripped, seen_rounds, ins, outs, alphabet) -> tuple[int, Round]
     return number, Round(tuple(offers), frozenset(ready), explicit_ready)
 
 
-def _token_round(stripped, line_no, seen_rounds, ins, outs, alphabet) -> tuple[int, Round]:
-    """One ``round`` line through the token parser; raises its ParseFailure."""
-    p = _Parser(_lex(stripped, first_line=line_no))
+def _token_round(tokens, seen_rounds, ins, outs, alphabet) -> tuple[int, Round]:
+    """One ``round`` line's tokens through the token parser; raises its ParseFailure."""
+    p = _Parser(tokens)
     p.expect_ident("round")
     number_tok = p.expect_int()
     digits = number_tok.text.lstrip("0") or "0"
@@ -754,7 +755,7 @@ def parse_env(text: str, circuit: Circuit | None = None) -> EnvScript:
         if circuit is not None
         else (None, None, None)
     )
-    for index, (line_no, stripped) in enumerate(_content_lines(text)):
+    for index, (line_no, column, stripped) in enumerate(_content_lines(text)):
         entry = _fast_round(stripped, seen_rounds, *checks)
         if entry is None:
             words = re.split("[ \t\r]+", stripped, maxsplit=1)
@@ -767,10 +768,9 @@ def parse_env(text: str, circuit: Circuit | None = None) -> EnvScript:
                 else:
                     policy = value
                     continue
-                raise ParseFailure(
-                    [ParseError(SourceSpan(line_no, 1, len(stripped)), "BAD_POLICY", message)]
-                )
-            entry = _token_round(stripped, line_no, seen_rounds, *checks)
+                span = SourceSpan(line_no, column, len(stripped))
+                raise ParseFailure([ParseError(span, "BAD_POLICY", message)])
+            entry = _token_round(_lex(stripped, line_no, column), seen_rounds, *checks)
         seen_rounds.add(entry[0])
         rounds.append(entry)
     rounds.sort(key=lambda pair: pair[0])
@@ -807,8 +807,8 @@ def parse_map(text: str, circuit: Circuit | None = None) -> EventMap:
         ports = {p.name for p in circuit.ports}
     entries: list[tuple[str, str | None, str]] = []
     seen: set[tuple[str, str | None]] = set()
-    for line_no, stripped in _content_lines(text):
-        p = _Parser(_lex(stripped, first_line=line_no))
+    for line_no, column, stripped in _content_lines(text):
+        p = _Parser(_lex(stripped, line_no, column))
         port_tok = p.expect_ident()
         datum = None
         if p.at_sym("="):

@@ -9,6 +9,7 @@ environment and map all ship as DSL text under ``reokit/data/``.
 
 from __future__ import annotations
 
+import functools
 import json
 from dataclasses import dataclass
 from importlib import resources
@@ -35,8 +36,9 @@ def _data(name: str) -> str:
     return resources.files("reokit").joinpath(f"data/{name}").read_text()
 
 
+@functools.cache
 def builtin_circuit() -> Circuit:
-    """The rescue circuit, parsed from the shipped DSL text."""
+    """The rescue circuit, parsed from the shipped DSL text once per process."""
     return dsl.parse_circuit(_data("rescue.circuit"))
 
 

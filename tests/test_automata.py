@@ -56,11 +56,11 @@ def test_sat_assignments_matches_naive_enumeration():
             kind = rng.randrange(3)
             if kind == 0 and len(names) >= 2:
                 x, y = rng.sample(names, 2)
-                g = g.conj(A.eq(x, y))
+                g = A.conj(g, A.eq(x, y))
             elif kind == 1:
-                g = g.conj(A.const(rng.choice(names), rng.choice(values)))
+                g = A.conj(g, A.const(rng.choice(names), rng.choice(values)))
             else:
-                g = g.conj(A.member(rng.choice(names), rng.sample(values, rng.randint(1, 2))))
+                g = A.conj(g, A.member(rng.choice(names), rng.sample(values, rng.randint(1, 2))))
         fast = A.sat_assignments(g, sync, ALPHABET)
         slow = []
         import itertools
@@ -85,12 +85,12 @@ def test_project_agrees_with_assignment_projection():
             kind = rng.randrange(3)
             if kind == 0:
                 x, y = rng.sample(sorted(names), 2)
-                g = g.conj(A.eq(x, y))
+                g = A.conj(g, A.eq(x, y))
             elif kind == 1:
-                g = g.conj(A.const(rng.choice(sorted(names)), rng.choice(values)))
+                g = A.conj(g, A.const(rng.choice(sorted(names)), rng.choice(values)))
             else:
-                g = g.conj(
-                    A.member(rng.choice(sorted(names)), rng.sample(values, rng.randint(1, 2)))
+                g = A.conj(
+                    g, A.member(rng.choice(sorted(names)), rng.sample(values, rng.randint(1, 2)))
                 )
         projected = A.project(g, keep, names, ALPHABET)
         expected = {
@@ -397,6 +397,57 @@ def test_compile_hides_once(rescue_circuit):
     with mock.patch.object(A, "hide", wraps=A.hide) as hide:
         A.compile_circuit(rescue_circuit)
     assert hide.call_count == 1
+
+
+def test_join_and_hide_keep_guards_canonical():
+    # join passes a move that fires alone through with its guard unprojected,
+    # so every automaton it reads, and every one it or hide builds, must hold
+    # guards that project returns unchanged
+    rng = random.Random(10)
+    autos = []
+    for _ in range(150):
+        a, b = random_automaton(rng), random_automaton(rng)
+        joined = A.join(A.join(a, sync_ab("b", "c")), b)
+        hidden = frozenset(rng.sample(sorted(joined.names), rng.randint(0, len(joined.names))))
+        autos += [A.join(a, b), joined, A.hide(joined, hidden)]
+    for _ in range(30):
+        c = random_circuit(rng, max_extra=4)
+        autos += [A.compile_circuit(c), A.join_many(A.circuit_automata(c), A._flow_order(c))]
+    guarded = 0
+    for auto in autos:
+        for t in auto.transitions:
+            assert A.project(t.guard, t.sync, t.sync, auto.alphabet) == t.guard, t
+            guarded += bool(t.guard.atoms)
+    assert guarded > 1000
+
+
+_RETAINED_SCRIPT = """
+import gc, tracemalloc
+from reokit import automata, rescue
+circuit = rescue.builtin_circuit()
+gc.collect()
+tracemalloc.start()
+automaton = automata.compile_circuit(circuit)
+del automaton
+gc.collect()
+print(tracemalloc.get_traced_memory()[0])
+"""
+
+
+def test_compile_keeps_nothing_once_its_result_is_dropped():
+    # a fresh process, so no earlier compile in this one has warmed any state
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    result = subprocess.run(
+        [sys.executable, "-c", _RETAINED_SCRIPT],
+        capture_output=True, text=True, env=env, timeout=120, check=True,
+    )
+    assert int(result.stdout) < 1_000_000
+
+
+def test_rescue_compile_projects_only_combined_guards(rescue_circuit):
+    with mock.patch.object(A, "project", wraps=A.project) as project:
+        A.compile_circuit(rescue_circuit)
+    assert project.call_count <= 2_000
 
 
 def test_flow_order_lists_every_automaton(rescue_circuit):

@@ -101,11 +101,28 @@ MALFORMED = [
     "rule r10: A => A",
 ]
 
+# Indented lines of the line formats: spans count from the start of the source line.
+LINE_MALFORMED = [
+    (dsl.parse_events, "   A B"),
+    (dsl.parse_events, "  Alarm Fire"),
+    (dsl.parse_events, "ok\n\t P(A"),
+    (dsl.parse_env, "    round 1: offer a=ok @"),
+    (dsl.parse_env, "\t round 1 offer a=ok"),
+    (dsl.parse_env, "  policy"),
+    (dsl.parse_map, "  a -> X Y"),
+    (dsl.parse_map, "\t a ->"),
+]
+
 
 def test_malformed_corpus_spans_point_at_reported_token():
     lines_by_input = {}
-    for text in MALFORMED:
-        parse = dsl.parse_rulebase if text.lstrip().startswith(("rule", "protocol", "fact")) else dsl.parse_circuit
+    for text in MALFORMED + LINE_MALFORMED:
+        if isinstance(text, tuple):
+            parse, text = text
+        elif text.lstrip().startswith(("rule", "protocol", "fact")):
+            parse = dsl.parse_rulebase
+        else:
+            parse = dsl.parse_circuit
         with pytest.raises(dsl.ParseFailure) as exc:
             parse(text)
         err = exc.value.errors[0]
@@ -113,11 +130,12 @@ def test_malformed_corpus_spans_point_at_reported_token():
         line = text.splitlines()[err.span.line - 1]
         token = line[err.span.column - 1 : err.span.column - 1 + err.span.length]
         if token:
+            assert token == token.strip(), (text, err)  # a span starts and ends on a token
             assert token in err.message or repr(token) in err.message, (text, err)
         else:  # at end of input
             assert "end of input" in err.message
         lines_by_input[text] = err
-    assert len(lines_by_input) == 30
+    assert len(lines_by_input) == 30 + len(LINE_MALFORMED)
 
 
 # -- rule DSL -----------------------------------------------------------------
@@ -367,7 +385,9 @@ def test_line_formats_split_lines_like_lex(parse, text, odd):
 def test_line_formats_read_crlf():
     env = dsl.parse_env("policy closed\r\nround 1: offer a=ok \r\n\r\nround 2: ready b\r\n")
     assert env.default_policy == POLICY_CLOSED and len(env) == 2
-    assert dsl.parse_events("A\r\n  B \r\n").terms() == [S.Atom("A"), S.Atom("B")]
+    events = dsl.parse_events("A\r\n  B \r\n")
+    assert events.terms() == [S.Atom("A"), S.Atom("B")]
+    assert [e.span for e in events.entries] == [dsl.SourceSpan(1, 1, 1), dsl.SourceSpan(2, 3, 1)]
     assert dsl.parse_map("a -> X\r\nb=ok -> Y\r\n").entries == (("a", None, "X"), ("b", "ok", "Y"))
 
 

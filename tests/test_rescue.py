@@ -1,4 +1,5 @@
 import json
+from unittest import mock
 
 from reokit import dsl, rescue
 from reokit.automata import sat_assignments
@@ -234,3 +235,10 @@ def test_scenario_report_json_deterministic(rescue_auto):
     assert a == b
     doc = json.loads(a)
     assert set(doc) == {"trace", "events", "verdict", "analysis"}
+
+
+def test_run_rescue_parses_the_shipped_circuit_at_most_once(rescue_auto):
+    with mock.patch.object(dsl, "parse_circuit", wraps=dsl.parse_circuit) as parse:
+        run(auto=rescue_auto)
+        run(auto=rescue_auto)
+    assert parse.call_count <= 1

@@ -185,7 +185,7 @@ def brute_product(a: A.ConstraintAutomaton, b: A.ConstraintAutomaton):
             for tb in [t for t in b.transitions if t.src == q]:
                 if ta.sync & b.names == tb.sync & a.names:
                     sync = ta.sync | tb.sync
-                    norm = A.project(ta.guard.conj(tb.guard), sync, sync, a.alphabet)
+                    norm = A.project(A.conj(ta.guard, tb.guard), sync, sync, a.alphabet)
                     if norm is not None:
                         transitions.add(
                             ((p, q), sync, norm.sort_key(), (ta.dst, tb.dst))
