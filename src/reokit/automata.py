@@ -218,7 +218,8 @@ class ConstraintAutomaton:
     of ``build_automaton`` and ``compile_circuit`` results are in
     ``Transition.sort_key`` order; ``join`` and ``hide`` results are only
     grouped by source state, ascending. ``moves`` is the one expansion of
-    a state into steps, which simulation and analysis read. Invariant: every
+    a state into steps, which simulation and analysis read; ``offer_index``
+    adds the per-move memo that simulation fills. Invariant: every
     guard is canonical, ``project(t.guard, t.sync, t.sync, alphabet) == t.guard``;
     ``build_automaton``, ``join`` and ``hide`` keep it, and ``join`` relies on it.
     """
@@ -257,6 +258,28 @@ class ConstraintAutomaton:
                 for t in sorted(self.outgoing(state), key=Transition.sort_key)
             )
         return self._moves[state]
+
+    @functools.cached_property
+    def _offer_index(self) -> tuple[dict, dict]:
+        return {}, {}  # by state, and by (sync, guard)
+
+    def offer_index(self, state: int) -> tuple:
+        """``moves(state)`` as ``(transition, sorted sync names, assignments,
+        memo)``. ``memo`` is a dict kept with the automaton, which
+        ``sim.enabled`` fills with the assignments that the offered values on
+        those names admit. Those depend only on the sync-set and the guard, so
+        every move with the same pair shares one memo."""
+        by_state, by_label = self._offer_index
+        index = by_state.get(state)
+        if index is None:
+            moves = []
+            for t, assignments in self.moves(state):
+                shared = by_label.get((t.sync, t.guard))
+                if shared is None:
+                    shared = by_label[t.sync, t.guard] = (tuple(sorted(t.sync)), assignments, {})
+                moves.append((t, *shared))
+            index = by_state[state] = tuple(moves)
+        return index
 
 
 def state_name(i: int) -> str:

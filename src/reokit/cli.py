@@ -24,7 +24,6 @@ from .sim import (
     Firing,
     SimConfig,
     enabled,
-    round_rng,
     simulate,
     step,
     trace_from_json,
@@ -196,10 +195,7 @@ def cmd_repl(args) -> int:
                     data = ",".join(f"{k}={v}" for k, v in sorted(assignment.items()))
                     print(f"{{{','.join(sorted(t.sync))}}} {data}")
             elif cmd == "fire":
-                outcome = step(
-                    auto, state, round_no, offers, frozenset(ready),
-                    round_rng(args.seed, round_no),
-                )
+                outcome = step(auto, state, round_no, offers, frozenset(ready), args.seed)
                 if isinstance(outcome, Firing):
                     data = ",".join(f"{k}={v}" for k, v in sorted(outcome.assignment))
                     print(f"fired {{{','.join(sorted(outcome.sync))}}} {data}")

@@ -763,12 +763,15 @@ def parse_env(text: str, circuit: Circuit | None = None) -> EnvScript:
                 value = words[1] if len(words) > 1 else ""
                 if value not in (POLICY_CLOSED, POLICY_ALL_READY):
                     message = f"policy must be 'closed' or 'all-ready', found {value!r}"
+                    # the value, which ends the line, or the word when it is missing
+                    start = len(stripped) - len(value) if value else 0
+                    span = SourceSpan(line_no, column + start, len(value or words[0]))
                 elif index > 0:
                     message = "policy may be given once, before the first round"
+                    span = SourceSpan(line_no, column, len(stripped))
                 else:
                     policy = value
                     continue
-                span = SourceSpan(line_no, column, len(stripped))
                 raise ParseFailure([ParseError(span, "BAD_POLICY", message)])
             entry = _token_round(_lex(stripped, line_no, column), seen_rounds, *checks)
         seen_rounds.add(entry[0])

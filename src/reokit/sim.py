@@ -4,12 +4,15 @@ The environment is scripted per round: offers pin data on boundary-in
 ports, readiness enables boundary-out ports. One automaton transition
 fires per round (or the round stalls); ties between enabled steps are
 broken uniformly by a deterministic per-round generator, so the same
-(automaton, script, seed) always yields a byte-identical trace.
+(automaton, script, seed) always yields a byte-identical trace. The
+generator is built only in a round with a choice, two or more enabled
+steps, since it is used for nothing else.
 Unconsumed offers do not persist into the next round.
 """
 
 from __future__ import annotations
 
+import bisect
 import functools
 import hashlib
 import json
@@ -48,6 +51,18 @@ class EnvScript:
     def _by_number(self) -> dict[int, Round]:
         # reversed, so the first listing of a round number wins
         return dict(reversed(self.rounds))
+
+    @functools.cached_property
+    def _numbers(self) -> tuple[int, ...]:
+        return tuple(sorted(self._by_number))
+
+    def next_listed(self, n: int) -> int:
+        """The first round from ``n`` on that the script lists; ``len(self) + 1``
+        when there is none."""
+        if n in self._by_number:
+            return n
+        i = bisect.bisect_left(self._numbers, n)
+        return self._numbers[i] if i < len(self._numbers) else len(self) + 1
 
     def round(self, n: int, all_outs: frozenset[str]) -> tuple[dict[str, str], frozenset[str]]:
         """Offers and effective readiness for round n."""
@@ -148,6 +163,11 @@ def trace_from_json(text: str) -> Trace:
     return trace
 
 
+# stands for every offered value outside the alphabet in a memo key: no
+# assignment carries one, so they all admit the same (no) assignments
+_OUTSIDE = object()
+
+
 def enabled(
     a: ConstraintAutomaton,
     state: int,
@@ -156,14 +176,40 @@ def enabled(
 ) -> list[tuple[Transition, dict[str, str]]]:
     """The (transition, assignment) pairs of ``a.moves(state)``, in that
     order, whose sync-set names are all offered or ready and whose offered
-    names all carry the offered value."""
-    return [
-        (t, dict(assignment))
-        for t, assignments in a.moves(state)
-        if all(n in offers or n in ready for n in t.sync)
-        for assignment in assignments
-        if all(offers.get(n, v) == v for n, v in assignment)
-    ]
+    names all carry the offered value.
+
+    A move is a candidate when its sync-set is a subset of the offered and
+    ready names. Which of its assignments match then depends only on the
+    values offered on its sync-set, so that filter is memoized in the memo
+    ``a.offer_index(state)`` gives the move, keyed on those values (None
+    where a name is only ready).
+    """
+    avail = ready | offers.keys()
+    options = []
+    for t, ports, assignments, memo in a.offer_index(state):
+        if t.sync <= avail:
+            key = tuple(map(offers.get, ports))
+            matches = memo.get(key)
+            if matches is None:
+                matches = _admitted(key, assignments, memo, a.alphabet)
+            for assignment in matches:
+                options.append((t, dict(assignment)))
+    return options
+
+
+def _admitted(key: tuple, assignments: tuple, memo: dict, alphabet: frozenset[str]) -> tuple:
+    """The assignments that agree with every offered value in ``key``, stored
+    in ``memo`` under ``key`` with each value outside the alphabet replaced
+    by ``_OUTSIDE``, so such values add at most one key per pattern."""
+    key = tuple(v if v is None or v in alphabet else _OUTSIDE for v in key)
+    matches = memo.get(key)
+    if matches is None:
+        matches = memo[key] = tuple(
+            assignment
+            for assignment in assignments
+            if all(v is None or v == w for v, (_, w) in zip(key, assignment))
+        )
+    return matches
 
 
 def round_rng(seed: int, round_no: int) -> random.Random:
@@ -178,13 +224,19 @@ def step(
     round_no: int,
     offers: dict[str, str],
     ready: frozenset[str],
-    rng: random.Random,
+    seed: int,
 ) -> Firing | Stall:
-    """One round: uniform choice over the enabled pairs, or a stall."""
+    """One round: uniform choice over the enabled pairs, or a stall.
+
+    The choice is ``round_rng(seed, round_no).randrange(len(options))``.
+    That generator serves this one draw, and ``randrange(1)`` is always 0,
+    so it is built only when there are two or more options.
+    """
     options = enabled(a, state, offers, ready)
     if not options:
         return Stall(round_no)
-    transition, assignment = options[rng.randrange(len(options))]
+    pick = round_rng(seed, round_no).randrange(len(options)) if len(options) > 1 else 0
+    transition, assignment = options[pick]
     return Firing(
         round=round_no,
         sync=transition.sync,
@@ -205,6 +257,10 @@ def simulate(
     Port direction comes from the automaton: offers must name its
     ``inputs`` and readiness its boundary-out names, ``names - inputs``;
     the script is checked against them before round 1.
+
+    Every round the script does not list has the same offers (none) and
+    readiness, so a state that stalls in one stalls in each until the next
+    listed round: those rounds are recorded as stalls without stepping.
     """
     inputs, outputs = a.inputs, a.names - a.inputs
     for _, r in env.rounds:
@@ -217,10 +273,18 @@ def simulate(
 
     trace = Trace(circuit=circuit_name, seed=cfg.seed)
     state = a.initial
-    for n in range(1, min(len(env), cfg.max_rounds) + 1):
+    last = min(len(env), cfg.max_rounds)
+    n = 1
+    while n <= last:
         offers, ready = env.round(n, outputs)
-        outcome = step(a, state, n, offers, ready, round_rng(cfg.seed, n))
+        outcome = step(a, state, n, offers, ready, cfg.seed)
         trace.steps.append(outcome)
         if isinstance(outcome, Firing):
             state = outcome.state_after
+        else:
+            resume = min(env.next_listed(n), last + 1)
+            if resume > n:
+                trace.steps.extend(Stall(m) for m in range(n + 1, resume))
+                n = resume - 1
+        n += 1
     return trace

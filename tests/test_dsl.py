@@ -109,6 +109,7 @@ LINE_MALFORMED = [
     (dsl.parse_env, "    round 1: offer a=ok @"),
     (dsl.parse_env, "\t round 1 offer a=ok"),
     (dsl.parse_env, "  policy"),
+    (dsl.parse_env, "  policy bogus"),
     (dsl.parse_map, "  a -> X Y"),
     (dsl.parse_map, "\t a ->"),
 ]
@@ -273,11 +274,15 @@ def test_env_syntax_errors_pinned():
         "SYNTAX", (1, 28, 1), "expected '=', found 'b'"
     )
     assert _env_error("round 1: ready b @") == ("LEX_ERROR", (1, 18, 1), "unknown character '@'")
+    # a bad value is spanned, a missing one by the policy word
     assert _env_error("policy sometimes") == (
-        "BAD_POLICY", (1, 1, 16), "policy must be 'closed' or 'all-ready', found 'sometimes'"
+        "BAD_POLICY", (1, 8, 9), "policy must be 'closed' or 'all-ready', found 'sometimes'"
     )
     assert _env_error("policy") == (
         "BAD_POLICY", (1, 1, 6), "policy must be 'closed' or 'all-ready', found ''"
+    )
+    assert _env_error(" policy\tclosed  extra") == (
+        "BAD_POLICY", (1, 9, 13), "policy must be 'closed' or 'all-ready', found 'closed  extra'"
     )
 
 

@@ -1,7 +1,12 @@
 import dataclasses
+import hashlib
 import itertools
 import json
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -9,7 +14,15 @@ from reokit import automata as A
 from reokit import dsl, rescue
 from reokit import sim
 
-from util import ALPHABET, LOSSY_TEXT, MERGER_TEXT, MINIMAL_SYNC_TEXT, random_circuit
+from util import (
+    ALPHABET,
+    LOSSY_TEXT,
+    MERGER_TEXT,
+    MINIMAL_SYNC_TEXT,
+    SEQ3_TEXT,
+    random_circuit,
+    random_rescue_env,
+)
 
 
 def compiled(text):
@@ -66,9 +79,28 @@ def test_enabled_matches_brute_force_oracle():
                     ready = frozenset(n for n in names if rng.random() < 0.6)
                     expected = enabled_oracle(auto, state, offers, ready)
                     assert sim.enabled(auto, state, offers, ready) == expected
+                    # the second call reads the offer memo the first one filled
+                    assert sim.enabled(auto, state, offers, ready) == expected
                     unpinned = enabled_oracle(auto, state, {}, ready | offers.keys())
                     forbidden_offers += len(unpinned) > len(expected)
     assert unsorted_states and forbidden_offers
+
+
+def test_offer_memo_stays_small_for_values_outside_the_alphabet():
+    _, auto = compiled(MERGER_TEXT)
+    state = auto.initial
+
+    def memo_keys():
+        return sum(len(memo) for *_, memo in auto.offer_index(state))
+
+    ready = frozenset({"b"})
+    assert sim.enabled(auto, state, {"a1": "ok", "a2": "junk"}, ready) != []
+    size = memo_keys()
+    for i in range(500):
+        offers = {"a1": f"junk{i}", "a2": f"other{i}"}
+        assert sim.enabled(auto, state, offers, ready) == enabled_oracle(auto, state, offers, ready)
+        assert sim.enabled(auto, state, {"a1": "ok", "a2": f"x{i}"}, ready) != []
+    assert memo_keys() <= size + 2
 
 
 def test_simulate_expands_each_state_once(rescue_auto, monkeypatch):
@@ -99,24 +131,110 @@ def test_simulate_expands_each_state_once(rescue_auto, monkeypatch):
 
 def test_step_stall_and_singleton():
     _, auto = compiled(MINIMAL_SYNC_TEXT)
-    rng = random.Random(0)
-    outcome = sim.step(auto, auto.initial, 1, {}, frozenset(), rng)
+    outcome = sim.step(auto, auto.initial, 1, {}, frozenset(), 0)
     assert isinstance(outcome, sim.Stall)
     for seed in range(10):
-        outcome = sim.step(
-            auto, auto.initial, 1, {"a": "ok"}, frozenset({"b"}), sim.round_rng(seed, 1)
-        )
+        outcome = sim.step(auto, auto.initial, 1, {"a": "ok"}, frozenset({"b"}), seed)
         assert isinstance(outcome, sim.Firing)
         assert outcome.sync == frozenset({"a", "b"})
+
+
+def simulate_oracle(auto, env, cfg, circuit_name=""):
+    """``simulate`` by definition: ``step`` folded over every round."""
+    trace = sim.Trace(circuit=circuit_name, seed=cfg.seed)
+    state = auto.initial
+    for n in range(1, min(len(env), cfg.max_rounds) + 1):
+        offers, ready = env.round(n, auto.names - auto.inputs)
+        outcome = sim.step(auto, state, n, offers, ready, cfg.seed)
+        trace.steps.append(outcome)
+        if isinstance(outcome, sim.Firing):
+            state = outcome.state_after
+    return trace
+
+
+def counting(monkeypatch, module, name):
+    calls = []
+    real = getattr(module, name)
+
+    def wrapper(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(module, name, wrapper)
+    return calls
+
+
+def test_simulate_skips_a_run_of_unlisted_stalls(monkeypatch):
+    c, auto = compiled(MINIMAL_SYNC_TEXT)
+    for policy, fired in (("all-ready", [50000]), ("closed", [])):
+        env = env_lines(f"policy {policy}\nround 50000: offer a=ok", c)
+        cfg = sim.SimConfig(seed=2)
+        expected = simulate_oracle(auto, env, cfg, c.name)
+        with monkeypatch.context() as patch:
+            calls = counting(patch, sim, "enabled")
+            trace = sim.simulate(auto, env, cfg, c.name)
+        assert len(calls) <= 3
+        assert trace == expected
+        assert len(trace.steps) == 50000
+        assert [f.round for f in trace.firings()] == fired
+        capped = sim.SimConfig(seed=2, max_rounds=700)
+        assert sim.simulate(auto, env, capped, c.name) == simulate_oracle(auto, env, capped, c.name)
+
+
+def test_simulate_agrees_with_stepping_every_round():
+    # sparse scripts over random circuits, both policies, a round cap, and
+    # scripts built by hand out of order; seq3 needs no offers, so under
+    # all-ready its unlisted rounds fire
+    rng = random.Random(77)
+    subjects = [dsl.parse_circuit(SEQ3_TEXT)] + [random_circuit(rng, max_extra=3) for _ in range(30)]
+    unlisted_firings = 0
+    for c in subjects:
+        auto = A.compile_circuit(c)
+        values = sorted(c.alphabet)
+        for policy in (sim.POLICY_ALL_READY, sim.POLICY_CLOSED):
+            listed = rng.sample(range(1, 61), rng.randint(1, 8))
+            rounds = [
+                (n, sim.Round(
+                    tuple((p, rng.choice(values)) for p in sorted(c.inputs) if rng.random() < 0.7),
+                    frozenset(p for p in sorted(c.outputs) if rng.random() < 0.5),
+                    explicit_ready=rng.random() < 0.5,
+                ))
+                for n in listed
+            ]
+            env = sim.EnvScript(tuple(rounds), default_policy=policy)
+            for cfg in (sim.SimConfig(seed=rng.randrange(100)), sim.SimConfig(max_rounds=rng.randint(0, 60))):
+                trace = sim.simulate(auto, env, cfg, c.name)
+                assert trace == simulate_oracle(auto, env, cfg, c.name), (c, env, cfg)
+                unlisted_firings += sum(f.round not in listed for f in trace.firings())
+    assert unlisted_firings
+
+
+def test_round_generator_only_for_a_choice(rescue_auto, monkeypatch):
+    env = random_rescue_env(rescue_auto, 3, rounds=300)
+    calls = counting(monkeypatch, sim, "round_rng")
+    trace = sim.simulate(rescue_auto, env, sim.SimConfig(seed=3), "rescue")
+    state, choices = rescue_auto.initial, 0
+    for outcome in trace.steps:
+        offers, ready = env.round(outcome.round, rescue_auto.names - rescue_auto.inputs)
+        choices += len(enabled_oracle(rescue_auto, state, offers, ready)) > 1
+        if isinstance(outcome, sim.Firing):
+            state = outcome.state_after
+    assert [n for _, n in calls] == sorted(n for _, n in calls)
+    assert len(calls) == choices > 50
+    # sync(a, b) never has two options: a stall or a single firing
+    c, auto = compiled(MINIMAL_SYNC_TEXT)
+    env = env_lines("\n".join(f"round {n}: offer a=ok" for n in range(1, 40, 2)), c)
+    calls.clear()
+    trace = sim.simulate(auto, env, sim.SimConfig(seed=3), c.name)
+    assert len(trace.firings()) == 20 and len(trace.steps) == 39
+    assert calls == []
 
 
 def test_step_uniform_tie_break_on_lossy():
     _, auto = compiled(LOSSY_TEXT)
     passes = 0
     for seed in range(100):
-        outcome = sim.step(
-            auto, auto.initial, 1, {"a": "ok"}, frozenset({"b"}), sim.round_rng(seed, 1)
-        )
+        outcome = sim.step(auto, auto.initial, 1, {"a": "ok"}, frozenset({"b"}), seed)
         assert isinstance(outcome, sim.Firing)
         if "b" in outcome.sync:
             passes += 1
@@ -133,7 +251,7 @@ def test_merger_sees_both_alternatives():
             1,
             {"a1": "ok", "a2": "ok"},
             frozenset({"b"}),
-            sim.round_rng(seed, 1),
+            seed,
         )
         seen.add(tuple(sorted(outcome.sync)))
     assert seen == {("a1", "b"), ("a2", "b")}
@@ -264,3 +382,42 @@ def test_trace_roundtrip_is_exact(rescue_auto):
         trace = sim.simulate(auto, env, sim.SimConfig(seed=seed), c.name)
         assert len(trace.steps) == 12
         assert sim.trace_from_json(trace.to_json()) == trace, seed
+
+
+# sha256 of the trace JSON of the rescue automaton under
+# random_rescue_env(auto, seed) with SimConfig(seed=seed), 2,000 rounds each
+RESCUE_TRACE_SHA256 = {
+    0: "6eccec6ab3882c92867789d4b4e4aad05af56135f7119143cabbfaecca9c7047",
+    1: "5bc3afd6d1075710df7e78093de7b5c063d41cb1d3510d4e6a6e2b2e7fc5fbd9",
+    2: "f62f4cfc4242c706c0045a7b052f31988b219e8f5a468bbf197c3e17228a8fab",
+    3: "ee871039910d3affaf31e787a4888c087c13edee795582769067b0ee4d3adbeb",
+    4: "e5fb6c2906ff18976a20e006e579051372b76f81257acb210a121f47f4f0dbbb",
+}
+
+_DIGEST_SCRIPT = """
+import hashlib
+from reokit import automata, rescue, sim
+from util import random_rescue_env
+auto = automata.compile_circuit(rescue.builtin_circuit())
+for seed in range(5):
+    trace = sim.simulate(auto, random_rescue_env(auto, seed), sim.SimConfig(seed=seed), "rescue")
+    print(seed, hashlib.sha256(trace.to_json().encode()).hexdigest())
+"""
+
+
+def test_rescue_traces_stay_byte_identical(rescue_auto):
+    for seed, digest in RESCUE_TRACE_SHA256.items():
+        env = random_rescue_env(rescue_auto, seed)
+        trace = sim.simulate(rescue_auto, env, sim.SimConfig(seed=seed), "rescue")
+        assert hashlib.sha256(trace.to_json().encode()).hexdigest() == digest, seed
+    # and in fresh processes, under two string hash seeds
+    here = Path(__file__).resolve().parent
+    expected = "".join(f"{seed} {digest}\n" for seed, digest in RESCUE_TRACE_SHA256.items())
+    for hash_seed in ("0", "1"):
+        env = dict(os.environ, PYTHONHASHSEED=hash_seed)
+        env["PYTHONPATH"] = os.pathsep.join([str(here.parent / "src"), str(here)])
+        result = subprocess.run(
+            [sys.executable, "-c", _DIGEST_SCRIPT],
+            capture_output=True, text=True, env=env, timeout=120, check=True,
+        )
+        assert result.stdout == expected, hash_seed

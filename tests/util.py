@@ -205,3 +205,20 @@ def brute_product(a: A.ConstraintAutomaton, b: A.ConstraintAutomaton):
                     nxt.append(dst)
         frontier = nxt
     return pairs, transitions, reach
+
+
+def random_rescue_env(auto: A.ConstraintAutomaton, seed: int, rounds: int = 2000):
+    """A seeded env for the rescue automaton under policy closed: each round
+    offers a random subset of the inputs with random values (``bad`` among
+    them) and, most rounds, makes a random subset of the outputs ready."""
+    from reokit import sim
+
+    rng = random.Random(seed)
+    values = sorted(auto.alphabet)
+    ins, outs = sorted(auto.inputs), sorted(auto.names - auto.inputs)
+    script = []
+    for n in range(1, rounds + 1):
+        offers = tuple((p, rng.choice(values)) for p in ins if rng.random() < 0.5)
+        ready = frozenset(p for p in outs if rng.random() < 0.7)
+        script.append((n, sim.Round(offers, ready, explicit_ready=rng.random() < 0.9)))
+    return sim.EnvScript(tuple(script), default_policy=sim.POLICY_CLOSED)
