@@ -21,8 +21,8 @@ Word = tuple[Step, ...]
 def expanded_steps(a: ConstraintAutomaton, state: int) -> list[tuple[Step, int]]:
     """All (label, successor) pairs from a state, fully expanded and sorted."""
     return sorted(
-        ((tuple(sorted(t.sync)), assignment), t.dst)
-        for t, assignments in a.moves(state)
+        ((ports, assignment), t.dst)
+        for t, ports, assignments, _ in a.moves(state)
         for assignment in assignments
     )
 
@@ -33,7 +33,7 @@ def reachable(a: ConstraintAutomaton) -> set[int]:
     stack = [a.initial]
     while stack:
         s = stack.pop()
-        for t, assignments in a.moves(s):
+        for t, _, assignments, _ in a.moves(s):
             if assignments and t.dst not in seen:
                 seen.add(t.dst)
                 stack.append(t.dst)
@@ -45,7 +45,7 @@ def deadlocks(a: ConstraintAutomaton) -> list[int]:
     return [
         s
         for s in sorted(reachable(a))
-        if not any(assignments for _, assignments in a.moves(s))
+        if not any(assignments for _, _, assignments, _ in a.moves(s))
     ]
 
 

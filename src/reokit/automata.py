@@ -218,8 +218,7 @@ class ConstraintAutomaton:
     of ``build_automaton`` and ``compile_circuit`` results are in
     ``Transition.sort_key`` order; ``join`` and ``hide`` results are only
     grouped by source state, ascending. ``moves`` is the one expansion of
-    a state into steps, which simulation and analysis read; ``offer_index``
-    adds the per-move memo that simulation fills. Invariant: every
+    a state into steps, which simulation and analysis read. Invariant: every
     guard is canonical, ``project(t.guard, t.sync, t.sync, alphabet) == t.guard``;
     ``build_automaton``, ``join`` and ``hide`` keep it, and ``join`` relies on it.
     """
@@ -242,44 +241,32 @@ class ConstraintAutomaton:
         return self._outgoing.get(state, ())
 
     @functools.cached_property
-    def _moves(self) -> dict[int, tuple]:
-        return {}
-
-    def moves(self, state: int) -> tuple:
-        """``state``'s transitions in ``Transition.sort_key`` order, each paired
-        with its ``sat_assignments`` as sorted ``(name, value)`` tuples; a
-        state is expanded on first use and kept."""
-        if state not in self._moves:
-            self._moves[state] = tuple(
-                (t, tuple(
-                    tuple(sorted(a.items()))
-                    for a in sat_assignments(t.guard, t.sync, self.alphabet)
-                ))
-                for t in sorted(self.outgoing(state), key=Transition.sort_key)
-            )
-        return self._moves[state]
-
-    @functools.cached_property
-    def _offer_index(self) -> tuple[dict, dict]:
+    def _moves(self) -> tuple[dict, dict]:
         return {}, {}  # by state, and by (sync, guard)
 
-    def offer_index(self, state: int) -> tuple:
-        """``moves(state)`` as ``(transition, sorted sync names, assignments,
-        memo)``. ``memo`` is a dict kept with the automaton, which
-        ``sim.enabled`` fills with the assignments that the offered values on
-        those names admit. Those depend only on the sync-set and the guard, so
-        every move with the same pair shares one memo."""
-        by_state, by_label = self._offer_index
-        index = by_state.get(state)
-        if index is None:
+    def moves(self, state: int) -> tuple:
+        """``state``'s transitions in ``Transition.sort_key`` order, each as
+        ``(transition, ports, assignments, memo)``: ``ports`` is the sorted
+        sync-set, ``assignments`` its ``sat_assignments`` as sorted ``(name,
+        value)`` tuples, and ``memo`` a dict that ``sim.enabled`` fills. The
+        last three depend only on the sync-set and the guard, so each such
+        label is expanded once and shared by every state; a state is
+        expanded on first use and kept."""
+        by_state, by_label = self._moves
+        if state not in by_state:
             moves = []
-            for t, assignments in self.moves(state):
-                shared = by_label.get((t.sync, t.guard))
-                if shared is None:
-                    shared = by_label[t.sync, t.guard] = (tuple(sorted(t.sync)), assignments, {})
-                moves.append((t, *shared))
-            index = by_state[state] = tuple(moves)
-        return index
+            for t in sorted(self.outgoing(state), key=Transition.sort_key):
+                label = by_label.get((t.sync, t.guard))
+                if label is None:
+                    assignments = sat_assignments(t.guard, t.sync, self.alphabet)
+                    label = by_label[t.sync, t.guard] = (
+                        tuple(sorted(t.sync)),
+                        tuple(tuple(sorted(a.items())) for a in assignments),
+                        {},
+                    )
+                moves.append((t, *label))
+            by_state[state] = tuple(moves)
+        return by_state[state]
 
 
 def state_name(i: int) -> str:

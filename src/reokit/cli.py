@@ -232,8 +232,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("compile", parents=[common], help="compile a circuit to an automaton")
     p.add_argument("path")
-    p.add_argument("--json", action="store_true", help="emit automaton JSON (default)")
-    p.add_argument("--dot", action="store_true", help="emit automaton DOT")
+    fmt = p.add_mutually_exclusive_group()
+    fmt.add_argument("--json", action="store_true", help="emit automaton JSON (default)")
+    fmt.add_argument("--dot", action="store_true", help="emit automaton DOT")
     p.add_argument("--stats", action="store_true", help="print state/transition counts")
     p.set_defaults(fn=cmd_compile)
 

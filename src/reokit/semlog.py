@@ -24,6 +24,7 @@ from __future__ import annotations
 import bisect
 import json
 from collections import deque
+from collections.abc import KeysView
 from dataclasses import dataclass, field
 
 P_OP = "P"
@@ -385,7 +386,6 @@ class SaturationResult:
     """One ``saturate()`` run; ``NOT_CONVERGED`` in ``diagnostics`` is this
     run's alone, not the engine's, so a later run can still come out clean."""
 
-    facts: list[Term]
     converged: bool
     passes: int
     diagnostics: list[str]
@@ -526,7 +526,9 @@ def check_sequence(
 class ComplianceEngine:
     """Single-writer fact store with ingest-time counting and saturation.
 
-    Facts live in ``facts`` and in one persistent index, ``_index``: per
+    Each fact is a key of ``derivations``, which maps it to its first
+    derivation; ``facts`` is a read-only view of those keys. The facts are
+    also kept in one persistent index, ``_index``: per
     ``_tag`` bucket, a list of ``(term_key(fact), fact)`` pairs kept in
     key order by ``bisect.insort``; ``_tags`` lists the buckets in sorted
     order. ``_fresh`` collects the pairs added since the last saturation
@@ -542,7 +544,6 @@ class ComplianceEngine:
         self.rulebase = rulebase
         self.max_depth = max_depth
         self.max_iterations = max_iterations
-        self.facts: set[Term] = set()
         self.derivations: dict[Term, Derivation] = {}
         self.events: list[Event] = []
         self.diagnostics: list[str] = []
@@ -564,6 +565,11 @@ class ComplianceEngine:
                     Derivation(f"reified {rule.name}", (), 0),
                     set(),
                 )
+
+    @property
+    def facts(self) -> KeysView[Term]:
+        """Every fact in the store, as a read-only view."""
+        return self.derivations.keys()
 
     # -- ingest -----------------------------------------------------------
 
@@ -645,9 +651,8 @@ class ComplianceEngine:
         return bool(new)
 
     def _add_fact(self, term, derivation, new) -> None:
-        if term in self.facts:
+        if term in self.derivations:
             return
-        self.facts.add(term)
         self.derivations[term] = derivation
         new.add(term)
         pair = (term_key(term), term)
@@ -685,7 +690,6 @@ class ComplianceEngine:
         self._converged = converged
         stopped = f"NOT_CONVERGED: no fixpoint within {self.max_iterations} passes"
         return SaturationResult(
-            facts=self.sorted_facts(),
             converged=converged,
             passes=passes,
             diagnostics=self.diagnostics + ([] if converged else [stopped]),
@@ -714,7 +718,7 @@ class ComplianceEngine:
                 if not all(self._guard_ok(g, binding) for g in rule.guards):
                     continue
                 conclusion = substitute(rule.conclusion, binding)
-                if conclusion in self.facts or conclusion in pending:
+                if conclusion in self.derivations or conclusion in pending:
                     continue
                 if depth(conclusion) > self.max_depth:
                     self._diag(f"DEPTH_LIMIT: dropped {pretty(conclusion)}")
@@ -756,7 +760,7 @@ class ComplianceEngine:
         only_fresh = not rest and not used_fresh
         if isinstance(head, Var) and head.name in binding:
             term = binding[head.name]
-            if term in (fresh_terms if only_fresh else self.facts):
+            if term in (fresh_terms if only_fresh else self.derivations):
                 yield from self._bindings(
                     rest, binding, fresh, fresh_terms, used_fresh or term in fresh_terms
                 )
@@ -793,7 +797,7 @@ class ComplianceEngine:
             # the warned Warning(...) term, with the provenance of its Resolved fact
             resolved=[(fact.arg, d) for fact, d in self._judged(RESOLVED_OP)],
             order_violations=[v for w in self._order_watches for v in w.violations],
-            facts_total=len(self.facts),
+            facts_total=len(self.derivations),
             diagnostics=list(self.diagnostics),
         )
 
@@ -802,10 +806,10 @@ class ComplianceEngine:
         return [(fact, self.derivations[fact]) for _, fact in bucket]
 
     def explain(self, fact: Term) -> DerivationNode:
-        if fact not in self.facts:
+        if fact not in self.derivations:
             raise UnknownFactError(pretty(fact))
         derivation = self.derivations[fact]
-        children = [self.explain(p) for p in derivation.premises if p in self.facts]
+        children = [self.explain(p) for p in derivation.premises if p in self.derivations]
         return DerivationNode(fact, derivation.rule, children)
 
     def sorted_facts(self) -> list[Term]:

@@ -135,8 +135,9 @@ def trace_from_json(text: str) -> Trace:
     """Rebuild a Trace from its JSON form, exactly: state ``sN`` is ``N``.
 
     Raises ValueError for a document that is not an object, a missing
-    key, a value of the wrong type, or a state reference that is not
-    ``s<int>``.
+    key, a value of the wrong type, a firing whose ``sync`` is not a list
+    of names or whose ``data`` does not have exactly those names as keys,
+    or a state reference that is not ``s<int>``.
     """
     doc = json.loads(text)
     if not isinstance(doc, dict):
@@ -147,11 +148,16 @@ def trace_from_json(text: str) -> Trace:
             if entry["kind"] == "stall":
                 trace.steps.append(Stall(round=entry["round"]))
                 continue
+            sync, data = entry["sync"], entry["data"]
+            if not (isinstance(sync, list) and all(isinstance(n, str) for n in sync)):
+                raise ValueError(f"firing sync {sync!r} is not a list of names")
+            if not (isinstance(data, dict) and data.keys() == set(sync)):
+                raise ValueError(f"firing data {data!r} does not name exactly {sorted(set(sync))}")
             trace.steps.append(
                 Firing(
                     round=entry["round"],
-                    sync=frozenset(entry["sync"]),
-                    assignment=tuple(sorted(entry["data"].items())),
+                    sync=frozenset(sync),
+                    assignment=tuple(sorted(data.items())),
                     state_before=state_index(entry["from"]),
                     state_after=state_index(entry["to"]),
                 )
@@ -180,13 +186,12 @@ def enabled(
 
     A move is a candidate when its sync-set is a subset of the offered and
     ready names. Which of its assignments match then depends only on the
-    values offered on its sync-set, so that filter is memoized in the memo
-    ``a.offer_index(state)`` gives the move, keyed on those values (None
-    where a name is only ready).
+    values offered on its sync-set, so that filter is memoized in the
+    move's memo, keyed on those values (None where a name is only ready).
     """
     avail = ready | offers.keys()
     options = []
-    for t, ports, assignments, memo in a.offer_index(state):
+    for t, ports, assignments, memo in a.moves(state):
         if t.sync <= avail:
             key = tuple(map(offers.get, ports))
             matches = memo.get(key)

@@ -10,7 +10,7 @@ def rescue_circuit():
 
 @pytest.fixture(scope="session")
 def rescue_auto(rescue_circuit):
-    # compiled once (about 0.4 s), shared across every test that needs it
+    # compiled once (about 0.15 s), shared across every test that needs it
     return automata.compile_circuit(rescue_circuit)
 
 

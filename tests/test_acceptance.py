@@ -315,11 +315,14 @@ def test_criterion_8_determinism(rescue_circuit, rescue_auto):
     for t in stream:
         stepped.ingest(t)
         stepped.saturate()
-    assert batched.saturate().facts == stepped.saturate().facts
+    batched.saturate()
+    stepped.saturate()
+    assert batched.sorted_facts() == stepped.sorted_facts()
     rerun = rescue_engine()
     for t in stream:
         rerun.ingest(t)
-    assert rerun.saturate().facts == batched.saturate().facts
+    rerun.saturate()
+    assert rerun.sorted_facts() == batched.sorted_facts()
 
     rng = random.Random(88)
     for _ in range(200):

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import os
 import random
@@ -506,6 +507,44 @@ def test_compiled_transitions_all_satisfiable():
         auto = A.compile_circuit(c)
         for t in auto.transitions:
             assert A.sat_assignments(t.guard, t.sync, auto.alphabet)
+
+
+def test_moves_expand_each_label_once_and_share_it():
+    rng = random.Random(12)
+    shared = 0
+    for _ in range(40):
+        auto = A.compile_circuit(random_circuit(rng, max_extra=3))
+        by_label = {}
+        for s in range(auto.n_states):
+            moves = auto.moves(s)
+            assert [t for t, *_ in moves] == sorted(auto.outgoing(s), key=A.Transition.sort_key)
+            for t, ports, assignments, memo in moves:
+                assert ports == tuple(sorted(t.sync))
+                assert assignments == tuple(
+                    tuple(sorted(a.items()))
+                    for a in A.sat_assignments(t.guard, t.sync, auto.alphabet)
+                )
+                first = by_label.setdefault((t.sync, t.guard), (ports, assignments, memo))
+                assert first[0] is ports and first[1] is assignments and first[2] is memo
+        shared += len(by_label) < len(auto.transitions)
+    assert shared > 0
+
+
+def test_analyze_expands_each_label_once(rescue_auto, monkeypatch):
+    auto = dataclasses.replace(rescue_auto)  # no expansion cached yet
+    calls = []
+    real = A.sat_assignments
+
+    def counting(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(A, "sat_assignments", counting)
+    report = AN.analyze(auto)
+    assert report.reachable_count == auto.n_states == 96
+    labels = {(t.sync, t.guard) for t in auto.transitions}
+    assert len(labels) == 56
+    assert 0 < len(calls) <= len(labels)
 
 
 def test_export_formats_deterministic():

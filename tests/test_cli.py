@@ -84,6 +84,10 @@ def test_compile_json_and_dot(mini):
     assert doc["names"] == ["a", "b"]
     as_dot = run_cli("compile", str(mini), "--dot")
     assert "digraph" in as_dot.stdout
+    both = run_cli("compile", str(mini), "--json", "--dot")
+    assert both.returncode == 2
+    assert "not allowed with argument" in both.stderr
+    assert both.stdout == ""
 
 
 def test_unknown_flag_exits_two(mini):
@@ -294,6 +298,8 @@ def test_comply_malformed_trace_exits_two(tmp_path):
         "top-level array": [firing],
         "firing without sync": {"circuit": "rescue", "seed": 0, "rounds": [no_sync]},
         "state not s<int>": {"circuit": "rescue", "seed": 0, "rounds": [{**firing, "to": 3}]},
+        "sync not a list": {"circuit": "rescue", "seed": 0, "rounds": [{**firing, "sync": "case1"}]},
+        "data lacks a sync port": {"circuit": "rescue", "seed": 0, "rounds": [{**firing, "data": {}}]},
     }
     for what, doc in cases.items():
         trace = tmp_path / "t.json"

@@ -213,17 +213,20 @@ def test_saturation_deterministic_and_batch_independent():
     eng1 = rescue_engine()
     for t in stream:
         eng1.ingest(t)
-    r1 = eng1.saturate()
+    eng1.saturate()
+    r1 = eng1.sorted_facts()
     eng2 = rescue_engine()
     for t in stream:
         eng2.ingest(t)
         eng2.saturate()
-    r2 = eng2.saturate()
-    assert r1.facts == r2.facts
+    eng2.saturate()
+    r2 = eng2.sorted_facts()
+    assert r1 == r2
     eng3 = rescue_engine()
     for t in stream:
         eng3.ingest(t)
-    assert eng3.saturate().facts == r1.facts
+    eng3.saturate()
+    assert eng3.sorted_facts() == r1
 
 
 def test_monotone_growth():

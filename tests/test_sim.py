@@ -91,7 +91,7 @@ def test_offer_memo_stays_small_for_values_outside_the_alphabet():
     state = auto.initial
 
     def memo_keys():
-        return sum(len(memo) for *_, memo in auto.offer_index(state))
+        return sum(len(memo) for *_, memo in auto.moves(state))
 
     ready = frozenset({"b"})
     assert sim.enabled(auto, state, {"a1": "ok", "a2": "junk"}, ready) != []
@@ -104,7 +104,8 @@ def test_offer_memo_stays_small_for_values_outside_the_alphabet():
 
 
 def test_simulate_expands_each_state_once(rescue_auto, monkeypatch):
-    # the guards are enumerated once per transition, not once per round
+    # the guards are enumerated once per sync-set and guard, not once per
+    # transition or per round
     auto = dataclasses.replace(rescue_auto)  # no expansion cached yet
     calls = []
     real = A.sat_assignments
@@ -126,7 +127,7 @@ def test_simulate_expands_each_state_once(rescue_auto, monkeypatch):
     )
     trace = sim.simulate(auto, env, sim.SimConfig(seed=6), "rescue")
     assert len(trace.firings()) > 500
-    assert 0 < len(calls) <= len(auto.transitions)
+    assert 0 < len(calls) <= len({(t.sync, t.guard) for t in auto.transitions})
 
 
 def test_step_stall_and_singleton():
