@@ -67,39 +67,6 @@ def traces_upto(a: ConstraintAutomaton, k: int) -> list[Word]:
     return sorted(words)
 
 
-def observable_traces(a: ConstraintAutomaton, visible, k: int) -> list[Word]:
-    """Words over ``visible`` names of length <= k, ignoring silent steps.
-
-    Steps are projected onto the visible names (data included); a step
-    whose projection is empty advances the state without consuming depth.
-    This enumerator is independent of hide(), which makes it usable as an
-    oracle for hiding correctness: for any automaton A,
-    observable_traces(A, V, k) == traces_upto(hide(A, names - V), k).
-    """
-    visible = frozenset(visible)
-    words: set[Word] = set()
-    seen: set[tuple[int, Word]] = set()
-    frontier: list[tuple[int, Word]] = [(a.initial, ())]
-    while frontier:
-        nxt: list[tuple[int, Word]] = []
-        for state, word in frontier:
-            if (state, word) in seen:
-                continue
-            seen.add((state, word))
-            words.add(word)
-            for step, dst in expanded_steps(a, state):
-                sync, data = step
-                proj_sync = tuple(n for n in sync if n in visible)
-                proj_data = tuple((n, v) for n, v in data if n in visible)
-                if proj_sync:
-                    if len(word) < k:
-                        nxt.append((dst, word + ((proj_sync, proj_data),)))
-                else:
-                    nxt.append((dst, word))
-        frontier = nxt
-    return sorted(words)
-
-
 def bisimilar(a: ConstraintAutomaton, b: ConstraintAutomaton) -> bool:
     """Strong bisimilarity of the initial states.
 

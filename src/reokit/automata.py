@@ -1,14 +1,17 @@
 """Constraint-automata semantics for coordination circuits.
 
 A constraint automaton steps by firing a non-empty set of port names
-("sync-set") together under a data constraint. Constraints here are
-conjunctions of atoms over a finite alphabet:
+("sync-set") together under a data constraint, its guard. A guard is a
+conjunction of atoms over a finite alphabet:
 
     true, d(n)=d(m), d(n)=v, d(n) in S
 
-which is closed under conjunction and, because equality is the only
-inter-name atom, also closed under existential elimination of names.
-Satisfiability is decided by finite-domain enumeration; no solver.
+held as the frozenset of its atom tuples, ("eq", n, m) with n < m,
+("const", n, v) and ("in", n, items) with items a sorted tuple; the empty
+set is true. The language is closed under conjunction (set union) and,
+because equality is the only inter-name atom, also closed under
+existential elimination of names. Satisfiability is decided by
+finite-domain enumeration; no solver.
 """
 
 from __future__ import annotations
@@ -52,91 +55,59 @@ class EmptyNodeError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class Constraint:
-    """A conjunction of data atoms; the empty conjunction is true.
-
-    Atoms are tuples: ("eq", n, m) with n < m, ("const", n, v), and
-    ("in", n, items) with items a sorted tuple.
-    """
-
-    atoms: frozenset[tuple]
-
-    def names(self) -> frozenset[str]:
-        out = set()
-        for atom in self.atoms:
-            out.add(atom[1])
-            if atom[0] == EQ:
-                out.add(atom[2])
-        return frozenset(out)
-
-    def holds(self, assignment: dict[str, str]) -> bool:
-        for atom in self.atoms:
-            tag = atom[0]
-            if tag == EQ:
-                if assignment[atom[1]] != assignment[atom[2]]:
-                    return False
-            elif tag == CONST:
-                if assignment[atom[1]] != atom[2]:
-                    return False
-            else:
-                if assignment[atom[1]] not in atom[2]:
-                    return False
-        return True
-
-    def sort_key(self) -> tuple:
-        return tuple(sorted(self.atoms))
-
-    def pretty(self) -> str:
-        if not self.atoms:
-            return "true"
-        parts = []
-        for atom in sorted(self.atoms):
-            if atom[0] == EQ:
-                parts.append(f"d({atom[1]})=d({atom[2]})")
-            elif atom[0] == CONST:
-                parts.append(f"d({atom[1]})={atom[2]}")
-            else:
-                parts.append(f"d({atom[1]}) in {{{','.join(atom[2])}}}")
-        return " & ".join(parts)
+TRUE: frozenset[tuple] = frozenset()
 
 
-TRUE = Constraint(frozenset())
-
-
-def eq(a: str, b: str) -> Constraint:
+def eq(a: str, b: str) -> frozenset[tuple]:
     if a == b:
         return TRUE
     lo, hi = sorted((a, b))
-    return Constraint(frozenset({(EQ, lo, hi)}))
+    return frozenset({(EQ, lo, hi)})
 
 
-def const(n: str, v: str) -> Constraint:
-    return Constraint(frozenset({(CONST, n, v)}))
+def const(n: str, v: str) -> frozenset[tuple]:
+    return frozenset({(CONST, n, v)})
 
 
-def member(n: str, items) -> Constraint:
-    return Constraint(frozenset({(MEMBER, n, tuple(sorted(items)))}))
+def member(n: str, items) -> frozenset[tuple]:
+    return frozenset({(MEMBER, n, tuple(sorted(items)))})
 
 
-def conj(*constraints: Constraint) -> Constraint:
-    atoms: frozenset[tuple] = frozenset()
-    for c in constraints:
-        atoms |= c.atoms
-    return Constraint(atoms)
+def conj(*guards: frozenset[tuple]) -> frozenset[tuple]:
+    return TRUE.union(*guards)
+
+
+def guard_names(g: frozenset[tuple]) -> frozenset[str]:
+    """The names guard ``g`` mentions."""
+    return frozenset(n for atom in g for n in (atom[1:] if atom[0] == EQ else atom[1:2]))
+
+
+def pretty(g: frozenset[tuple]) -> str:
+    """How every output writes guard ``g``."""
+    if not g:
+        return "true"
+    parts = []
+    for atom in sorted(g):
+        if atom[0] == EQ:
+            parts.append(f"d({atom[1]})=d({atom[2]})")
+        elif atom[0] == CONST:
+            parts.append(f"d({atom[1]})={atom[2]}")
+        else:
+            parts.append(f"d({atom[1]}) in {{{','.join(atom[2])}}}")
+    return " & ".join(parts)
 
 
 def _classes(
-    atoms, names, alphabet: frozenset[str]
+    g: frozenset[tuple], names, alphabet: frozenset[str]
 ) -> tuple[dict[str, str], dict[str, frozenset[str]]]:
-    """Equality classes of ``names`` under the eq atoms.
+    """Equality classes of ``names`` under the eq atoms of guard ``g``.
 
     Returns the class root of each name and the values each root still
     allows after the const and member atoms.
     """
-    root = partition(names, ((a[1], a[2]) for a in atoms if a[0] == EQ))
+    root = partition(names, ((a[1], a[2]) for a in g if a[0] == EQ))
     allowed = {r: alphabet for r in root.values()}
-    for atom in atoms:
+    for atom in g:
         if atom[0] == CONST:
             allowed[root[atom[1]]] &= {atom[2]}
         elif atom[0] == MEMBER:
@@ -145,16 +116,16 @@ def _classes(
 
 
 def project(
-    g: Constraint, keep: frozenset[str], names: frozenset[str], alphabet: frozenset[str]
-) -> Constraint | None:
+    g: frozenset[tuple], keep: frozenset[str], names: frozenset[str], alphabet: frozenset[str]
+) -> frozenset[tuple] | None:
     """Existentially eliminate every name outside ``keep``.
 
-    Returns the projected constraint in canonical form, or None when ``g``
+    Returns the projected guard in canonical form, or None when ``g``
     is unsatisfiable over ``alphabet``. With ``keep == names`` this is a
     canonicalizer-plus-satisfiability check, and it returns a canonical
     guard unchanged.
     """
-    root, allowed = _classes(g.atoms, names, alphabet)
+    root, allowed = _classes(g, names, alphabet)
     if not all(allowed.values()):
         return None
     visible: dict[str, list[str]] = {}
@@ -169,11 +140,11 @@ def project(
                 atoms.add((CONST, members[0], next(iter(vals))))
             else:
                 atoms.add((MEMBER, members[0], tuple(sorted(vals))))
-    return Constraint(frozenset(atoms))
+    return frozenset(atoms)
 
 
 def sat_assignments(
-    g: Constraint, sync: frozenset[str], alphabet: frozenset[str]
+    g: frozenset[tuple], sync: frozenset[str], alphabet: frozenset[str]
 ) -> list[dict[str, str]]:
     """All total assignments on the sync-set satisfying ``g``, sorted.
 
@@ -181,10 +152,10 @@ def sat_assignments(
     set factors over equality classes: enumerate one value per class
     from its allowed set instead of the full alphabet^|sync| product.
     """
-    extra = g.names() - sync
+    extra = guard_names(g) - sync
     if extra:
         raise UnknownNameError(f"constraint names {sorted(extra)} outside sync-set")
-    root, allowed = _classes(g.atoms, sync, alphabet)
+    root, allowed = _classes(g, sync, alphabet)
     roots = sorted(allowed)
     choices = [sorted(allowed[r]) for r in roots]
     if not all(choices):
@@ -202,11 +173,11 @@ def sat_assignments(
 class Transition:
     src: int
     sync: frozenset[str]
-    guard: Constraint
+    guard: frozenset[tuple]
     dst: int
 
     def sort_key(self) -> tuple:
-        return (self.src, tuple(sorted(self.sync)), self.guard.sort_key(), self.dst)
+        return (self.src, tuple(sorted(self.sync)), tuple(sorted(self.guard)), self.dst)
 
 
 @dataclass(frozen=True)
@@ -217,9 +188,12 @@ class ConstraintAutomaton:
     automaton the boundary-out names are ``names - inputs``. Transitions
     of ``build_automaton`` and ``compile_circuit`` results are in
     ``Transition.sort_key`` order; ``join`` and ``hide`` results are only
-    grouped by source state, ascending. ``moves`` is the one expansion of
-    a state into steps, which simulation and analysis read. Invariant: every
-    guard is canonical, ``project(t.guard, t.sync, t.sync, alphabet) == t.guard``;
+    grouped by source state, ascending. Each transition's guard is a
+    frozenset of atom tuples over names in its sync-set, so it is its own
+    key in the memos of ``join``, ``hide`` and ``moves``. ``moves`` is the
+    one expansion of a state into steps, which simulation and analysis
+    read. Invariant: every guard is canonical,
+    ``project(t.guard, t.sync, t.sync, alphabet) == t.guard``;
     ``build_automaton``, ``join`` and ``hide`` keep it, and ``join`` relies on it.
     """
 
@@ -312,9 +286,9 @@ def build_automaton(
             raise ValueError("transition sync-set may not be empty")
         if not sync <= names:
             raise UnknownNameError(f"sync-set {sorted(sync)} not within {sorted(names)}")
-        if not guard.names() <= sync:
+        if not guard_names(guard) <= sync:
             raise UnknownNameError(
-                f"guard references {sorted(guard.names() - sync)} outside sync-set"
+                f"guard references {sorted(guard_names(guard) - sync)} outside sync-set"
             )
         norm = project(guard, sync, sync, alphabet)
         if norm is None:
@@ -465,7 +439,7 @@ def join(a: ConstraintAutomaton, b: ConstraintAutomaton) -> ConstraintAutomaton:
         for tb in b.outgoing(q):
             groups.setdefault(tb.sync & a.names, []).append(tb)
         b_by_shared[q] = groups
-    combined: dict[tuple, tuple[frozenset, Constraint | None]] = {}
+    combined: dict[tuple, tuple[frozenset, frozenset | None]] = {}
 
     def steps(pq: tuple[int, int]):
         p, q = pq
@@ -475,7 +449,7 @@ def join(a: ConstraintAutomaton, b: ConstraintAutomaton) -> ConstraintAutomaton:
             if not shared:
                 yield ta.sync, ta.guard, (ta.dst, q)
             for tb in groups.get(shared, ()):
-                key = (ta.sync, ta.guard.atoms, tb.sync, tb.guard.atoms)
+                key = (ta.sync, ta.guard, tb.sync, tb.guard)
                 if key not in combined:
                     sync = ta.sync | tb.sync
                     guard = project(conj(ta.guard, tb.guard), sync, sync, a.alphabet)
@@ -512,13 +486,13 @@ def hide(a: ConstraintAutomaton, hidden) -> ConstraintAutomaton:
         raise UnknownNameError(
             f"cannot hide {sorted(hidden - a.names)}: not names of the automaton"
         )
-    observable: dict[int, list[tuple[frozenset, Constraint, int]]] = {
+    observable: dict[int, list[tuple[frozenset, frozenset, int]]] = {
         s: [] for s in range(a.n_states)
     }
     silent: dict[int, set[int]] = {s: set() for s in range(a.n_states)}
-    projected: dict[tuple, tuple[frozenset, Constraint | None]] = {}
+    projected: dict[tuple, tuple[frozenset, frozenset | None]] = {}
     for t in a.transitions:
-        key = (t.sync, t.guard.atoms)
+        key = (t.sync, t.guard)
         if key not in projected:
             sync = t.sync - hidden
             projected[key] = (sync, project(t.guard, sync, t.sync, a.alphabet))
@@ -660,7 +634,7 @@ def automaton_to_json(a: ConstraintAutomaton) -> str:
             {
                 "from": t.src,
                 "sync": sorted(t.sync),
-                "constraint": t.guard.pretty(),
+                "constraint": pretty(t.guard),
                 "to": t.dst,
             }
             for t in a.transitions
@@ -678,7 +652,7 @@ def automaton_to_dot(a: ConstraintAutomaton) -> str:
     out.append(f"  __start -> {dot_quote(state_name(a.initial))};")
     for t in a.transitions:
         src, dst = dot_quote(state_name(t.src)), dot_quote(state_name(t.dst))
-        label = dot_quote("{" + ",".join(sorted(t.sync)) + "} " + t.guard.pretty())
+        label = dot_quote("{" + ",".join(sorted(t.sync)) + "} " + pretty(t.guard))
         out.append(f"  {src} -> {dst} [label={label}];")
     out.append("}")
     return "\n".join(out) + "\n"

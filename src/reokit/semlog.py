@@ -378,7 +378,6 @@ class Event:
 class Derivation:
     rule: str
     premises: tuple[Term, ...]
-    depth: int
 
 
 @dataclass
@@ -557,12 +556,12 @@ class ComplianceEngine:
         self._order_watches = [_OrderWatch(order) for order in rulebase.orders]
         for sf in rulebase.facts:
             label = f"standing fact {sf.name}" if sf.name else "standing fact"
-            self._add_fact(sf.term, Derivation(label, (), 0), set())
+            self._add_fact(sf.term, Derivation(label, ()), set())
         for rule in self._event_rules:
             if is_ground(rule.premises[0]) and is_ground(rule.conclusion):
                 self._add_fact(
                     Implies(rule.premises[0], rule.conclusion),
-                    Derivation(f"reified {rule.name}", (), 0),
+                    Derivation(f"reified {rule.name}", ()),
                     set(),
                 )
 
@@ -605,10 +604,10 @@ class ComplianceEngine:
         for watch in self._order_watches:
             watch.observe(event)
         if via is None:
-            derivation = Derivation(f"event #{event.index}", (), 0)
+            derivation = Derivation(f"event #{event.index}", ())
         else:
             rule_name, premise = via
-            derivation = Derivation(rule_name, (premise,), self._depth_after(premise))
+            derivation = Derivation(rule_name, (premise,))
         self._add_fact(term, derivation, new)
         if event_like(term):
             k = self._counts.get(term, 0) + 1
@@ -621,7 +620,7 @@ class ComplianceEngine:
                 name = "r11" if k == 1 else "r10"
                 self._add_fact(
                     count_fact,
-                    Derivation(name, premises, self._depth_after(*premises)),
+                    Derivation(name, premises),
                     new,
                 )
         for rule in self._event_rules:
@@ -636,7 +635,7 @@ class ComplianceEngine:
             else:
                 self._add_fact(
                     conclusion,
-                    Derivation(rule.name, (term,), self._depth_after(term)),
+                    Derivation(rule.name, (term,)),
                     new,
                 )
 
@@ -645,7 +644,7 @@ class ComplianceEngine:
         if not is_ground(term):
             raise ValueError("facts must be ground")
         new: set[Term] = set()
-        self._add_fact(term, Derivation(label, (), 0), new)
+        self._add_fact(term, Derivation(label, ()), new)
         if new:
             self._converged = False
         return bool(new)
@@ -663,10 +662,6 @@ class ComplianceEngine:
             bisect.insort(self._tags, tag)
         bisect.insort(bucket, pair)
         self._fresh.append(pair)
-
-    def _depth_after(self, *premises: Term) -> int:
-        known = [d.depth for d in map(self.derivations.get, premises) if d is not None]
-        return 1 + max(known, default=0)
 
     def _diag(self, message: str) -> None:
         if message not in self.diagnostics:
@@ -726,9 +721,7 @@ class ComplianceEngine:
                 premises = tuple(
                     substitute(p, binding) for p in rule.premises
                 )
-                pending[conclusion] = Derivation(
-                    rule.name, premises, self._depth_after(*premises)
-                )
+                pending[conclusion] = Derivation(rule.name, premises)
         new: set[Term] = set()
         for conclusion, derivation in pending.items():
             self._add_fact(conclusion, derivation, new)

@@ -135,9 +135,10 @@ def trace_from_json(text: str) -> Trace:
     """Rebuild a Trace from its JSON form, exactly: state ``sN`` is ``N``.
 
     Raises ValueError for a document that is not an object, a missing
-    key, a value of the wrong type, a firing whose ``sync`` is not a list
-    of names or whose ``data`` does not have exactly those names as keys,
-    or a state reference that is not ``s<int>``.
+    key, a ``rounds`` entry that is not an object, a step whose ``round``
+    is not an int, a firing whose ``sync`` is not a list of names or whose
+    ``data`` does not map exactly those names to strings, or a state
+    reference that is not ``s<int>``.
     """
     doc = json.loads(text)
     if not isinstance(doc, dict):
@@ -145,17 +146,22 @@ def trace_from_json(text: str) -> Trace:
     try:
         trace = Trace(circuit=doc["circuit"], seed=doc["seed"])
         for entry in doc["rounds"]:
+            number = entry["round"]
+            if isinstance(number, bool) or not isinstance(number, int):
+                raise ValueError(f"round {number!r} is not an int")
             if entry["kind"] == "stall":
-                trace.steps.append(Stall(round=entry["round"]))
+                trace.steps.append(Stall(round=number))
                 continue
             sync, data = entry["sync"], entry["data"]
             if not (isinstance(sync, list) and all(isinstance(n, str) for n in sync)):
                 raise ValueError(f"firing sync {sync!r} is not a list of names")
             if not (isinstance(data, dict) and data.keys() == set(sync)):
                 raise ValueError(f"firing data {data!r} does not name exactly {sorted(set(sync))}")
+            if not all(isinstance(v, str) for v in data.values()):
+                raise ValueError(f"firing data {data!r} has a value that is not a string")
             trace.steps.append(
                 Firing(
-                    round=entry["round"],
+                    round=number,
                     sync=frozenset(sync),
                     assignment=tuple(sorted(data.items())),
                     state_before=state_index(entry["from"]),

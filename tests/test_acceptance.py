@@ -29,6 +29,7 @@ from reokit.sim import SimConfig, simulate
 from util import (
     ALPHABET,
     SEQ3_TEXT,
+    observable_traces,
     random_automaton,
     random_circuit,
     random_tame_circuit,
@@ -51,7 +52,7 @@ def _ok(n, message):
 
 def transition_set(auto):
     return {
-        (t.src, tuple(sorted(t.sync)), tuple(sorted(t.guard.atoms)), t.dst)
+        (t.src, tuple(sorted(t.sync)), tuple(sorted(t.guard)), t.dst)
         for t in auto.transitions
     }
 
@@ -144,7 +145,7 @@ def test_criterion_3_hiding_correctness():
         c, hidden = random_tame_circuit(rng)
         full = A.join_many(A.circuit_automata(c))
         ports = frozenset(p.name for p in c.ports)
-        assert AN.observable_traces(full, ports, 6) == AN.traces_upto(hidden, 6)
+        assert observable_traces(full, ports, 6) == AN.traces_upto(hidden, 6)
     sync_ab = A.build_automaton(
         {"a", "b"}, ["q"], "q", [("q", {"a", "b"}, A.eq("a", "b"), "q")], ALPHABET
     )

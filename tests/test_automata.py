@@ -2,6 +2,7 @@ import dataclasses
 import hashlib
 import os
 import random
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -19,6 +20,7 @@ from util import (
     MINIMAL_SYNC_TEXT,
     SEQ3_TEXT,
     brute_product,
+    holds,
     random_automaton,
     random_circuit,
 )
@@ -68,7 +70,7 @@ def test_sat_assignments_matches_naive_enumeration():
 
         for combo in itertools.product(values, repeat=len(names)):
             assignment = dict(zip(sorted(names), combo))
-            if g.holds(assignment):
+            if holds(g, assignment):
                 slow.append(assignment)
         assert sorted(map(repr, fast)) == sorted(map(repr, slow))
 
@@ -135,7 +137,7 @@ def test_channel_construction_counts():
     # over a value domain a fifo keeps only those values and its init
     ok_only = A.ca_of_channel(C.Channel("f", C.FIFO1, "x", "y"), ALPHABET, {"ok"})
     assert ok_only.n_states == 2
-    assert {t.guard.pretty() for t in ok_only.transitions} == {"d(f.a)=ok", "d(f.b)=ok"}
+    assert {A.pretty(t.guard) for t in ok_only.transitions} == {"d(f.a)=ok", "d(f.b)=ok"}
     with_init = A.ca_of_channel(
         C.Channel("f", C.FIFO1, "x", "y", init="bad"), ALPHABET, {"ok"}
     )
@@ -245,7 +247,7 @@ def test_join_agrees_with_brute_force_oracle_on_fifo_pair():
         if src in number
     }
     ours = {
-        (t.src, tuple(sorted(t.sync)), t.guard.sort_key(), t.dst)
+        (t.src, tuple(sorted(t.sync)), t.guard, t.dst)
         for t in joined.transitions
     }
     assert ours == mapped
@@ -418,7 +420,7 @@ def test_join_and_hide_keep_guards_canonical():
     for auto in autos:
         for t in auto.transitions:
             assert A.project(t.guard, t.sync, t.sync, auto.alphabet) == t.guard, t
-            guarded += bool(t.guard.atoms)
+            guarded += bool(t.guard)
     assert guarded > 1000
 
 
@@ -474,7 +476,7 @@ def test_join_many_rejects_a_bad_order():
 def test_synchronous_cycle_keeps_every_value(channels):
     c = parse_circuit(f"circuit loop {{ data {{ ok, bad }} ports {{ out o; }} {channels} }}")
     auto = A.compile_circuit(c)
-    moves = {(tuple(sorted(t.sync)), t.guard.pretty()) for t in auto.transitions}
+    moves = {(tuple(sorted(t.sync)), A.pretty(t.guard)) for t in auto.transitions}
     assert moves >= {(("o",), "d(o)=bad"), (("o",), "d(o)=ok")}
 
 
@@ -560,9 +562,25 @@ def test_export_formats_deterministic():
 RESCUE_JSON_SHA256 = "83a7895db792bcb197844b877db19b50dcb996887ee5b98ac2553456551ebdde"
 
 
+# sha256 of automaton_to_json plus automaton_to_dot over seeded random draws:
+# compiled random circuits, and joins and hides of random automata over three
+# values, the only draws whose guards can keep an "in" atom
+RANDOM_EXPORT_SHA256 = "35f68e9e506118618860428eb8bfa370473579ebfe4a99da8fedf2893327bd5b"
+
+
 def test_rescue_compile_json_pinned(rescue_auto):
     text = A.automaton_to_json(rescue_auto)
     assert hashlib.sha256(text.encode()).hexdigest() == RESCUE_JSON_SHA256
+    rng = random.Random(2026)
+    autos = [A.compile_circuit(random_circuit(rng, max_extra=4)) for _ in range(200)]
+    three = ALPHABET | {"late"}
+    for _ in range(100):
+        joined = A.join(random_automaton(rng, three), random_automaton(rng, three))
+        autos += [joined, A.hide(joined, joined.names & {"b"})]
+    exported = "".join(A.automaton_to_json(auto) + A.automaton_to_dot(auto) for auto in autos)
+    for atom in (r"d\([^)]+\)=d\(", r"d\([^)]+\)=(ok|bad|late)", r"d\([^)]+\) in \{", r"\} true"):
+        assert re.search(atom, exported), atom  # every guard kind is pinned
+    assert hashlib.sha256(exported.encode()).hexdigest() == RANDOM_EXPORT_SHA256
 
 
 _ORDER_SCRIPT = """

@@ -300,6 +300,13 @@ def test_comply_malformed_trace_exits_two(tmp_path):
         "state not s<int>": {"circuit": "rescue", "seed": 0, "rounds": [{**firing, "to": 3}]},
         "sync not a list": {"circuit": "rescue", "seed": 0, "rounds": [{**firing, "sync": "case1"}]},
         "data lacks a sync port": {"circuit": "rescue", "seed": 0, "rounds": [{**firing, "data": {}}]},
+        "round not an int": {"circuit": "rescue", "seed": 0, "rounds": [{**firing, "round": "x"}]},
+        "data value not a string": {
+            "circuit": "rescue", "seed": 0, "rounds": [{**firing, "data": {"police_alarm": ["ok"]}}],
+        },
+        "stall round a bool": {
+            "circuit": "rescue", "seed": 0, "rounds": [{"kind": "stall", "round": True}],
+        },
     }
     for what, doc in cases.items():
         trace = tmp_path / "t.json"

@@ -20,6 +20,7 @@ from util import (
     MERGER_TEXT,
     MINIMAL_SYNC_TEXT,
     SEQ3_TEXT,
+    holds,
     random_circuit,
     random_rescue_env,
 )
@@ -53,7 +54,7 @@ def enabled_oracle(auto, state, offers, ready):
         ports = sorted(t.sync)
         for values in itertools.product(sorted(auto.alphabet), repeat=len(ports)):
             assignment = dict(zip(ports, values))
-            if t.guard.holds(assignment) and all(
+            if holds(t.guard, assignment) and all(
                 offers[n] == v if n in offers else n in ready
                 for n, v in assignment.items()
             ):

@@ -7,6 +7,7 @@ import random
 
 from reokit import automata as A
 from reokit import circuit as C
+from reokit.analysis import Word, expanded_steps
 
 ALPHABET = frozenset({"ok", "bad"})
 
@@ -49,7 +50,56 @@ circuit merger {
 """
 
 
-def random_guard(rng: random.Random, sync: list[str], alphabet=ALPHABET) -> A.Constraint:
+def holds(g: frozenset[tuple], assignment: dict[str, str]) -> bool:
+    """Oracle: whether ``assignment`` satisfies guard ``g``, atom by atom."""
+    for atom in g:
+        tag = atom[0]
+        if tag == A.EQ:
+            if assignment[atom[1]] != assignment[atom[2]]:
+                return False
+        elif tag == A.CONST:
+            if assignment[atom[1]] != atom[2]:
+                return False
+        else:
+            if assignment[atom[1]] not in atom[2]:
+                return False
+    return True
+
+
+def observable_traces(a: A.ConstraintAutomaton, visible, k: int) -> list[Word]:
+    """Words over ``visible`` names of length <= k, ignoring silent steps.
+
+    Steps are projected onto the visible names (data included); a step
+    whose projection is empty advances the state without consuming depth.
+    This enumerator is independent of hide(), which makes it usable as an
+    oracle for hiding correctness: for any automaton A,
+    observable_traces(A, V, k) == traces_upto(hide(A, names - V), k).
+    """
+    visible = frozenset(visible)
+    words: set[Word] = set()
+    seen: set[tuple[int, Word]] = set()
+    frontier: list[tuple[int, Word]] = [(a.initial, ())]
+    while frontier:
+        nxt: list[tuple[int, Word]] = []
+        for state, word in frontier:
+            if (state, word) in seen:
+                continue
+            seen.add((state, word))
+            words.add(word)
+            for step, dst in expanded_steps(a, state):
+                sync, data = step
+                proj_sync = tuple(n for n in sync if n in visible)
+                proj_data = tuple((n, v) for n, v in data if n in visible)
+                if proj_sync:
+                    if len(word) < k:
+                        nxt.append((dst, word + ((proj_sync, proj_data),)))
+                else:
+                    nxt.append((dst, word))
+        frontier = nxt
+    return sorted(words)
+
+
+def random_guard(rng: random.Random, sync: list[str], alphabet=ALPHABET) -> frozenset[tuple]:
     values = sorted(alphabet)
     kind = rng.randrange(4)
     if kind == 0:
@@ -172,7 +222,7 @@ def circuit_signature(c: C.Circuit):
 def brute_product(a: A.ConstraintAutomaton, b: A.ConstraintAutomaton):
     """Definition-faithful product oracle, no reachability pruning.
 
-    Returns (all state pairs, set of ((p,q), sync, guard-key, (p',q'))
+    Returns (all state pairs, set of ((p,q), sync, guard, (p',q'))
     for satisfiable combined transitions, reachable pair set).
     Independent of join(): a plain double loop over the definition.
     """
@@ -181,18 +231,18 @@ def brute_product(a: A.ConstraintAutomaton, b: A.ConstraintAutomaton):
     for p, q in pairs:
         for ta in [t for t in a.transitions if t.src == p]:
             if not (ta.sync & b.names):
-                transitions.add(((p, q), ta.sync, ta.guard.sort_key(), (ta.dst, q)))
+                transitions.add(((p, q), ta.sync, ta.guard, (ta.dst, q)))
             for tb in [t for t in b.transitions if t.src == q]:
                 if ta.sync & b.names == tb.sync & a.names:
                     sync = ta.sync | tb.sync
                     norm = A.project(A.conj(ta.guard, tb.guard), sync, sync, a.alphabet)
                     if norm is not None:
                         transitions.add(
-                            ((p, q), sync, norm.sort_key(), (ta.dst, tb.dst))
+                            ((p, q), sync, norm, (ta.dst, tb.dst))
                         )
         for tb in [t for t in b.transitions if t.src == q]:
             if not (tb.sync & a.names):
-                transitions.add(((p, q), tb.sync, tb.guard.sort_key(), (p, tb.dst)))
+                transitions.add(((p, q), tb.sync, tb.guard, (p, tb.dst)))
     start = (a.initial, b.initial)
     reach = {start}
     frontier = [start]
