@@ -217,6 +217,14 @@ def validate_circuit(c: Circuit) -> ValidationReport:
             if not mapping:
                 rep.error("MISSING_PARAM", ch.id, "transform requires a map")
             else:
+                for key in sorted(mapping):
+                    images = sorted({b for a, b in ch.transform if a == key})
+                    if len(images) > 1:
+                        rep.error(
+                            "TRANSFORM_NOT_FUNCTION",
+                            ch.id,
+                            f"transform map sends {key!r} to more than one item: {images}",
+                        )
                 missing = sorted(c.alphabet - mapping.keys())
                 if missing:
                     rep.error(

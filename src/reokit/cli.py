@@ -115,6 +115,8 @@ def cmd_comply(args) -> int:
         raise ToolError("exactly one of --events or --trace/--map is required")
     if args.trace and not args.map:
         raise ToolError("--trace requires --map")
+    if args.map and not args.trace:
+        raise ToolError("--map requires --trace")
     engine = ComplianceEngine(rules, max_depth=args.max_depth)
     if args.events:
         script = dsl.parse_events(_read(args.events))

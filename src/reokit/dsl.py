@@ -3,10 +3,14 @@
 Four languages plus one table: the circuit DSL, the rule DSL, event
 scripts (one ground term per line), environment scripts (per-round
 offers and readiness), and the event map (boundary firing -> atom).
-All share one tokenizer, ``_lex``; ``#`` comments run to end of line
-and whitespace is insignificant except in the line-oriented formats.
+All share one token grammar: the identifier, integer, symbol and blank
+classes are spelled once, and the tokenizer ``_lex`` is one compiled
+pattern over them. ``#`` comments run to end of line and whitespace is
+insignificant except in the line-oriented formats. Every separated list
+(``data``, ``accept``, ``map``, a protocol order, an env round's offers
+and ready ports) is parsed by one rule, ``_Parser.sep_list``.
 Env ``round`` lines, the bulk of a long script, first try one
-full-line pattern that tokenizes exactly like ``_lex``. That path never
+full-line pattern built from the same token classes. That path never
 raises: a line it does not take goes through the token parser, so every
 error code, span and message comes from there.
 """
@@ -40,6 +44,7 @@ from .semlog import (
     RuleBase,
     StandingFact,
     Term,
+    UNARY_OPS,
     Var,
     VERY_OP,
 )
@@ -80,60 +85,48 @@ class Token:
     span: SourceSpan
 
 
-_SYMBOLS = ("=>", "->", ">>", "{", "}", "(", ")", ",", ";", ":", "=", ">")
-_IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
-_INT_RE = re.compile(r"[0-9]+")
+# The token classes, each spelled once: the scanner below and the env line
+# grammar are both built from them. Whitespace is only ``_BLANK`` and lines
+# break only at ``\n``, so ``\x0b``, ``\xa0`` or ``é`` is a LEX_ERROR.
+_IDENT_CHAR = "[A-Za-z0-9_]"
+_IDENT = f"[A-Za-z_]{_IDENT_CHAR}*"
+_INT = "[0-9]+"
+_SYMBOL = "=>|->|>>|[{}(),;:=>]"  # two-character symbols first
+_BLANK = "[ \t\r]"
+_BLANK_CHARS = _BLANK[1:-1]  # for str.strip
+
+# One alternative per class; the group that matched is the token kind.
+# A comment runs to the end of its line and does not move the column.
+_TOKEN = re.compile(
+    f"(?P<ident>{_IDENT})|(?P<int>{_INT})|(?P<sym>{_SYMBOL})"
+    f"|(?P<blank>{_BLANK}+)|(?P<comment>#[^\n]*)|(?P<newline>\n)|(?P<other>.)"
+)
 
 
 def _lex(text: str, first_line: int = 1, first_column: int = 1) -> list[Token]:
     tokens: list[Token] = []
     line = first_line
     col = first_column
-    i = 0
-    n = len(text)
-    while i < n:
-        ch = text[i]
-        if ch == "\n":
+    for m in _TOKEN.finditer(text):
+        kind = m.lastgroup
+        if kind == "newline":
             line += 1
             col = 1
-            i += 1
-            continue
-        if ch in " \t\r":
-            i += 1
-            col += 1
-            continue
-        if ch == "#":
-            while i < n and text[i] != "\n":
-                i += 1
-            continue
-        m = _IDENT_RE.match(text, i)
-        if m:
-            tokens.append(Token("ident", m.group(), SourceSpan(line, col, len(m.group()))))
-            col += len(m.group())
-            i = m.end()
-            continue
-        m = _INT_RE.match(text, i)
-        if m:
-            tokens.append(Token("int", m.group(), SourceSpan(line, col, len(m.group()))))
-            col += len(m.group())
-            i = m.end()
-            continue
-        for sym in _SYMBOLS:
-            if text.startswith(sym, i):
-                tokens.append(Token("sym", sym, SourceSpan(line, col, len(sym))))
-                col += len(sym)
-                i += len(sym)
-                break
-        else:
+        elif kind == "other":
             raise ParseFailure(
                 [
                     ParseError(
                         SourceSpan(line, col, 1),
                         "LEX_ERROR",
-                        f"unknown character {ch!r}",
+                        f"unknown character {m.group()!r}",
                     )
                 ]
             )
+        elif kind != "comment":
+            word = m.group()
+            if kind != "blank":
+                tokens.append(Token(kind, word, SourceSpan(line, col, len(word))))
+            col += len(word)
     tokens.append(Token("eof", "end of input", SourceSpan(line, col, 1)))
     return tokens
 
@@ -190,6 +183,17 @@ class _Parser:
         if self.peek().kind != "eof":
             raise self.fail("SYNTAX", "expected end of input", {"end of input"})
 
+    def sep_list(self, item, sep: str = ","):
+        """``item (sep item)*``: what each ``item()`` call returns, in order.
+
+        Each item is parsed, and its checks run, before the next separator is read.
+        """
+        items = [item()]
+        while self.at_sym(sep):
+            self.next()
+            items.append(item())
+        return items
+
 
 # --------------------------------------------------------------------------
 # circuit DSL
@@ -217,10 +221,7 @@ class _CircuitParser(_Parser):
     def _data_block(self) -> list[str]:
         self.expect_ident("data")
         self.expect_sym("{")
-        items = [self.expect_ident().text]
-        while self.at_sym(","):
-            self.next()
-            items.append(self.expect_ident().text)
+        items = [tok.text for tok in self.sep_list(self.expect_ident)]
         self.expect_sym("}")
         return items
 
@@ -278,24 +279,16 @@ class _CircuitParser(_Parser):
                         param_tok, "BAD_PARAM", f"'accept' not valid here on {kind}"
                     )
                 self.expect_sym("{")
-                items = [self.expect_ident().text]
-                while self.at_sym(","):
-                    self.next()
-                    items.append(self.expect_ident().text)
+                accept = frozenset(tok.text for tok in self.sep_list(self.expect_ident))
                 self.expect_sym("}")
-                accept = frozenset(items)
             elif param_tok.text == "map":
                 if kind != TRANSFORM or transform is not None:
                     raise self.fail_at(
                         param_tok, "BAD_PARAM", f"'map' not valid here on {kind}"
                     )
                 self.expect_sym("{")
-                pairs = [self._map_pair()]
-                while self.at_sym(","):
-                    self.next()
-                    pairs.append(self._map_pair())
+                transform = tuple(sorted(self.sep_list(self._map_pair)))
                 self.expect_sym("}")
-                transform = tuple(sorted(pairs))
             else:
                 raise self.fail_at(
                     param_tok, "BAD_PARAM", f"unknown parameter {param_tok.text!r}"
@@ -351,23 +344,13 @@ def print_circuit(c: Circuit) -> str:
 # compliance terms
 
 
-_TERM_OPS = {
-    "P": "P",
-    "Forbidden": "Forbidden",
-    "Warning": "Warning",
-    "Failure": "Failure",
-    "Resolved": "Resolved",
-    "DoubleCheck": "DoubleCheck",
-    "Very": VERY_OP,  # canonical surface form is (Very)X; Very(X) also accepted
-}
-
-
 class _TermParser(_Parser):
     """Recursive-descent parser for the compliance term language.
 
     With ``allow_vars`` set, single uppercase letters (A, B, I) are
     pattern variables; otherwise every identifier is an atom and the
-    result must be ground.
+    result must be ground. An operator is written ``Op(X)``; the canonical
+    form of Very is the prefix ``(Very)X``, and ``Very(X)`` is accepted too.
     """
 
     def __init__(self, tokens, allow_vars: bool):
@@ -388,12 +371,12 @@ class _TermParser(_Parser):
     def parse_term(self) -> Term:
         tok = self.peek()
         if tok.kind == "ident":
-            if tok.text in _TERM_OPS and self.peek(1).kind == "sym" and self.peek(1).text == "(":
+            if tok.text in UNARY_OPS and self.peek(1).kind == "sym" and self.peek(1).text == "(":
                 self.next()
                 self.expect_sym("(")
                 arg = self.parse_term()
                 self.expect_sym(")")
-                return Op(_TERM_OPS[tok.text], arg)
+                return Op(tok.text, arg)
             self.next()
             return self._ident_term(tok)
         if self.at_sym("("):
@@ -463,14 +446,11 @@ class _RuleParser(_TermParser):
     def _protocol(self) -> tuple[str, ...]:
         self.expect_ident("protocol")
         self.expect_sym("{")
-        atoms = [self.expect_ident().text]
-        self.expect_sym(">>")
-        atoms.append(self.expect_ident().text)
-        while self.at_sym(">>"):
-            self.next()
-            atoms.append(self.expect_ident().text)
+        first = self.expect_ident()
+        self.expect_sym(">>")  # an order names at least two atoms
+        atoms = [first, *self.sep_list(self.expect_ident, ">>")]
         self.expect_sym("}")
-        return tuple(atoms)
+        return tuple(tok.text for tok in atoms)
 
     def _fact(self) -> StandingFact:
         self.expect_ident("fact")
@@ -581,12 +561,12 @@ def _content_lines(text: str):
     """``(line_no, column, stripped)`` of each line not blank once its ``#`` comment is cut.
 
     ``column`` is where ``stripped`` starts. As in ``_lex``, lines break only at
-    ``\\n`` and only ``[ \\t\\r]`` is whitespace, so any other control or separator
+    ``\\n`` and only ``_BLANK`` is whitespace, so any other control or separator
     character reaches ``_lex`` and is a ``LEX_ERROR`` where it stands.
     """
     for line_no, line in enumerate(text.split("\n"), start=1):
-        body = line.split("#", 1)[0].rstrip(" \t\r")
-        stripped = body.lstrip(" \t\r")
+        body = line.split("#", 1)[0].rstrip(_BLANK_CHARS)
+        stripped = body.lstrip(_BLANK_CHARS)
         if stripped:
             yield line_no, len(body) - len(stripped) + 1, stripped
 
@@ -607,15 +587,14 @@ def parse_events(text: str) -> EventScript:
 # environment script
 
 
-# The common case of an env round line, as one full-line pattern that
-# tokenizes like ``_lex``: whitespace is only ``[ \t\r]``, and a word
-# must not be followed by a word character (``_END``), which gives maximal
-# munch: ``okready`` stays one identifier rather than backtracking into
-# ``ok`` plus the keyword ``ready``. ``offer`` and ``ready`` may also be
-# port names.
-_W = r"[ \t\r]*"
-_END = r"(?![A-Za-z0-9_])"
-_NAME = rf"[A-Za-z_][A-Za-z0-9_]*{_END}"
+# The common case of an env round line, as one full-line pattern built
+# from ``_lex``'s token classes. A word must not be followed by an
+# identifier character (``_END``), which gives the scanner's maximal munch:
+# ``okready`` stays one identifier rather than backtracking into ``ok``
+# plus the keyword ``ready``. ``offer`` and ``ready`` may also be port names.
+_W = f"{_BLANK}*"
+_END = f"(?!{_IDENT_CHAR})"
+_NAME = f"{_IDENT}{_END}"
 _PAIR = rf"{_NAME}{_W}={_W}{_NAME}"
 _CLAUSE = (
     rf"(?:offer{_END}{_W}({_PAIR}(?:{_W},{_W}{_PAIR})*)"
@@ -669,6 +648,12 @@ def _fast_round(stripped, seen_rounds, ins, outs, alphabet) -> tuple[int, Round]
     return number, Round(tuple(offers), frozenset(ready), explicit_ready)
 
 
+def _check_datum(p: _Parser, tok: Token, alphabet) -> None:
+    """Raise UNKNOWN_TOKEN at ``tok`` unless it is in ``alphabet`` (None: no check)."""
+    if alphabet is not None and tok.text not in alphabet:
+        raise p.fail_at(tok, "UNKNOWN_TOKEN", f"{tok.text!r} is not in the data alphabet")
+
+
 def _token_round(tokens, seen_rounds, ins, outs, alphabet) -> tuple[int, Round]:
     """One ``round`` line's tokens through the token parser; raises its ParseFailure."""
     p = _Parser(tokens)
@@ -683,49 +668,37 @@ def _token_round(tokens, seen_rounds, ins, outs, alphabet) -> tuple[int, Round]:
     if number in seen_rounds:
         raise p.fail_at(number_tok, "DUP_ROUND", f"round {number} defined twice")
     p.expect_sym(":")
+
+    def offer() -> tuple[str, str]:
+        port_tok = p.expect_ident()
+        p.expect_sym("=")
+        tok = p.expect_ident()
+        if ins is not None and port_tok.text not in ins:
+            raise p.fail_at(
+                port_tok, "UNKNOWN_PORT", f"{port_tok.text!r} is not a boundary-in port"
+            )
+        _check_datum(p, tok, alphabet)
+        return port_tok.text, tok.text
+
+    def ready_port() -> str:
+        port_tok = p.expect_ident()
+        if outs is not None and port_tok.text not in outs:
+            raise p.fail_at(
+                port_tok, "UNKNOWN_PORT", f"{port_tok.text!r} is not a boundary-out port"
+            )
+        return port_tok.text
+
     offers: list[tuple[str, str]] = []
     ready: set[str] = set()
     explicit_ready = False
     while p.peek().kind != "eof":
         if p.at_ident("offer"):
             p.next()
-            while True:
-                port_tok = p.expect_ident()
-                p.expect_sym("=")
-                tok = p.expect_ident()
-                if ins is not None and port_tok.text not in ins:
-                    raise p.fail_at(
-                        port_tok,
-                        "UNKNOWN_PORT",
-                        f"{port_tok.text!r} is not a boundary-in port",
-                    )
-                if alphabet is not None and tok.text not in alphabet:
-                    raise p.fail_at(
-                        tok,
-                        "UNKNOWN_TOKEN",
-                        f"{tok.text!r} is not in the data alphabet",
-                    )
-                offers.append((port_tok.text, tok.text))
-                if p.at_sym(","):
-                    p.next()
-                    continue
-                break
+            offers += p.sep_list(offer)
         elif p.at_ident("ready"):
             p.next()
             explicit_ready = True
-            while True:
-                port_tok = p.expect_ident()
-                if outs is not None and port_tok.text not in outs:
-                    raise p.fail_at(
-                        port_tok,
-                        "UNKNOWN_PORT",
-                        f"{port_tok.text!r} is not a boundary-out port",
-                    )
-                ready.add(port_tok.text)
-                if p.at_sym(","):
-                    p.next()
-                    continue
-                break
+            ready.update(p.sep_list(ready_port))
         else:
             raise p.fail("SYNTAX", "expected 'offer' or 'ready'", {"offer", "ready"})
         if p.at_sym(";"):
@@ -758,7 +731,7 @@ def parse_env(text: str, circuit: Circuit | None = None) -> EnvScript:
     for index, (line_no, column, stripped) in enumerate(_content_lines(text)):
         entry = _fast_round(stripped, seen_rounds, *checks)
         if entry is None:
-            words = re.split("[ \t\r]+", stripped, maxsplit=1)
+            words = re.split(f"{_BLANK}+", stripped, maxsplit=1)
             if words[0] == "policy":
                 value = words[1] if len(words) > 1 else ""
                 if value not in (POLICY_CLOSED, POLICY_ALL_READY):
@@ -804,19 +777,25 @@ class EventMap:
 
 
 def parse_map(text: str, circuit: Circuit | None = None) -> EventMap:
-    """Lines of ``port[=tok] -> Atom``."""
+    """Lines of ``port[=tok] -> Atom``.
+
+    With a circuit supplied, each port must be a boundary port and each
+    ``tok`` in the data alphabet, since an entry for any other can never fire.
+    """
     ports: set[str] | None = None
+    alphabet = None
     if circuit is not None:
         ports = {p.name for p in circuit.ports}
+        alphabet = circuit.alphabet
     entries: list[tuple[str, str | None, str]] = []
     seen: set[tuple[str, str | None]] = set()
     for line_no, column, stripped in _content_lines(text):
         p = _Parser(_lex(stripped, line_no, column))
         port_tok = p.expect_ident()
-        datum = None
+        datum_tok = None
         if p.at_sym("="):
             p.next()
-            datum = p.expect_ident().text
+            datum_tok = p.expect_ident()
         p.expect_sym("->")
         atom = p.expect_ident().text
         p.expect_eof()
@@ -824,6 +803,9 @@ def parse_map(text: str, circuit: Circuit | None = None) -> EventMap:
             raise p.fail_at(
                 port_tok, "UNKNOWN_PORT", f"{port_tok.text!r} is not a boundary port"
             )
+        if datum_tok is not None:
+            _check_datum(p, datum_tok, alphabet)
+        datum = datum_tok.text if datum_tok else None
         key = (port_tok.text, datum)
         if key in seen:
             raise p.fail_at(

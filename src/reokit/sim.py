@@ -136,9 +136,10 @@ def trace_from_json(text: str) -> Trace:
 
     Raises ValueError for a document that is not an object, a missing
     key, a ``rounds`` entry that is not an object, a step whose ``round``
-    is not an int, a firing whose ``sync`` is not a list of names or whose
-    ``data`` does not map exactly those names to strings, or a state
-    reference that is not ``s<int>``.
+    is not an int or is not greater than the round of the step before it,
+    a firing whose ``sync`` is not a list of names or whose ``data`` does
+    not map exactly those names to strings, or a state reference that is
+    not ``s<int>``.
     """
     doc = json.loads(text)
     if not isinstance(doc, dict):
@@ -149,6 +150,8 @@ def trace_from_json(text: str) -> Trace:
             number = entry["round"]
             if isinstance(number, bool) or not isinstance(number, int):
                 raise ValueError(f"round {number!r} is not an int")
+            if trace.steps and number <= trace.steps[-1].round:
+                raise ValueError(f"round {number} does not follow round {trace.steps[-1].round}")
             if entry["kind"] == "stall":
                 trace.steps.append(Stall(round=number))
                 continue

@@ -80,6 +80,29 @@ def test_filter_accept_and_transform_checked():
     assert "TRANSFORM_NOT_TOTAL" in codes
 
 
+def test_transform_map_must_be_a_function():
+    c = parse_circuit(
+        "circuit t { data { ok, bad } ports { in a; out b; } "
+        "transform(a, b, map={ok->bad, ok->ok, bad->bad}) }"
+    )
+    report = C.validate_circuit(c)
+    assert [(f.code, f.element, f.message) for f in report.errors] == [
+        (
+            "TRANSFORM_NOT_FUNCTION",
+            "c1",
+            "transform map sends 'ok' to more than one item: ['bad', 'ok']",
+        )
+    ]
+    with pytest.raises(C.InvalidCircuitError):
+        A.compile_circuit(c)
+    # a pair written twice is still a function
+    c = parse_circuit(
+        "circuit t { data { ok, bad } ports { in a; out b; } "
+        "transform(a, b, map={ok->bad, ok->bad, bad->bad}) }"
+    )
+    assert C.validate_circuit(c).ok
+
+
 def test_params_on_wrong_kind_rejected():
     c = make(
         [C.Channel("c1", C.SYNC, "a", "b", init="ok")],

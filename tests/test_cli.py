@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from reokit import cli, semlog
+from reokit import cli, dsl, semlog, sim
 from util import BLOCKER_TEXT, MINIMAL_SYNC_TEXT
 
 PKG_ROOT = Path(__file__).resolve().parent.parent
@@ -267,6 +267,13 @@ def test_comply_requires_exactly_one_source(tmp_path):
         "--trace", str(trace),
     )
     assert result.returncode == 2
+    # a map is read only with a trace, so --events with --map is a usage error
+    result = run_cli(
+        "comply", "--rules", str(DATA / "rescue.rules"),
+        "--events", str(events), "--map", str(DATA / "rescue.map"),
+    )
+    assert result.returncode == 2
+    assert result.stderr == "error: --map requires --trace\n"
 
 
 def test_comply_from_trace_and_map(mini, tmp_path):
@@ -290,11 +297,18 @@ def test_comply_from_trace_and_map(mini, tmp_path):
     assert doc["order_violations"][0]["atom"] == "PoliceRequest"
 
 
-def test_comply_malformed_trace_exits_two(tmp_path):
+def test_comply_malformed_trace_exits_two(tmp_path, rescue_circuit, rescue_auto):
     firing = {"round": 1, "kind": "firing", "sync": ["police_alarm"],
               "data": {"police_alarm": "ok"}, "from": "s0", "to": "s1"}
     no_sync = {k: v for k, v in firing.items() if k != "sync"}
+    env = dsl.parse_env((DATA / "rescue.env").read_text(), rescue_circuit)
+    rescue_trace = json.loads(sim.simulate(rescue_auto, env, sim.SimConfig(seed=0)).to_json())
     cases = {
+        "rounds reversed": {**rescue_trace, "rounds": rescue_trace["rounds"][::-1]},
+        "round repeated": {
+            "circuit": "rescue", "seed": 0,
+            "rounds": [{"kind": "stall", "round": 1}, {"kind": "stall", "round": 1}],
+        },
         "top-level array": [firing],
         "firing without sync": {"circuit": "rescue", "seed": 0, "rounds": [no_sync]},
         "state not s<int>": {"circuit": "rescue", "seed": 0, "rounds": [{**firing, "to": 3}]},
@@ -318,6 +332,13 @@ def test_comply_malformed_trace_exits_two(tmp_path):
         assert result.returncode == 2, what
         assert result.stderr.startswith("error: "), what
         assert "Traceback" not in result.stderr, what
+    # the rescue trace in its own order is judged clean
+    trace.write_text(json.dumps(rescue_trace))
+    result = run_cli(
+        "comply", "--rules", str(DATA / "rescue.rules"),
+        "--trace", str(trace), "--map", str(DATA / "rescue.map"),
+    )
+    assert result.returncode == 0, result.stderr
 
 
 def test_scenario_runs_clean(tmp_path):

@@ -1,5 +1,7 @@
+import hashlib
 import random
 import re
+import string
 import sys
 from unittest import mock
 
@@ -16,6 +18,42 @@ from importlib import resources
 from util import MINIMAL_SYNC_TEXT, circuit_signature, random_circuit
 
 RULES_TEXT = resources.files("reokit").joinpath("data/rescue.rules").read_text()
+
+
+# -- the lexer ----------------------------------------------------------------
+
+# Every character class _lex knows, plus characters it must reject: "-" outside
+# "->", "@", and whitespace or letters that str methods or \s and \w would accept.
+_LEX_GROUPS = (
+    string.ascii_letters, string.digits, "_", " \t\r", "\n", "#", "{}(),;:=>",
+    "-", "@\x0b\xa0\xe9",
+)
+LEX_DIGEST = "dc8e3050487139e004a165439fb98c61dafe39117851c5e41c53764128d21709"
+
+
+def _lex_record(text, first_line=1, first_column=1):
+    """Each token as ``(kind, text, line, column, length)``, or the rendered error."""
+    try:
+        tokens = dsl._lex(text, first_line, first_column)
+    except dsl.ParseFailure as exc:
+        return [e.render() for e in exc.errors]
+    return [(t.kind, t.text, t.span.line, t.span.column, t.span.length) for t in tokens]
+
+
+def test_lex_output_pinned():
+    records = [
+        _lex_record(resources.files("reokit").joinpath(f"data/rescue.{ext}").read_text())
+        for ext in ("circuit", "env", "map", "rules")
+    ]
+    rng = random.Random(2026)
+    records += [_lex_record(dsl.print_circuit(random_circuit(rng, max_extra=4))) for _ in range(100)]
+    for n in range(5000):
+        groups = _LEX_GROUPS[: -2 if n % 2 else None]  # half the strings lex
+        text = "".join(rng.choice(rng.choice(groups)) for _ in range(rng.randint(0, 24)))
+        records.append(_lex_record(text, rng.randint(1, 500), rng.randint(1, 80)))
+    failed = sum(isinstance(r[0], str) for r in records)
+    assert 1000 < failed < 4000, failed
+    assert hashlib.sha256(repr(records).encode()).hexdigest() == LEX_DIGEST
 
 
 # -- circuit parsing ----------------------------------------------------------
@@ -361,6 +399,18 @@ def test_parse_map_duplicate_and_unknown_port():
     with pytest.raises(dsl.ParseFailure) as exc:
         dsl.parse_map("zz -> A", c)
     assert exc.value.errors[0].code == "UNKNOWN_PORT"
+
+
+def test_parse_map_data_must_be_in_the_alphabet():
+    c = dsl.parse_circuit(MINIMAL_SYNC_TEXT)
+    with pytest.raises(dsl.ParseFailure) as exc:
+        dsl.parse_map("b -> Y\n  a=zap -> X\n", c)
+    (err,) = exc.value.errors
+    assert (err.code, err.span) == ("UNKNOWN_TOKEN", dsl.SourceSpan(2, 5, 3))
+    assert err.message == _env_error("round 1: offer a=zap", c)[2]
+    entries = dsl.parse_map("a=ok -> X\nb=bad -> Y", c).entries
+    assert entries == (("a", "ok", "X"), ("b", "bad", "Y"))
+    assert dsl.parse_map("a=zap -> X").entries == (("a", "zap", "X"),)  # no circuit, no check
 
 
 # str.splitlines breaks at each of these, str.strip drops \xa0; _lex does neither
