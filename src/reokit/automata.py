@@ -21,6 +21,7 @@ import itertools
 import json
 import re
 from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 from .circuit import (
     ASYNC_DRAIN,
@@ -169,8 +170,16 @@ def sat_assignments(
     return result
 
 
-@dataclass(frozen=True)
-class Transition:
+class Transition(NamedTuple):
+    """A move from ``src`` to ``dst`` firing ``sync`` under ``guard``.
+
+    A named tuple: it hashes and compares as its field tuple, and hashing
+    one runs no Python code, which matters for the tens of thousands that
+    a compile's intermediate products build and deduplicate. Sort
+    transitions by ``sort_key``: the tuple order would compare sync-sets
+    and guards as sets, by inclusion.
+    """
+
     src: int
     sync: frozenset[str]
     guard: frozenset[tuple]
@@ -195,6 +204,10 @@ class ConstraintAutomaton:
     read. Invariant: every guard is canonical,
     ``project(t.guard, t.sync, t.sync, alphabet) == t.guard``;
     ``build_automaton``, ``join`` and ``hide`` keep it, and ``join`` relies on it.
+    A canonical guard need not constrain every name of its sync-set: within
+    ``compile_circuit``'s fold, the products' guards leave the names that
+    are finished (neither a boundary port nor a name of an automaton still
+    to join) unconstrained, though those names still fire.
     """
 
     names: frozenset[str]
@@ -406,20 +419,24 @@ def _explore(start, steps) -> tuple[int, tuple[Transition, ...]]:
     while frontier:
         nxt = set()
         for s in frontier:
+            src = index[s]
             for sync, guard, dst in steps(s):
-                raw.append((s, sync, guard, dst))
+                raw.append((src, sync, guard, dst))
                 if dst not in index:
                     nxt.add(dst)
         frontier = sorted(nxt)
         for s in frontier:
             index[s] = len(index)
-    transitions = dict.fromkeys(
-        Transition(index[src], sync, guard, index[dst]) for src, sync, guard, dst in raw
+    # index is one-to-one, so deduplicating before renaming successors
+    # keeps the same first occurrences
+    return len(index), tuple(
+        Transition(src, sync, guard, index[dst]) for src, sync, guard, dst in dict.fromkeys(raw)
     )
-    return len(index), tuple(transitions)
 
 
-def join(a: ConstraintAutomaton, b: ConstraintAutomaton) -> ConstraintAutomaton:
+def join(
+    a: ConstraintAutomaton, b: ConstraintAutomaton, live: frozenset[str] | None = None
+) -> ConstraintAutomaton:
     """Synchronized product: shared names fire together.
 
     Two transitions combine when they agree on the other side's names
@@ -427,7 +444,11 @@ def join(a: ConstraintAutomaton, b: ConstraintAutomaton) -> ConstraintAutomaton:
     other automaton's names entirely may also fire alone. Only state pairs
     reachable from the joint initial are kept; transitions are grouped by
     source state, not sorted. A move that fires alone keeps its canonical
-    guard; a combined pair's guard is projected once per call.
+    guard; a combined pair's guard is projected once per call, onto its
+    whole sync-set, or with ``live`` given onto ``sync & live``: the
+    guard then forgets the other names of its sync-set, which stays whole.
+    That is sound only where no later guard mentions a forgotten name,
+    as in ``join_many``'s fold with ``keep``.
     """
     if a.alphabet != b.alphabet:
         raise ValueError("join requires a common alphabet")
@@ -452,7 +473,8 @@ def join(a: ConstraintAutomaton, b: ConstraintAutomaton) -> ConstraintAutomaton:
                 key = (ta.sync, ta.guard, tb.sync, tb.guard)
                 if key not in combined:
                     sync = ta.sync | tb.sync
-                    guard = project(conj(ta.guard, tb.guard), sync, sync, a.alphabet)
+                    keep = sync if live is None else sync & live
+                    guard = project(conj(ta.guard, tb.guard), keep, sync, a.alphabet)
                     combined[key] = (sync, guard)
                 sync, guard = combined[key]
                 if guard is not None:
@@ -583,7 +605,9 @@ def _flow_order(c: Circuit) -> list[str]:
 
 
 def join_many(
-    autos: list[tuple[str, ConstraintAutomaton]], order: list[str] | None = None
+    autos: list[tuple[str, ConstraintAutomaton]],
+    order: list[str] | None = None,
+    keep: frozenset[str] | None = None,
 ) -> ConstraintAutomaton:
     """Fold join over the automata, left to right in ``order``.
 
@@ -591,6 +615,14 @@ def join_many(
     the order of ``autos``. Join is associative and commutative up to
     bisimulation, so the order changes only the sizes of the
     intermediate products and the state numbering.
+
+    With ``keep``, the names a later ``hide`` leaves visible, a name is
+    finished once it is not in ``keep`` and no later automaton in the
+    order has it, and each join's combined guards forget their finished
+    names (``join``'s ``live``). No later guard mentions a finished name,
+    so ``hide(result, result.names - keep)`` is the same automaton as
+    without ``keep``; the reachable state pairs, their numbering and the
+    sync-sets are the same at every step, and only guards are weaker.
     """
     if not autos:
         raise ValueError("nothing to join")
@@ -599,7 +631,12 @@ def join_many(
         order = list(pool)
     if sorted(order) != sorted(pool):
         raise ValueError(f"join order {order} must list each of {sorted(pool)} exactly once")
-    return functools.reduce(join, (pool[key] for key in order))
+    chain = [pool[key] for key in order]
+    joined = chain[0]
+    for i, auto in enumerate(chain[1:], start=2):
+        live = None if keep is None else keep.union(*(later.names for later in chain[i:]))
+        joined = join(joined, auto, live)
+    return joined
 
 
 def compile_circuit(c: Circuit) -> ConstraintAutomaton:
@@ -607,7 +644,10 @@ def compile_circuit(c: Circuit) -> ConstraintAutomaton:
 
     The automata are joined in ``_flow_order`` and every name that is not
     a declared boundary port is hidden once, at the end, which is the
-    definition of the circuit's behaviour. The result has exactly the
+    definition of the circuit's behaviour. The fold passes the ports to
+    ``join_many`` as ``keep``, so each product's guards forget the names
+    already finished, which makes each join cheaper and changes no
+    output. The result has exactly the
     boundary ports as names, with the boundary-in ports as ``inputs``.
     States are numbered in discovery order, and the transitions are
     sorted by ``Transition.sort_key``, once, here.
@@ -618,8 +658,9 @@ def compile_circuit(c: Circuit) -> ConstraintAutomaton:
     autos = circuit_automata(c)
     if not autos:
         return identity_automaton(c.alphabet)
-    joined = join_many(autos, _flow_order(c))
-    hidden = hide(joined, joined.names - frozenset(p.name for p in c.ports))
+    ports = frozenset(p.name for p in c.ports)
+    joined = join_many(autos, _flow_order(c), ports)
+    hidden = hide(joined, joined.names - ports)
     return replace(
         hidden, transitions=tuple(sorted(hidden.transitions, key=Transition.sort_key))
     )

@@ -75,9 +75,11 @@ def cmd_compile(args) -> int:
     c = dsl.parse_circuit(_read(args.path))
     auto = compile_circuit(c)
     if args.stats:
-        print(f"states: {auto.n_states}")
-        print(f"transitions: {len(auto.transitions)}")
-        print(f"names: {', '.join(sorted(auto.names))}")
+        # when stdout carries the automaton, the counts go beside it on stderr
+        out = sys.stderr if args.json or args.dot else sys.stdout
+        print(f"states: {auto.n_states}", file=out)
+        print(f"transitions: {len(auto.transitions)}", file=out)
+        print(f"names: {', '.join(sorted(auto.names))}", file=out)
     if args.dot:
         sys.stdout.write(automaton_to_dot(auto))
     elif args.json or not args.stats:
@@ -237,7 +239,8 @@ def build_parser() -> argparse.ArgumentParser:
     fmt = p.add_mutually_exclusive_group()
     fmt.add_argument("--json", action="store_true", help="emit automaton JSON (default)")
     fmt.add_argument("--dot", action="store_true", help="emit automaton DOT")
-    p.add_argument("--stats", action="store_true", help="print state/transition counts")
+    p.add_argument("--stats", action="store_true",
+                   help="print state/transition counts (to stderr with --json or --dot)")
     p.set_defaults(fn=cmd_compile)
 
     p = sub.add_parser("simulate", parents=[common], help="run a circuit against an env script")

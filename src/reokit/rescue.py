@@ -109,12 +109,12 @@ def run_rescue(
     to skip recompilation.
     """
     cfg = SimConfig(seed=seed, max_rounds=rounds)
+    engine = ComplianceEngine(builtin_rules(), max_depth=max_depth)
     c = builtin_circuit()
     auto = automaton if automaton is not None else compile_circuit(c)
     env = env if env is not None else builtin_env()
     trace = simulate(auto, env, cfg, circuit_name=c.name)
     events = map_trace(trace, builtin_map())
-    engine = ComplianceEngine(builtin_rules(), max_depth=max_depth)
     for event in events:
         engine.ingest(event, origin=ORIGIN_TRACE)
     if extra_events is not None:

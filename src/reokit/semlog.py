@@ -535,6 +535,8 @@ class ComplianceEngine:
     """
 
     def __init__(self, rulebase: RuleBase, max_depth: int = 8, max_iterations: int = 10000):
+        if max_depth < 0:
+            raise ValueError(f"max depth must be >= 0, got {max_depth}")
         for rule in rulebase.rules:
             if rule.name in BUILTIN_RULE_NAMES:
                 raise ValueError(

@@ -396,6 +396,55 @@ def test_compile_agrees_with_join_all_then_hide(seed):
         assert AN.bisimilar(auto, join_all_then_hide(c, autos, keys))
 
 
+def test_compile_agrees_with_the_full_guard_fold(rescue_circuit):
+    # compile's fold lets combined guards forget finished names; the fold
+    # that keeps whole guards, hidden once and sorted, must give the same bytes
+    rng = random.Random(15)
+    for c in [rescue_circuit] + [random_circuit(rng, max_extra=4) for _ in range(200)]:
+        reference = join_all_then_hide(c, A.circuit_automata(c), A._flow_order(c))
+        reference = dataclasses.replace(
+            reference, transitions=tuple(sorted(reference.transitions, key=A.Transition.sort_key))
+        )
+        assert A.automaton_to_json(A.compile_circuit(c)) == A.automaton_to_json(reference)
+
+
+def test_compile_products_forget_exactly_the_finished_names(rescue_circuit, monkeypatch):
+    # a name is live while it is a boundary port or a later automaton in the
+    # order has it; each product of the compile must be the full-guard
+    # product with every guard projected onto its live names
+    c = rescue_circuit
+    pool = dict(A.circuit_automata(c))
+    chain = [pool[key] for key in A._flow_order(c)]
+    ports = frozenset(p.name for p in c.ports)
+    join, products = A.join, []
+
+    def recording_join(*args):
+        products.append(join(*args))
+        return products[-1]
+
+    monkeypatch.setattr(A, "join", recording_join)
+    A.compile_circuit(c)
+    assert len(products) == len(chain) - 1
+    full, forgotten = chain[0], 0
+    for i, product in enumerate(products, start=2):
+        full = join(full, chain[i - 1])
+        live = ports.union(*(auto.names for auto in chain[i:]))
+        projected = {
+            (sync, guard): A.project(guard, sync & live, sync, full.alphabet)
+            for sync, guard in {(t.sync, t.guard) for t in full.transitions}
+        }
+        expected = dict.fromkeys(
+            A.Transition(t.src, t.sync, projected[t.sync, t.guard], t.dst) for t in full.transitions
+        )
+        assert (product.n_states, product.names) == (full.n_states, full.names)
+        assert product.transitions == tuple(expected)
+        for sync, guard in {(t.sync, t.guard) for t in product.transitions}:
+            assert A.guard_names(guard) <= live, guard
+            assert A.project(guard, sync, sync, product.alphabet) == guard, guard
+        forgotten += sum(not A.guard_names(g) <= live for _, g in projected)
+    assert forgotten > 100
+
+
 def test_compile_hides_once(rescue_circuit):
     with mock.patch.object(A, "hide", wraps=A.hide) as hide:
         A.compile_circuit(rescue_circuit)

@@ -90,6 +90,15 @@ def test_compile_json_and_dot(mini):
     assert both.stdout == ""
 
 
+def test_compile_stats_beside_an_automaton_go_to_stderr(mini):
+    for fmt in ("--json", "--dot"):
+        plain = run_cli("compile", str(mini), fmt)
+        with_stats = run_cli("compile", str(mini), fmt, "--stats")
+        assert with_stats.returncode == 0, fmt
+        assert with_stats.stdout == plain.stdout, fmt
+        assert with_stats.stderr == "states: 1\ntransitions: 1\nnames: a, b\n", fmt
+
+
 def test_unknown_flag_exits_two(mini):
     result = run_cli("compile", str(mini), "--frobnicate")
     assert result.returncode == 2
@@ -133,6 +142,24 @@ def test_negative_rounds_exits_two(mini, tmp_path):
         assert result.returncode == 2, argv
         assert result.stderr.startswith("error: round cap must be >= 0"), argv
         assert result.stdout == "", argv
+
+
+def test_negative_max_depth_exits_two(tmp_path):
+    events = tmp_path / "heli.events"
+    events.write_text("HelicopterMission\n")
+    comply = ("comply", "--rules", str(DATA / "rescue.rules"), "--events", str(events))
+    for argv in (("scenario",), comply):
+        result = run_cli(*argv, "--max-depth", "-1")
+        assert result.returncode == 2, argv
+        assert result.stderr.startswith("error: max depth must be >= 0, got -1"), argv
+        assert result.stdout == "", argv
+        # depth 0 is a limit that drops every event, not a usage error
+        result = run_cli(*argv, "--max-depth", "0", "--quiet")
+        assert result.returncode == 1, argv
+        verdict = json.loads(result.stdout)
+        verdict = verdict.get("verdict", verdict)  # a scenario report holds its verdict
+        diagnostics = verdict["diagnostics"]
+        assert diagnostics and all(d.startswith("DEPTH_LIMIT: ") for d in diagnostics), argv
 
 
 def test_oversized_round_number_exits_two(tmp_path):
