@@ -5,7 +5,7 @@ constraint automaton, which simulates against scripted environments;
 boundary firings map to compliance events that a rule engine judges.
 """
 
-from .analysis import AnalysisReport, analyze, bisimilar, deadlocks, reachable, traces_upto
+from .analysis import AnalysisReport, analyze, bisimilar, deadlocks, reachable
 from .automata import (
     ConstraintAutomaton,
     ca_of_channel,
@@ -15,7 +15,7 @@ from .automata import (
     join,
     sat_assignments,
 )
-from .circuit import Channel, Circuit, Node, PortId, boundary_ports, validate_circuit
+from .circuit import Channel, Circuit, Node, PortId, validate_circuit
 from .dsl import (
     EventMap,
     EventScript,
@@ -30,7 +30,7 @@ from .dsl import (
     print_circuit,
 )
 from .rescue import ScenarioReport, builtin_circuit, builtin_rules, map_trace, run_rescue
-from .semlog import ComplianceEngine, RuleBase, Verdict, check_sequence
+from .semlog import ComplianceEngine, RuleBase, Verdict
 from .sim import EnvScript, Firing, SimConfig, Stall, Trace, enabled, simulate, step
 
 __version__ = "0.1.0"

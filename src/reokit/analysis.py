@@ -49,24 +49,6 @@ def deadlocks(a: ConstraintAutomaton) -> list[int]:
     ]
 
 
-def traces_upto(a: ConstraintAutomaton, k: int) -> list[Word]:
-    """Every word of length <= k labeling a path from the initial state."""
-    if k < 0:
-        raise ValueError("depth must be >= 0")
-    words: set[Word] = {()}
-    frontier: list[tuple[int, Word]] = [(a.initial, ())]
-    for _ in range(k):
-        nxt: list[tuple[int, Word]] = []
-        for state, word in frontier:
-            for step, dst in expanded_steps(a, state):
-                extended = word + (step,)
-                if extended not in words:
-                    words.add(extended)
-                nxt.append((dst, extended))
-        frontier = nxt
-    return sorted(words)
-
-
 def bisimilar(a: ConstraintAutomaton, b: ConstraintAutomaton) -> bool:
     """Strong bisimilarity of the initial states.
 

@@ -380,16 +380,6 @@ def _check_connectivity(c: Circuit, rep: ValidationReport) -> None:
             )
 
 
-def boundary_ports(c: Circuit) -> tuple[frozenset[PortId], frozenset[PortId]]:
-    """The declared boundary ports, partitioned into (inputs, outputs)."""
-    rep = validate_circuit(c)
-    if not rep.ok:
-        raise InvalidCircuitError(rep)
-    ins = frozenset(PortId(n, PORT_IN) for n in c.inputs)
-    outs = frozenset(PortId(n, PORT_OUT) for n in c.outputs)
-    return ins, outs
-
-
 def dot_quote(s: str) -> str:
     return '"' + s.replace('"', '\\"') + '"'
 

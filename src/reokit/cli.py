@@ -119,6 +119,8 @@ def cmd_comply(args) -> int:
         raise ToolError("--trace requires --map")
     if args.map and not args.trace:
         raise ToolError("--map requires --trace")
+    if args.circuit and not args.trace:
+        raise ToolError("--circuit requires --trace and --map")
     engine = ComplianceEngine(rules, max_depth=args.max_depth)
     if args.events:
         script = dsl.parse_events(_read(args.events))
@@ -126,7 +128,8 @@ def cmd_comply(args) -> int:
             engine.ingest(term, origin=ORIGIN_SCRIPT)
     else:
         trace = trace_from_json(_read(args.trace))
-        mapping = dsl.parse_map(_read(args.map))
+        circuit = dsl.parse_circuit(_read(args.circuit)) if args.circuit else None
+        mapping = dsl.parse_map(_read(args.map), circuit)
         for event in rescue.map_trace(trace, mapping):
             engine.ingest(event, origin=ORIGIN_TRACE)
     verdict = engine.verdict()
@@ -260,6 +263,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--events", help="event script (one ground term per line)")
     p.add_argument("--trace", help="trace JSON (needs --map)")
     p.add_argument("--map", help="event map for --trace")
+    p.add_argument("--circuit",
+                   help="the trace's circuit: check the --map ports and data against it")
     p.add_argument("--explain", action="store_true",
                    help="print derivation trees for findings on stderr")
     p.set_defaults(fn=cmd_comply)

@@ -45,6 +45,7 @@ from .semlog import (
     StandingFact,
     Term,
     UNARY_OPS,
+    VAR,
     Var,
     VERY_OP,
 )
@@ -398,7 +399,7 @@ class _TermParser(_Parser):
             if self._starts_term():
                 if inner == Atom("Very"):
                     return Op(VERY_OP, self.parse_term())
-                if isinstance(inner, Var):
+                if inner[0] == VAR:
                     return Count(inner, self.parse_term())
                 raise self.fail_at(
                     close,

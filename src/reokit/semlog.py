@@ -10,9 +10,10 @@ least fixpoint afterwards.
 Saturation is semi-naive: each pass tries only the rule bindings that
 use a fact added since the previous pass began, so a verdict after each
 event costs work in proportion to the new facts, not to the history.
-The engine keeps one persistent fact index, a ``term_key``-sorted list
-of ``(key, fact)`` pairs per head, so no pass and no report sorts the
-store.
+The engine keeps one persistent fact index, a sorted list of facts per
+head, so no pass and no report sorts the store. A term is a tagged tuple
+whose natural order is the fact order, so the index sorts the facts
+themselves. Count indices order as ints.
 
 Two counting rules are engine built-ins rather than rulebase patterns:
 set-based fact storage cannot observe "A AND A", so "A => (1)A" and
@@ -58,166 +59,142 @@ ORIGIN_DERIVED = "derived-event"
 _CASCADE_LIMIT = 1000
 
 
-@dataclass(frozen=True)
-class Term:
-    pass
+# A term is a plain tagged tuple whose natural order is the engine's
+# fact order: the tag first, then the payload, then the children.
+#   (ATOM, name)          an atom
+#   (rank, arg)           a unary operator, rank = _OP_RANK[op] in 1..7
+#   (COUNT, index, arg)   a counter (index)arg; index is an int >= 1, or
+#                         a variable in rule patterns
+#   (IMPLIES, lhs, rhs)   a reified implication (lhs=>rhs)
+#   (VAR, name)           a pattern variable; never in a stored fact
+# Terms of different kinds differ in the tag, so they never compare
+# equal and always order by kind. Two ground terms of one kind hold the
+# same types at each position, so any two facts compare without error.
+Term = tuple
+
+ATOM = 0
+COUNT = 8
+IMPLIES = 9
+VAR = 10
+
+_OP_RANK = {op: i + 1 for i, op in enumerate(UNARY_OPS)}
+_VERY = _OP_RANK[VERY_OP]
 
 
-@dataclass(frozen=True)
-class Atom(Term):
-    name: str
+def Atom(name: str) -> Term:
+    return (ATOM, name)
 
 
-@dataclass(frozen=True)
-class Var(Term):
+def Var(name: str) -> Term:
     """A pattern variable; never appears in stored facts."""
-
-    name: str
-
-
-@dataclass(frozen=True)
-class Op(Term):
-    op: str
-    arg: Term
+    return (VAR, name)
 
 
-@dataclass(frozen=True)
-class Count(Term):
-    index: object  # int >= 1, or Var in rule patterns
-    arg: Term
+def Op(op: str, arg: Term) -> Term:
+    rank = _OP_RANK.get(op)
+    if rank is None:
+        raise ValueError(f"unknown operator {op!r}")
+    return (rank, arg)
 
 
-@dataclass(frozen=True)
-class Implies(Term):
-    lhs: Term
-    rhs: Term
+def Count(index, arg: Term) -> Term:
+    """The counter (index)arg: index is an int >= 1, or a Var in patterns."""
+    return (COUNT, index, arg)
+
+
+def Implies(lhs: Term, rhs: Term) -> Term:
+    return (IMPLIES, lhs, rhs)
 
 
 def P(t: Term) -> Term:
-    return Op(P_OP, t)
+    return (_OP_RANK[P_OP], t)
 
 
 def Very(t: Term) -> Term:
-    return Op(VERY_OP, t)
+    return (_VERY, t)
 
 
 def Forbidden(t: Term) -> Term:
-    return Op(FORBIDDEN_OP, t)
+    return (_OP_RANK[FORBIDDEN_OP], t)
 
 
 def Warning(t: Term) -> Term:
-    return Op(WARNING_OP, t)
+    return (_OP_RANK[WARNING_OP], t)
 
 
 def Failure(t: Term) -> Term:
-    return Op(FAILURE_OP, t)
+    return (_OP_RANK[FAILURE_OP], t)
 
 
 def Resolved(t: Term) -> Term:
-    return Op(RESOLVED_OP, t)
+    return (_OP_RANK[RESOLVED_OP], t)
 
 
 def DoubleCheck(t: Term) -> Term:
-    return Op(DOUBLECHECK_OP, t)
+    return (_OP_RANK[DOUBLECHECK_OP], t)
 
 
 def is_ground(t: Term) -> bool:
-    if isinstance(t, Var):
-        return False
-    if isinstance(t, Atom):
+    tag = t[0]
+    if tag == ATOM:
         return True
-    if isinstance(t, Op):
-        return is_ground(t.arg)
-    if isinstance(t, Count):
-        return isinstance(t.index, int) and is_ground(t.arg)
-    if isinstance(t, Implies):
-        return is_ground(t.lhs) and is_ground(t.rhs)
-    raise TypeError(t)
+    if tag < COUNT:
+        return is_ground(t[1])
+    if tag == COUNT:
+        return isinstance(t[1], int) and is_ground(t[2])
+    if tag == IMPLIES:
+        return is_ground(t[1]) and is_ground(t[2])
+    return False  # a variable
 
 
 def depth(t: Term) -> int:
-    if isinstance(t, (Atom, Var)):
+    tag = t[0]
+    if tag == ATOM or tag == VAR:
         return 1
-    if isinstance(t, Op):
-        return 1 + depth(t.arg)
-    if isinstance(t, Count):
-        return 1 + depth(t.arg)
-    if isinstance(t, Implies):
-        return 1 + max(depth(t.lhs), depth(t.rhs))
-    raise TypeError(t)
-
-
-_OP_RANK = {op: i + 1 for i, op in enumerate(UNARY_OPS)}
-
-
-def term_key(t: Term) -> tuple:
-    """Total structural ordering: operator rank, then payload, then children."""
-    if isinstance(t, Atom):
-        return (0, t.name, ())
-    if isinstance(t, Op):
-        return (_OP_RANK[t.op], "", (term_key(t.arg),))
-    if isinstance(t, Count):
-        if isinstance(t.index, int):
-            payload = f"{t.index:09d}"
-        else:
-            payload = "~" + t.index.name
-        return (8, payload, (term_key(t.arg),))
-    if isinstance(t, Implies):
-        return (9, "", (term_key(t.lhs), term_key(t.rhs)))
-    if isinstance(t, Var):
-        return (10, t.name, ())
-    raise TypeError(t)
+    if tag < COUNT:
+        return 1 + depth(t[1])
+    if tag == COUNT:
+        return 1 + depth(t[2])
+    return 1 + max(depth(t[1]), depth(t[2]))
 
 
 def _tag(t: Term) -> tuple:
     """The fact-index bucket of a fact or non-variable pattern.
 
-    Buckets sort as the ``term_key`` of their facts do, so walking them
-    in sorted order visits every fact in key order.
+    A bucket is a prefix of its facts, so walking the buckets in sorted
+    order, and each bucket in sorted order, visits every fact in order.
     """
-    if isinstance(t, Atom):
-        return (0, t.name)
-    if isinstance(t, Op):
-        return (_OP_RANK[t.op],)
-    if isinstance(t, Count):
-        return (8,)
-    if isinstance(t, Implies):
-        return (9,)
-    raise TypeError(t)
+    return t[:2] if t[0] == ATOM else t[:1]
 
 
 def pretty(t: Term) -> str:
-    if isinstance(t, Atom):
-        return t.name
-    if isinstance(t, Var):
-        return t.name
-    if isinstance(t, Op):
-        if t.op == VERY_OP:
-            return f"(Very){pretty(t.arg)}"
-        return f"{t.op}({pretty(t.arg)})"
-    if isinstance(t, Count):
-        idx = t.index if isinstance(t.index, int) else t.index.name
-        return f"({idx}){pretty(t.arg)}"
-    if isinstance(t, Implies):
-        return f"({pretty(t.lhs)}=>{pretty(t.rhs)})"
-    raise TypeError(t)
+    tag = t[0]
+    if tag == ATOM or tag == VAR:
+        return t[1]
+    if tag == _VERY:
+        return f"(Very){pretty(t[1])}"
+    if tag < COUNT:
+        return f"{UNARY_OPS[tag - 1]}({pretty(t[1])})"
+    if tag == COUNT:
+        idx = t[1] if isinstance(t[1], int) else t[1][1]
+        return f"({idx}){pretty(t[2])}"
+    return f"({pretty(t[1])}=>{pretty(t[2])})"
 
 
 def variables(t: Term) -> set[str]:
-    if isinstance(t, Var):
-        return {t.name}
-    if isinstance(t, Atom):
+    tag = t[0]
+    if tag == VAR:
+        return {t[1]}
+    if tag == ATOM:
         return set()
-    if isinstance(t, Op):
-        return variables(t.arg)
-    if isinstance(t, Count):
-        out = variables(t.arg)
-        if isinstance(t.index, Var):
-            out.add(t.index.name)
+    if tag < COUNT:
+        return variables(t[1])
+    if tag == COUNT:
+        out = variables(t[2])
+        if not isinstance(t[1], int):
+            out.add(t[1][1])
         return out
-    if isinstance(t, Implies):
-        return variables(t.lhs) | variables(t.rhs)
-    raise TypeError(t)
+    return variables(t[1]) | variables(t[2])
 
 
 def match(pattern: Term, term: Term, binding: dict) -> dict | None:
@@ -225,60 +202,56 @@ def match(pattern: Term, term: Term, binding: dict) -> dict | None:
 
     Bindings map variable names to Terms, or to ints for count indices.
     """
-    if isinstance(pattern, Var):
-        bound = binding.get(pattern.name)
+    tag = pattern[0]
+    if tag == VAR:
+        bound = binding.get(pattern[1])
         if bound is None:
             out = dict(binding)
-            out[pattern.name] = term
+            out[pattern[1]] = term
             return out
         return binding if bound == term else None
-    if isinstance(pattern, Atom):
+    if tag == ATOM:
         return binding if pattern == term else None
-    if isinstance(pattern, Op):
-        if isinstance(term, Op) and term.op == pattern.op:
-            return match(pattern.arg, term.arg, binding)
+    if tag != term[0]:
         return None
-    if isinstance(pattern, Count):
-        if not isinstance(term, Count):
-            return None
-        if isinstance(pattern.index, Var):
-            bound = binding.get(pattern.index.name)
+    if tag < COUNT:
+        return match(pattern[1], term[1], binding)
+    if tag == COUNT:
+        idx = pattern[1]
+        if isinstance(idx, int):
+            if idx != term[1]:
+                return None
+        else:
+            bound = binding.get(idx[1])
             if bound is None:
                 binding = dict(binding)
-                binding[pattern.index.name] = term.index
-            elif bound != term.index:
+                binding[idx[1]] = term[1]
+            elif bound != term[1]:
                 return None
-        elif pattern.index != term.index:
-            return None
-        return match(pattern.arg, term.arg, binding)
-    if isinstance(pattern, Implies):
-        if not isinstance(term, Implies):
-            return None
-        b = match(pattern.lhs, term.lhs, binding)
-        if b is None:
-            return None
-        return match(pattern.rhs, term.rhs, b)
-    raise TypeError(pattern)
+        return match(pattern[2], term[2], binding)
+    b = match(pattern[1], term[1], binding)
+    if b is None:
+        return None
+    return match(pattern[2], term[2], b)
 
 
 def substitute(pattern: Term, binding: dict) -> Term:
-    if isinstance(pattern, Var):
-        value = binding[pattern.name]
-        if not isinstance(value, Term):
-            raise ValueError(f"variable {pattern.name} bound to count {value!r}")
+    tag = pattern[0]
+    if tag == VAR:
+        value = binding[pattern[1]]
+        if not isinstance(value, tuple):
+            raise ValueError(f"variable {pattern[1]} bound to count {value!r}")
         return value
-    if isinstance(pattern, Atom):
+    if tag == ATOM:
         return pattern
-    if isinstance(pattern, Op):
-        return Op(pattern.op, substitute(pattern.arg, binding))
-    if isinstance(pattern, Count):
-        idx = pattern.index
-        if isinstance(idx, Var):
-            idx = binding[idx.name]
-        return Count(idx, substitute(pattern.arg, binding))
-    if isinstance(pattern, Implies):
-        return Implies(substitute(pattern.lhs, binding), substitute(pattern.rhs, binding))
-    raise TypeError(pattern)
+    if tag < COUNT:
+        return (tag, substitute(pattern[1], binding))
+    if tag == COUNT:
+        idx = pattern[1]
+        if not isinstance(idx, int):
+            idx = binding[idx[1]]
+        return (COUNT, idx, substitute(pattern[2], binding))
+    return (IMPLIES, substitute(pattern[1], binding), substitute(pattern[2], binding))
 
 
 def event_like(t: Term) -> bool:
@@ -287,15 +260,14 @@ def event_like(t: Term) -> bool:
     Status-headed terms (P, Forbidden, ...), counters, and implications
     denote states, so they are stored as facts but never counted.
     """
-    return isinstance(t, Atom) or (isinstance(t, Op) and t.op == VERY_OP)
+    return t[0] == ATOM or t[0] == _VERY
 
 
 def _event_shaped_pattern(t: Term) -> bool:
-    if isinstance(t, (Atom, Var)):
+    tag = t[0]
+    if tag == ATOM or tag == VAR:
         return True
-    if isinstance(t, Op) and t.op == VERY_OP:
-        return _event_shaped_pattern(t.arg)
-    return False
+    return tag == _VERY and _event_shaped_pattern(t[1])
 
 
 EVENT_IMPLICATION = "event-implication"
@@ -303,7 +275,7 @@ FACT_RULE = "fact-rule"
 
 # Conclusions under these heads are judgements; a rule producing one is
 # a fact-rule no matter how its premise is shaped.
-_DIAGNOSTIC_OPS = frozenset({WARNING_OP, FAILURE_OP, RESOLVED_OP})
+_DIAGNOSTIC_RANKS = frozenset(_OP_RANK[op] for op in (WARNING_OP, FAILURE_OP, RESOLVED_OP))
 
 
 @dataclass(frozen=True)
@@ -327,10 +299,7 @@ class Rule:
             len(self.premises) == 1
             and not self.guards
             and _event_shaped_pattern(self.premises[0])
-            and not (
-                isinstance(self.conclusion, Op)
-                and self.conclusion.op in _DIAGNOSTIC_OPS
-            )
+            and self.conclusion[0] not in _DIAGNOSTIC_RANKS
         ):
             return EVENT_IMPLICATION
         return FACT_RULE
@@ -455,10 +424,6 @@ class Verdict:
         return json.dumps(self.to_dict(), indent=2, sort_keys=True) + "\n"
 
 
-def _warned(t: Term) -> Term:
-    return t.arg if isinstance(t, Op) and t.op == WARNING_OP else t
-
-
 @dataclass
 class DerivationNode:
     term: Term
@@ -491,35 +456,17 @@ class _OrderWatch:
         self.violations: list[OrderViolation] = []
 
     def observe(self, ev: Event) -> None:
-        if not isinstance(ev.term, Atom) or ev.term.name not in self.positions:
+        tag, name = ev.term[:2]
+        if tag != ATOM or name not in self.positions:
             return
         order, seen = self.order, self.seen
-        i = self.positions[ev.term.name]
+        i = self.positions[name]
         if any(a not in seen for a in order[:i]):
             expected = tuple(
                 a for j, a in enumerate(order) if all(p in seen for p in order[:j])
             )
-            self.violations.append(OrderViolation(order, ev.index, ev.term.name, expected))
-        seen.add(ev.term.name)
-
-
-def check_sequence(
-    events: list[Event], orders: tuple[tuple[str, ...], ...]
-) -> list[OrderViolation]:
-    """Prefix-discipline check of declared atom orderings.
-
-    Restricted to each order's atoms, an occurrence is legal only when
-    every predecessor atom has occurred at least once before it. Every
-    occurrence, legal or not, counts as seen afterwards. Violations are
-    listed order by order, in declaration order.
-    """
-    violations = []
-    for order in orders:
-        watch = _OrderWatch(order)
-        for ev in events:
-            watch.observe(ev)
-        violations.extend(watch.violations)
-    return violations
+            self.violations.append(OrderViolation(order, ev.index, name, expected))
+        seen.add(name)
 
 
 class ComplianceEngine:
@@ -527,11 +474,10 @@ class ComplianceEngine:
 
     Each fact is a key of ``derivations``, which maps it to its first
     derivation; ``facts`` is a read-only view of those keys. The facts are
-    also kept in one persistent index, ``_index``: per
-    ``_tag`` bucket, a list of ``(term_key(fact), fact)`` pairs kept in
-    key order by ``bisect.insort``; ``_tags`` lists the buckets in sorted
-    order. ``_fresh`` collects the pairs added since the last saturation
-    pass began, which is the next pass's delta.
+    also kept in one persistent index, ``_index``: per ``_tag`` bucket,
+    a list of the facts kept in term order by ``bisect.insort``; ``_tags``
+    lists the buckets in sorted order. ``_fresh`` collects the facts added
+    since the last saturation pass began, which is the next pass's delta.
     """
 
     def __init__(self, rulebase: RuleBase, max_depth: int = 8, max_iterations: int = 10000):
@@ -552,9 +498,9 @@ class ComplianceEngine:
         self._converged = False  # the standing facts are the first delta
         self._event_rules = rulebase.event_implications()
         self._fact_rules = rulebase.fact_rules()
-        self._index: dict[tuple, list[tuple[tuple, Term]]] = {}
+        self._index: dict[tuple, list[Term]] = {}
         self._tags: list[tuple] = []
-        self._fresh: list[tuple[tuple, Term]] = []
+        self._fresh: list[Term] = []
         self._order_watches = [_OrderWatch(order) for order in rulebase.orders]
         for sf in rulebase.facts:
             label = f"standing fact {sf.name}" if sf.name else "standing fact"
@@ -656,14 +602,13 @@ class ComplianceEngine:
             return
         self.derivations[term] = derivation
         new.add(term)
-        pair = (term_key(term), term)
         tag = _tag(term)
         bucket = self._index.get(tag)
         if bucket is None:
             bucket = self._index[tag] = []
             bisect.insort(self._tags, tag)
-        bisect.insort(bucket, pair)
-        self._fresh.append(pair)
+        bisect.insort(bucket, term)
+        self._fresh.append(term)
 
     def _diag(self, message: str) -> None:
         if message not in self.diagnostics:
@@ -696,19 +641,19 @@ class ComplianceEngine:
         """One semi-naive pass; returns whether it added a fact.
 
         Bindings are enumerated rule by rule, premise by premise, facts in
-        key order, and only those that use a fresh fact (one added since
+        term order, and only those that use a fresh fact (one added since
         the previous pass began) are tried. Every other binding uses only
         facts the previous pass already saw, which then stored its
         conclusion, rejected it by a guard or dropped it with a diagnostic,
         so skipping it changes neither the conclusions nor their order. New conclusions are stored only after
         the enumeration, so the pass reads one fixed store.
         """
-        fresh_pairs = sorted(self._fresh)
+        fresh_facts = sorted(self._fresh)
         self._fresh = []
-        fresh: dict = {None: fresh_pairs}
-        for pair in fresh_pairs:
-            fresh.setdefault(_tag(pair[1]), []).append(pair)
-        fresh_terms = {t for _, t in fresh_pairs}
+        fresh: dict = {None: fresh_facts}
+        for fact in fresh_facts:
+            fresh.setdefault(_tag(fact), []).append(fact)
+        fresh_terms = set(fresh_facts)
         pending: dict[Term, Derivation] = {}  # first derivation of each conclusion
         for rule in self._fact_rules:
             for binding in self._bindings(rule.premises, {}, fresh, fresh_terms, False):
@@ -729,20 +674,20 @@ class ComplianceEngine:
             self._add_fact(conclusion, derivation, new)
         return bool(pending)
 
-    def _candidates(self, pattern: Term, fresh) -> list[tuple[tuple, Term]]:
-        """The ``(key, fact)`` pairs that may match a non-bound ``pattern``.
+    def _candidates(self, pattern: Term, fresh) -> list[Term]:
+        """The facts that may match a non-bound ``pattern``.
 
-        In key order, from ``fresh`` (the pass's delta by tag, ``None``
+        In term order, from ``fresh`` (the pass's delta by tag, ``None``
         holding all of it) when given, else from the whole index.
         """
         if fresh is not None:
-            return fresh.get(None if isinstance(pattern, Var) else _tag(pattern), ())
-        if isinstance(pattern, Var):
-            return [pair for tag in self._tags for pair in self._index[tag]]
+            return fresh.get(None if pattern[0] == VAR else _tag(pattern), ())
+        if pattern[0] == VAR:
+            return self.sorted_facts()
         return self._index.get(_tag(pattern), ())
 
     def _bindings(self, premises, binding, fresh, fresh_terms, used_fresh):
-        """Bindings of ``premises`` that use a fresh fact, in key order.
+        """Bindings of ``premises`` that use a fresh fact, in term order.
 
         ``used_fresh`` says whether an earlier premise matched a fresh
         fact; when none did, the last premise draws from the fresh facts
@@ -753,14 +698,14 @@ class ComplianceEngine:
             return
         head, rest = premises[0], premises[1:]
         only_fresh = not rest and not used_fresh
-        if isinstance(head, Var) and head.name in binding:
-            term = binding[head.name]
+        if head[0] == VAR and head[1] in binding:
+            term = binding[head[1]]
             if term in (fresh_terms if only_fresh else self.derivations):
                 yield from self._bindings(
                     rest, binding, fresh, fresh_terms, used_fresh or term in fresh_terms
                 )
             return
-        for _, fact in self._candidates(head, fresh if only_fresh else None):
+        for fact in self._candidates(head, fresh if only_fresh else None):
             extended = match(head, fact, binding)
             if extended is not None:
                 yield from self._bindings(
@@ -790,7 +735,7 @@ class ComplianceEngine:
             failures=self._judged(FAILURE_OP),
             warnings=self._judged(WARNING_OP),
             # the warned Warning(...) term, with the provenance of its Resolved fact
-            resolved=[(fact.arg, d) for fact, d in self._judged(RESOLVED_OP)],
+            resolved=[(fact[1], d) for fact, d in self._judged(RESOLVED_OP)],
             order_violations=[v for w in self._order_watches for v in w.violations],
             facts_total=len(self.derivations),
             diagnostics=list(self.diagnostics),
@@ -798,7 +743,7 @@ class ComplianceEngine:
 
     def _judged(self, op: str) -> list[tuple[Term, Derivation]]:
         bucket = self._index.get((_OP_RANK[op],), ())
-        return [(fact, self.derivations[fact]) for _, fact in bucket]
+        return [(fact, self.derivations[fact]) for fact in bucket]
 
     def explain(self, fact: Term) -> DerivationNode:
         if fact not in self.derivations:
@@ -808,7 +753,7 @@ class ComplianceEngine:
         return DerivationNode(fact, derivation.rule, children)
 
     def sorted_facts(self) -> list[Term]:
-        return [fact for tag in self._tags for _, fact in self._index[tag]]
+        return [fact for tag in self._tags for fact in self._index[tag]]
 
     def max_count(self, term: Term) -> int:
         return self._counts.get(term, 0)

@@ -33,6 +33,7 @@ from util import (
     random_automaton,
     random_circuit,
     random_tame_circuit,
+    traces_upto,
 )
 
 BUDGET = Atom("BudgetConsuming")
@@ -145,7 +146,7 @@ def test_criterion_3_hiding_correctness():
         c, hidden = random_tame_circuit(rng)
         full = A.join_many(A.circuit_automata(c))
         ports = frozenset(p.name for p in c.ports)
-        assert observable_traces(full, ports, 6) == AN.traces_upto(hidden, 6)
+        assert observable_traces(full, ports, 6) == traces_upto(hidden, 6)
     sync_ab = A.build_automaton(
         {"a", "b"}, ["q"], "q", [("q", {"a", "b"}, A.eq("a", "b"), "q")], ALPHABET
     )
@@ -173,7 +174,7 @@ def test_criterion_4_sequencer_law():
             )
             for length in range(depth + 1)
         ]
-        assert AN.traces_upto(auto, depth) == sorted(expected)
+        assert traces_upto(auto, depth) == sorted(expected)
     _ok(4, "sequencer-3 admits exactly the cyclic word s1.s2.s3 at depths 1-9")
 
 

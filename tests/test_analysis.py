@@ -17,6 +17,7 @@ from util import (
     random_automaton,
     random_circuit,
     random_tame_circuit,
+    traces_upto,
 )
 
 
@@ -68,17 +69,17 @@ def test_rescue_deadlock_free(rescue_auto):
 
 
 def test_traces_upto_basics():
-    assert AN.traces_upto(sync_ab(), 0) == [()]
+    assert traces_upto(sync_ab(), 0) == [()]
     one_letter = A.build_automaton(
         {"a", "b"}, ["q"], "q", [("q", {"a", "b"}, A.eq("a", "b"), "q")], frozenset({"ok"})
     )
-    words = AN.traces_upto(one_letter, 1)
+    words = traces_upto(one_letter, 1)
     assert words == [
         (),
         ((("a", "b"), (("a", "ok"), ("b", "ok"))),),
     ]
     with pytest.raises(ValueError):
-        AN.traces_upto(sync_ab(), -1)
+        traces_upto(sync_ab(), -1)
 
 
 def test_traces_monotone_in_depth():
@@ -86,12 +87,12 @@ def test_traces_monotone_in_depth():
     for _ in range(15):
         auto = random_automaton(rng)
         for k in range(5):
-            assert set(AN.traces_upto(auto, k)) <= set(AN.traces_upto(auto, k + 1))
+            assert set(traces_upto(auto, k)) <= set(traces_upto(auto, k + 1))
 
 
 def test_sequencer_traces_single_maximal_word():
     auto = A.compile_circuit(parse_circuit(SEQ3_TEXT))
-    words = AN.traces_upto(auto, 3)
+    words = traces_upto(auto, 3)
     assert [w for w in words if len(w) == 3] == [
         (
             (("s1",), (("s1", "tick"),)),
@@ -143,14 +144,14 @@ def test_bisimilar_implies_trace_equality():
         checked += 1
         if AN.bisimilar(a, b):
             for k in range(6):
-                assert AN.traces_upto(a, k) == AN.traces_upto(b, k)
+                assert traces_upto(a, k) == traces_upto(b, k)
 
 
 @settings(max_examples=30, deadline=None)
 @given(st.integers(0, 10**9))
 def test_observable_traces_consistent_with_traces(seed):
     auto = random_automaton(random.Random(seed))
-    assert observable_traces(auto, auto.names, 3) == AN.traces_upto(auto, 3)
+    assert observable_traces(auto, auto.names, 3) == traces_upto(auto, 3)
 
 
 def test_hiding_preserves_observable_traces():
@@ -161,7 +162,7 @@ def test_hiding_preserves_observable_traces():
         autos = A.circuit_automata(c)
         full = A.join_many(autos)
         ports = frozenset(p.name for p in c.ports)
-        assert observable_traces(full, ports, 6) == AN.traces_upto(hidden, 6)
+        assert observable_traces(full, ports, 6) == traces_upto(hidden, 6)
 
 
 def test_analysis_report_render_and_json():

@@ -23,6 +23,7 @@ from util import (
     holds,
     random_automaton,
     random_circuit,
+    traces_upto,
 )
 
 
@@ -344,7 +345,7 @@ def test_compile_rejects_invalid_circuit():
 def test_compile_sequencer_cycles():
     c = parse_circuit(SEQ3_TEXT)
     auto = A.compile_circuit(c)
-    words = AN.traces_upto(auto, 3)
+    words = traces_upto(auto, 3)
     maximal = [w for w in words if len(w) == 3]
     assert len(maximal) == 1
     order = [step[0] for step in maximal[0]]

@@ -6,7 +6,7 @@ from reokit import automata as A
 from reokit import circuit as C
 from reokit.dsl import parse_circuit
 
-from util import MINIMAL_SYNC_TEXT, random_circuit
+from util import MINIMAL_SYNC_TEXT, boundary_ports, random_circuit
 
 
 def make(channels, ports=(), alphabet=("ok", "bad"), name="t"):
@@ -115,12 +115,12 @@ def test_boundary_ports_requires_valid_circuit():
     c = make([C.Channel("c1", C.FIFO1, "a", "b", init="zap")],
              [C.PortId("a", C.PORT_IN), C.PortId("b", C.PORT_OUT)])
     with pytest.raises(C.InvalidCircuitError):
-        C.boundary_ports(c)
+        boundary_ports(c)
 
 
 def test_boundary_ports_partitions():
     c = parse_circuit(MINIMAL_SYNC_TEXT)
-    ins, outs = C.boundary_ports(c)
+    ins, outs = boundary_ports(c)
     assert ins == {C.PortId("a", C.PORT_IN)}
     assert outs == {C.PortId("b", C.PORT_OUT)}
     assert (c.inputs, c.outputs) == ({"a"}, {"b"})
@@ -128,7 +128,7 @@ def test_boundary_ports_partitions():
 
 def test_boundary_ports_empty():
     c = make([C.Channel("c1", C.SYNC, "a", "b")])
-    ins, outs = C.boundary_ports(c)
+    ins, outs = boundary_ports(c)
     assert ins == frozenset() and outs == frozenset()
 
 

@@ -324,6 +324,38 @@ def test_comply_from_trace_and_map(mini, tmp_path):
     assert doc["order_violations"][0]["atom"] == "PoliceRequest"
 
 
+def test_comply_checks_the_map_against_a_given_circuit(
+    tmp_path, rescue_circuit, rescue_auto, capsys
+):
+    env = dsl.parse_env((DATA / "rescue.env").read_text(), rescue_circuit)
+    trace = tmp_path / "t.json"
+    trace.write_text(sim.simulate(rescue_auto, env, sim.SimConfig(seed=0)).to_json())
+    shipped = (DATA / "rescue.map").read_text()
+    bad_datum = shipped.replace("police_alarm ->", "police_alarm=zap ->")
+    bad_port = shipped + "polise_alarm -> PoliceRequest\n"
+    base = ["comply", "--rules", str(DATA / "rescue.rules"), "--trace", str(trace)]
+    circuit = ["--circuit", str(DATA / "rescue.circuit")]
+    for text, code in ((bad_datum, "UNKNOWN_TOKEN"), (bad_port, "UNKNOWN_PORT")):
+        map_file = tmp_path / "m.map"
+        map_file.write_text(text)
+        # without a circuit the entry is accepted and silently never fires
+        assert cli.main([*base, "--map", str(map_file)]) == 0
+        capsys.readouterr()
+        assert cli.main([*base, "--map", str(map_file), *circuit]) == 2
+        assert code in capsys.readouterr().err
+    # the shipped map passes the check, with the same verdict as without it
+    assert cli.main([*base, "--map", str(DATA / "rescue.map")]) == 0
+    unchecked = capsys.readouterr().out
+    assert cli.main([*base, "--map", str(DATA / "rescue.map"), *circuit]) == 0
+    assert capsys.readouterr().out == unchecked
+    # --circuit only qualifies a trace's map
+    events = tmp_path / "e.events"
+    events.write_text("")
+    argv = ["comply", "--rules", str(DATA / "rescue.rules"), "--events", str(events), *circuit]
+    assert cli.main(argv) == 2
+    assert capsys.readouterr().err == "error: --circuit requires --trace and --map\n"
+
+
 def test_comply_malformed_trace_exits_two(tmp_path, rescue_circuit, rescue_auto):
     firing = {"round": 1, "kind": "firing", "sync": ["police_alarm"],
               "data": {"police_alarm": "ok"}, "from": "s0", "to": "s1"}

@@ -74,7 +74,7 @@ def test_map_trace_specific_beats_port_only():
     trace.steps.append(Firing(1, frozenset({"p"}), (("p", "ok"),), 0, 0))
     trace.steps.append(Firing(2, frozenset({"p"}), (("p", "bad"),), 0, 0))
     events = rescue.map_trace(trace, mapping)
-    assert [e.term.name for e in events] == ["Hit", "Miss"]
+    assert [e.term for e in events] == [Atom("Hit"), Atom("Miss")]
     assert [e.index for e in events] == [1, 2]
 
 

@@ -27,14 +27,14 @@ from reokit.semlog import (
     Var,
     Very,
     Warning,
-    check_sequence,
     depth,
     is_ground,
     match,
     pretty,
     substitute,
-    term_key,
 )
+
+from util import check_sequence, counted, term_key
 
 BUDGET = Atom("BudgetConsuming")
 HELI = Atom("HelicopterMission")
@@ -65,30 +65,64 @@ def test_depth_and_groundness():
     assert not is_ground(Count(Var("I"), BUDGET))
 
 
-def test_term_key_total_order():
-    terms = [BUDGET, P(BUDGET), Very(BUDGET), Count(2, BUDGET), Implies(BUDGET, HELI)]
-    ordered = sorted(terms, key=term_key)
-    assert sorted(ordered, key=term_key) == ordered
-    assert len({term_key(t) for t in terms}) == len(terms)
+UNARY = [P, Very, Forbidden, Warning, Failure, Resolved, DoubleCheck]
+# Atom names: identifiers that are not single uppercase letters, which
+# the pattern parser reads as variables. A few fixed names make equal
+# draws likely; "Very" and "Warning" are operator words used as atoms.
+ATOM_NAMES = st.sampled_from(["a", "b", "Very", "Warning", "AB"]) | st.from_regex(
+    r"[a-z_][A-Za-z0-9_]{0,8}", fullmatch=True
+)
+VAR_NAMES = st.sampled_from("ABIXY")
+SMALL_INDEX = st.integers(1, 4) | st.integers(1, 10**9 - 1)
 
 
-@settings(max_examples=100, deadline=None)
-@given(st.data())
-def test_term_key_separates_exactly_equal_terms(data):
-    unary = [P, Very, Forbidden, Warning, Failure, Resolved, DoubleCheck]
+def terms(var_index=False):
+    """Random terms, variables included; count indices are ints below
+    10**9, or also count variables when ``var_index`` is set."""
+    index = SMALL_INDEX | st.builds(Var, VAR_NAMES) if var_index else SMALL_INDEX
+    leaves = st.builds(Atom, ATOM_NAMES) | st.builds(Var, VAR_NAMES)
+    return st.recursive(
+        leaves,
+        lambda sub: st.one_of(
+            st.builds(lambda op, t: op(t), st.sampled_from(UNARY), sub),
+            st.builds(Count, index, sub),
+            st.builds(Implies, sub, sub),
+        ),
+        max_leaves=6,
+    )
 
-    def draw_term(depth):
-        choice = data.draw(st.integers(0, 3 if depth < 3 else 0))
-        if choice == 0:
-            return Atom(data.draw(st.sampled_from(["a", "b", "c"])))
-        if choice == 1:
-            return data.draw(st.sampled_from(unary))(draw_term(depth + 1))
-        if choice == 2:
-            return Count(data.draw(st.integers(1, 4)), draw_term(depth + 1))
-        return Implies(draw_term(depth + 1), draw_term(depth + 1))
 
-    x, y = draw_term(0), draw_term(0)
-    assert (term_key(x) == term_key(y)) == (x == y)
+@settings(max_examples=200, deadline=None)
+@given(st.lists(terms(), max_size=12))
+def test_term_order_is_the_old_key_order(ts):
+    assert sorted(ts) == sorted(ts, key=term_key)
+
+
+@settings(max_examples=200, deadline=None)
+@given(terms(), terms())
+def test_terms_are_equal_exactly_when_their_old_keys_are(x, y):
+    assert (x == y) == (term_key(x) == term_key(y))
+    if x == y:
+        assert hash(x) == hash(y)
+
+
+@settings(max_examples=200, deadline=None)
+@given(terms(var_index=True))
+def test_pretty_parses_back_to_the_term(t):
+    assert dsl.parse_term(pretty(t), allow_vars=True) == t
+
+
+def test_no_two_kinds_compare_equal():
+    a = Atom("A")
+    kinds = [a, Var("A"), *(op(a) for op in UNARY), Count(1, a), Implies(a, a)]
+    assert len(set(kinds)) == len(kinds)
+    for x in kinds:
+        assert [y for y in kinds if y == x] == [x]
+    by_kind = kinds[:1] + kinds[2:] + kinds[1:2]  # atom, operators, count, implication, variable
+    assert sorted(kinds) == sorted(kinds, key=term_key) == by_kind
+    assert Count(10**9, a) > Count(2 * 10**8, a)  # ints, not 9-digit strings
+    with pytest.raises(ValueError):
+        semlog.Op("Maybe", a)
 
 
 def test_match_and_substitute():
@@ -130,7 +164,7 @@ def test_diagnostic_events_are_not_counted_and_idempotent():
     again = eng.ingest(fact)
     assert again == set()
     assert eng.max_count(fact) == 0
-    assert not any(isinstance(f, Count) and f.arg == fact for f in eng.facts)
+    assert counted(eng.facts, fact) == []
 
 
 def test_depth_limit_drops_with_diagnostic():
@@ -251,8 +285,7 @@ def test_count_coherence():
     for ev in eng.events:  # includes derived events
         occurrences[ev.term] = occurrences.get(ev.term, 0) + 1
     for t, k in occurrences.items():
-        counts = sorted(f.index for f in eng.facts if isinstance(f, Count) and f.arg == t)
-        assert counts == list(range(1, k + 1))
+        assert counted(eng.facts, t) == list(range(1, k + 1))
         assert eng.max_count(t) == k
 
 

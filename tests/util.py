@@ -7,6 +7,7 @@ import random
 
 from reokit import automata as A
 from reokit import circuit as C
+from reokit import semlog as S
 from reokit.analysis import Word, expanded_steps
 
 ALPHABET = frozenset({"ok", "bad"})
@@ -66,6 +67,24 @@ def holds(g: frozenset[tuple], assignment: dict[str, str]) -> bool:
     return True
 
 
+def traces_upto(a: A.ConstraintAutomaton, k: int) -> list[Word]:
+    """Every word of length <= k labeling a path from the initial state."""
+    if k < 0:
+        raise ValueError("depth must be >= 0")
+    words: set[Word] = {()}
+    frontier: list[tuple[int, Word]] = [(a.initial, ())]
+    for _ in range(k):
+        nxt: list[tuple[int, Word]] = []
+        for state, word in frontier:
+            for step, dst in expanded_steps(a, state):
+                extended = word + (step,)
+                if extended not in words:
+                    words.add(extended)
+                nxt.append((dst, extended))
+        frontier = nxt
+    return sorted(words)
+
+
 def observable_traces(a: A.ConstraintAutomaton, visible, k: int) -> list[Word]:
     """Words over ``visible`` names of length <= k, ignoring silent steps.
 
@@ -97,6 +116,62 @@ def observable_traces(a: A.ConstraintAutomaton, visible, k: int) -> list[Word]:
                     nxt.append((dst, word))
         frontier = nxt
     return sorted(words)
+
+
+def boundary_ports(c: C.Circuit) -> tuple[frozenset[C.PortId], frozenset[C.PortId]]:
+    """The declared boundary ports, partitioned into (inputs, outputs)."""
+    rep = C.validate_circuit(c)
+    if not rep.ok:
+        raise C.InvalidCircuitError(rep)
+    ins = frozenset(C.PortId(n, C.PORT_IN) for n in c.inputs)
+    outs = frozenset(C.PortId(n, C.PORT_OUT) for n in c.outputs)
+    return ins, outs
+
+
+def check_sequence(
+    events: list[S.Event], orders: tuple[tuple[str, ...], ...]
+) -> list[S.OrderViolation]:
+    """Prefix-discipline check of declared atom orderings, over a whole log.
+
+    Restricted to each order's atoms, an occurrence is legal only when
+    every predecessor atom has occurred at least once before it. Every
+    occurrence, legal or not, counts as seen afterwards. Violations are
+    listed order by order, in declaration order.
+    """
+    violations = []
+    for order in orders:
+        watch = S._OrderWatch(order)
+        for ev in events:
+            watch.observe(ev)
+        violations.extend(watch.violations)
+    return violations
+
+
+def term_key(t: S.Term) -> tuple:
+    """Oracle: the structural term order that the tuple order replaced.
+
+    Operator rank, then a string payload (a count index padded to 9
+    digits), then the children's keys. Below 10**9 occurrences it orders
+    terms as the tuples' natural order does.
+    """
+    tag = t[0]
+    if tag == S.ATOM:
+        return (0, t[1], ())
+    if tag == S.VAR:
+        return (10, t[1], ())
+    if tag == S.COUNT:
+        idx = t[1]
+        payload = f"{idx:09d}" if isinstance(idx, int) else "~" + idx[1]
+        return (8, payload, (term_key(t[2]),))
+    if tag == S.IMPLIES:
+        return (9, "", (term_key(t[1]), term_key(t[2])))
+    (rank,) = [r for r, op in enumerate(S.UNARY_OPS, 1) if S.Op(op, t[1]) == t]
+    return (rank, "", (term_key(t[1]),))
+
+
+def counted(facts, term: S.Term) -> list[int]:
+    """The sorted indices k of the count facts (k)term among ``facts``."""
+    return sorted(f[1] for f in facts if f[0] == S.COUNT and f[2] == term)
 
 
 def random_guard(rng: random.Random, sync: list[str], alphabet=ALPHABET) -> frozenset[tuple]:
