@@ -119,18 +119,29 @@ def _classes(
 def project(
     g: frozenset[tuple], keep: frozenset[str], names: frozenset[str], alphabet: frozenset[str]
 ) -> frozenset[tuple] | None:
-    """Existentially eliminate every name outside ``keep``.
+    """Existentially eliminate every name of ``names`` outside ``keep``.
 
-    Returns the projected guard in canonical form, or None when ``g``
-    is unsatisfiable over ``alphabet``. With ``keep == names`` this is a
+    ``names`` holds every name ``g`` mentions. Returns the projected
+    guard in canonical form, or None when ``g`` is unsatisfiable over
+    ``alphabet``. With ``keep == names`` this is a
     canonicalizer-plus-satisfiability check, and it returns a canonical
     guard unchanged.
+
+    A name no atom mentions is a class of its own that allows the whole
+    alphabet, so it adds no atom: the classes are worked out over the
+    guard's own names only, and the cost follows the guard, not the
+    sync-set, which runs to ~20 names in late compile products. The one
+    exception is the empty alphabet: there any name at all has no value,
+    so a non-empty ``names`` is unsatisfiable, mentioned or not.
     """
-    root, allowed = _classes(g, names, alphabet)
+    if not alphabet and names:
+        return None
+    mentioned = guard_names(g)
+    root, allowed = _classes(g, mentioned, alphabet)
     if not all(allowed.values()):
         return None
     visible: dict[str, list[str]] = {}
-    for n in sorted(names & keep):
+    for n in sorted(mentioned & keep):
         visible.setdefault(root[n], []).append(n)
     atoms = set()
     for r, members in visible.items():
@@ -197,7 +208,10 @@ class ConstraintAutomaton:
     automaton the boundary-out names are ``names - inputs``. Transitions
     of ``build_automaton`` and ``compile_circuit`` results are in
     ``Transition.sort_key`` order; ``join`` and ``hide`` results are only
-    grouped by source state, ascending. Each transition's guard is a
+    grouped by source state, ascending, and are built with their per-state
+    index already in place (``_explore`` primes ``_outgoing``), so a later
+    ``outgoing`` does not regroup the flat tuple; any other automaton
+    groups it on the first ``outgoing``. Each transition's guard is a
     frozenset of atom tuples over names in its sync-set, so it is its own
     key in the memos of ``join``, ``hide`` and ``moves``. ``moves`` is the
     one expansion of a state into steps, which simulation and analysis
@@ -254,6 +268,11 @@ class ConstraintAutomaton:
                 moves.append((t, *label))
             by_state[state] = tuple(moves)
         return by_state[state]
+
+
+# Transition from a field tuple, without the named tuple's Python-level
+# __new__: a compile's intermediate products build tens of thousands
+_transition = functools.partial(tuple.__new__, Transition)
 
 
 def state_name(i: int) -> str:
@@ -403,35 +422,44 @@ def ca_of_node(node: Node, alphabet) -> ConstraintAutomaton:
     return build_automaton(names, ["q"], "q", trans, frozenset(alphabet), boundary_in)
 
 
-def _explore(start, steps) -> tuple[int, tuple[Transition, ...]]:
-    """Number the states reachable from ``start`` and collect their moves.
+def _explore(start, steps, names, alphabet, inputs) -> ConstraintAutomaton:
+    """The automaton of the states reachable from ``start`` and their moves.
 
     ``steps(state)`` yields (sync, guard, successor). The search is
     breadth-first and each level's new states are numbered in sorted
     order, so the numbering depends only on the reachable states and
-    their depth, never on the order ``steps`` yields. Returns the number
-    of states and the deduplicated transitions, grouped by source state
-    in ascending order.
+    their depth, never on the order ``steps`` yields. Duplicate moves of
+    a state are dropped, first occurrences kept. Each state's
+    ``Transition``s are built once, into the tuple that ``outgoing``
+    returns, and ``transitions`` is their concatenation, grouped by
+    source state in ascending order. The result has ``initial`` 0 and
+    the given ``names``, ``alphabet`` and ``inputs``.
     """
     index = {start: 0}
-    raw = []
+    outgoing: dict[int, tuple[Transition, ...]] = {}
     frontier = [start]
     while frontier:
-        nxt = set()
-        for s in frontier:
-            src = index[s]
-            for sync, guard, dst in steps(s):
-                raw.append((src, sync, guard, dst))
-                if dst not in index:
-                    nxt.add(dst)
-        frontier = sorted(nxt)
+        level = [dict.fromkeys(steps(s)) for s in frontier]
+        frontier = sorted({dst for moves in level for _, _, dst in moves} - index.keys())
         for s in frontier:
             index[s] = len(index)
-    # index is one-to-one, so deduplicating before renaming successors
-    # keeps the same first occurrences
-    return len(index), tuple(
-        Transition(src, sync, guard, index[dst]) for src, sync, guard, dst in dict.fromkeys(raw)
+        # the level's successors are numbered now, so its moves become
+        # Transitions at once
+        for moves in level:
+            src = len(outgoing)
+            outgoing[src] = tuple(
+                [_transition((src, sync, guard, index[dst])) for sync, guard, dst in moves]
+            )
+    auto = ConstraintAutomaton(
+        names=names,
+        n_states=len(outgoing),
+        initial=0,
+        transitions=tuple(itertools.chain.from_iterable(outgoing.values())),
+        alphabet=alphabet,
+        inputs=inputs,
     )
+    auto.__dict__["_outgoing"] = outgoing  # prime the cached_property
+    return auto
 
 
 def join(
@@ -449,47 +477,59 @@ def join(
     guard then forgets the other names of its sync-set, which stays whole.
     That is sound only where no later guard mentions a forgotten name,
     as in ``join_many``'s fold with ``keep``.
+
+    What an A transition does at B state ``q`` depends only on its sync-set
+    and guard, so it is worked out once per call for each such label and
+    ``q``: the move that fires alone, then one move per B partner in
+    B's order, each as (sync, guard, B successor). A product state then
+    only pairs its A successors with that list.
     """
     if a.alphabet != b.alphabet:
         raise ValueError("join requires a common alphabet")
     # group B's transitions by their footprint on A's names, so each A
     # transition only meets compatible partners
-    b_by_shared: dict[int, dict[frozenset, list[Transition]]] = {}
+    b_by_shared: list[dict[frozenset, list[Transition]]] = []
     for q in range(b.n_states):
         groups: dict[frozenset, list[Transition]] = {}
         for tb in b.outgoing(q):
             groups.setdefault(tb.sync & a.names, []).append(tb)
-        b_by_shared[q] = groups
+        b_by_shared.append(groups)
     combined: dict[tuple, tuple[frozenset, frozenset | None]] = {}
+    by_label: dict[tuple, list[tuple]] = {}
 
-    def steps(pq: tuple[int, int]):
-        p, q = pq
-        groups = b_by_shared[q]
+    def label_moves(sync_a: frozenset, guard_a: frozenset, q: int) -> list[tuple]:
+        # what an A move labelled (sync_a, guard_a) does at B state q, as
+        # (sync, guard, B successor): alone first, then with each partner
+        shared = sync_a & b.names
+        moves = [] if shared else [(sync_a, guard_a, q)]
+        for tb in b_by_shared[q].get(shared, ()):
+            key = (sync_a, guard_a, tb.sync, tb.guard)
+            if key not in combined:
+                sync = sync_a | tb.sync
+                keep = sync if live is None else sync & live
+                combined[key] = (sync, project(conj(guard_a, tb.guard), keep, sync, a.alphabet))
+            sync, guard = combined[key]
+            if guard is not None:
+                moves.append((sync, guard, tb.dst))
+        return moves
+
+    # the state pair (p, q) is the int p * nb + q, which sorts as the pair
+    nb = b.n_states
+
+    def steps(pq: int):
+        p, q = divmod(pq, nb)
         for ta in a.outgoing(p):
-            shared = ta.sync & b.names
-            if not shared:
-                yield ta.sync, ta.guard, (ta.dst, q)
-            for tb in groups.get(shared, ()):
-                key = (ta.sync, ta.guard, tb.sync, tb.guard)
-                if key not in combined:
-                    sync = ta.sync | tb.sync
-                    keep = sync if live is None else sync & live
-                    guard = project(conj(ta.guard, tb.guard), keep, sync, a.alphabet)
-                    combined[key] = (sync, guard)
-                sync, guard = combined[key]
-                if guard is not None:
-                    yield sync, guard, (ta.dst, tb.dst)
-        for tb in groups.get(frozenset(), ()):
-            yield tb.sync, tb.guard, (p, tb.dst)
+            moves = by_label.get((ta.sync, ta.guard, q))
+            if moves is None:
+                moves = by_label[ta.sync, ta.guard, q] = label_moves(ta.sync, ta.guard, q)
+            base = ta.dst * nb
+            for sync, guard, dst in moves:
+                yield sync, guard, base + dst
+        for tb in b_by_shared[q].get(frozenset(), ()):
+            yield tb.sync, tb.guard, p * nb + tb.dst
 
-    n_states, transitions = _explore((a.initial, b.initial), steps)
-    return ConstraintAutomaton(
-        names=a.names | b.names,
-        n_states=n_states,
-        initial=0,
-        transitions=transitions,
-        alphabet=a.alphabet,
-        inputs=a.inputs | b.inputs,
+    return _explore(
+        a.initial * nb + b.initial, steps, a.names | b.names, a.alphabet, a.inputs | b.inputs
     )
 
 
@@ -541,15 +581,7 @@ def hide(a: ConstraintAutomaton, hidden) -> ConstraintAutomaton:
         for c in closure(state):
             yield from observable[c]
 
-    n_states, transitions = _explore(a.initial, steps)
-    return ConstraintAutomaton(
-        names=a.names - hidden,
-        n_states=n_states,
-        initial=0,
-        transitions=transitions,
-        alphabet=a.alphabet,
-        inputs=a.inputs - hidden,
-    )
+    return _explore(a.initial, steps, a.names - hidden, a.alphabet, a.inputs - hidden)
 
 
 def circuit_automata(c: Circuit) -> list[tuple[str, ConstraintAutomaton]]:

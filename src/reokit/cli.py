@@ -199,12 +199,12 @@ def cmd_repl(args) -> int:
                 if not options:
                     print("nothing enabled")
                 for t, assignment in options:
-                    data = ",".join(f"{k}={v}" for k, v in sorted(assignment.items()))
+                    data = ",".join(f"{k}={v}" for k, v in assignment)
                     print(f"{{{','.join(sorted(t.sync))}}} {data}")
             elif cmd == "fire":
                 outcome = step(auto, state, round_no, offers, frozenset(ready), args.seed)
                 if isinstance(outcome, Firing):
-                    data = ",".join(f"{k}={v}" for k, v in sorted(outcome.assignment))
+                    data = ",".join(f"{k}={v}" for k, v in outcome.assignment)
                     print(f"fired {{{','.join(sorted(outcome.sync))}}} {data}")
                     state = outcome.state_after
                 else:

@@ -497,7 +497,12 @@ class ComplianceEngine:
         self._counts: dict[Term, int] = {}
         self._converged = False  # the standing facts are the first delta
         self._event_rules = rulebase.event_implications()
-        self._fact_rules = rulebase.fact_rules()
+        # each fact-rule with its premises as (pattern, bucket) pairs; the
+        # bucket is the pattern's ``_tag``, or None for a variable
+        self._fact_rules = [
+            (rule, tuple((p, None if p[0] == VAR else _tag(p)) for p in rule.premises))
+            for rule in rulebase.fact_rules()
+        ]
         self._index: dict[tuple, list[Term]] = {}
         self._tags: list[tuple] = []
         self._fresh: list[Term] = []
@@ -655,8 +660,8 @@ class ComplianceEngine:
             fresh.setdefault(_tag(fact), []).append(fact)
         fresh_terms = set(fresh_facts)
         pending: dict[Term, Derivation] = {}  # first derivation of each conclusion
-        for rule in self._fact_rules:
-            for binding in self._bindings(rule.premises, {}, fresh, fresh_terms, False):
+        for rule, premises in self._fact_rules:
+            for binding in self._bindings(premises, {}, fresh, fresh_terms, False):
                 if not all(self._guard_ok(g, binding) for g in rule.guards):
                     continue
                 conclusion = substitute(rule.conclusion, binding)
@@ -674,20 +679,22 @@ class ComplianceEngine:
             self._add_fact(conclusion, derivation, new)
         return bool(pending)
 
-    def _candidates(self, pattern: Term, fresh) -> list[Term]:
-        """The facts that may match a non-bound ``pattern``.
+    def _candidates(self, bucket: tuple | None, fresh) -> list[Term]:
+        """The facts that may match a non-bound pattern in ``bucket``, its
+        ``_tag`` (None for a variable, which any fact may match).
 
         In term order, from ``fresh`` (the pass's delta by tag, ``None``
         holding all of it) when given, else from the whole index.
         """
         if fresh is not None:
-            return fresh.get(None if pattern[0] == VAR else _tag(pattern), ())
-        if pattern[0] == VAR:
+            return fresh.get(bucket, ())
+        if bucket is None:
             return self.sorted_facts()
-        return self._index.get(_tag(pattern), ())
+        return self._index.get(bucket, ())
 
     def _bindings(self, premises, binding, fresh, fresh_terms, used_fresh):
-        """Bindings of ``premises`` that use a fresh fact, in term order.
+        """Bindings of ``premises``, (pattern, bucket) pairs, that use a
+        fresh fact, in term order.
 
         ``used_fresh`` says whether an earlier premise matched a fresh
         fact; when none did, the last premise draws from the fresh facts
@@ -696,7 +703,7 @@ class ComplianceEngine:
         if not premises:
             yield binding
             return
-        head, rest = premises[0], premises[1:]
+        (head, bucket), rest = premises[0], premises[1:]
         only_fresh = not rest and not used_fresh
         if head[0] == VAR and head[1] in binding:
             term = binding[head[1]]
@@ -705,7 +712,7 @@ class ComplianceEngine:
                     rest, binding, fresh, fresh_terms, used_fresh or term in fresh_terms
                 )
             return
-        for fact in self._candidates(head, fresh if only_fresh else None):
+        for fact in self._candidates(bucket, fresh if only_fresh else None):
             extended = match(head, fact, binding)
             if extended is not None:
                 yield from self._bindings(

@@ -188,10 +188,11 @@ def enabled(
     state: int,
     offers: dict[str, str],
     ready: frozenset[str],
-) -> list[tuple[Transition, dict[str, str]]]:
+) -> list[tuple[Transition, tuple[tuple[str, str], ...]]]:
     """The (transition, assignment) pairs of ``a.moves(state)``, in that
     order, whose sync-set names are all offered or ready and whose offered
-    names all carry the offered value.
+    names all carry the offered value. An assignment is the sorted
+    ``(name, value)`` tuple the move holds, shared, not copied.
 
     A move is a candidate when its sync-set is a subset of the offered and
     ready names. Which of its assignments match then depends only on the
@@ -207,7 +208,7 @@ def enabled(
             if matches is None:
                 matches = _admitted(key, assignments, memo, a.alphabet)
             for assignment in matches:
-                options.append((t, dict(assignment)))
+                options.append((t, assignment))
     return options
 
 
@@ -254,7 +255,7 @@ def step(
     return Firing(
         round=round_no,
         sync=transition.sync,
-        assignment=tuple(sorted(assignment.items())),
+        assignment=assignment,
         state_before=state,
         state_after=transition.dst,
     )

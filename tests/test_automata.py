@@ -21,6 +21,7 @@ from util import (
     SEQ3_TEXT,
     brute_product,
     holds,
+    project_over_names,
     random_automaton,
     random_circuit,
     traces_upto,
@@ -124,6 +125,45 @@ def test_project_eliminates_names_exactly():
         ALPHABET,
     )
     assert dead is None
+
+
+def test_project_over_its_guards_names_agrees_with_the_whole_names_oracle():
+    # project works out classes over the names its guard mentions; the oracle
+    # works over all of ``names``, which may hold more, as the sync-sets of
+    # late products do
+    rng = random.Random(17)
+    pool = ["a", "b", "c", "d", "e"]
+    alphabets = [ALPHABET, frozenset({"ok"}), frozenset({"ok", "bad", "odd"}), frozenset()]
+    cases = {"wider names": 0, "keep < names": 0, "keep > names": 0, "outside items": 0,
+             "empty alphabet": 0, "true, empty alphabet": 0}
+    for _ in range(3000):
+        alphabet = rng.choice(alphabets)
+        mentioned = rng.sample(pool, rng.randint(0, 3))
+        names = frozenset(mentioned) | frozenset(rng.sample(pool, rng.randint(0, 3)))
+        values = sorted(alphabet | {"ok", "bad", "stray"})
+        g = A.TRUE
+        for _ in range(rng.randint(0, 4) if mentioned else 0):
+            kind = rng.randrange(3)
+            if kind == 0 and len(mentioned) >= 2:
+                g = A.conj(g, A.eq(*rng.sample(mentioned, 2)))
+            elif kind == 1:
+                g = A.conj(g, A.const(rng.choice(mentioned), rng.choice(values)))
+            else:
+                items = rng.sample(values, rng.randint(1, len(values)))
+                g = A.conj(g, A.member(rng.choice(mentioned), items))
+                cases["outside items"] += not alphabet >= set(items)
+        canonical = project_over_names(g, A.guard_names(g), A.guard_names(g), alphabet)
+        keep = frozenset(rng.sample(pool, rng.randint(0, len(pool))))
+        for guard in {g, canonical} - {None}:
+            assert A.project(guard, keep, names, alphabet) == project_over_names(
+                guard, keep, names, alphabet
+            ), (guard, keep, names, alphabet)
+        cases["wider names"] += names > A.guard_names(g)
+        cases["keep < names"] += keep < names
+        cases["keep > names"] += keep > names
+        cases["empty alphabet"] += not alphabet and bool(names)
+        cases["true, empty alphabet"] += not alphabet and bool(names) and not g
+    assert all(n >= 20 for n in cases.values()), cases
 
 
 # -- channel and node automata ----------------------------------------------
@@ -474,6 +514,33 @@ def test_join_and_hide_keep_guards_canonical():
     assert guarded > 1000
 
 
+def test_products_carry_the_per_state_index_of_their_transitions():
+    # join and hide hand their per-state index to the product; it must be
+    # exactly the grouping of the deduplicated transitions by source state
+    def check(auto):
+        assert "_outgoing" in vars(auto), "index not primed"
+        states = range(auto.n_states)
+        grouped = {s: tuple(t for t in auto.transitions if t.src == s) for s in states}
+        assert {s: auto.outgoing(s) for s in states} == grouped
+        assert len(set(auto.transitions)) == len(auto.transitions)
+        return len(auto.transitions)
+
+    rng = random.Random(16)
+    checked = 0
+    for _ in range(150):
+        a, b = random_automaton(rng), random_automaton(rng)
+        joined = A.join(A.join(a, sync_ab("b", "c")), b)
+        hidden = frozenset(rng.sample(sorted(joined.names), rng.randint(0, len(joined.names))))
+        checked += check(A.join(a, b)) + check(joined) + check(A.hide(joined, hidden))
+    for _ in range(60):
+        c = random_circuit(rng, max_extra=4)
+        autos, order = A.circuit_automata(c), A._flow_order(c)
+        ports = frozenset(p.name for p in c.ports)
+        for joined in (A.join_many(autos, order), A.join_many(autos, order, ports)):
+            checked += check(joined) + check(A.hide(joined, joined.names - ports))
+    assert checked > 2000
+
+
 _RETAINED_SCRIPT = """
 import gc, tracemalloc
 from reokit import automata, rescue
@@ -501,6 +568,22 @@ def test_rescue_compile_projects_only_combined_guards(rescue_circuit):
     with mock.patch.object(A, "project", wraps=A.project) as project:
         A.compile_circuit(rescue_circuit)
     assert project.call_count <= 2_000
+    # exact: a join that projected a combined pair more than once would
+    # raise it, though every output stayed the same
+    assert project.call_count == 1_606
+
+
+def test_join_projects_a_combined_pair_once_for_every_b_state():
+    # both states of the toggle fire {a} under true, so the pair with the
+    # sync's move is met at each of them and projected once
+    toggle = A.build_automaton(
+        {"a"}, ["q0", "q1"], "q0", [("q0", {"a"}, A.TRUE, "q1"), ("q1", {"a"}, A.TRUE, "q0")],
+        ALPHABET,
+    )
+    sync = sync_ab()
+    with mock.patch.object(A, "project", wraps=A.project) as project:
+        joined = A.join(sync, toggle)
+    assert (joined.n_states, len(joined.transitions), project.call_count) == (2, 2, 1)
 
 
 def test_flow_order_lists_every_automaton(rescue_circuit):

@@ -96,7 +96,7 @@ def test_enabled_bad_offer_is_filter_drop_only(rescue_circuit, rescue_auto):
     assert options
     for transition, assignment in options:
         assert "citizens" in transition.sync
-        assert assignment["citizens"] == "bad"
+        assert dict(assignment)["citizens"] == "bad"
         assert not [n for n in transition.sync if n.startswith("case")]
 
 

@@ -544,3 +544,22 @@ def test_incremental_order_violations_match_batch_check(seed, n):
     for term in stream:
         eng.ingest(term)
         assert eng.verdict().order_violations == check_sequence(eng.events, orders)
+
+
+def test_premise_buckets_are_worked_out_once(monkeypatch):
+    # a fact is bucketed when it is stored and once more in the pass it is
+    # fresh in; a rule premise's bucket is worked out when the engine starts,
+    # not on every candidate lookup
+    calls = [0]
+    real_tag = semlog._tag
+
+    def counting_tag(t):
+        calls[0] += 1
+        return real_tag(t)
+
+    eng = rescue_engine()
+    monkeypatch.setattr(semlog, "_tag", counting_tag)
+    for term in pool_stream(11, 300):
+        eng.ingest(term)
+        eng.verdict()
+    assert 0 < calls[0] <= 2 * len(eng.facts)

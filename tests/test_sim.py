@@ -40,7 +40,7 @@ def test_enabled_sync_requires_offer_and_ready():
     pairs = sim.enabled(auto, auto.initial, {"a": "ok"}, frozenset({"b"}))
     assert len(pairs) == 1
     _, assignment = pairs[0]
-    assert assignment == {"a": "ok", "b": "ok"}
+    assert assignment == (("a", "ok"), ("b", "ok"))
     assert sim.enabled(auto, auto.initial, {"a": "ok"}, frozenset()) == []
     assert sim.enabled(auto, auto.initial, {}, frozenset({"b"})) == []
 
@@ -48,7 +48,8 @@ def test_enabled_sync_requires_offer_and_ready():
 def enabled_oracle(auto, state, offers, ready):
     """``enabled`` by definition: every alphabet product over each sync-set
     that satisfies the guard, is offered or ready, and agrees with the
-    offers; transitions in ``sort_key`` order, assignments in value order."""
+    offers; transitions in ``sort_key`` order, assignments in value order,
+    each as its sorted ``(name, value)`` tuple."""
     out = []
     for t in sorted(auto.outgoing(state), key=A.Transition.sort_key):
         ports = sorted(t.sync)
@@ -58,7 +59,7 @@ def enabled_oracle(auto, state, offers, ready):
                 offers[n] == v if n in offers else n in ready
                 for n, v in assignment.items()
             ):
-                out.append((t, assignment))
+                out.append((t, tuple(sorted(assignment.items()))))
     return out
 
 
@@ -339,9 +340,7 @@ def test_firings_are_sound_and_chain():
         assert stp.state_before == state
         offers, ready = env.round(stp.round, c.outputs)
         options = sim.enabled(auto, state, offers, ready)
-        assert (stp.sync, dict(stp.assignment)) in [
-            (t.sync, a) for t, a in options
-        ]
+        assert (stp.sync, stp.assignment) in [(t.sync, a) for t, a in options]
         state = stp.state_after
 
 

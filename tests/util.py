@@ -67,6 +67,35 @@ def holds(g: frozenset[tuple], assignment: dict[str, str]) -> bool:
     return True
 
 
+def project_over_names(
+    g: frozenset[tuple], keep: frozenset[str], names: frozenset[str], alphabet: frozenset[str]
+) -> frozenset[tuple] | None:
+    """Oracle: ``automata.project`` by its definition, with equality classes
+    over every name of ``names``, mentioned by the guard or not."""
+    root = C.partition(names, ((a[1], a[2]) for a in g if a[0] == A.EQ))
+    allowed = {r: alphabet for r in root.values()}
+    for atom in g:
+        if atom[0] == A.CONST:
+            allowed[root[atom[1]]] &= {atom[2]}
+        elif atom[0] == A.MEMBER:
+            allowed[root[atom[1]]] &= frozenset(atom[2])
+    if not all(allowed.values()):
+        return None
+    visible: dict[str, list[str]] = {}
+    for n in sorted(names & keep):
+        visible.setdefault(root[n], []).append(n)
+    atoms = set()
+    for r, members in visible.items():
+        atoms.update((A.EQ, a, b) for a, b in zip(members, members[1:]))
+        vals = allowed[r]
+        if vals != alphabet:
+            if len(vals) == 1:
+                atoms.add((A.CONST, members[0], next(iter(vals))))
+            else:
+                atoms.add((A.MEMBER, members[0], tuple(sorted(vals))))
+    return frozenset(atoms)
+
+
 def traces_upto(a: A.ConstraintAutomaton, k: int) -> list[Word]:
     """Every word of length <= k labeling a path from the initial state."""
     if k < 0:
