@@ -157,8 +157,9 @@ def project(
 
 def sat_assignments(
     g: frozenset[tuple], sync: frozenset[str], alphabet: frozenset[str]
-) -> list[dict[str, str]]:
-    """All total assignments on the sync-set satisfying ``g``, sorted.
+) -> tuple[tuple[tuple[str, str], ...], ...]:
+    """All total assignments on the sync-set satisfying ``g``, each as its
+    sorted ``(name, value)`` tuple, in tuple order.
 
     Conjunctions only relate names through equality, so the satisfying
     set factors over equality classes: enumerate one value per class
@@ -171,51 +172,48 @@ def sat_assignments(
     roots = sorted(allowed)
     choices = [sorted(allowed[r]) for r in roots]
     if not all(choices):
-        return []
+        return ()
     ports = sorted(sync)
     result = []
     for combo in itertools.product(*choices):
         value = dict(zip(roots, combo))
-        result.append({p: value[root[p]] for p in ports})
-    result.sort(key=lambda a: tuple(sorted(a.items())))
-    return result
+        result.append(tuple((p, value[root[p]]) for p in ports))
+    return tuple(sorted(result))
 
 
 class Transition(NamedTuple):
-    """A move from ``src`` to ``dst`` firing ``sync`` under ``guard``.
+    """A move to state ``dst`` firing ``sync`` under ``guard``; the state it
+    leaves is the row of ``ConstraintAutomaton.rows`` that holds it.
 
     A named tuple: it hashes and compares as its field tuple, and hashing
     one runs no Python code, which matters for the tens of thousands that
-    a compile's intermediate products build and deduplicate. Sort
-    transitions by ``sort_key``: the tuple order would compare sync-sets
-    and guards as sets, by inclusion.
+    a compile's intermediate products build and deduplicate. Sort a row
+    by ``sort_key``: the tuple order would compare sync-sets and guards as
+    sets, by inclusion.
     """
 
-    src: int
     sync: frozenset[str]
     guard: frozenset[tuple]
     dst: int
 
     def sort_key(self) -> tuple:
-        return (self.src, tuple(sorted(self.sync)), tuple(sorted(self.guard)), self.dst)
+        return (tuple(sorted(self.sync)), tuple(sorted(self.guard)), self.dst)
 
 
 @dataclass(frozen=True)
 class ConstraintAutomaton:
-    """States are the ints ``0..n_states-1``, written by ``state_name``.
+    """States are the ints ``0..n_states-1``, written by ``state_name``, and
+    ``rows[s]`` holds the transitions that leave state ``s``.
 
     ``inputs`` are the boundary-in names among ``names``; in a compiled
-    automaton the boundary-out names are ``names - inputs``. Transitions
-    of ``build_automaton`` and ``compile_circuit`` results are in
-    ``Transition.sort_key`` order; ``join`` and ``hide`` results are only
-    grouped by source state, ascending, and are built with their per-state
-    index already in place (``_explore`` primes ``_outgoing``), so a later
-    ``outgoing`` does not regroup the flat tuple; any other automaton
-    groups it on the first ``outgoing``. Each transition's guard is a
-    frozenset of atom tuples over names in its sync-set, so it is its own
-    key in the memos of ``join``, ``hide`` and ``moves``. ``moves`` is the
-    one expansion of a state into steps, which simulation and analysis
-    read. Invariant: every guard is canonical,
+    automaton the boundary-out names are ``names - inputs``. The rows of
+    ``build_automaton`` and ``compile_circuit`` results are in
+    ``Transition.sort_key`` order; those of ``join`` and ``hide`` are in
+    the order they were found. Each transition's guard is a frozenset of
+    atom tuples over names in its sync-set, so it is its own key in the
+    memos of ``join``, ``hide`` and ``moves``. ``moves`` is the one
+    expansion of a state into steps, which simulation and analysis read.
+    Invariant: every guard is canonical,
     ``project(t.guard, t.sync, t.sync, alphabet) == t.guard``;
     ``build_automaton``, ``join`` and ``hide`` keep it, and ``join`` relies on it.
     A canonical guard need not constrain every name of its sync-set: within
@@ -225,21 +223,19 @@ class ConstraintAutomaton:
     """
 
     names: frozenset[str]
-    n_states: int
+    rows: tuple[tuple[Transition, ...], ...]
     initial: int
-    transitions: tuple[Transition, ...]
     alphabet: frozenset[str]
     inputs: frozenset[str] = frozenset()
 
-    @functools.cached_property
-    def _outgoing(self) -> dict[int, tuple[Transition, ...]]:
-        index: dict[int, list[Transition]] = {}
-        for t in self.transitions:
-            index.setdefault(t.src, []).append(t)
-        return {s: tuple(ts) for s, ts in index.items()}
+    @property
+    def n_states(self) -> int:
+        return len(self.rows)
 
-    def outgoing(self, state: int) -> tuple[Transition, ...]:
-        return self._outgoing.get(state, ())
+    @functools.cached_property
+    def transitions(self) -> tuple[Transition, ...]:
+        """Every row's transitions, state by state."""
+        return tuple(itertools.chain.from_iterable(self.rows))
 
     @functools.cached_property
     def _moves(self) -> tuple[dict, dict]:
@@ -248,21 +244,19 @@ class ConstraintAutomaton:
     def moves(self, state: int) -> tuple:
         """``state``'s transitions in ``Transition.sort_key`` order, each as
         ``(transition, ports, assignments, memo)``: ``ports`` is the sorted
-        sync-set, ``assignments`` its ``sat_assignments`` as sorted ``(name,
-        value)`` tuples, and ``memo`` a dict that ``sim.enabled`` fills. The
-        last three depend only on the sync-set and the guard, so each such
-        label is expanded once and shared by every state; a state is
-        expanded on first use and kept."""
+        sync-set, ``assignments`` its ``sat_assignments``, and ``memo`` a
+        dict that ``sim.enabled`` fills. The last three depend only on the
+        sync-set and the guard, so each such label is expanded once and
+        shared by every state; a state is expanded on first use and kept."""
         by_state, by_label = self._moves
         if state not in by_state:
             moves = []
-            for t in sorted(self.outgoing(state), key=Transition.sort_key):
+            for t in sorted(self.rows[state], key=Transition.sort_key):
                 label = by_label.get((t.sync, t.guard))
                 if label is None:
-                    assignments = sat_assignments(t.guard, t.sync, self.alphabet)
                     label = by_label[t.sync, t.guard] = (
                         tuple(sorted(t.sync)),
-                        tuple(tuple(sorted(a.items())) for a in assignments),
+                        sat_assignments(t.guard, t.sync, self.alphabet),
                         {},
                     )
                 moves.append((t, *label))
@@ -311,7 +305,7 @@ def build_automaton(
         raise ValueError("duplicate state labels")
     if not names >= frozenset(inputs):
         raise UnknownNameError(f"inputs {sorted(frozenset(inputs) - names)} are not names")
-    canonical: set[Transition] = set()
+    rows: list[set[Transition]] = [set() for _ in labels]
     for src, sync, guard, dst in transitions:
         sync = frozenset(sync)
         if not sync:
@@ -325,12 +319,11 @@ def build_automaton(
         norm = project(guard, sync, sync, alphabet)
         if norm is None:
             continue  # unsatisfiable: prune
-        canonical.add(Transition(index[src], sync, norm, index[dst]))
+        rows[index[src]].add(Transition(sync, norm, index[dst]))
     return ConstraintAutomaton(
         names=names,
-        n_states=len(labels),
+        rows=tuple(tuple(sorted(row, key=Transition.sort_key)) for row in rows),
         initial=index[initial_label],
-        transitions=tuple(sorted(canonical, key=Transition.sort_key)),
         alphabet=alphabet,
         inputs=frozenset(inputs),
     )
@@ -340,9 +333,8 @@ def identity_automaton(alphabet) -> ConstraintAutomaton:
     """The neutral element of join: no names, one state, no transitions."""
     return ConstraintAutomaton(
         names=frozenset(),
-        n_states=1,
+        rows=((),),
         initial=0,
-        transitions=(),
         alphabet=frozenset(alphabet),
     )
 
@@ -429,14 +421,12 @@ def _explore(start, steps, names, alphabet, inputs) -> ConstraintAutomaton:
     breadth-first and each level's new states are numbered in sorted
     order, so the numbering depends only on the reachable states and
     their depth, never on the order ``steps`` yields. Duplicate moves of
-    a state are dropped, first occurrences kept. Each state's
-    ``Transition``s are built once, into the tuple that ``outgoing``
-    returns, and ``transitions`` is their concatenation, grouped by
-    source state in ascending order. The result has ``initial`` 0 and
-    the given ``names``, ``alphabet`` and ``inputs``.
+    a state are dropped, first occurrences kept, and the rest become its
+    row. The result has ``initial`` 0 and the given ``names``,
+    ``alphabet`` and ``inputs``.
     """
     index = {start: 0}
-    outgoing: dict[int, tuple[Transition, ...]] = {}
+    rows: list[tuple[Transition, ...]] = []
     frontier = [start]
     while frontier:
         level = [dict.fromkeys(steps(s)) for s in frontier]
@@ -446,20 +436,12 @@ def _explore(start, steps, names, alphabet, inputs) -> ConstraintAutomaton:
         # the level's successors are numbered now, so its moves become
         # Transitions at once
         for moves in level:
-            src = len(outgoing)
-            outgoing[src] = tuple(
-                [_transition((src, sync, guard, index[dst])) for sync, guard, dst in moves]
+            rows.append(
+                tuple([_transition((sync, guard, index[dst])) for sync, guard, dst in moves])
             )
-    auto = ConstraintAutomaton(
-        names=names,
-        n_states=len(outgoing),
-        initial=0,
-        transitions=tuple(itertools.chain.from_iterable(outgoing.values())),
-        alphabet=alphabet,
-        inputs=inputs,
+    return ConstraintAutomaton(
+        names=names, rows=tuple(rows), initial=0, alphabet=alphabet, inputs=inputs
     )
-    auto.__dict__["_outgoing"] = outgoing  # prime the cached_property
-    return auto
 
 
 def join(
@@ -470,13 +452,12 @@ def join(
     Two transitions combine when they agree on the other side's names
     (N1 & B.names == N2 & A.names); a transition whose sync-set avoids the
     other automaton's names entirely may also fire alone. Only state pairs
-    reachable from the joint initial are kept; transitions are grouped by
-    source state, not sorted. A move that fires alone keeps its canonical
-    guard; a combined pair's guard is projected once per call, onto its
-    whole sync-set, or with ``live`` given onto ``sync & live``: the
-    guard then forgets the other names of its sync-set, which stays whole.
-    That is sound only where no later guard mentions a forgotten name,
-    as in ``join_many``'s fold with ``keep``.
+    reachable from the joint initial are kept, and rows are not sorted. A
+    move that fires alone keeps its canonical guard; a combined pair's
+    guard is projected onto its whole sync-set, or with ``live`` given
+    onto ``sync & live``: the guard then forgets the other names of its
+    sync-set, which stays whole. That is sound only where no later guard
+    mentions a forgotten name, as in ``join_many``'s fold with ``keep``.
 
     What an A transition does at B state ``q`` depends only on its sync-set
     and guard, so it is worked out once per call for each such label and
@@ -489,12 +470,11 @@ def join(
     # group B's transitions by their footprint on A's names, so each A
     # transition only meets compatible partners
     b_by_shared: list[dict[frozenset, list[Transition]]] = []
-    for q in range(b.n_states):
+    for row in b.rows:
         groups: dict[frozenset, list[Transition]] = {}
-        for tb in b.outgoing(q):
+        for tb in row:
             groups.setdefault(tb.sync & a.names, []).append(tb)
         b_by_shared.append(groups)
-    combined: dict[tuple, tuple[frozenset, frozenset | None]] = {}
     by_label: dict[tuple, list[tuple]] = {}
 
     def label_moves(sync_a: frozenset, guard_a: frozenset, q: int) -> list[tuple]:
@@ -503,12 +483,9 @@ def join(
         shared = sync_a & b.names
         moves = [] if shared else [(sync_a, guard_a, q)]
         for tb in b_by_shared[q].get(shared, ()):
-            key = (sync_a, guard_a, tb.sync, tb.guard)
-            if key not in combined:
-                sync = sync_a | tb.sync
-                keep = sync if live is None else sync & live
-                combined[key] = (sync, project(conj(guard_a, tb.guard), keep, sync, a.alphabet))
-            sync, guard = combined[key]
+            sync = sync_a | tb.sync
+            keep = sync if live is None else sync & live
+            guard = project(conj(guard_a, tb.guard), keep, sync, a.alphabet)
             if guard is not None:
                 moves.append((sync, guard, tb.dst))
         return moves
@@ -518,7 +495,7 @@ def join(
 
     def steps(pq: int):
         p, q = divmod(pq, nb)
-        for ta in a.outgoing(p):
+        for ta in a.rows[p]:
             moves = by_label.get((ta.sync, ta.guard, q))
             if moves is None:
                 moves = by_label[ta.sync, ta.guard, q] = label_moves(ta.sync, ta.guard, q)
@@ -539,32 +516,31 @@ def hide(a: ConstraintAutomaton, hidden) -> ConstraintAutomaton:
     Constraints are existentially eliminated over the hidden names;
     transitions whose sync-set empties become internal moves and are
     collapsed by epsilon-closure into their successors. Unreachable
-    states are pruned and the rest re-indexed; transitions are grouped
-    by source state, not sorted. Each guard is projected once per call,
-    to the canonical guard of its new sync-set.
+    states are pruned and the rest re-indexed, and rows are not sorted.
+    Each guard is projected once per call, to the canonical guard of its
+    new sync-set.
     """
     hidden = frozenset(hidden)
     if not hidden <= a.names:
         raise UnknownNameError(
             f"cannot hide {sorted(hidden - a.names)}: not names of the automaton"
         )
-    observable: dict[int, list[tuple[frozenset, frozenset, int]]] = {
-        s: [] for s in range(a.n_states)
-    }
-    silent: dict[int, set[int]] = {s: set() for s in range(a.n_states)}
+    observable: list[list[tuple[frozenset, frozenset, int]]] = [[] for _ in a.rows]
+    silent: list[set[int]] = [set() for _ in a.rows]
     projected: dict[tuple, tuple[frozenset, frozenset | None]] = {}
-    for t in a.transitions:
-        key = (t.sync, t.guard)
-        if key not in projected:
-            sync = t.sync - hidden
-            projected[key] = (sync, project(t.guard, sync, t.sync, a.alphabet))
-        sync, guard = projected[key]
-        if guard is None:
-            continue
-        if sync:
-            observable[t.src].append((sync, guard, t.dst))
-        else:
-            silent[t.src].add(t.dst)
+    for s, row in enumerate(a.rows):
+        for t in row:
+            key = (t.sync, t.guard)
+            if key not in projected:
+                sync = t.sync - hidden
+                projected[key] = (sync, project(t.guard, sync, t.sync, a.alphabet))
+            sync, guard = projected[key]
+            if guard is None:
+                continue
+            if sync:
+                observable[s].append((sync, guard, t.dst))
+            else:
+                silent[s].add(t.dst)
 
     def closure(state: int) -> list[int]:
         out = {state}
@@ -681,8 +657,8 @@ def compile_circuit(c: Circuit) -> ConstraintAutomaton:
     already finished, which makes each join cheaper and changes no
     output. The result has exactly the
     boundary ports as names, with the boundary-in ports as ``inputs``.
-    States are numbered in discovery order, and the transitions are
-    sorted by ``Transition.sort_key``, once, here.
+    States are numbered in discovery order, and each row is sorted by
+    ``Transition.sort_key``, once, here.
     """
     report = validate_circuit(c)
     if not report.ok:
@@ -694,7 +670,7 @@ def compile_circuit(c: Circuit) -> ConstraintAutomaton:
     joined = join_many(autos, _flow_order(c), ports)
     hidden = hide(joined, joined.names - ports)
     return replace(
-        hidden, transitions=tuple(sorted(hidden.transitions, key=Transition.sort_key))
+        hidden, rows=tuple(tuple(sorted(row, key=Transition.sort_key)) for row in hidden.rows)
     )
 
 
@@ -705,12 +681,13 @@ def automaton_to_json(a: ConstraintAutomaton) -> str:
         "initial": a.initial,
         "transitions": [
             {
-                "from": t.src,
+                "from": src,
                 "sync": sorted(t.sync),
                 "constraint": pretty(t.guard),
                 "to": t.dst,
             }
-            for t in a.transitions
+            for src, row in enumerate(a.rows)
+            for t in row
         ],
     }
     return json.dumps(doc, indent=2, sort_keys=True) + "\n"
@@ -723,9 +700,10 @@ def automaton_to_dot(a: ConstraintAutomaton) -> str:
         s = dot_quote(state_name(i))
         out.append(f"  {s} [label={s} shape=circle];")
     out.append(f"  __start -> {dot_quote(state_name(a.initial))};")
-    for t in a.transitions:
-        src, dst = dot_quote(state_name(t.src)), dot_quote(state_name(t.dst))
-        label = dot_quote("{" + ",".join(sorted(t.sync)) + "} " + pretty(t.guard))
-        out.append(f"  {src} -> {dst} [label={label}];")
+    for i, row in enumerate(a.rows):
+        src = dot_quote(state_name(i))
+        for t in row:
+            label = dot_quote("{" + ",".join(sorted(t.sync)) + "} " + pretty(t.guard))
+            out.append(f"  {src} -> {dot_quote(state_name(t.dst))} [label={label}];")
     out.append("}")
     return "\n".join(out) + "\n"

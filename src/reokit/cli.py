@@ -220,11 +220,14 @@ def cmd_repl(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--seed", type=int, default=0, help="simulation seed")
-    common.add_argument("--max-depth", type=int, default=8, dest="max_depth",
-                        help="maximum stored fact depth")
-    common.add_argument("--quiet", action="store_true", help="suppress notes on stderr")
+    # each command takes only the flags its cmd_* reads
+    seed = argparse.ArgumentParser(add_help=False)
+    seed.add_argument("--seed", type=int, default=0, help="simulation seed")
+    depth = argparse.ArgumentParser(add_help=False)
+    depth.add_argument("--max-depth", type=int, default=8, dest="max_depth",
+                       help="maximum stored fact depth")
+    quiet = argparse.ArgumentParser(add_help=False)
+    quiet.add_argument("--quiet", action="store_true", help="suppress notes on stderr")
 
     parser = argparse.ArgumentParser(
         prog="reokit",
@@ -232,12 +235,12 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("parse", parents=[common], help="parse and validate a circuit")
+    p = sub.add_parser("parse", help="parse and validate a circuit")
     p.add_argument("path")
     p.add_argument("--dot", action="store_true", help="also print the circuit as DOT")
     p.set_defaults(fn=cmd_parse)
 
-    p = sub.add_parser("compile", parents=[common], help="compile a circuit to an automaton")
+    p = sub.add_parser("compile", help="compile a circuit to an automaton")
     p.add_argument("path")
     fmt = p.add_mutually_exclusive_group()
     fmt.add_argument("--json", action="store_true", help="emit automaton JSON (default)")
@@ -246,19 +249,21 @@ def build_parser() -> argparse.ArgumentParser:
                    help="print state/transition counts (to stderr with --json or --dot)")
     p.set_defaults(fn=cmd_compile)
 
-    p = sub.add_parser("simulate", parents=[common], help="run a circuit against an env script")
+    p = sub.add_parser("simulate", parents=[seed, quiet],
+                       help="run a circuit against an env script")
     p.add_argument("path")
     p.add_argument("--env", required=True, help="environment script")
     p.add_argument("--rounds", type=int, default=2**31, help="round cap")
     p.add_argument("--trace", help="write trace JSON here instead of stdout")
     p.set_defaults(fn=cmd_simulate)
 
-    p = sub.add_parser("check", parents=[common], help="reachability and deadlock analysis")
+    p = sub.add_parser("check", parents=[quiet], help="reachability and deadlock analysis")
     p.add_argument("path")
     p.add_argument("--json", action="store_true", help="emit the report as JSON")
     p.set_defaults(fn=cmd_check)
 
-    p = sub.add_parser("comply", parents=[common], help="judge an event stream against rules")
+    p = sub.add_parser("comply", parents=[depth, quiet],
+                       help="judge an event stream against rules")
     p.add_argument("--rules", required=True)
     p.add_argument("--events", help="event script (one ground term per line)")
     p.add_argument("--trace", help="trace JSON (needs --map)")
@@ -269,14 +274,15 @@ def build_parser() -> argparse.ArgumentParser:
                    help="print derivation trees for findings on stderr")
     p.set_defaults(fn=cmd_comply)
 
-    p = sub.add_parser("scenario", parents=[common], help="run the built-in rescue scenario")
+    p = sub.add_parser("scenario", parents=[seed, depth, quiet],
+                       help="run the built-in rescue scenario")
     p.add_argument("--env", help="override the canned environment")
     p.add_argument("--events", help="extra scripted compliance events")
     p.add_argument("--rounds", type=int, default=12)
     p.add_argument("--json", dest="json_out", help="write the report here instead of stdout")
     p.set_defaults(fn=cmd_scenario)
 
-    p = sub.add_parser("repl", parents=[common], help="interactive stepper for a circuit")
+    p = sub.add_parser("repl", parents=[seed], help="interactive stepper for a circuit")
     p.add_argument("path")
     p.set_defaults(fn=cmd_repl)
 

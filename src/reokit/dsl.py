@@ -646,7 +646,7 @@ def _fast_round(stripped, seen_rounds, ins, outs, alphabet) -> tuple[int, Round]
         all(port in ins and tok in alphabet for port, tok in offers) and ready <= outs
     ):
         return None
-    return number, Round(tuple(offers), frozenset(ready), explicit_ready)
+    return number, Round(tuple(offers), frozenset(ready) if explicit_ready else None)
 
 
 def _check_datum(p: _Parser, tok: Token, alphabet) -> None:
@@ -704,7 +704,7 @@ def _token_round(tokens, seen_rounds, ins, outs, alphabet) -> tuple[int, Round]:
             raise p.fail("SYNTAX", "expected 'offer' or 'ready'", {"offer", "ready"})
         if p.at_sym(";"):
             p.next()
-    return number, Round(tuple(offers), frozenset(ready), explicit_ready)
+    return number, Round(tuple(offers), frozenset(ready) if explicit_ready else None)
 
 
 def parse_env(text: str, circuit: Circuit | None = None) -> EnvScript:

@@ -32,8 +32,7 @@ class EnvMismatchError(ValueError):
 @dataclass(frozen=True)
 class Round:
     offers: tuple[tuple[str, str], ...] = ()
-    ready: frozenset[str] = frozenset()
-    explicit_ready: bool = False  # whether the script listed a ready clause
+    ready: frozenset[str] | None = None  # None: the script lists no ready clause
 
     def offer_map(self) -> dict[str, str]:
         return dict(self.offers)
@@ -70,7 +69,7 @@ class EnvScript:
         r = self._by_number.get(n)
         if r is None:
             return {}, default_ready
-        return r.offer_map(), r.ready if r.explicit_ready else default_ready
+        return r.offer_map(), default_ready if r.ready is None else r.ready
 
 
 @dataclass(frozen=True)
@@ -282,7 +281,7 @@ def simulate(
         for port, _tok in r.offers:
             if port not in inputs:
                 raise EnvMismatchError(f"offer on {port!r}: not a boundary-in port")
-        for port in r.ready:
+        for port in r.ready or ():
             if port not in outputs:
                 raise EnvMismatchError(f"ready on {port!r}: not a boundary-out port")
 

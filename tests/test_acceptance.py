@@ -53,8 +53,9 @@ def _ok(n, message):
 
 def transition_set(auto):
     return {
-        (t.src, tuple(sorted(t.sync)), tuple(sorted(t.guard)), t.dst)
-        for t in auto.transitions
+        (src, tuple(sorted(t.sync)), tuple(sorted(t.guard)), t.dst)
+        for src, row in enumerate(auto.rows)
+        for t in row
     }
 
 

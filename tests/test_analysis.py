@@ -43,11 +43,8 @@ def test_reachable_counts():
     assert len(AN.reachable(fifo)) == 3
     unsat = A.ConstraintAutomaton(
         names=frozenset({"a"}),
-        n_states=2,
+        rows=((A.Transition(frozenset({"a"}), frozenset({("in", "a", ())}), 1),), ()),
         initial=0,
-        transitions=(
-            A.Transition(0, frozenset({"a"}), frozenset({("in", "a", ())}), 1),
-        ),
         alphabet=ALPHABET,
     )
     assert AN.reachable(unsat) == {0}

@@ -20,6 +20,7 @@ from util import (
     MINIMAL_SYNC_TEXT,
     SEQ3_TEXT,
     brute_product,
+    dispatch_circuit,
     holds,
     project_over_names,
     random_automaton,
@@ -38,16 +39,16 @@ def sync_ab(a="a", b="b", alphabet=ALPHABET):
 
 
 def test_sat_assignments_examples():
-    assert A.sat_assignments(A.TRUE, frozenset({"a"}), ALPHABET) == [
-        {"a": "bad"},
-        {"a": "ok"},
-    ]
+    assert A.sat_assignments(A.TRUE, frozenset({"a"}), ALPHABET) == (
+        (("a", "bad"),),
+        (("a", "ok"),),
+    )
     two = A.sat_assignments(A.eq("a", "b"), frozenset({"a", "b"}), ALPHABET)
-    assert two == [{"a": "bad", "b": "bad"}, {"a": "ok", "b": "ok"}]
+    assert two == ((("a", "bad"), ("b", "bad")), (("a", "ok"), ("b", "ok")))
     none = A.sat_assignments(
         A.conj(A.const("a", "ok"), A.const("a", "bad")), frozenset({"a"}), ALPHABET
     )
-    assert none == []
+    assert none == ()
 
 
 def test_sat_assignments_matches_naive_enumeration():
@@ -73,8 +74,8 @@ def test_sat_assignments_matches_naive_enumeration():
         for combo in itertools.product(values, repeat=len(names)):
             assignment = dict(zip(sorted(names), combo))
             if holds(g, assignment):
-                slow.append(assignment)
-        assert sorted(map(repr, fast)) == sorted(map(repr, slow))
+                slow.append(tuple(sorted(assignment.items())))
+        assert fast == tuple(sorted(slow))
 
 
 def test_project_agrees_with_assignment_projection():
@@ -99,17 +100,13 @@ def test_project_agrees_with_assignment_projection():
                 )
         projected = A.project(g, keep, names, ALPHABET)
         expected = {
-            tuple(sorted((n, v) for n, v in sat.items() if n in keep))
+            tuple((n, v) for n, v in sat if n in keep)
             for sat in A.sat_assignments(g, names, ALPHABET)
         }
         if projected is None:
             assert expected == set()
         else:
-            got = {
-                tuple(sorted(sat.items()))
-                for sat in A.sat_assignments(projected, keep, ALPHABET)
-            }
-            assert got == expected
+            assert set(A.sat_assignments(projected, keep, ALPHABET)) == expected
 
 
 def test_project_eliminates_names_exactly():
@@ -117,7 +114,7 @@ def test_project_eliminates_names_exactly():
     out = A.project(g, frozenset({"a", "b"}), frozenset({"a", "b", "h"}), ALPHABET)
     assert out is not None
     sats = A.sat_assignments(out, frozenset({"a", "b"}), ALPHABET)
-    assert sats == [{"a": "ok", "b": "ok"}]
+    assert sats == ((("a", "ok"), ("b", "ok")),)
     dead = A.project(
         A.conj(A.const("h", "ok"), A.const("h", "bad")),
         frozenset(),
@@ -193,7 +190,7 @@ def test_filter_pass_and_drop():
     kinds = {tuple(sorted(t.sync)) for t in filt.transitions}
     assert kinds == {("f.a",), ("f.a", "f.b")}
     drop = next(t for t in filt.transitions if t.sync == frozenset({"f.a"}))
-    assert A.sat_assignments(drop.guard, drop.sync, ALPHABET) == [{"f.a": "bad"}]
+    assert A.sat_assignments(drop.guard, drop.sync, ALPHABET) == ((("f.a", "bad"),),)
 
 
 def test_node_merger_and_replicator():
@@ -214,10 +211,10 @@ def test_boundary_in_node_automaton():
     auto = A.ca_of_node(node, ALPHABET)
     (t,) = auto.transitions
     assert t.sync == frozenset({"n", "c1.a"})
-    assert A.sat_assignments(t.guard, t.sync, ALPHABET) == [
-        {"c1.a": "bad", "n": "bad"},
-        {"c1.a": "ok", "n": "ok"},
-    ]
+    assert A.sat_assignments(t.guard, t.sync, ALPHABET) == (
+        (("c1.a", "bad"), ("n", "bad")),
+        (("c1.a", "ok"), ("n", "ok")),
+    )
 
 
 def test_empty_node_is_error():
@@ -288,8 +285,9 @@ def test_join_agrees_with_brute_force_oracle_on_fifo_pair():
         if src in number
     }
     ours = {
-        (t.src, tuple(sorted(t.sync)), t.guard, t.dst)
-        for t in joined.transitions
+        (src, tuple(sorted(t.sync)), t.guard, t.dst)
+        for src, row in enumerate(joined.rows)
+        for t in row
     }
     assert ours == mapped
 
@@ -338,8 +336,7 @@ def test_hide_epsilon_closure_pulls_successors():
     hidden = A.hide(auto, {"h"})
     assert hidden.names == frozenset({"a"})
     assert hidden.n_states == 2
-    steps = {(t.src, tuple(sorted(t.sync)), t.guard, t.dst) for t in hidden.transitions}
-    assert steps == {(0, ("a",), A.TRUE, 1)}
+    assert hidden.rows == ((A.Transition(frozenset({"a"}), A.TRUE, 1),), ())
 
 
 # -- compile ------------------------------------------------------------------
@@ -444,7 +441,8 @@ def test_compile_agrees_with_the_full_guard_fold(rescue_circuit):
     for c in [rescue_circuit] + [random_circuit(rng, max_extra=4) for _ in range(200)]:
         reference = join_all_then_hide(c, A.circuit_automata(c), A._flow_order(c))
         reference = dataclasses.replace(
-            reference, transitions=tuple(sorted(reference.transitions, key=A.Transition.sort_key))
+            reference,
+            rows=tuple(tuple(sorted(row, key=A.Transition.sort_key)) for row in reference.rows),
         )
         assert A.automaton_to_json(A.compile_circuit(c)) == A.automaton_to_json(reference)
 
@@ -474,11 +472,12 @@ def test_compile_products_forget_exactly_the_finished_names(rescue_circuit, monk
             (sync, guard): A.project(guard, sync & live, sync, full.alphabet)
             for sync, guard in {(t.sync, t.guard) for t in full.transitions}
         }
-        expected = dict.fromkeys(
-            A.Transition(t.src, t.sync, projected[t.sync, t.guard], t.dst) for t in full.transitions
+        expected = tuple(
+            tuple(dict.fromkeys(t._replace(guard=projected[t.sync, t.guard]) for t in row))
+            for row in full.rows
         )
-        assert (product.n_states, product.names) == (full.n_states, full.names)
-        assert product.transitions == tuple(expected)
+        assert product.names == full.names
+        assert product.rows == expected
         for sync, guard in {(t.sync, t.guard) for t in product.transitions}:
             assert A.guard_names(guard) <= live, guard
             assert A.project(guard, sync, sync, product.alphabet) == guard, guard
@@ -515,14 +514,11 @@ def test_join_and_hide_keep_guards_canonical():
 
 
 def test_products_carry_the_per_state_index_of_their_transitions():
-    # join and hide hand their per-state index to the product; it must be
-    # exactly the grouping of the deduplicated transitions by source state
+    # the index is the rows themselves; join and hide drop a state's
+    # repeated moves as they build its row
     def check(auto):
-        assert "_outgoing" in vars(auto), "index not primed"
-        states = range(auto.n_states)
-        grouped = {s: tuple(t for t in auto.transitions if t.src == s) for s in states}
-        assert {s: auto.outgoing(s) for s in states} == grouped
-        assert len(set(auto.transitions)) == len(auto.transitions)
+        for row in auto.rows:
+            assert len(set(row)) == len(row), row
         return len(auto.transitions)
 
     rng = random.Random(16)
@@ -575,7 +571,9 @@ def test_rescue_compile_projects_only_combined_guards(rescue_circuit):
 
 def test_join_projects_a_combined_pair_once_for_every_b_state():
     # both states of the toggle fire {a} under true, so the pair with the
-    # sync's move is met at each of them and projected once
+    # sync's move is met at each of them and projected at each: join keeps
+    # no memo across B states, since in a compile's fold B is a primitive,
+    # which holds each label in one row (see the test below)
     toggle = A.build_automaton(
         {"a"}, ["q0", "q1"], "q0", [("q0", {"a"}, A.TRUE, "q1"), ("q1", {"a"}, A.TRUE, "q0")],
         ALPHABET,
@@ -583,7 +581,19 @@ def test_join_projects_a_combined_pair_once_for_every_b_state():
     sync = sync_ab()
     with mock.patch.object(A, "project", wraps=A.project) as project:
         joined = A.join(sync, toggle)
-    assert (joined.n_states, len(joined.transitions), project.call_count) == (2, 2, 1)
+    assert (joined.n_states, len(joined.transitions), project.call_count) == (2, 2, 2)
+
+
+def test_primitive_automata_hold_each_label_in_one_row(rescue_circuit):
+    # join memoizes a combined pair per (A label, B state) only; with B a
+    # primitive that is once per pair, because no primitive repeats a label
+    rng = random.Random(18)
+    circuits = [rescue_circuit] + [dispatch_circuit(k) for k in (2, 3, 4)]
+    circuits += [random_circuit(rng, max_extra=4) for _ in range(300)]
+    for c in circuits:
+        for key, auto in A.circuit_automata(c):
+            labels = [label for row in auto.rows for label in {(t.sync, t.guard) for t in row}]
+            assert len(labels) == len(set(labels)), (c.name, key)
 
 
 def test_flow_order_lists_every_automaton(rescue_circuit):
@@ -652,13 +662,10 @@ def test_moves_expand_each_label_once_and_share_it():
         by_label = {}
         for s in range(auto.n_states):
             moves = auto.moves(s)
-            assert [t for t, *_ in moves] == sorted(auto.outgoing(s), key=A.Transition.sort_key)
+            assert [t for t, *_ in moves] == sorted(auto.rows[s], key=A.Transition.sort_key)
             for t, ports, assignments, memo in moves:
                 assert ports == tuple(sorted(t.sync))
-                assert assignments == tuple(
-                    tuple(sorted(a.items()))
-                    for a in A.sat_assignments(t.guard, t.sync, auto.alphabet)
-                )
+                assert assignments == A.sat_assignments(t.guard, t.sync, auto.alphabet)
                 first = by_label.setdefault((t.sync, t.guard), (ports, assignments, memo))
                 assert first[0] is ports and first[1] is assignments and first[2] is memo
         shared += len(by_label) < len(auto.transitions)

@@ -104,6 +104,41 @@ def test_unknown_flag_exits_two(mini):
     assert result.returncode == 2
 
 
+def test_a_flag_its_command_does_not_read_exits_two(mini, capsys):
+    result = run_cli("compile", str(mini), "--seed", "3", "--max-depth", "9", "--quiet")
+    assert result.returncode == 2
+    assert "unrecognized arguments" in result.stderr
+    rules = ("--rules", "r", "--events", "e")
+    for argv, flag in (
+        (("parse", "c"), ("--seed", "3")),
+        (("parse", "c"), ("--max-depth", "9")),
+        (("parse", "c"), ("--quiet",)),
+        (("compile", "c"), ("--seed", "3")),
+        (("compile", "c"), ("--max-depth", "9")),
+        (("compile", "c"), ("--quiet",)),
+        (("simulate", "c", "--env", "e"), ("--max-depth", "9")),
+        (("check", "c"), ("--seed", "3")),
+        (("check", "c"), ("--max-depth", "9")),
+        (("comply", *rules), ("--seed", "3")),
+        (("repl", "c"), ("--max-depth", "9")),
+        (("repl", "c"), ("--quiet",)),
+    ):
+        with pytest.raises(SystemExit) as exit_:
+            cli.main([*argv, *flag])
+        assert exit_.value.code == 2, (argv, flag)
+        assert "unrecognized arguments" in capsys.readouterr().err
+    # the flags each command does read still parse
+    parser = cli.build_parser()
+    for argv in (
+        ("simulate", "c", "--env", "e", "--seed", "3", "--quiet"),
+        ("check", "c", "--quiet"),
+        ("comply", *rules, "--max-depth", "9", "--quiet"),
+        ("scenario", "--seed", "3", "--max-depth", "9", "--quiet"),
+        ("repl", "c", "--seed", "3"),
+    ):
+        parser.parse_args(argv)
+
+
 def test_simulate_deterministic_files(mini, tmp_path):
     env_file = tmp_path / "mini.env"
     env_file.write_text("round 1: offer a=ok\nround 2: offer a=ok\n")

@@ -51,7 +51,7 @@ def enabled_oracle(auto, state, offers, ready):
     offers; transitions in ``sort_key`` order, assignments in value order,
     each as its sorted ``(name, value)`` tuple."""
     out = []
-    for t in sorted(auto.outgoing(state), key=A.Transition.sort_key):
+    for t in sorted(auto.rows[state], key=A.Transition.sort_key):
         ports = sorted(t.sync)
         for values in itertools.product(sorted(auto.alphabet), repeat=len(ports)):
             assignment = dict(zip(ports, values))
@@ -74,7 +74,7 @@ def test_enabled_matches_brute_force_oracle():
             values = sorted(auto.alphabet) + ["elsewhere"]
             names = sorted(auto.names)
             for state in range(auto.n_states):
-                out = list(auto.outgoing(state))
+                out = list(auto.rows[state])
                 unsorted_states += out != sorted(out, key=A.Transition.sort_key)
                 for _ in range(4):
                     offers = {n: rng.choice(values) for n in names if rng.random() < 0.5}
@@ -196,14 +196,13 @@ def test_simulate_agrees_with_stepping_every_round():
         values = sorted(c.alphabet)
         for policy in (sim.POLICY_ALL_READY, sim.POLICY_CLOSED):
             listed = rng.sample(range(1, 61), rng.randint(1, 8))
-            rounds = [
-                (n, sim.Round(
-                    tuple((p, rng.choice(values)) for p in sorted(c.inputs) if rng.random() < 0.7),
-                    frozenset(p for p in sorted(c.outputs) if rng.random() < 0.5),
-                    explicit_ready=rng.random() < 0.5,
-                ))
-                for n in listed
-            ]
+            rounds = []
+            for n in listed:
+                offers = tuple(
+                    (p, rng.choice(values)) for p in sorted(c.inputs) if rng.random() < 0.7
+                )
+                ready = frozenset(p for p in sorted(c.outputs) if rng.random() < 0.5)
+                rounds.append((n, sim.Round(offers, ready if rng.random() < 0.5 else None)))
             env = sim.EnvScript(tuple(rounds), default_policy=policy)
             for cfg in (sim.SimConfig(seed=rng.randrange(100)), sim.SimConfig(max_rounds=rng.randint(0, 60))):
                 trace = sim.simulate(auto, env, cfg, c.name)
@@ -298,6 +297,19 @@ def test_simulate_records_stalls_in_place():
     assert twice.round(2, outs) == ({"a": "ok"}, outs)
 
 
+def test_a_round_given_ready_ports_makes_them_ready():
+    # a Round built with ready ports lists a ready clause, with no other flag
+    # to set, and an empty one readies nothing, whatever the policy
+    c, auto = compiled(MINIMAL_SYNC_TEXT)
+    offer = (("a", "ok"),)
+    for policy in (sim.POLICY_CLOSED, sim.POLICY_ALL_READY):
+        for ready, fired in ((frozenset({"b"}), [1]), (frozenset(), [])):
+            env = sim.EnvScript(((1, sim.Round(offer, ready)),), default_policy=policy)
+            assert env.round(1, c.outputs) == ({"a": "ok"}, ready)
+            trace = sim.simulate(auto, env, sim.SimConfig(), c.name)
+            assert [f.round for f in trace.firings()] == fired, (policy, ready)
+
+
 def test_simulate_unknown_port_rejected_before_round_one():
     # direction comes from the automaton: a is its input, b its output
     c, auto = compiled(MINIMAL_SYNC_TEXT)
@@ -305,8 +317,8 @@ def test_simulate_unknown_port_rejected_before_round_one():
     bad_rounds = [
         sim.Round(offers=(("zz", "ok"),)),
         sim.Round(offers=(("b", "ok"),)),
-        sim.Round(ready=frozenset({"zz"}), explicit_ready=True),
-        sim.Round(ready=frozenset({"a"}), explicit_ready=True),
+        sim.Round(ready=frozenset({"zz"})),
+        sim.Round(ready=frozenset({"a"})),
     ]
     for bad in bad_rounds:
         env = sim.EnvScript(rounds=((1, sim.Round()), (2, bad)))

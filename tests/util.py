@@ -2,13 +2,16 @@
 
 from __future__ import annotations
 
+import importlib.util
 import itertools
 import random
+from pathlib import Path
 
 from reokit import automata as A
 from reokit import circuit as C
 from reokit import semlog as S
 from reokit.analysis import Word, expanded_steps
+from reokit.dsl import parse_circuit
 
 ALPHABET = frozenset({"ok", "bad"})
 
@@ -203,6 +206,16 @@ def counted(facts, term: S.Term) -> list[int]:
     return sorted(f[1] for f in facts if f[0] == S.COUNT and f[2] == term)
 
 
+def dispatch_circuit(k: int) -> C.Circuit:
+    """The benchmark's dispatch circuit with ``k`` staff branches, parsed
+    from ``perfbench/gen.py``'s text."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "gen.py"
+    spec = importlib.util.spec_from_file_location("perfbench_gen", path)
+    gen = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(gen)
+    return parse_circuit(gen.dispatch_circuit(k))
+
+
 def random_guard(rng: random.Random, sync: list[str], alphabet=ALPHABET) -> frozenset[tuple]:
     values = sorted(alphabet)
     kind = rng.randrange(4)
@@ -333,10 +346,10 @@ def brute_product(a: A.ConstraintAutomaton, b: A.ConstraintAutomaton):
     pairs = [(p, q) for p in range(a.n_states) for q in range(b.n_states)]
     transitions = set()
     for p, q in pairs:
-        for ta in [t for t in a.transitions if t.src == p]:
+        for ta in a.rows[p]:
             if not (ta.sync & b.names):
                 transitions.add(((p, q), ta.sync, ta.guard, (ta.dst, q)))
-            for tb in [t for t in b.transitions if t.src == q]:
+            for tb in b.rows[q]:
                 if ta.sync & b.names == tb.sync & a.names:
                     sync = ta.sync | tb.sync
                     norm = A.project(A.conj(ta.guard, tb.guard), sync, sync, a.alphabet)
@@ -344,7 +357,7 @@ def brute_product(a: A.ConstraintAutomaton, b: A.ConstraintAutomaton):
                         transitions.add(
                             ((p, q), sync, norm, (ta.dst, tb.dst))
                         )
-        for tb in [t for t in b.transitions if t.src == q]:
+        for tb in b.rows[q]:
             if not (tb.sync & a.names):
                 transitions.add(((p, q), tb.sync, tb.guard, (p, tb.dst)))
     start = (a.initial, b.initial)
@@ -374,5 +387,5 @@ def random_rescue_env(auto: A.ConstraintAutomaton, seed: int, rounds: int = 2000
     for n in range(1, rounds + 1):
         offers = tuple((p, rng.choice(values)) for p in ins if rng.random() < 0.5)
         ready = frozenset(p for p in outs if rng.random() < 0.7)
-        script.append((n, sim.Round(offers, ready, explicit_ready=rng.random() < 0.9)))
+        script.append((n, sim.Round(offers, ready if rng.random() < 0.9 else None)))
     return sim.EnvScript(tuple(script), default_policy=sim.POLICY_CLOSED)
