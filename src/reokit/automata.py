@@ -560,38 +560,29 @@ def hide(a: ConstraintAutomaton, hidden) -> ConstraintAutomaton:
     return _explore(a.initial, steps, a.names - hidden, a.alphabet, a.inputs - hidden)
 
 
-def circuit_automata(c: Circuit) -> list[tuple[str, ConstraintAutomaton]]:
-    """Per-primitive automata for every channel and node, keyed for ordering.
+def circuit_automata(c: Circuit) -> list[ConstraintAutomaton]:
+    """One automaton per channel and per node, in the order compile joins them.
+
+    Nodes are interleaved with their channels, breadth-first along the
+    flow. Starting from the boundary-in ports in declaration order keeps
+    data restrictions (filters, fifo contents) in the product early, so the
+    intermediate state spaces stay close to the final reachable one.
+    Channels are visited in id order at each node, and a part of the
+    circuit no earlier node reaches starts from its next unvisited
+    boundary-in port, or else from the smallest node name.
 
     Each channel is built over ``value_domains`` of its a-end, so a fifo
     has no state for a value that can never reach it.
     """
     domains = value_domains(c)
-    autos: list[tuple[str, ConstraintAutomaton]] = []
-    for ch in c.channels:
-        autos.append((f"ch:{ch.id}", ca_of_channel(ch, c.alphabet, domains[ch.end_a])))
-    for node in c.nodes():
-        autos.append((f"nd:{node.name}", ca_of_node(node, c.alphabet)))
-    return autos
-
-
-def _flow_order(c: Circuit) -> list[str]:
-    """Interleave nodes with their channels, breadth-first along the flow.
-
-    Starting from the boundary-in ports in declaration order keeps data
-    restrictions (filters, fifo contents) in the product early, so the
-    intermediate state spaces stay close to the final reachable one.
-    Channels are visited in id order at each node. Every key of
-    ``circuit_automata(c)`` is listed once.
-    """
     nodes = {n.name: n for n in c.nodes()}
     by_end: dict[str, list[Channel]] = {}
-    for ch in c.channels:
+    for ch in sorted(c.channels, key=lambda ch: ch.id):
         by_end.setdefault(ch.end_a, []).append(ch)
         by_end.setdefault(ch.end_b, []).append(ch)
     starts = [p.name for p in c.ports if p.kind == PORT_IN]
     remaining = set(nodes)
-    order: list[str] = []
+    autos: list[ConstraintAutomaton] = []
     added_channels: set[str] = set()
     queue: list[str] = []
     while remaining or queue:
@@ -600,65 +591,60 @@ def _flow_order(c: Circuit) -> list[str]:
             queue.append(seed)
             remaining.discard(seed)
         name = queue.pop(0)
-        order.append(f"nd:{name}")
-        for ch in sorted(by_end.get(name, ()), key=lambda ch: ch.id):
+        autos.append(ca_of_node(nodes[name], c.alphabet))
+        for ch in by_end.get(name, ()):
             if ch.id not in added_channels:
                 added_channels.add(ch.id)
-                order.append(f"ch:{ch.id}")
+                autos.append(ca_of_channel(ch, c.alphabet, domains[ch.end_a]))
             for other in (ch.end_a, ch.end_b):
                 if other in remaining:
                     remaining.discard(other)
                     queue.append(other)
-    return order
+    return autos
 
 
 def join_many(
-    autos: list[tuple[str, ConstraintAutomaton]],
-    order: list[str] | None = None,
-    keep: frozenset[str] | None = None,
+    autos: list[ConstraintAutomaton], keep: frozenset[str] | None = None
 ) -> ConstraintAutomaton:
-    """Fold join over the automata, left to right in ``order``.
+    """Fold join over the automata, left to right.
 
-    ``order`` lists every key of ``autos`` exactly once, and defaults to
-    the order of ``autos``. Join is associative and commutative up to
-    bisimulation, so the order changes only the sizes of the
-    intermediate products and the state numbering.
+    Join is associative and commutative up to bisimulation, so the order
+    of ``autos`` changes only the sizes of the intermediate products and
+    the state numbering.
 
     With ``keep``, the names a later ``hide`` leaves visible, a name is
-    finished once it is not in ``keep`` and no later automaton in the
-    order has it, and each join's combined guards forget their finished
-    names (``join``'s ``live``). No later guard mentions a finished name,
-    so ``hide(result, result.names - keep)`` is the same automaton as
-    without ``keep``; the reachable state pairs, their numbering and the
-    sync-sets are the same at every step, and only guards are weaker.
+    finished once it is not in ``keep`` and no later automaton has it, and
+    each join's combined guards forget their finished names (``join``'s
+    ``live``). No later guard mentions a finished name, so
+    ``hide(result, result.names - keep)`` is the same automaton as without
+    ``keep``; the reachable state pairs, their numbering and the sync-sets
+    are the same at every step, and only guards are weaker.
     """
     if not autos:
         raise ValueError("nothing to join")
-    pool = dict(autos)
-    if order is None:
-        order = list(pool)
-    if sorted(order) != sorted(pool):
-        raise ValueError(f"join order {order} must list each of {sorted(pool)} exactly once")
-    chain = [pool[key] for key in order]
-    joined = chain[0]
-    for i, auto in enumerate(chain[1:], start=2):
-        live = None if keep is None else keep.union(*(later.names for later in chain[i:]))
-        joined = join(joined, auto, live)
+    # built backward, so lives[-1] holds the names still needed once the
+    # next automaton is joined, and each set is dropped once it is used
+    lives = [keep] * (len(autos) - 1)
+    if keep is not None:
+        for i, auto in enumerate(autos[:1:-1], start=1):
+            lives[i] = lives[i - 1] | auto.names
+    joined = autos[0]
+    for auto in autos[1:]:
+        joined = join(joined, auto, lives.pop())
     return joined
 
 
 def compile_circuit(c: Circuit) -> ConstraintAutomaton:
     """Full pipeline: join every primitive automaton, then hide the internals.
 
-    The automata are joined in ``_flow_order`` and every name that is not
-    a declared boundary port is hidden once, at the end, which is the
-    definition of the circuit's behaviour. The fold passes the ports to
-    ``join_many`` as ``keep``, so each product's guards forget the names
-    already finished, which makes each join cheaper and changes no
-    output. The result has exactly the
-    boundary ports as names, with the boundary-in ports as ``inputs``.
-    States are numbered in discovery order, and each row is sorted by
-    ``Transition.sort_key``, once, here.
+    The automata are joined in ``circuit_automata``'s order and every name
+    that is not a declared boundary port is hidden once, at the end, which
+    is the definition of the circuit's behaviour. The fold passes the ports
+    to ``join_many`` as ``keep``, so each product's guards forget the names
+    already finished, which makes each join cheaper and changes no output.
+    The result has exactly the boundary ports as names, with the
+    boundary-in ports as ``inputs``. States are numbered in discovery
+    order, and each row is sorted by ``Transition.sort_key``, once, here.
     """
     report = validate_circuit(c)
     if not report.ok:
@@ -667,7 +653,7 @@ def compile_circuit(c: Circuit) -> ConstraintAutomaton:
     if not autos:
         return identity_automaton(c.alphabet)
     ports = frozenset(p.name for p in c.ports)
-    joined = join_many(autos, _flow_order(c), ports)
+    joined = join_many(autos, ports)
     hidden = hide(joined, joined.names - ports)
     return replace(
         hidden, rows=tuple(tuple(sorted(row, key=Transition.sort_key)) for row in hidden.rows)
@@ -678,13 +664,13 @@ def automaton_to_json(a: ConstraintAutomaton) -> str:
     doc = {
         "names": sorted(a.names),
         "states": [state_name(i) for i in range(a.n_states)],
-        "initial": a.initial,
+        "initial": state_name(a.initial),
         "transitions": [
             {
-                "from": src,
+                "from": state_name(src),
                 "sync": sorted(t.sync),
                 "constraint": pretty(t.guard),
-                "to": t.dst,
+                "to": state_name(t.dst),
             }
             for src, row in enumerate(a.rows)
             for t in row

@@ -169,29 +169,20 @@ def cmd_repl(args) -> int:
     ready: set[str] = set()
     print(f"circuit {c.name}: {auto.n_states} states; commands: "
           "offer p=tok | ready p[,p]* | enabled | state | fire | quit")
-    for line in sys.stdin:
-        line = line.strip()
+    # an offer or ready line is read as the clauses of one env-script round
+    prefix = "round 1: "
+    for line_no, raw in enumerate(sys.stdin, start=1):
+        line = raw.strip()
         if not line:
             continue
         try:
-            cmd, _, rest = line.partition(" ")
+            cmd = line.split(None, 1)[0]
             if cmd == "quit":
                 break
-            elif cmd == "offer":
-                port, _, tok = rest.replace(" ", "").partition("=")
-                if port not in c.inputs:
-                    print(f"unknown boundary-in port {port!r}")
-                elif tok not in c.alphabet:
-                    print(f"unknown data item {tok!r}")
-                else:
-                    offers[port] = tok
-            elif cmd == "ready":
-                ports = [p.strip() for p in rest.split(",") if p.strip()]
-                bad = [p for p in ports if p not in c.outputs]
-                if bad:
-                    print(f"unknown boundary-out ports {bad}")
-                else:
-                    ready.update(ports)
+            elif cmd in ("offer", "ready"):
+                ((_, parsed),) = dsl.parse_env(prefix + raw.rstrip("\n"), c).rounds
+                offers.update(parsed.offers)
+                ready.update(parsed.ready or ())
             elif cmd == "state":
                 print(f"state {state_name(state)} (round {round_no})")
             elif cmd == "enabled":
@@ -214,6 +205,10 @@ def cmd_repl(args) -> int:
                 ready.clear()
             else:
                 print(f"unknown command {cmd!r}")
+        except dsl.ParseFailure as exc:  # at the column of the line typed
+            for err in exc.errors:
+                column = err.span.column - len(prefix)
+                print(f"error: {line_no}:{column}: {err.code}: {err.message}")
         except Exception as exc:  # keep the session alive
             print(f"error: {exc}")
     return EXIT_OK

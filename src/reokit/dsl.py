@@ -17,6 +17,7 @@ error code, span and message comes from there.
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import re
 import sys
@@ -369,6 +370,15 @@ class _TermParser(_Parser):
             return Var(tok.text)
         return Atom(tok.text)
 
+    @contextlib.contextmanager
+    def nesting_limit(self):
+        """Report a term nested past Python's recursion limit as TOO_DEEP, at
+        the token the descent had reached, rather than as a crash."""
+        try:
+            yield
+        except RecursionError:
+            raise self.fail_at(self.peek(), "TOO_DEEP", "the term nests too deeply") from None
+
     def parse_term(self) -> Term:
         tok = self.peek()
         if tok.kind == "ident":
@@ -412,7 +422,8 @@ class _TermParser(_Parser):
 
 def parse_term(text: str, allow_vars: bool = False) -> Term:
     p = _TermParser(_lex(text), allow_vars)
-    term = p.parse_term()
+    with p.nesting_limit():
+        term = p.parse_term()
     p.expect_eof()
     return term
 
@@ -537,7 +548,9 @@ class _RuleParser(_TermParser):
 
 
 def parse_rulebase(text: str) -> RuleBase:
-    return _RuleParser(_lex(text)).parse()
+    p = _RuleParser(_lex(text))
+    with p.nesting_limit():
+        return p.parse()
 
 
 # --------------------------------------------------------------------------
@@ -578,7 +591,8 @@ def parse_events(text: str) -> EventScript:
     for line_no, column, stripped in _content_lines(text):
         tokens = _lex(stripped, line_no, column)
         p = _TermParser(tokens, allow_vars=False)
-        term = p.parse_term()
+        with p.nesting_limit():
+            term = p.parse_term()
         p.expect_eof()
         entries.append(ScriptedEvent(term, SourceSpan(line_no, column, len(stripped))))
     return EventScript(tuple(entries))

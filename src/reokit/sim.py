@@ -133,14 +133,17 @@ class Trace:
 def trace_from_json(text: str) -> Trace:
     """Rebuild a Trace from its JSON form, exactly: state ``sN`` is ``N``.
 
-    Raises ValueError for a document that is not an object, a missing
-    key, a ``rounds`` entry that is not an object, a step whose ``round``
-    is not an int or is not greater than the round of the step before it,
-    a firing whose ``sync`` is not a list of names or whose ``data`` does
-    not map exactly those names to strings, or a state reference that is
-    not ``s<int>``.
+    Raises ValueError for a document that is not an object or that nests
+    past the recursion limit, a missing key, a ``rounds`` entry that is not
+    an object, a step whose ``round`` is not an int or is not greater than
+    the round of the step before it, a firing whose ``sync`` is not a list
+    of names or whose ``data`` does not map exactly those names to strings,
+    or a state reference that is not ``s<int>``.
     """
-    doc = json.loads(text)
+    try:
+        doc = json.loads(text)
+    except RecursionError:
+        raise ValueError("trace JSON nests too deeply") from None
     if not isinstance(doc, dict):
         raise ValueError("trace JSON must be an object")
     try:

@@ -1,5 +1,7 @@
+import collections
 import dataclasses
 import hashlib
+import json
 import os
 import random
 import re
@@ -17,6 +19,7 @@ from reokit.dsl import parse_circuit
 
 from util import (
     ALPHABET,
+    BLOCKER_TEXT,
     MINIMAL_SYNC_TEXT,
     SEQ3_TEXT,
     brute_product,
@@ -407,17 +410,16 @@ def test_compile_order_insensitive():
         c = random_circuit(rng, max_extra=2)
         reference = A.compile_circuit(c)
         autos = A.circuit_automata(c)
-        keys = [k for k, _ in autos]
-        rng.shuffle(keys)
+        rng.shuffle(autos)
         ports = frozenset(p.name for p in c.ports)
-        joined = A.join_many(autos, keys)
+        joined = A.join_many(autos)
         shuffled = A.hide(joined, joined.names - ports)
         assert AN.bisimilar(reference, shuffled)
 
 
-def join_all_then_hide(c, autos, order):
+def join_all_then_hide(c, autos):
     """The definition: join every automaton, then hide the internal names once."""
-    joined = A.join_many(autos, order)
+    joined = A.join_many(autos)
     return A.hide(joined, joined.names - frozenset(p.name for p in c.ports))
 
 
@@ -427,11 +429,10 @@ def test_compile_agrees_with_join_all_then_hide(seed):
     c = random_circuit(random.Random(seed))
     auto = A.compile_circuit(c)
     autos = A.circuit_automata(c)
-    keys = [k for k, _ in autos]
     rng = random.Random(seed)
     for _ in range(3):
-        rng.shuffle(keys)
-        assert AN.bisimilar(auto, join_all_then_hide(c, autos, keys))
+        rng.shuffle(autos)
+        assert AN.bisimilar(auto, join_all_then_hide(c, autos))
 
 
 def test_compile_agrees_with_the_full_guard_fold(rescue_circuit):
@@ -439,7 +440,7 @@ def test_compile_agrees_with_the_full_guard_fold(rescue_circuit):
     # that keeps whole guards, hidden once and sorted, must give the same bytes
     rng = random.Random(15)
     for c in [rescue_circuit] + [random_circuit(rng, max_extra=4) for _ in range(200)]:
-        reference = join_all_then_hide(c, A.circuit_automata(c), A._flow_order(c))
+        reference = join_all_then_hide(c, A.circuit_automata(c))
         reference = dataclasses.replace(
             reference,
             rows=tuple(tuple(sorted(row, key=A.Transition.sort_key)) for row in reference.rows),
@@ -452,8 +453,7 @@ def test_compile_products_forget_exactly_the_finished_names(rescue_circuit, monk
     # order has it; each product of the compile must be the full-guard
     # product with every guard projected onto its live names
     c = rescue_circuit
-    pool = dict(A.circuit_automata(c))
-    chain = [pool[key] for key in A._flow_order(c)]
+    chain = A.circuit_automata(c)
     ports = frozenset(p.name for p in c.ports)
     join, products = A.join, []
 
@@ -485,6 +485,28 @@ def test_compile_products_forget_exactly_the_finished_names(rescue_circuit, monk
     assert forgotten > 100
 
 
+# sha256 of repr() of the (states, transitions) of each of the 62 products
+# compile_circuit(builtin_circuit()) joins: a change to the join order moves
+# it even where the compiled automaton stays the same
+RESCUE_JOIN_SIZES_SHA256 = "a628d0c95be6d73356d46979c10b0d2fd6c834798c7e0cacf7996e98ea82f080"
+
+
+def test_rescue_join_sequence_pinned(rescue_circuit, monkeypatch):
+    join, sizes = A.join, []
+
+    def recording_join(*args):
+        product = join(*args)
+        sizes.append((product.n_states, len(product.transitions)))
+        return product
+
+    monkeypatch.setattr(A, "join", recording_join)
+    A.compile_circuit(rescue_circuit)
+    assert len(sizes) == 62
+    assert (max(s for s, _ in sizes), max(t for _, t in sizes)) == (96, 1_826)
+    assert sum(t for _, t in sizes) == 31_625
+    assert hashlib.sha256(repr(sizes).encode()).hexdigest() == RESCUE_JOIN_SIZES_SHA256
+
+
 def test_compile_hides_once(rescue_circuit):
     with mock.patch.object(A, "hide", wraps=A.hide) as hide:
         A.compile_circuit(rescue_circuit)
@@ -504,7 +526,7 @@ def test_join_and_hide_keep_guards_canonical():
         autos += [A.join(a, b), joined, A.hide(joined, hidden)]
     for _ in range(30):
         c = random_circuit(rng, max_extra=4)
-        autos += [A.compile_circuit(c), A.join_many(A.circuit_automata(c), A._flow_order(c))]
+        autos += [A.compile_circuit(c), A.join_many(A.circuit_automata(c))]
     guarded = 0
     for auto in autos:
         for t in auto.transitions:
@@ -530,9 +552,9 @@ def test_products_carry_the_per_state_index_of_their_transitions():
         checked += check(A.join(a, b)) + check(joined) + check(A.hide(joined, hidden))
     for _ in range(60):
         c = random_circuit(rng, max_extra=4)
-        autos, order = A.circuit_automata(c), A._flow_order(c)
+        autos = A.circuit_automata(c)
         ports = frozenset(p.name for p in c.ports)
-        for joined in (A.join_many(autos, order), A.join_many(autos, order, ports)):
+        for joined in (A.join_many(autos), A.join_many(autos, ports)):
             checked += check(joined) + check(A.hide(joined, joined.names - ports))
     assert checked > 2000
 
@@ -591,24 +613,23 @@ def test_primitive_automata_hold_each_label_in_one_row(rescue_circuit):
     circuits = [rescue_circuit] + [dispatch_circuit(k) for k in (2, 3, 4)]
     circuits += [random_circuit(rng, max_extra=4) for _ in range(300)]
     for c in circuits:
-        for key, auto in A.circuit_automata(c):
+        for auto in A.circuit_automata(c):
             labels = [label for row in auto.rows for label in {(t.sync, t.guard) for t in row}]
-            assert len(labels) == len(set(labels)), (c.name, key)
+            assert len(labels) == len(set(labels)), (c.name, sorted(auto.names))
 
 
-def test_flow_order_lists_every_automaton(rescue_circuit):
+def test_circuit_automata_lists_one_automaton_per_channel_and_node(rescue_circuit):
     rng = random.Random(3)
     for c in [rescue_circuit] + [random_circuit(rng) for _ in range(100)]:
-        assert sorted(A._flow_order(c)) == sorted(k for k, _ in A.circuit_automata(c))
+        domains = C.value_domains(c)
+        expected = [A.ca_of_channel(ch, c.alphabet, domains[ch.end_a]) for ch in c.channels]
+        expected += [A.ca_of_node(node, c.alphabet) for node in c.nodes()]
+        assert collections.Counter(A.circuit_automata(c)) == collections.Counter(expected)
 
 
-def test_join_many_rejects_a_bad_order():
+def test_join_many_in_reverse_order_is_bisimilar():
     autos = A.circuit_automata(parse_circuit(MINIMAL_SYNC_TEXT))
-    keys = [k for k, _ in autos]
-    assert AN.bisimilar(A.join_many(autos, keys[::-1]), A.join_many(autos))
-    for order in (keys[1:], keys + keys[:1], keys + ["ch:nope"]):
-        with pytest.raises(ValueError, match="exactly once"):
-            A.join_many(autos, order)
+    assert AN.bisimilar(A.join_many(autos[::-1]), A.join_many(autos))
 
 
 # A synchronous cycle fed by nothing can still carry any value, because
@@ -625,9 +646,9 @@ def test_synchronous_cycle_keeps_every_value(channels):
 
 def full_domain_compile(c):
     """Oracle: join in compile's order and hide once, every fifo over the alphabet."""
-    autos = [(f"ch:{ch.id}", A.ca_of_channel(ch, c.alphabet)) for ch in c.channels]
-    autos += [(f"nd:{node.name}", A.ca_of_node(node, c.alphabet)) for node in c.nodes()]
-    return join_all_then_hide(c, autos, A._flow_order(c))
+    everything = {node.name: c.alphabet for node in c.nodes()}
+    with mock.patch.object(A, "value_domains", lambda _: everything):
+        return join_all_then_hide(c, A.circuit_automata(c))
 
 
 def test_value_domains_preserve_behaviour():
@@ -635,11 +656,13 @@ def test_value_domains_preserve_behaviour():
     shrunk = 0
     for _ in range(300):
         c = random_circuit(rng, max_extra=4)
-        fifos = {f"ch:{ch.id}" for ch in c.channels if ch.kind == C.FIFO1}
+        # a fifo's moves each fire one of its ends; the node of a fifo
+        # looped onto it has the same names but fires both at once
+        fifos = {frozenset((ch.name_a, ch.name_b)) for ch in c.channels if ch.kind == C.FIFO1}
         shrunk += sum(
             auto.n_states <= len(c.alphabet)
-            for key, auto in A.circuit_automata(c)
-            if key in fifos
+            for auto in A.circuit_automata(c)
+            if auto.names in fifos and all(len(t.sync) == 1 for t in auto.transitions)
         )
         assert AN.bisimilar(A.compile_circuit(c), full_domain_compile(c))
     assert shrunk > 0
@@ -697,15 +720,30 @@ def test_export_formats_deterministic():
     assert '"names"' in A.automaton_to_json(auto)
 
 
+def test_json_writes_every_state_reference_as_a_listed_state(rescue_auto):
+    rng = random.Random(19)
+    autos = [rescue_auto, A.compile_circuit(parse_circuit(BLOCKER_TEXT))]
+    autos += [A.compile_circuit(random_circuit(rng, max_extra=4)) for _ in range(50)]
+    checked = 0
+    for auto in autos:
+        doc = json.loads(A.automaton_to_json(auto))
+        states = set(doc["states"])
+        assert doc["initial"] in states
+        for t in doc["transitions"]:
+            assert t["from"] in states and t["to"] in states, t
+        checked += len(doc["transitions"])
+    assert checked > 1000
+
+
 # sha256 of automaton_to_json(compile_circuit(builtin_circuit())); any change
 # to join, hide or the final sort that alters the output moves it
-RESCUE_JSON_SHA256 = "83a7895db792bcb197844b877db19b50dcb996887ee5b98ac2553456551ebdde"
+RESCUE_JSON_SHA256 = "fb662008160b6e5854f64c8e4a03ca697785ff9376f5e938502d0b6556fe14a4"
 
 
 # sha256 of automaton_to_json plus automaton_to_dot over seeded random draws:
 # compiled random circuits, and joins and hides of random automata over three
 # values, the only draws whose guards can keep an "in" atom
-RANDOM_EXPORT_SHA256 = "35f68e9e506118618860428eb8bfa370473579ebfe4a99da8fedf2893327bd5b"
+RANDOM_EXPORT_SHA256 = "4657ad46a8e9488a10a178343f10271ed42d845b383809bf612a902eda754411"
 
 
 def test_rescue_compile_json_pinned(rescue_auto):

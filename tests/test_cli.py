@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -306,6 +307,33 @@ def test_comply_not_converged_exits_two(tmp_path, monkeypatch, capsys):
     assert capsys.readouterr().err.startswith("error: saturation did not converge")
 
 
+@pytest.mark.parametrize("nested", ["events", "rules", "trace"])
+def test_deeply_nested_input_exits_two(nested, tmp_path, capsys):
+    # past Python's recursion limit a parser's descent fails; that is bad
+    # input, reported on one line with exit 2, not a crash that exits 1
+    files = {name: tmp_path / name for name in ("events", "rules", "trace", "map")}
+    files["events"].write_text("x\n")
+    files["rules"].write_text("rule r: x => y\n")
+    files["map"].write_text("b -> X\n")
+    deep = {
+        "events": "(" * 3_000 + "A" + ")" * 3_000 + "\n",
+        "rules": "rule r: x => " + "P(" * 3_000 + "x" + ")" * 3_000 + "\n",
+        "trace": "[" * 100_000,
+    }
+    files[nested].write_text(deep[nested])
+    source = (
+        ["--trace", str(files["trace"]), "--map", str(files["map"])]
+        if nested == "trace"
+        else ["--events", str(files["events"])]
+    )
+    assert cli.main(["comply", "--rules", str(files["rules"]), *source]) == 2
+    (line,) = capsys.readouterr().err.splitlines()
+    if nested == "trace":
+        assert line == "error: trace JSON nests too deeply"
+    else:
+        assert re.fullmatch(r"1:[0-9]+: TOO_DEEP: the term nests too deeply", line), line
+
+
 def test_comply_empty_events_clean(tmp_path):
     events = tmp_path / "empty.events"
     events.write_text("")
@@ -468,3 +496,19 @@ def test_repl_session(mini):
     assert "stall" in out
     assert "state s0 (round 3)" in out
     assert "unknown command 'wat'" in out
+
+
+def test_repl_reads_offer_and_ready_as_an_env_round(mini):
+    # blanks separate tokens, as in an env script: "o k" is two words, not "ok",
+    # and a tab ends the command word; an error's column is the one in the line typed
+    result = run_cli(
+        "repl", str(mini),
+        stdin="offer a = o k\nready b\nenabled\n  offer zz=ok\noffer\ta=bad; ready b\nenabled\n",
+    )
+    assert result.returncode == 0
+    assert result.stdout.splitlines()[1:] == [
+        "error: 1:11: UNKNOWN_TOKEN: 'o' is not in the data alphabet",
+        "nothing enabled",
+        "error: 4:9: UNKNOWN_PORT: 'zz' is not a boundary-in port",
+        "{a,b} a=bad,b=bad",
+    ]
