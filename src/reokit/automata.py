@@ -652,7 +652,7 @@ def compile_circuit(c: Circuit) -> ConstraintAutomaton:
     autos = circuit_automata(c)
     if not autos:
         return identity_automaton(c.alphabet)
-    ports = frozenset(p.name for p in c.ports)
+    ports = c.inputs | c.outputs
     joined = join_many(autos, ports)
     hidden = hide(joined, joined.names - ports)
     return replace(

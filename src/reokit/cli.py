@@ -130,8 +130,8 @@ def cmd_comply(args) -> int:
         trace = trace_from_json(_read(args.trace))
         circuit = dsl.parse_circuit(_read(args.circuit)) if args.circuit else None
         mapping = dsl.parse_map(_read(args.map), circuit)
-        for event in rescue.map_trace(trace, mapping):
-            engine.ingest(event, origin=ORIGIN_TRACE)
+        for term in rescue.map_trace(trace, mapping):
+            engine.ingest(term, origin=ORIGIN_TRACE)
     verdict = engine.verdict()
     sys.stdout.write(verdict.to_json())
     if args.explain:

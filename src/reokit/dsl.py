@@ -324,9 +324,8 @@ def print_circuit(c: Circuit) -> str:
     out = [f"circuit {c.name} {{"]
     out.append("  data { " + ", ".join(sorted(c.alphabet)) + " }")
     out.append("  ports {")
-    for kind in (PORT_IN, PORT_OUT):
-        for p in sorted(p for p in c.ports if p.kind == kind):
-            out.append(f"    {kind} {p.name};")
+    for kind, names in ((PORT_IN, c.inputs), (PORT_OUT, c.outputs)):
+        out.extend(f"    {kind} {name};" for name in sorted(names))
     out.append("  }")
     for ch in c.channels:
         params = ""
@@ -656,9 +655,7 @@ def _fast_round(stripped, seen_rounds, ins, outs, alphabet) -> tuple[int, Round]
         else:
             ready.update(name_re.findall(ready_list))
             explicit_ready = True
-    if ins is not None and not (
-        all(port in ins and tok in alphabet for port, tok in offers) and ready <= outs
-    ):
+    if not (all(port in ins and tok in alphabet for port, tok in offers) and ready <= outs):
         return None
     return number, Round(tuple(offers), frozenset(ready) if explicit_ready else None)
 
@@ -688,7 +685,7 @@ def _token_round(tokens, seen_rounds, ins, outs, alphabet) -> tuple[int, Round]:
         port_tok = p.expect_ident()
         p.expect_sym("=")
         tok = p.expect_ident()
-        if ins is not None and port_tok.text not in ins:
+        if port_tok.text not in ins:
             raise p.fail_at(
                 port_tok, "UNKNOWN_PORT", f"{port_tok.text!r} is not a boundary-in port"
             )
@@ -697,7 +694,7 @@ def _token_round(tokens, seen_rounds, ins, outs, alphabet) -> tuple[int, Round]:
 
     def ready_port() -> str:
         port_tok = p.expect_ident()
-        if outs is not None and port_tok.text not in outs:
+        if port_tok.text not in outs:
             raise p.fail_at(
                 port_tok, "UNKNOWN_PORT", f"{port_tok.text!r} is not a boundary-out port"
             )
@@ -721,14 +718,15 @@ def _token_round(tokens, seen_rounds, ins, outs, alphabet) -> tuple[int, Round]:
     return number, Round(tuple(offers), frozenset(ready) if explicit_ready else None)
 
 
-def parse_env(text: str, circuit: Circuit | None = None) -> EnvScript:
-    """Per-round offers and readiness.
+def parse_env(text: str, circuit: Circuit) -> EnvScript:
+    """Per-round offers and readiness on ``circuit``'s boundary.
 
     Lines: ``policy closed|all-ready`` (at most once, before any round),
     then ``round N: offer p=tok[, ...]; ready p[, ...]`` with both clauses
     optional, in any order, and repeatable. ``N`` runs from 1 to
-    ``sys.maxsize``. With a circuit supplied, ports and tokens are
-    cross-checked.
+    ``sys.maxsize``. Each offered port must be one of the circuit's
+    boundary-in ports, each ready port a boundary-out port, and each
+    offered token in its data alphabet.
 
     Each round line tries one full-line pattern first (``_fast_round``);
     that path never raises. A line it does not take goes to the token
@@ -738,11 +736,7 @@ def parse_env(text: str, circuit: Circuit | None = None) -> EnvScript:
     policy = POLICY_ALL_READY
     rounds: list[tuple[int, Round]] = []
     seen_rounds: set[int] = set()
-    checks = (
-        (circuit.inputs, circuit.outputs, circuit.alphabet)
-        if circuit is not None
-        else (None, None, None)
-    )
+    checks = (circuit.inputs, circuit.outputs, circuit.alphabet)
     for index, (line_no, column, stripped) in enumerate(_content_lines(text)):
         entry = _fast_round(stripped, seen_rounds, *checks)
         if entry is None:
@@ -774,36 +768,27 @@ def parse_env(text: str, circuit: Circuit | None = None) -> EnvScript:
 
 @dataclass(frozen=True)
 class EventMap:
-    """Associations (boundary port, optional data item) -> atom name."""
+    """Boundary firings to atom names: ``table[(port, datum)]`` for an entry
+    that names its datum, ``table[(port, None)]`` for a port-only one."""
 
-    entries: tuple[tuple[str, str | None, str], ...] = ()
+    table: dict[tuple[str, str | None], str] = field(default_factory=dict)
 
     def lookup(self, port: str, datum: str) -> str | None:
-        specific = None
-        fallback = None
-        for p, d, atom in self.entries:
-            if p != port:
-                continue
-            if d == datum:
-                specific = atom
-            elif d is None:
-                fallback = atom
-        return specific if specific is not None else fallback
+        """The atom for ``port`` carrying ``datum``: the specific entry if
+        there is one, else the port-only entry, else None."""
+        atom = self.table.get((port, datum))
+        return atom if atom is not None else self.table.get((port, None))
 
 
 def parse_map(text: str, circuit: Circuit | None = None) -> EventMap:
-    """Lines of ``port[=tok] -> Atom``.
+    """Lines of ``port[=tok] -> Atom``, each ``(port, tok)`` at most once.
 
     With a circuit supplied, each port must be a boundary port and each
     ``tok`` in the data alphabet, since an entry for any other can never fire.
     """
-    ports: set[str] | None = None
-    alphabet = None
-    if circuit is not None:
-        ports = {p.name for p in circuit.ports}
-        alphabet = circuit.alphabet
-    entries: list[tuple[str, str | None, str]] = []
-    seen: set[tuple[str, str | None]] = set()
+    ports = None if circuit is None else circuit.inputs | circuit.outputs
+    alphabet = None if circuit is None else circuit.alphabet
+    table: dict[tuple[str, str | None], str] = {}
     for line_no, column, stripped in _content_lines(text):
         p = _Parser(_lex(stripped, line_no, column))
         port_tok = p.expect_ident()
@@ -820,12 +805,10 @@ def parse_map(text: str, circuit: Circuit | None = None) -> EventMap:
             )
         if datum_tok is not None:
             _check_datum(p, datum_tok, alphabet)
-        datum = datum_tok.text if datum_tok else None
-        key = (port_tok.text, datum)
-        if key in seen:
+        key = (port_tok.text, datum_tok.text if datum_tok else None)
+        if key in table:
             raise p.fail_at(
                 port_tok, "DUP_MAP_ENTRY", f"duplicate mapping for {key!r}"
             )
-        seen.add(key)
-        entries.append((port_tok.text, datum, atom))
-    return EventMap(tuple(entries))
+        table[key] = atom
+    return EventMap(table)

@@ -26,6 +26,7 @@ from .semlog import (
     ORIGIN_SCRIPT,
     ORIGIN_TRACE,
     RuleBase,
+    Term,
     Verdict,
     pretty,
 )
@@ -55,21 +56,21 @@ def builtin_map() -> EventMap:
     return dsl.parse_map(_data("rescue.map"), builtin_circuit())
 
 
-def map_trace(trace: Trace, mapping: EventMap) -> list[Event]:
-    """Map boundary firings to compliance events, in round order.
+def map_trace(trace: Trace, mapping: EventMap) -> list[Term]:
+    """The atoms that ``mapping`` gives the trace's boundary firings, in round order.
 
-    Within one firing, ports are scanned in sorted order; a specific
-    (port, data) association wins over a port-only one; ports without
-    any association emit nothing.
+    Within one firing, its ``(port, datum)`` pairs are read in sorted port
+    order; a specific (port, datum) entry wins over a port-only one; a pair
+    with no entry gives nothing. The compliance engine numbers the atoms
+    as it ingests them.
     """
-    events = []
+    atoms = []
     for firing in trace.firings():
-        data = firing.data()
-        for port in sorted(firing.sync):
-            atom = mapping.lookup(port, data[port])
+        for port, datum in sorted(firing.assignment):
+            atom = mapping.lookup(port, datum)
             if atom is not None:
-                events.append(Event(len(events) + 1, Atom(atom), ORIGIN_TRACE))
-    return events
+                atoms.append(Atom(atom))
+    return atoms
 
 
 @dataclass
@@ -114,9 +115,8 @@ def run_rescue(
     auto = automaton if automaton is not None else compile_circuit(c)
     env = env if env is not None else builtin_env()
     trace = simulate(auto, env, cfg, circuit_name=c.name)
-    events = map_trace(trace, builtin_map())
-    for event in events:
-        engine.ingest(event, origin=ORIGIN_TRACE)
+    for term in map_trace(trace, builtin_map()):
+        engine.ingest(term, origin=ORIGIN_TRACE)
     if extra_events is not None:
         for term in extra_events.terms():
             engine.ingest(term, origin=ORIGIN_SCRIPT)

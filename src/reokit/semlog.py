@@ -525,14 +525,14 @@ class ComplianceEngine:
 
     # -- ingest -----------------------------------------------------------
 
-    def ingest(self, item, origin: str = ORIGIN_SCRIPT) -> set[Term]:
-        """Record one event occurrence; returns the facts it introduced.
+    def ingest(self, term: Term, origin: str = ORIGIN_SCRIPT) -> set[Term]:
+        """Record one occurrence of the ground ``term``; returns the facts it
+        introduced. Each event recorded goes to ``events``, numbered here.
 
         Event-implication rules run here: occurrence-shaped conclusions
         become derived events (queued, counted), deontic ones plain
         facts. A worklist bounds runaway implication cycles.
         """
-        term = item.term if isinstance(item, Event) else item
         if not is_ground(term):
             raise ValueError(f"events must be ground terms: {pretty(term)}")
         new: set[Term] = set()

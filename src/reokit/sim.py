@@ -34,9 +34,6 @@ class Round:
     offers: tuple[tuple[str, str], ...] = ()
     ready: frozenset[str] | None = None  # None: the script lists no ready clause
 
-    def offer_map(self) -> dict[str, str]:
-        return dict(self.offers)
-
 
 @dataclass(frozen=True)
 class EnvScript:
@@ -69,7 +66,7 @@ class EnvScript:
         r = self._by_number.get(n)
         if r is None:
             return {}, default_ready
-        return r.offer_map(), default_ready if r.ready is None else r.ready
+        return dict(r.offers), default_ready if r.ready is None else r.ready
 
 
 @dataclass(frozen=True)
@@ -89,9 +86,6 @@ class Firing:
     assignment: tuple[tuple[str, str], ...]
     state_before: int
     state_after: int
-
-    def data(self) -> dict[str, str]:
-        return dict(self.assignment)
 
 
 @dataclass(frozen=True)

@@ -15,9 +15,15 @@ from reokit.sim import POLICY_ALL_READY, POLICY_CLOSED
 
 from importlib import resources
 
-from util import MINIMAL_SYNC_TEXT, circuit_signature, random_circuit
+from util import MINIMAL_SYNC_TEXT, circuit_signature, random_circuit, scan_lookup
 
 RULES_TEXT = resources.files("reokit").joinpath("data/rescue.rules").read_text()
+MINI = dsl.parse_circuit(MINIMAL_SYNC_TEXT)
+
+
+def _mini_env(text):
+    """``parse_env`` on MINIMAL_SYNC_TEXT's boundary: in a, out b, data { ok, bad }."""
+    return dsl.parse_env(text, MINI)
 
 
 # -- the lexer ----------------------------------------------------------------
@@ -144,10 +150,10 @@ LINE_MALFORMED = [
     (dsl.parse_events, "   A B"),
     (dsl.parse_events, "  Alarm Fire"),
     (dsl.parse_events, "ok\n\t P(A"),
-    (dsl.parse_env, "    round 1: offer a=ok @"),
-    (dsl.parse_env, "\t round 1 offer a=ok"),
-    (dsl.parse_env, "  policy"),
-    (dsl.parse_env, "  policy bogus"),
+    (_mini_env, "    round 1: offer a=ok @"),
+    (_mini_env, "\t round 1 offer a=ok"),
+    (_mini_env, "  policy"),
+    (_mini_env, "  policy bogus"),
     (dsl.parse_map, "  a -> X Y"),
     (dsl.parse_map, "\t a ->"),
 ]
@@ -275,7 +281,7 @@ def test_nested_prefix_terms():
     assert dsl.parse_term("(2)(Very)X") == S.Count(2, S.Very(S.Atom("X")))
 
 
-def _env_error(text, circuit=None):
+def _env_error(text, circuit=MINI):
     """``(code, (line, column, length), message)`` of the one error parse_env raises."""
     with pytest.raises(dsl.ParseFailure) as exc:
         dsl.parse_env(text, circuit)
@@ -295,8 +301,8 @@ def test_env_round_numbering_errors():
         "BAD_ROUND", (1, 7, 23), f"round numbers stop at {sys.maxsize}"
     )
     assert _env_error("round " + "9" * 5000 + ": offer a=ok")[:2] == ("BAD_ROUND", (1, 7, 5000))
-    assert len(dsl.parse_env(f"round 000{sys.maxsize}: offer a=ok")) == sys.maxsize
-    assert len(dsl.parse_env("round " + "0" * 5000 + "2: offer a=ok")) == 2
+    assert len(_mini_env(f"round 000{sys.maxsize}: offer a=ok")) == sys.maxsize
+    assert len(_mini_env("round " + "0" * 5000 + "2: offer a=ok")) == 2
 
 
 def test_env_syntax_errors_pinned():
@@ -305,8 +311,9 @@ def test_env_syntax_errors_pinned():
         "SYNTAX", (1, 21, 1), "expected 'offer' or 'ready', found ';'"
     )
     assert _env_error("round 1x: ready b") == ("SYNTAX", (1, 8, 1), "expected ':', found 'x'")
+    # maximal munch: "okready" is one token, not "ok" and the keyword "ready"
     assert _env_error("round 1: offer a=okready b") == (
-        "SYNTAX", (1, 26, 1), "expected 'offer' or 'ready', found 'b'"
+        "UNKNOWN_TOKEN", (1, 18, 7), "'okready' is not in the data alphabet"
     )
     assert _env_error("round 1: offer a=ok, ready b") == (
         "SYNTAX", (1, 28, 1), "expected '=', found 'b'"
@@ -333,7 +340,7 @@ def test_env_policy_comes_once_and_first():
     assert _env_error("policyclosed") == (
         "SYNTAX", (1, 1, 12), "expected 'round', found 'policyclosed'"
     )
-    env = dsl.parse_env("# header\n\n policy \t closed \nround 1: offer a=ok")
+    env = _mini_env("# header\n\n policy \t closed \nround 1: offer a=ok")
     assert env.default_policy == POLICY_CLOSED
 
 
@@ -347,8 +354,8 @@ def test_parse_events_rejects_variables():
         dsl.parse_events("(I)A")
 
 
-def test_parse_env_offers_and_ready():
-    env = dsl.parse_env("round 1: offer citizens=ok; ready case1,case2,case3")
+def test_parse_env_offers_and_ready(rescue_circuit):
+    env = dsl.parse_env("round 1: offer citizens=ok; ready case1,case2,case3", rescue_circuit)
     ((num, rnd),) = env.rounds
     assert num == 1
     assert rnd.offers == (("citizens", "ok"),)
@@ -357,11 +364,11 @@ def test_parse_env_offers_and_ready():
 
 
 def test_parse_env_policy_and_defaults():
-    env = dsl.parse_env("policy closed\nround 2: offer a=ok")
+    env = _mini_env("policy closed\nround 2: offer a=ok")
     assert env.default_policy == POLICY_CLOSED
     offers, ready = env.round(1, frozenset({"x"}))
     assert offers == {} and ready == frozenset()
-    env2 = dsl.parse_env("round 1: offer a=ok")
+    env2 = _mini_env("round 1: offer a=ok")
     assert env2.default_policy == POLICY_ALL_READY
     _, ready = env2.round(1, frozenset({"x"}))
     assert ready == frozenset({"x"})
@@ -391,6 +398,21 @@ def test_parse_map_entries_and_precedence():
     assert m.lookup("other", "ok") is None
 
 
+def test_map_lookup_agrees_with_a_scan_of_its_entries():
+    rng = random.Random(20)
+    ports, data = ("p0", "p1", "p2", "p3"), ("ok", "bad", "tick")
+    for _ in range(300):
+        keys = rng.sample([(p, d) for p in ports for d in (None, *data)], rng.randint(0, 10))
+        entries = [(p, d, f"A{i}") for i, (p, d) in enumerate(keys)]
+        text = "\n".join(f"{p}{'' if d is None else '=' + d} -> {atom}" for p, d, atom in entries)
+        m = dsl.parse_map(text)
+        assert m.table == {(p, d): atom for p, d, atom in entries}
+        # "p4" and "zap" are named by no entry
+        for port in (*ports, "p4"):
+            for datum in (*data, "zap"):
+                assert m.lookup(port, datum) == scan_lookup(entries, port, datum), (text, port, datum)
+
+
 def test_parse_map_duplicate_and_unknown_port():
     with pytest.raises(dsl.ParseFailure) as exc:
         dsl.parse_map("p -> A\np -> B")
@@ -408,9 +430,9 @@ def test_parse_map_data_must_be_in_the_alphabet():
     (err,) = exc.value.errors
     assert (err.code, err.span) == ("UNKNOWN_TOKEN", dsl.SourceSpan(2, 5, 3))
     assert err.message == _env_error("round 1: offer a=zap", c)[2]
-    entries = dsl.parse_map("a=ok -> X\nb=bad -> Y", c).entries
-    assert entries == (("a", "ok", "X"), ("b", "bad", "Y"))
-    assert dsl.parse_map("a=zap -> X").entries == (("a", "zap", "X"),)  # no circuit, no check
+    table = dsl.parse_map("a=ok -> X\nb=bad -> Y", c).table
+    assert list(table.items()) == [(("a", "ok"), "X"), (("b", "bad"), "Y")]
+    assert dsl.parse_map("a=zap -> X").table == {("a", "zap"): "X"}  # no circuit, no check
 
 
 # str.splitlines breaks at each of these, str.strip drops \xa0; _lex does neither
@@ -421,8 +443,8 @@ ODD_CHARS = ["\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029",
 @pytest.mark.parametrize(
     "parse, text",
     [
-        (dsl.parse_env, "round 1: offer a=ok{} ready b"),
-        (dsl.parse_env, "policy{}closed"),
+        (_mini_env, "round 1: offer a=ok{} ready b"),
+        (_mini_env, "policy{}closed"),
         (dsl.parse_events, "A{}B"),
         (dsl.parse_events, "A{}"),
         (dsl.parse_map, "a -> X{}b -> Y"),
@@ -438,12 +460,13 @@ def test_line_formats_split_lines_like_lex(parse, text, odd):
 
 
 def test_line_formats_read_crlf():
-    env = dsl.parse_env("policy closed\r\nround 1: offer a=ok \r\n\r\nround 2: ready b\r\n")
+    env = _mini_env("policy closed\r\nround 1: offer a=ok \r\n\r\nround 2: ready b\r\n")
     assert env.default_policy == POLICY_CLOSED and len(env) == 2
     events = dsl.parse_events("A\r\n  B \r\n")
     assert events.terms() == [S.Atom("A"), S.Atom("B")]
     assert [e.span for e in events.entries] == [dsl.SourceSpan(1, 1, 1), dsl.SourceSpan(2, 3, 1)]
-    assert dsl.parse_map("a -> X\r\nb=ok -> Y\r\n").entries == (("a", None, "X"), ("b", "ok", "Y"))
+    table = dsl.parse_map("a -> X\r\nb=ok -> Y\r\n").table
+    assert list(table.items()) == [(("a", None), "X"), (("b", "ok"), "Y")]
 
 
 # -- env: the line grammar agrees with the token parser ------------------------
@@ -526,12 +549,12 @@ def _env_outcome(text, circuit):
 def test_parse_env_line_grammar_agrees_with_token_parser(lines, odd_line, at, policy, late_policy):
     lines.insert(at, odd_line)
     text = policy + "\n".join(lines) + ("\npolicy closed" if late_policy else "")
-    for circuit in (None, dsl.parse_circuit(KEYWORD_PORTS_TEXT)):
-        with mock.patch.object(dsl, "_fast_round", lambda *args: None):
-            expected = _env_outcome(text, circuit)
-        got = _env_outcome(text, circuit)
-        assert got == expected
-        assert repr(got) == repr(expected)
+    circuit = dsl.parse_circuit(KEYWORD_PORTS_TEXT)
+    with mock.patch.object(dsl, "_fast_round", lambda *args: None):
+        expected = _env_outcome(text, circuit)
+    got = _env_outcome(text, circuit)
+    assert got == expected
+    assert repr(got) == repr(expected)
 
 
 def _varied_env(rng: random.Random, rounds: int) -> list[str]:

@@ -1,3 +1,4 @@
+import itertools
 import json
 from unittest import mock
 
@@ -73,9 +74,18 @@ def test_map_trace_specific_beats_port_only():
     trace = Trace("t", 0)
     trace.steps.append(Firing(1, frozenset({"p"}), (("p", "ok"),), 0, 0))
     trace.steps.append(Firing(2, frozenset({"p"}), (("p", "bad"),), 0, 0))
-    events = rescue.map_trace(trace, mapping)
-    assert [e.term for e in events] == [Atom("Hit"), Atom("Miss")]
-    assert [e.index for e in events] == [1, 2]
+    assert rescue.map_trace(trace, mapping) == [Atom("Hit"), Atom("Miss")]
+
+
+def test_map_trace_reads_one_firing_in_sorted_port_order():
+    pairs = [("police_alarm", "ok"), ("case2", "ok"), ("fire_alarm", "bad"), ("emergency_alarm", "ok")]
+    sync = frozenset(port for port, _ in pairs)
+    # every order of the firing's assignment, the sorted one among them
+    for assignment in itertools.permutations(pairs):
+        trace = Trace("rescue", 0, [Firing(1, sync, assignment, 0, 1)])
+        assert rescue.map_trace(trace, rescue.builtin_map()) == [
+            Atom("AmbulanceRequest"), Atom("FireRequest"), Atom("PoliceRequest")
+        ]
 
 
 def test_canned_run_dispatches_in_order(rescue_auto):
@@ -194,7 +204,7 @@ def test_exclusive_dispatch_and_round_robin_over_seeds(rescue_auto):
         dispatched = []
         ea_count = police_count = 0
         for f in trace.firings():
-            data = f.data()
+            data = dict(f.assignment)
             cases = case_ports(f)
             intake = [p for p in ("citizens", "sensors") if p in f.sync]
             approved = [p for p in intake if data[p] == "ok"]

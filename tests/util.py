@@ -179,6 +179,20 @@ def check_sequence(
     return violations
 
 
+def scan_lookup(entries, port: str, datum: str) -> str | None:
+    """Oracle: the event-map lookup as a scan over ``(port, datum or None, atom)``
+    entries; an entry naming ``datum`` wins over a port-only one."""
+    specific = fallback = None
+    for p, d, atom in entries:
+        if p != port:
+            continue
+        if d == datum:
+            specific = atom
+        elif d is None:
+            fallback = atom
+    return specific if specific is not None else fallback
+
+
 def term_key(t: S.Term) -> tuple:
     """Oracle: the structural term order that the tuple order replaced.
 
