@@ -9,10 +9,11 @@ pattern over them. ``#`` comments run to end of line and whitespace is
 insignificant except in the line-oriented formats. Every separated list
 (``data``, ``accept``, ``map``, a protocol order, an env round's offers
 and ready ports) is parsed by one rule, ``_Parser.sep_list``.
-Env ``round`` lines, the bulk of a long script, first try one
-full-line pattern built from the same token classes. That path never
-raises: a line it does not take goes through the token parser, so every
-error code, span and message comes from there.
+Env ``round`` lines, the bulk of a long script, first try two patterns
+built from the same token classes, and each distinct round body is
+parsed once per script. That path never raises: a line it does not take
+goes through the token parser, so every error code, span and message
+comes from there.
 """
 
 from __future__ import annotations
@@ -601,8 +602,10 @@ def parse_events(text: str) -> EventScript:
 # environment script
 
 
-# The common case of an env round line, as one full-line pattern built
-# from ``_lex``'s token classes. A word must not be followed by an
+# The common case of an env round line, as two patterns built from
+# ``_lex``'s token classes: the ``round N:`` prefix and the clauses after
+# it. They read the same lines as one full-line pattern would, since a
+# clause cannot start with a blank. A word must not be followed by an
 # identifier character (``_END``), which gives the scanner's maximal munch:
 # ``okready`` stays one identifier rather than backtracking into ``ok``
 # plus the keyword ``ready``. ``offer`` and ``ready`` may also be port names.
@@ -619,37 +622,56 @@ _ROUND_DIGITS = len(str(sys.maxsize))
 
 
 @functools.cache
-def _round_grammar() -> tuple[re.Pattern, re.Pattern, re.Pattern, re.Pattern]:
-    """The compiled patterns of a round line, a clause, an offer pair and a name.
+def _round_grammar() -> tuple[re.Pattern, re.Pattern, re.Pattern, re.Pattern, re.Pattern]:
+    """The compiled patterns of a round prefix, a round body, a clause, an
+    offer pair and a name.
 
     Compiled on first use, not at import: they take a few milliseconds,
     which every command would pay otherwise.
     """
     return (
-        re.compile(rf"round{_END}{_W}([0-9]+){_W}:{_W}((?:{_CLAUSE})*)"),
+        re.compile(rf"round{_END}{_W}([0-9]+){_W}:{_W}"),
+        re.compile(rf"(?:{_CLAUSE})*"),
         re.compile(_CLAUSE),
         re.compile(rf"({_NAME}){_W}={_W}({_NAME})"),
         re.compile(_NAME),
     )
 
 
-def _fast_round(stripped, seen_rounds, ins, outs, alphabet) -> tuple[int, Round] | None:
-    """``_token_round`` for a line the round-line pattern matches that passes every check.
+def _fast_round(stripped, seen_rounds, bodies, checks) -> tuple[int, Round] | None:
+    """``_token_round`` for a line the round patterns match that passes every check.
 
-    Never raises: any other line gives None, and ``_token_round`` then
-    parses it again and reports the error.
+    The round number is checked on every line. The body after ``round N:``
+    goes through ``_fast_body`` once per distinct text: ``bodies``, one dict
+    per ``parse_env`` call, keeps its ``Round``, or None when the token
+    parser must decide, so equal bodies share one ``Round``. Never raises:
+    any other line gives None, and ``_token_round`` then parses it again and
+    reports the error.
     """
-    line_re, clause_re, pair_re, name_re = _round_grammar()
-    m = line_re.fullmatch(stripped)
+    m = _round_grammar()[0].match(stripped)
     if m is None or len(m[1]) > _ROUND_DIGITS:
         return None
     number = int(m[1])
     if not 1 <= number <= sys.maxsize or number in seen_rounds:
         return None
+    body = stripped[m.end() :]
+    if body not in bodies:
+        bodies[body] = _fast_body(body, *checks)
+    parsed = bodies[body]
+    return None if parsed is None else (number, parsed)
+
+
+def _fast_body(body, ins, outs, alphabet, names) -> Round | None:
+    """The ``Round`` of a round body the body pattern matches and every name
+    passes; None otherwise. ``names`` maps each of the circuit's names to
+    itself, so the ``Round`` holds the circuit's own strings."""
+    _, body_re, clause_re, pair_re, name_re = _round_grammar()
+    if body_re.fullmatch(body) is None:
+        return None
     offers: list[tuple[str, str]] = []
     ready: set[str] = set()
     explicit_ready = False
-    for offer_list, ready_list in clause_re.findall(m[2]):
+    for offer_list, ready_list in clause_re.findall(body):
         if offer_list:
             offers += pair_re.findall(offer_list)
         else:
@@ -657,7 +679,10 @@ def _fast_round(stripped, seen_rounds, ins, outs, alphabet) -> tuple[int, Round]
             explicit_ready = True
     if not (all(port in ins and tok in alphabet for port, tok in offers) and ready <= outs):
         return None
-    return number, Round(tuple(offers), frozenset(ready) if explicit_ready else None)
+    return Round(
+        tuple((names[port], names[tok]) for port, tok in offers),
+        frozenset(names[port] for port in ready) if explicit_ready else None,
+    )
 
 
 def _check_datum(p: _Parser, tok: Token, alphabet) -> None:
@@ -666,8 +691,11 @@ def _check_datum(p: _Parser, tok: Token, alphabet) -> None:
         raise p.fail_at(tok, "UNKNOWN_TOKEN", f"{tok.text!r} is not in the data alphabet")
 
 
-def _token_round(tokens, seen_rounds, ins, outs, alphabet) -> tuple[int, Round]:
-    """One ``round`` line's tokens through the token parser; raises its ParseFailure."""
+def _token_round(tokens, seen_rounds, ins, outs, alphabet, names) -> tuple[int, Round]:
+    """One ``round`` line's tokens through the token parser; raises its ParseFailure.
+
+    Like ``_fast_body``, it names ports and tokens by the circuit's own strings.
+    """
     p = _Parser(tokens)
     p.expect_ident("round")
     number_tok = p.expect_int()
@@ -690,7 +718,7 @@ def _token_round(tokens, seen_rounds, ins, outs, alphabet) -> tuple[int, Round]:
                 port_tok, "UNKNOWN_PORT", f"{port_tok.text!r} is not a boundary-in port"
             )
         _check_datum(p, tok, alphabet)
-        return port_tok.text, tok.text
+        return names[port_tok.text], names[tok.text]
 
     def ready_port() -> str:
         port_tok = p.expect_ident()
@@ -698,7 +726,7 @@ def _token_round(tokens, seen_rounds, ins, outs, alphabet) -> tuple[int, Round]:
             raise p.fail_at(
                 port_tok, "UNKNOWN_PORT", f"{port_tok.text!r} is not a boundary-out port"
             )
-        return port_tok.text
+        return names[port_tok.text]
 
     offers: list[tuple[str, str]] = []
     ready: set[str] = set()
@@ -728,17 +756,21 @@ def parse_env(text: str, circuit: Circuit) -> EnvScript:
     boundary-in ports, each ready port a boundary-out port, and each
     offered token in its data alphabet.
 
-    Each round line tries one full-line pattern first (``_fast_round``);
-    that path never raises. A line it does not take goes to the token
-    parser (``_token_round``), the one place a round line's ParseError
-    comes from.
+    Each round line tries the round patterns first (``_fast_round``); that
+    path never raises. It parses each distinct round body once per call, so
+    rounds with equal bodies share one ``Round``. A line it does not take
+    goes to the token parser (``_token_round``), the one place a round
+    line's ParseError comes from. Both paths name ports and tokens by the
+    circuit's own strings, so a long script holds no copies of them.
     """
     policy = POLICY_ALL_READY
     rounds: list[tuple[int, Round]] = []
     seen_rounds: set[int] = set()
-    checks = (circuit.inputs, circuit.outputs, circuit.alphabet)
+    bodies: dict[str, Round | None] = {}
+    ins, outs, alphabet = circuit.inputs, circuit.outputs, circuit.alphabet
+    checks = (ins, outs, alphabet, {name: name for name in ins | outs | alphabet})
     for index, (line_no, column, stripped) in enumerate(_content_lines(text)):
-        entry = _fast_round(stripped, seen_rounds, *checks)
+        entry = _fast_round(stripped, seen_rounds, bodies, checks)
         if entry is None:
             words = re.split(f"{_BLANK}+", stripped, maxsplit=1)
             if words[0] == "policy":

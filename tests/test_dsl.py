@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from reokit import dsl, semlog as S
 from reokit.circuit import PORT_IN, PORT_OUT, validate_circuit
-from reokit.sim import POLICY_ALL_READY, POLICY_CLOSED
+from reokit.sim import POLICY_ALL_READY, POLICY_CLOSED, Round
 
 from importlib import resources
 
@@ -605,3 +605,80 @@ def test_parse_env_fast_path_never_lexes_well_formed_lines():
             calls.clear()
     with mock.patch.object(dsl, "_fast_round", lambda *args: None):
         assert dsl.parse_env("\n".join(lines), circuit) == env
+
+
+def _assert_circuit_strings(env, circuit):
+    """Every offered port and token and every ready port is the circuit's own str."""
+    own = {name: name for name in circuit.inputs | circuit.outputs | circuit.alphabet}
+    for _, r in env.rounds:
+        for name in [name for pair in r.offers for name in pair] + list(r.ready or ()):
+            assert own[name] is name, name
+
+
+@pytest.mark.parametrize(
+    "circuit_text, text, equal_rounds",
+    [
+        pytest.param(
+            KEYWORD_PORTS_TEXT,
+            "policy closed\n"
+            "round 1: offer offer=bad, a=ok; ready ready\n"
+            "round 2: offer offer=ok\n"
+            "round 03 :\t offer offer=bad, a=ok; ready ready  # a comment\n"
+            "round 4: offer offer=ok\n"
+            "round 5: ready ready, b\n"
+            "round 6: offer offer = ok\n",
+            ((1, 3), (2, 4)),
+            id="keyword-ports",
+        ),
+        pytest.param(
+            None,  # the rescue circuit
+            resources.files("reokit").joinpath("data/rescue.env").read_text()
+            + "round 13: offer citizens=bad, act1=tick; ready case1, fire_alarm\n"
+            + "round 14: offer citizens=bad, act1=tick; ready case1, fire_alarm\n",
+            ((1, 3), (5, 8, 11), (6, 9, 12), (13, 14)),
+            id="rescue",
+        ),
+    ],
+)
+def test_parse_env_equal_bodies_share_one_round_of_circuit_strings(
+    circuit_text, text, equal_rounds, rescue_circuit
+):
+    circuit = rescue_circuit if circuit_text is None else dsl.parse_circuit(circuit_text)
+    env = dsl.parse_env(text, circuit)
+    by_number = dict(env.rounds)
+    for numbers in equal_rounds:
+        first = by_number[numbers[0]]
+        assert all(by_number[n] is first for n in numbers), numbers
+    _assert_circuit_strings(env, circuit)
+    with mock.patch.object(dsl, "_fast_round", lambda *args: None):
+        by_tokens = dsl.parse_env(text, circuit)
+    assert env == by_tokens
+    _assert_circuit_strings(by_tokens, circuit)
+
+
+def test_parse_env_reads_each_body_against_the_circuit_of_its_call():
+    body = "offer a=ok; ready b"
+    text = f"round 1: {body}\nround 2: {body}"
+    valid = MINI  # in a, out b, data { ok, bad }
+    expected = Round((("a", "ok"),), frozenset({"b"}))
+    for bad_text, code in (
+        ("circuit p { data { ok, bad } ports { in c; out b; } sync(c, b) }", "UNKNOWN_PORT"),
+        ("circuit t { data { yes, no } ports { in a; out b; } sync(a, b) }", "UNKNOWN_TOKEN"),
+    ):
+        bad = dsl.parse_circuit(bad_text)
+        for first, second in ((valid, bad), (bad, valid)):
+            for circuit in (first, second):
+                if circuit is valid:
+                    assert dsl.parse_env(text, circuit).rounds == ((1, expected), (2, expected))
+                else:
+                    assert _env_error(text, circuit)[0] == code
+
+
+def test_parse_env_keeps_a_port_offered_twice_in_order():
+    for text in ("round 1: offer a=ok, a=bad", "round 1: offer a=ok; offer a=bad"):
+        for fast_round in (dsl._fast_round, lambda *args: None):
+            with mock.patch.object(dsl, "_fast_round", fast_round):
+                env = _mini_env(text)
+            ((_, r),) = env.rounds
+            assert r.offers == (("a", "ok"), ("a", "bad"))
+            assert env.round(1, frozenset({"b"})) == ({"a": "bad"}, frozenset({"b"}))
