@@ -10,7 +10,6 @@ independent alarm considerations came out in each order.
 import argparse
 import sys
 from collections import Counter
-from dataclasses import replace
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
@@ -50,7 +49,7 @@ def main() -> int:
     alarm_orders = Counter()
     dispatch_total = 0
     for seed in range(args.seeds):
-        trace = simulate(auto, env, replace(cap, seed=seed), circuit.name)
+        trace = simulate(auto, env, SimConfig(seed, cap.max_rounds), circuit.name)
         dispatched = []
         ea = police = 0
         first_pair = []

@@ -8,7 +8,6 @@ bisimulation are exact without any symbolic reasoning.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
 
 from .automata import ConstraintAutomaton, state_name
 
@@ -87,11 +86,13 @@ def bisimilar(a: ConstraintAutomaton, b: ConstraintAutomaton) -> bool:
     return block[(0, a.initial)] == block[(1, b.initial)]
 
 
-@dataclass
 class AnalysisReport:
-    reachable_count: int
-    deadlock_states: list[str]
-    notes: list[str] = field(default_factory=list)
+    def __init__(
+        self, reachable_count: int, deadlock_states: list[str], notes: list[str] | None = None
+    ):
+        self.reachable_count = reachable_count
+        self.deadlock_states = deadlock_states
+        self.notes = [] if notes is None else notes
 
     def to_dict(self) -> dict:
         return {

@@ -9,7 +9,7 @@ so parallel channels between the same node pair stay distinguishable.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 SYNC = "sync"
 LOSSY_SYNC = "lossysync"
@@ -31,16 +31,14 @@ PORT_OUT = "out"
 PORT_INTERNAL = "internal"
 
 
-@dataclass(frozen=True, order=True)
-class PortId:
+class PortId(NamedTuple):
     """A named port; boundary ports are the circuit's environment surface."""
 
     name: str
     kind: str  # PORT_IN | PORT_OUT | PORT_INTERNAL
 
 
-@dataclass(frozen=True)
-class Channel:
+class Channel(NamedTuple):
     """A two-ended channel primitive.
 
     ``end_a``/``end_b`` are node names. For directed kinds data flows from
@@ -69,8 +67,7 @@ class Channel:
         return dict(self.transform or ())
 
 
-@dataclass(frozen=True)
-class Node:
+class Node(NamedTuple):
     """A meeting point of channel ends.
 
     ``incoming`` holds end names that write data into the node,
@@ -85,8 +82,7 @@ class Node:
     port: PortId | None = None
 
 
-@dataclass(frozen=True)
-class Circuit:
+class Circuit(NamedTuple):
     name: str
     alphabet: frozenset[str]
     ports: tuple[PortId, ...]
@@ -127,17 +123,16 @@ class Circuit:
         )
 
 
-@dataclass(frozen=True)
-class Finding:
+class Finding(NamedTuple):
     code: str
     element: str
     message: str
 
 
-@dataclass
 class ValidationReport:
-    errors: list[Finding] = field(default_factory=list)
-    warnings: list[Finding] = field(default_factory=list)
+    def __init__(self, errors: list[Finding] | None = None, warnings: list[Finding] | None = None):
+        self.errors = [] if errors is None else errors
+        self.warnings = [] if warnings is None else warnings
 
     @property
     def ok(self) -> bool:

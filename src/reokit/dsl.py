@@ -22,7 +22,7 @@ import contextlib
 import functools
 import re
 import sys
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from . import semlog
 from .circuit import (
@@ -54,8 +54,7 @@ from .semlog import (
 from .sim import POLICY_ALL_READY, POLICY_CLOSED, EnvScript, Round
 
 
-@dataclass(frozen=True)
-class SourceSpan:
+class SourceSpan(NamedTuple):
     line: int
     column: int
     length: int
@@ -64,8 +63,7 @@ class SourceSpan:
         return f"{self.line}:{self.column}"
 
 
-@dataclass(frozen=True)
-class ParseError:
+class ParseError(NamedTuple):
     span: SourceSpan
     code: str
     message: str
@@ -81,8 +79,7 @@ class ParseFailure(Exception):
         super().__init__("; ".join(e.render() for e in errors))
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     kind: str  # "ident" | "int" | "sym" | "eof"
     text: str
     span: SourceSpan
@@ -557,14 +554,12 @@ def parse_rulebase(text: str) -> RuleBase:
 # event script
 
 
-@dataclass(frozen=True)
-class ScriptedEvent:
+class ScriptedEvent(NamedTuple):
     term: Term
     span: SourceSpan
 
 
-@dataclass(frozen=True)
-class EventScript:
+class EventScript(NamedTuple):
     entries: tuple[ScriptedEvent, ...] = ()
 
     def terms(self) -> list[Term]:
@@ -798,12 +793,11 @@ def parse_env(text: str, circuit: Circuit) -> EnvScript:
 # event map
 
 
-@dataclass(frozen=True)
-class EventMap:
+class EventMap(NamedTuple):
     """Boundary firings to atom names: ``table[(port, datum)]`` for an entry
     that names its datum, ``table[(port, None)]`` for a port-only one."""
 
-    table: dict[tuple[str, str | None], str] = field(default_factory=dict)
+    table: dict[tuple[str, str | None], str]
 
     def lookup(self, port: str, datum: str) -> str | None:
         """The atom for ``port`` carrying ``datum``: the specific entry if

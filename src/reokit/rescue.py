@@ -11,8 +11,8 @@ from __future__ import annotations
 
 import functools
 import json
-from dataclasses import dataclass
-from importlib import resources
+import os
+from typing import NamedTuple
 
 from . import dsl
 from .analysis import AnalysisReport, analyze
@@ -33,8 +33,14 @@ from .semlog import (
 from .sim import EnvScript, SimConfig, Trace, simulate
 
 
+_DATA = os.path.join(os.path.dirname(__file__), "data")
+
+
 def _data(name: str) -> str:
-    return resources.files("reokit").joinpath(f"data/{name}").read_text()
+    # read beside this module, not through ``importlib.resources``, which
+    # imports ``inspect`` on Python 3.12 and later
+    with open(os.path.join(_DATA, name), encoding="utf-8") as f:
+        return f.read()
 
 
 @functools.cache
@@ -73,8 +79,7 @@ def map_trace(trace: Trace, mapping: EventMap) -> list[Term]:
     return atoms
 
 
-@dataclass
-class ScenarioReport:
+class ScenarioReport(NamedTuple):
     trace: Trace
     events: list[Event]
     verdict: Verdict

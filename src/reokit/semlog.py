@@ -26,7 +26,7 @@ import bisect
 import json
 from collections import deque
 from collections.abc import KeysView
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 P_OP = "P"
 VERY_OP = "Very"
@@ -278,16 +278,14 @@ FACT_RULE = "fact-rule"
 _DIAGNOSTIC_RANKS = frozenset(_OP_RANK[op] for op in (WARNING_OP, FAILURE_OP, RESOLVED_OP))
 
 
-@dataclass(frozen=True)
-class Guard:
+class Guard(NamedTuple):
     """The form ``I > bound`` over a count variable."""
 
     var: str
     bound: int
 
 
-@dataclass(frozen=True)
-class Rule:
+class Rule(NamedTuple):
     name: str
     premises: tuple[Term, ...]
     guards: tuple[Guard, ...]
@@ -305,14 +303,12 @@ class Rule:
         return FACT_RULE
 
 
-@dataclass(frozen=True)
-class StandingFact:
+class StandingFact(NamedTuple):
     name: str | None
     term: Term
 
 
-@dataclass(frozen=True)
-class RuleBase:
+class RuleBase(NamedTuple):
     orders: tuple[tuple[str, ...], ...] = ()
     facts: tuple[StandingFact, ...] = ()
     rules: tuple[Rule, ...] = ()
@@ -336,21 +332,18 @@ class RuleBase:
         return [r for r in self.rules if r.rule_class == FACT_RULE]
 
 
-@dataclass(frozen=True)
-class Event:
+class Event(NamedTuple):
     index: int
     term: Term
     origin: str
 
 
-@dataclass(frozen=True)
-class Derivation:
+class Derivation(NamedTuple):
     rule: str
     premises: tuple[Term, ...]
 
 
-@dataclass
-class SaturationResult:
+class SaturationResult(NamedTuple):
     """One ``saturate()`` run; ``NOT_CONVERGED`` in ``diagnostics`` is this
     run's alone, not the engine's, so a later run can still come out clean."""
 
@@ -359,15 +352,13 @@ class SaturationResult:
     diagnostics: list[str]
 
 
-@dataclass(frozen=True)
-class OrderViolation:
+class OrderViolation(NamedTuple):
     order: tuple[str, ...]
     index: int
     atom: str
     expected: tuple[str, ...]
 
 
-@dataclass
 class Verdict:
     """The judgements over a saturated fact store.
 
@@ -378,12 +369,21 @@ class Verdict:
     finding.
     """
 
-    failures: list[tuple[Term, Derivation]]
-    warnings: list[tuple[Term, Derivation]]
-    resolved: list[tuple[Term, Derivation]]
-    order_violations: list[OrderViolation]
-    facts_total: int
-    diagnostics: list[str] = field(default_factory=list)
+    def __init__(
+        self,
+        failures: list[tuple[Term, Derivation]],
+        warnings: list[tuple[Term, Derivation]],
+        resolved: list[tuple[Term, Derivation]],
+        order_violations: list[OrderViolation],
+        facts_total: int,
+        diagnostics: list[str] | None = None,
+    ):
+        self.failures = failures
+        self.warnings = warnings
+        self.resolved = resolved
+        self.order_violations = order_violations
+        self.facts_total = facts_total
+        self.diagnostics = [] if diagnostics is None else diagnostics
 
     @property
     def clean(self) -> bool:
@@ -424,8 +424,7 @@ class Verdict:
         return json.dumps(self.to_dict(), indent=2, sort_keys=True) + "\n"
 
 
-@dataclass
-class DerivationNode:
+class DerivationNode(NamedTuple):
     term: Term
     rule: str
     children: list["DerivationNode"]

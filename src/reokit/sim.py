@@ -17,7 +17,7 @@ import functools
 import hashlib
 import json
 import random
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .automata import ConstraintAutomaton, Transition, state_index, state_name
 
@@ -29,16 +29,25 @@ class EnvMismatchError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class Round:
+class Round(NamedTuple):
     offers: tuple[tuple[str, str], ...] = ()
     ready: frozenset[str] | None = None  # None: the script lists no ready clause
 
 
-@dataclass(frozen=True)
 class EnvScript:
-    rounds: tuple[tuple[int, Round], ...] = ()
-    default_policy: str = POLICY_ALL_READY
+    def __init__(
+        self, rounds: tuple[tuple[int, Round], ...] = (), default_policy: str = POLICY_ALL_READY
+    ):
+        self.rounds = rounds
+        self.default_policy = default_policy
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.rounds, self.default_policy) == (other.rounds, other.default_policy)
+
+    def __repr__(self) -> str:
+        return f"EnvScript(rounds={self.rounds!r}, default_policy={self.default_policy!r})"
 
     def __len__(self) -> int:
         return max((n for n, _ in self.rounds), default=0)
@@ -69,18 +78,15 @@ class EnvScript:
         return dict(r.offers), default_ready if r.ready is None else r.ready
 
 
-@dataclass(frozen=True)
 class SimConfig:
-    seed: int = 0
-    max_rounds: int = 2**31
+    def __init__(self, seed: int = 0, max_rounds: int = 2**31):
+        if max_rounds < 0:
+            raise ValueError(f"round cap must be >= 0, got {max_rounds}")
+        self.seed = seed
+        self.max_rounds = max_rounds
 
-    def __post_init__(self) -> None:
-        if self.max_rounds < 0:
-            raise ValueError(f"round cap must be >= 0, got {self.max_rounds}")
 
-
-@dataclass(frozen=True)
-class Firing:
+class Firing(NamedTuple):
     round: int
     sync: frozenset[str]
     assignment: tuple[tuple[str, str], ...]
@@ -88,16 +94,20 @@ class Firing:
     state_after: int
 
 
-@dataclass(frozen=True)
-class Stall:
+class Stall(NamedTuple):
     round: int
 
 
-@dataclass
 class Trace:
-    circuit: str
-    seed: int
-    steps: list = field(default_factory=list)  # Firing | Stall per round
+    def __init__(self, circuit: str, seed: int, steps: list | None = None):
+        self.circuit = circuit
+        self.seed = seed
+        self.steps = [] if steps is None else steps  # Firing | Stall per round
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.circuit, self.seed, self.steps) == (other.circuit, other.seed, other.steps)
 
     def firings(self) -> list[Firing]:
         return [s for s in self.steps if isinstance(s, Firing)]

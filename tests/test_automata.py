@@ -1,5 +1,4 @@
 import collections
-import dataclasses
 import hashlib
 import json
 import os
@@ -23,6 +22,7 @@ from util import (
     MINIMAL_SYNC_TEXT,
     SEQ3_TEXT,
     brute_product,
+    copy_automaton,
     dispatch_circuit,
     holds,
     project_over_names,
@@ -441,7 +441,7 @@ def test_compile_agrees_with_the_full_guard_fold(rescue_circuit):
     rng = random.Random(15)
     for c in [rescue_circuit] + [random_circuit(rng, max_extra=4) for _ in range(200)]:
         reference = join_all_then_hide(c, A.circuit_automata(c))
-        reference = dataclasses.replace(
+        reference = copy_automaton(
             reference,
             rows=tuple(tuple(sorted(row, key=A.Transition.sort_key)) for row in reference.rows),
         )
@@ -696,7 +696,7 @@ def test_moves_expand_each_label_once_and_share_it():
 
 
 def test_analyze_expands_each_label_once(rescue_auto, monkeypatch):
-    auto = dataclasses.replace(rescue_auto)  # no expansion cached yet
+    auto = copy_automaton(rescue_auto)  # no expansion cached yet
     calls = []
     real = A.sat_assignments
 

@@ -1,4 +1,3 @@
-import dataclasses
 import hashlib
 import itertools
 import json
@@ -20,6 +19,7 @@ from util import (
     MERGER_TEXT,
     MINIMAL_SYNC_TEXT,
     SEQ3_TEXT,
+    copy_automaton,
     holds,
     random_circuit,
     random_rescue_env,
@@ -108,7 +108,7 @@ def test_offer_memo_stays_small_for_values_outside_the_alphabet():
 def test_simulate_expands_each_state_once(rescue_auto, monkeypatch):
     # the guards are enumerated once per sync-set and guard, not once per
     # transition or per round
-    auto = dataclasses.replace(rescue_auto)  # no expansion cached yet
+    auto = copy_automaton(rescue_auto)  # no expansion cached yet
     calls = []
     real = A.sat_assignments
 

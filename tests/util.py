@@ -230,6 +230,13 @@ def dispatch_circuit(k: int) -> C.Circuit:
     return parse_circuit(gen.dispatch_circuit(k))
 
 
+def copy_automaton(a: A.ConstraintAutomaton, rows=None) -> A.ConstraintAutomaton:
+    """``a`` built anew, with ``rows`` in place of its rows when given, so
+    nothing ``a`` has cached (its flat transitions, its moves) carries over."""
+    rows = a.rows if rows is None else rows
+    return A.ConstraintAutomaton(a.names, rows, a.initial, a.alphabet, a.inputs)
+
+
 def random_guard(rng: random.Random, sync: list[str], alphabet=ALPHABET) -> frozenset[tuple]:
     values = sorted(alphabet)
     kind = rng.randrange(4)
