@@ -28,14 +28,13 @@ DRAIN_KINDS = frozenset({SYNC_DRAIN, ASYNC_DRAIN})
 
 PORT_IN = "in"
 PORT_OUT = "out"
-PORT_INTERNAL = "internal"
 
 
 class PortId(NamedTuple):
     """A named port; boundary ports are the circuit's environment surface."""
 
     name: str
-    kind: str  # PORT_IN | PORT_OUT | PORT_INTERNAL
+    kind: str  # PORT_IN | PORT_OUT
 
 
 class Channel(NamedTuple):

@@ -169,8 +169,9 @@ def cmd_repl(args) -> int:
     ready: set[str] = set()
     print(f"circuit {c.name}: {auto.n_states} states; commands: "
           "offer p=tok | ready p[,p]* | enabled | state | fire | quit")
-    # an offer or ready line is read as the clauses of one env-script round
-    prefix = "round 1: "
+    # an offer or ready line is read as the clauses of one env-script round,
+    # under policy closed, so a line with no ready clause readies nothing
+    policy, prefix = "policy closed\n", "round 1: "
     for line_no, raw in enumerate(sys.stdin, start=1):
         line = raw.strip()
         if not line:
@@ -180,9 +181,9 @@ def cmd_repl(args) -> int:
             if cmd == "quit":
                 break
             elif cmd in ("offer", "ready"):
-                ((_, parsed),) = dsl.parse_env(prefix + raw.rstrip("\n"), c).rounds
+                parsed = dsl.parse_env(policy + prefix + raw.rstrip("\n"), c).rounds[1]
                 offers.update(parsed.offers)
-                ready.update(parsed.ready or ())
+                ready.update(parsed.ready)
             elif cmd == "state":
                 print(f"state {state_name(state)} (round {round_no})")
             elif cmd == "enabled":
@@ -248,7 +249,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="run a circuit against an env script")
     p.add_argument("path")
     p.add_argument("--env", required=True, help="environment script")
-    p.add_argument("--rounds", type=int, default=2**31, help="round cap")
+    p.add_argument("--rounds", type=int, help="round cap (default: the whole script)")
     p.add_argument("--trace", help="write trace JSON here instead of stdout")
     p.set_defaults(fn=cmd_simulate)
 
@@ -273,7 +274,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="run the built-in rescue scenario")
     p.add_argument("--env", help="override the canned environment")
     p.add_argument("--events", help="extra scripted compliance events")
-    p.add_argument("--rounds", type=int, default=12)
+    p.add_argument("--rounds", type=int, help="round cap (default: the whole script)")
     p.add_argument("--json", dest="json_out", help="write the report here instead of stdout")
     p.set_defaults(fn=cmd_scenario)
 

@@ -51,7 +51,11 @@ from .semlog import (
     Var,
     VERY_OP,
 )
-from .sim import POLICY_ALL_READY, POLICY_CLOSED, EnvScript, Round
+from .sim import EnvScript, Round
+
+# what an env round with no ready clause, and an unlisted round, readies:
+POLICY_CLOSED = "closed"  # nothing
+POLICY_ALL_READY = "all-ready"  # every boundary-out port
 
 
 class SourceSpan(NamedTuple):
@@ -656,10 +660,11 @@ def _fast_round(stripped, seen_rounds, bodies, checks) -> tuple[int, Round] | No
     return None if parsed is None else (number, parsed)
 
 
-def _fast_body(body, ins, outs, alphabet, names) -> Round | None:
+def _fast_body(body, ins, outs, alphabet, names, idle) -> Round | None:
     """The ``Round`` of a round body the body pattern matches and every name
     passes; None otherwise. ``names`` maps each of the circuit's names to
-    itself, so the ``Round`` holds the circuit's own strings."""
+    itself, so the ``Round`` holds the circuit's own strings; ``idle`` is
+    what a body with no ready clause readies."""
     _, body_re, clause_re, pair_re, name_re = _round_grammar()
     if body_re.fullmatch(body) is None:
         return None
@@ -676,7 +681,7 @@ def _fast_body(body, ins, outs, alphabet, names) -> Round | None:
         return None
     return Round(
         tuple((names[port], names[tok]) for port, tok in offers),
-        frozenset(names[port] for port in ready) if explicit_ready else None,
+        frozenset(names[port] for port in ready) if explicit_ready else idle,
     )
 
 
@@ -686,7 +691,7 @@ def _check_datum(p: _Parser, tok: Token, alphabet) -> None:
         raise p.fail_at(tok, "UNKNOWN_TOKEN", f"{tok.text!r} is not in the data alphabet")
 
 
-def _token_round(tokens, seen_rounds, ins, outs, alphabet, names) -> tuple[int, Round]:
+def _token_round(tokens, seen_rounds, ins, outs, alphabet, names, idle) -> tuple[int, Round]:
     """One ``round`` line's tokens through the token parser; raises its ParseFailure.
 
     Like ``_fast_body``, it names ports and tokens by the circuit's own strings.
@@ -738,7 +743,7 @@ def _token_round(tokens, seen_rounds, ins, outs, alphabet, names) -> tuple[int, 
             raise p.fail("SYNTAX", "expected 'offer' or 'ready'", {"offer", "ready"})
         if p.at_sym(";"):
             p.next()
-    return number, Round(tuple(offers), frozenset(ready) if explicit_ready else None)
+    return number, Round(tuple(offers), frozenset(ready) if explicit_ready else idle)
 
 
 def parse_env(text: str, circuit: Circuit) -> EnvScript:
@@ -751,6 +756,11 @@ def parse_env(text: str, circuit: Circuit) -> EnvScript:
     boundary-in ports, each ready port a boundary-out port, and each
     offered token in its data alphabet.
 
+    The policy is applied here, once: a round with no ready clause, and
+    every round the script does not list (``idle``), readies nothing under
+    ``closed`` and the circuit's boundary-out ports under ``all-ready``,
+    the default.
+
     Each round line tries the round patterns first (``_fast_round``); that
     path never raises. It parses each distinct round body once per call, so
     rounds with equal bodies share one ``Round``. A line it does not take
@@ -758,14 +768,14 @@ def parse_env(text: str, circuit: Circuit) -> EnvScript:
     line's ParseError comes from. Both paths name ports and tokens by the
     circuit's own strings, so a long script holds no copies of them.
     """
-    policy = POLICY_ALL_READY
-    rounds: list[tuple[int, Round]] = []
-    seen_rounds: set[int] = set()
+    rounds: dict[int, Round] = {}
     bodies: dict[str, Round | None] = {}
     ins, outs, alphabet = circuit.inputs, circuit.outputs, circuit.alphabet
-    checks = (ins, outs, alphabet, {name: name for name in ins | outs | alphabet})
+    names = {name: name for name in ins | outs | alphabet}
+    idle = outs
     for index, (line_no, column, stripped) in enumerate(_content_lines(text)):
-        entry = _fast_round(stripped, seen_rounds, bodies, checks)
+        checks = (ins, outs, alphabet, names, idle)
+        entry = _fast_round(stripped, rounds, bodies, checks)
         if entry is None:
             words = re.split(f"{_BLANK}+", stripped, maxsplit=1)
             if words[0] == "policy":
@@ -779,14 +789,13 @@ def parse_env(text: str, circuit: Circuit) -> EnvScript:
                     message = "policy may be given once, before the first round"
                     span = SourceSpan(line_no, column, len(stripped))
                 else:
-                    policy = value
+                    idle = outs if value == POLICY_ALL_READY else frozenset()
                     continue
                 raise ParseFailure([ParseError(span, "BAD_POLICY", message)])
-            entry = _token_round(_lex(stripped, line_no, column), seen_rounds, *checks)
-        seen_rounds.add(entry[0])
-        rounds.append(entry)
-    rounds.sort(key=lambda pair: pair[0])
-    return EnvScript(rounds=tuple(rounds), default_policy=policy)
+            entry = _token_round(_lex(stripped, line_no, column), rounds, *checks)
+        number, r = entry
+        rounds[number] = r
+    return EnvScript(rounds, idle)
 
 
 # --------------------------------------------------------------------------

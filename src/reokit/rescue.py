@@ -100,7 +100,7 @@ class ScenarioReport(NamedTuple):
 
 def run_rescue(
     seed: int = 0,
-    rounds: int = 12,
+    rounds: int | None = None,
     env: EnvScript | None = None,
     extra_events: EventScript | None = None,
     max_depth: int = 8,
@@ -109,7 +109,8 @@ def run_rescue(
     """compile -> simulate -> map -> ingest+saturate -> verdict.
 
     Runs the shipped circuit and map, by default against the canned
-    12-round environment. ``extra_events`` are scripted compliance events
+    12-round environment. ``rounds`` caps the run; None runs the whole
+    script. ``extra_events`` are scripted compliance events
     ingested after the trace-mapped ones (the helicopter-mission demo uses
     this hook). ``automaton``, the compiled shipped circuit, can be passed
     to skip recompilation.

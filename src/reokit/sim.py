@@ -13,16 +13,12 @@ Unconsumed offers do not persist into the next round.
 from __future__ import annotations
 
 import bisect
-import functools
 import hashlib
 import json
 import random
 from typing import NamedTuple
 
 from .automata import ConstraintAutomaton, Transition, state_index, state_name
-
-POLICY_CLOSED = "closed"
-POLICY_ALL_READY = "all-ready"
 
 
 class EnvMismatchError(ValueError):
@@ -31,56 +27,32 @@ class EnvMismatchError(ValueError):
 
 class Round(NamedTuple):
     offers: tuple[tuple[str, str], ...] = ()
-    ready: frozenset[str] | None = None  # None: the script lists no ready clause
+    ready: frozenset[str] = frozenset()
 
 
-class EnvScript:
-    def __init__(
-        self, rounds: tuple[tuple[int, Round], ...] = (), default_policy: str = POLICY_ALL_READY
-    ):
-        self.rounds = rounds
-        self.default_policy = default_policy
+class EnvScript(NamedTuple):
+    """Each listed round by number, and ``idle``, the readiness of every
+    round the script does not list (which offers nothing).
 
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.rounds, self.default_policy) == (other.rounds, other.default_policy)
+    ``len(env)`` is the last listed round, not the field count, so a changed
+    script is built with the constructor: ``_replace`` checks that count.
+    """
 
-    def __repr__(self) -> str:
-        return f"EnvScript(rounds={self.rounds!r}, default_policy={self.default_policy!r})"
+    rounds: dict[int, Round]
+    idle: frozenset[str]
 
     def __len__(self) -> int:
-        return max((n for n, _ in self.rounds), default=0)
+        return max(self.rounds, default=0)
 
-    @functools.cached_property
-    def _by_number(self) -> dict[int, Round]:
-        # reversed, so the first listing of a round number wins
-        return dict(reversed(self.rounds))
-
-    @functools.cached_property
-    def _numbers(self) -> tuple[int, ...]:
-        return tuple(sorted(self._by_number))
-
-    def next_listed(self, n: int) -> int:
-        """The first round from ``n`` on that the script lists; ``len(self) + 1``
-        when there is none."""
-        if n in self._by_number:
-            return n
-        i = bisect.bisect_left(self._numbers, n)
-        return self._numbers[i] if i < len(self._numbers) else len(self) + 1
-
-    def round(self, n: int, all_outs: frozenset[str]) -> tuple[dict[str, str], frozenset[str]]:
-        """Offers and effective readiness for round n."""
-        default_ready = all_outs if self.default_policy == POLICY_ALL_READY else frozenset()
-        r = self._by_number.get(n)
-        if r is None:
-            return {}, default_ready
-        return dict(r.offers), default_ready if r.ready is None else r.ready
+    def round(self, n: int) -> Round:
+        r = self.rounds.get(n)
+        return Round((), self.idle) if r is None else r
 
 
 class SimConfig:
-    def __init__(self, seed: int = 0, max_rounds: int = 2**31):
-        if max_rounds < 0:
+    def __init__(self, seed: int = 0, max_rounds: int | None = None):
+        # max_rounds None: the whole script
+        if max_rounds is not None and max_rounds < 0:
             raise ValueError(f"round cap must be >= 0, got {max_rounds}")
         self.seed = seed
         self.max_rounds = max_rounds
@@ -273,39 +245,41 @@ def simulate(
     cfg: SimConfig,
     circuit_name: str = "",
 ) -> Trace:
-    """Fold step over rounds 1..min(len(env), max_rounds).
+    """Fold step over rounds 1..len(env), or up to ``max_rounds`` when that
+    is smaller.
 
     Port direction comes from the automaton: offers must name its
-    ``inputs`` and readiness its boundary-out names, ``names - inputs``;
-    the script is checked against them before round 1.
+    ``inputs`` and readiness, ``idle``'s too, its boundary-out names,
+    ``names - inputs``; the script is checked against them before round 1.
 
     Every round the script does not list has the same offers (none) and
     readiness, so a state that stalls in one stalls in each until the next
     listed round: those rounds are recorded as stalls without stepping.
     """
     inputs, outputs = a.inputs, a.names - a.inputs
-    for _, r in env.rounds:
+    for r in (Round((), env.idle), *env.rounds.values()):
         for port, _tok in r.offers:
             if port not in inputs:
                 raise EnvMismatchError(f"offer on {port!r}: not a boundary-in port")
-        for port in r.ready or ():
+        for port in r.ready:
             if port not in outputs:
                 raise EnvMismatchError(f"ready on {port!r}: not a boundary-out port")
 
     trace = Trace(circuit=circuit_name, seed=cfg.seed)
     state = a.initial
-    last = min(len(env), cfg.max_rounds)
+    numbers = sorted(env.rounds)
+    last = len(env) if cfg.max_rounds is None else min(len(env), cfg.max_rounds)
     n = 1
     while n <= last:
-        offers, ready = env.round(n, outputs)
-        outcome = step(a, state, n, offers, ready, cfg.seed)
+        r = env.round(n)
+        outcome = step(a, state, n, dict(r.offers), r.ready, cfg.seed)
         trace.steps.append(outcome)
         if isinstance(outcome, Firing):
             state = outcome.state_after
-        else:
-            resume = min(env.next_listed(n), last + 1)
-            if resume > n:
-                trace.steps.extend(Stall(m) for m in range(n + 1, resume))
-                n = resume - 1
+        elif n not in env.rounds:
+            # a later round is listed, since the last one is
+            resume = min(numbers[bisect.bisect(numbers, n)], last + 1)
+            trace.steps.extend(Stall(m) for m in range(n + 1, resume))
+            n = resume - 1
         n += 1
     return trace

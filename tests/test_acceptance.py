@@ -183,7 +183,6 @@ def test_criterion_4_sequencer_law():
 
 
 def test_criterion_5_rescue_behavior(rescue_circuit, rescue_auto):
-    outs = rescue_circuit.outputs
     env = rescue.builtin_env()
 
     def case_ports(f):
@@ -195,7 +194,7 @@ def test_criterion_5_rescue_behavior(rescue_circuit, rescue_auto):
         assert dispatched == ["case1", "case2", "case3"]
         ea = police = 0
         for f in trace.firings():
-            offers, _ = env.round(f.round, outs)
+            offers = dict(env.round(f.round).offers)
             if "police_alarm" in f.sync:
                 assert "ps_enable" in offers
                 assert ea > police

@@ -773,10 +773,11 @@ for _ in range(6):
     ports = frozenset(p.name for p in c.ports)
     for auto in (A.compile_circuit(c), joined, A.hide(joined, joined.names - ports)):
         print(A.automaton_to_json(auto))
-    env = sim.EnvScript(tuple(
-        (n, sim.Round(tuple((p, env_rng.choice(sorted(c.alphabet))) for p in sorted(c.inputs))))
+    outs = joined.names - joined.inputs
+    env = sim.EnvScript({
+        n: sim.Round(tuple((p, env_rng.choice(sorted(c.alphabet))) for p in sorted(c.inputs)), outs)
         for n in range(1, 31)
-    ))
+    }, outs)
     print(sim.simulate(joined, env, sim.SimConfig(seed=3), c.name).to_json())
 """
 

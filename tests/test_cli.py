@@ -472,6 +472,28 @@ def test_scenario_runs_clean(tmp_path):
     assert doc["analysis"]["deadlocks"] == []
 
 
+def test_scenario_env_runs_the_whole_script(tmp_path):
+    # with no --rounds, scenario judges every round its env lists: the canned
+    # 12 and then 27 more, which repeat the canned bodies
+    canned = (DATA / "rescue.env").read_text()
+    bodies = [line.split(":", 1)[1] for line in canned.splitlines() if line.startswith("round")]
+    assert len(bodies) == 12
+    env = tmp_path / "long.env"
+    env.write_text(canned + "".join(f"round {n}:{bodies[(n - 1) % 12]}\n" for n in range(13, 40)))
+    for extra, rounds in (((), 39), (("--rounds", "20"), 20)):
+        out = tmp_path / "report.json"
+        result = run_cli("scenario", "--env", str(env), "--json", str(out), "--quiet", *extra)
+        assert result.returncode in (0, 1), result.stderr
+        steps = json.loads(out.read_text())["trace"]["rounds"]
+        assert [s["round"] for s in steps] == list(range(1, rounds + 1)), extra
+    # the canned scenario is unchanged: 12 rounds, the same report as its env given
+    default = run_cli("scenario", "--quiet")
+    given = run_cli("scenario", "--env", str(DATA / "rescue.env"), "--quiet")
+    assert default.returncode == given.returncode == 0
+    assert default.stdout == given.stdout
+    assert len(json.loads(default.stdout)["trace"]["rounds"]) == 12
+
+
 def test_unwritable_output_exits_two(mini, tmp_path):
     missing = tmp_path / "no" / "such" / "dir"
     env = tmp_path / "mini.env"
@@ -496,6 +518,26 @@ def test_repl_session(mini):
     assert "stall" in out
     assert "state s0 (round 3)" in out
     assert "unknown command 'wat'" in out
+
+
+def test_repl_steps_a_circuit_line_by_line(mini):
+    # an offer line readies nothing by itself; ready adds b, fire takes the
+    # one move and ends the round; a bad line reports its column within the
+    # line typed and the session goes on; nothing after quit is read
+    result = run_cli(
+        "repl", str(mini),
+        stdin="offer a=ok\nenabled\nready b\nenabled\nfire\nstate\noffer zz=ok\nquit\nstate\n",
+    )
+    assert result.returncode == 0
+    assert result.stderr == ""
+    assert result.stdout.splitlines() == [
+        "circuit mini: 1 states; commands: offer p=tok | ready p[,p]* | enabled | state | fire | quit",
+        "nothing enabled",
+        "{a,b} a=ok,b=ok",
+        "fired {a,b} a=ok,b=ok",
+        "state s0 (round 2)",
+        "error: 7:7: UNKNOWN_PORT: 'zz' is not a boundary-in port",
+    ]
 
 
 def test_repl_reads_offer_and_ready_as_an_env_round(mini):

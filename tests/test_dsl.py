@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from reokit import dsl, semlog as S
 from reokit.circuit import PORT_IN, PORT_OUT, validate_circuit
-from reokit.sim import POLICY_ALL_READY, POLICY_CLOSED, Round
+from reokit.sim import Round
 
 from importlib import resources
 
@@ -341,7 +341,7 @@ def test_env_policy_comes_once_and_first():
         "SYNTAX", (1, 1, 12), "expected 'round', found 'policyclosed'"
     )
     env = _mini_env("# header\n\n policy \t closed \nround 1: offer a=ok")
-    assert env.default_policy == POLICY_CLOSED
+    assert env.idle == env.rounds[1].ready == frozenset()
 
 
 def test_parse_events_three_occurrences():
@@ -356,7 +356,7 @@ def test_parse_events_rejects_variables():
 
 def test_parse_env_offers_and_ready(rescue_circuit):
     env = dsl.parse_env("round 1: offer citizens=ok; ready case1,case2,case3", rescue_circuit)
-    ((num, rnd),) = env.rounds
+    ((num, rnd),) = env.rounds.items()
     assert num == 1
     assert rnd.offers == (("citizens", "ok"),)
     assert rnd.ready == frozenset({"case1", "case2", "case3"})
@@ -365,13 +365,30 @@ def test_parse_env_offers_and_ready(rescue_circuit):
 
 def test_parse_env_policy_and_defaults():
     env = _mini_env("policy closed\nround 2: offer a=ok")
-    assert env.default_policy == POLICY_CLOSED
-    offers, ready = env.round(1, frozenset({"x"}))
-    assert offers == {} and ready == frozenset()
-    env2 = _mini_env("round 1: offer a=ok")
-    assert env2.default_policy == POLICY_ALL_READY
-    _, ready = env2.round(1, frozenset({"x"}))
-    assert ready == frozenset({"x"})
+    assert env.idle == frozenset()
+    assert env.round(1) == ((), frozenset())
+    env2 = _mini_env("round 2: offer a=ok")  # all-ready, the default
+    assert env2.idle == frozenset({"b"})
+    assert env2.round(1) == ((), frozenset({"b"}))
+
+
+@pytest.mark.parametrize("fast_round", [dsl._fast_round, lambda *args: None], ids=["fast", "tokens"])
+def test_parse_env_applies_the_policy_once_with_the_circuit_strings(fast_round, rescue_circuit):
+    # a round with no ready clause, and every unlisted round, readies the
+    # circuit's boundary-out ports under all-ready and nothing under closed;
+    # the set holds the circuit's own strings, not copies
+    own = {p.name: p.name for p in rescue_circuit.ports}
+    text = "round 1: offer citizens=ok\nround 3: offer sensors=ok; ready case1\n"
+    for policy in (dsl.POLICY_ALL_READY, dsl.POLICY_CLOSED):
+        with mock.patch.object(dsl, "_fast_round", fast_round):
+            env = dsl.parse_env(f"policy {policy}\n{text}", rescue_circuit)
+            if policy == dsl.POLICY_ALL_READY:  # the default
+                assert dsl.parse_env(text, rescue_circuit) == env
+        expected = rescue_circuit.outputs if policy == dsl.POLICY_ALL_READY else frozenset()
+        assert env.rounds[1].ready == env.idle == env.round(2).ready == expected
+        assert env.rounds[3].ready == frozenset({"case1"})
+        for name in [*env.rounds[1].ready, *env.idle]:
+            assert own[name] is name, name
 
 
 def test_parse_env_cross_checks_circuit():
@@ -461,7 +478,7 @@ def test_line_formats_split_lines_like_lex(parse, text, odd):
 
 def test_line_formats_read_crlf():
     env = _mini_env("policy closed\r\nround 1: offer a=ok \r\n\r\nround 2: ready b\r\n")
-    assert env.default_policy == POLICY_CLOSED and len(env) == 2
+    assert env.idle == frozenset() and len(env) == 2
     events = dsl.parse_events("A\r\n  B \r\n")
     assert events.terms() == [S.Atom("A"), S.Atom("B")]
     assert [e.span for e in events.entries] == [dsl.SourceSpan(1, 1, 1), dsl.SourceSpan(2, 3, 1)]
@@ -610,9 +627,11 @@ def test_parse_env_fast_path_never_lexes_well_formed_lines():
 def _assert_circuit_strings(env, circuit):
     """Every offered port and token and every ready port is the circuit's own str."""
     own = {name: name for name in circuit.inputs | circuit.outputs | circuit.alphabet}
-    for _, r in env.rounds:
-        for name in [name for pair in r.offers for name in pair] + list(r.ready or ()):
+    for r in env.rounds.values():
+        for name in [name for pair in r.offers for name in pair] + list(r.ready):
             assert own[name] is name, name
+    for name in env.idle:
+        assert own[name] is name, name
 
 
 @pytest.mark.parametrize(
@@ -645,10 +664,9 @@ def test_parse_env_equal_bodies_share_one_round_of_circuit_strings(
 ):
     circuit = rescue_circuit if circuit_text is None else dsl.parse_circuit(circuit_text)
     env = dsl.parse_env(text, circuit)
-    by_number = dict(env.rounds)
     for numbers in equal_rounds:
-        first = by_number[numbers[0]]
-        assert all(by_number[n] is first for n in numbers), numbers
+        first = env.rounds[numbers[0]]
+        assert all(env.rounds[n] is first for n in numbers), numbers
     _assert_circuit_strings(env, circuit)
     with mock.patch.object(dsl, "_fast_round", lambda *args: None):
         by_tokens = dsl.parse_env(text, circuit)
@@ -669,7 +687,7 @@ def test_parse_env_reads_each_body_against_the_circuit_of_its_call():
         for first, second in ((valid, bad), (bad, valid)):
             for circuit in (first, second):
                 if circuit is valid:
-                    assert dsl.parse_env(text, circuit).rounds == ((1, expected), (2, expected))
+                    assert dsl.parse_env(text, circuit).rounds == {1: expected, 2: expected}
                 else:
                     assert _env_error(text, circuit)[0] == code
 
@@ -679,6 +697,6 @@ def test_parse_env_keeps_a_port_offered_twice_in_order():
         for fast_round in (dsl._fast_round, lambda *args: None):
             with mock.patch.object(dsl, "_fast_round", fast_round):
                 env = _mini_env(text)
-            ((_, r),) = env.rounds
+            (r,) = env.rounds.values()
             assert r.offers == (("a", "ok"), ("a", "bad"))
-            assert env.round(1, frozenset({"b"})) == ({"a": "bad"}, frozenset({"b"}))
+            assert (dict(r.offers), r.ready) == ({"a": "bad"}, frozenset({"b"}))

@@ -120,12 +120,14 @@ def test_simulate_expands_each_state_once(rescue_auto, monkeypatch):
     monkeypatch.setattr(sim, "sat_assignments", counting, raising=False)
     rng = random.Random(6)
     values = sorted(auto.alphabet)
+    outs = auto.names - auto.inputs
     env = sim.EnvScript(
-        tuple(
-            (n, sim.Round(tuple((p, rng.choice(values)) for p in sorted(auto.inputs)
-                                if rng.random() < 0.6)))
+        {
+            n: sim.Round(tuple((p, rng.choice(values)) for p in sorted(auto.inputs)
+                               if rng.random() < 0.6), outs)
             for n in range(1, 2001)
-        )
+        },
+        outs,
     )
     trace = sim.simulate(auto, env, sim.SimConfig(seed=6), "rescue")
     assert len(trace.firings()) > 500
@@ -146,9 +148,10 @@ def simulate_oracle(auto, env, cfg, circuit_name=""):
     """``simulate`` by definition: ``step`` folded over every round."""
     trace = sim.Trace(circuit=circuit_name, seed=cfg.seed)
     state = auto.initial
-    for n in range(1, min(len(env), cfg.max_rounds) + 1):
-        offers, ready = env.round(n, auto.names - auto.inputs)
-        outcome = sim.step(auto, state, n, offers, ready, cfg.seed)
+    last = len(env) if cfg.max_rounds is None else min(len(env), cfg.max_rounds)
+    for n in range(1, last + 1):
+        offers, ready = env.round(n)
+        outcome = sim.step(auto, state, n, dict(offers), ready, cfg.seed)
         trace.steps.append(outcome)
         if isinstance(outcome, sim.Firing):
             state = outcome.state_after
@@ -194,16 +197,16 @@ def test_simulate_agrees_with_stepping_every_round():
     for c in subjects:
         auto = A.compile_circuit(c)
         values = sorted(c.alphabet)
-        for policy in (sim.POLICY_ALL_READY, sim.POLICY_CLOSED):
+        for idle in (c.outputs, frozenset()):  # all-ready, closed
             listed = rng.sample(range(1, 61), rng.randint(1, 8))
-            rounds = []
+            rounds = {}
             for n in listed:
                 offers = tuple(
                     (p, rng.choice(values)) for p in sorted(c.inputs) if rng.random() < 0.7
                 )
                 ready = frozenset(p for p in sorted(c.outputs) if rng.random() < 0.5)
-                rounds.append((n, sim.Round(offers, ready if rng.random() < 0.5 else None)))
-            env = sim.EnvScript(tuple(rounds), default_policy=policy)
+                rounds[n] = sim.Round(offers, ready if rng.random() < 0.5 else idle)
+            env = sim.EnvScript(rounds, idle)
             for cfg in (sim.SimConfig(seed=rng.randrange(100)), sim.SimConfig(max_rounds=rng.randint(0, 60))):
                 trace = sim.simulate(auto, env, cfg, c.name)
                 assert trace == simulate_oracle(auto, env, cfg, c.name), (c, env, cfg)
@@ -217,8 +220,8 @@ def test_round_generator_only_for_a_choice(rescue_auto, monkeypatch):
     trace = sim.simulate(rescue_auto, env, sim.SimConfig(seed=3), "rescue")
     state, choices = rescue_auto.initial, 0
     for outcome in trace.steps:
-        offers, ready = env.round(outcome.round, rescue_auto.names - rescue_auto.inputs)
-        choices += len(enabled_oracle(rescue_auto, state, offers, ready)) > 1
+        offers, ready = env.round(outcome.round)
+        choices += len(enabled_oracle(rescue_auto, state, dict(offers), ready)) > 1
         if isinstance(outcome, sim.Firing):
             state = outcome.state_after
     assert [n for _, n in calls] == sorted(n for _, n in calls)
@@ -288,26 +291,23 @@ def test_simulate_records_stalls_in_place():
     for policy, fired in (("all-ready", [1, 5, 10000]), ("closed", [5])):
         env = env_lines(f"policy {policy}\n{text}", c)
         assert len(env) == 10000
-        assert env.round(7, outs) == ({}, outs if policy == "all-ready" else frozenset())
+        assert env.round(7) == ((), outs if policy == "all-ready" else frozenset())
         trace = sim.simulate(auto, env, sim.SimConfig(seed=0), c.name)
         assert len(trace.steps) == 10000
         assert [f.round for f in trace.firings()] == fired
-    # a script built by hand may list a round twice: the first listing wins
-    twice = sim.EnvScript(rounds=((2, sim.Round(offers=(("a", "ok"),))), (2, sim.Round())))
-    assert twice.round(2, outs) == ({"a": "ok"}, outs)
 
 
 def test_a_round_given_ready_ports_makes_them_ready():
-    # a Round built with ready ports lists a ready clause, with no other flag
-    # to set, and an empty one readies nothing, whatever the policy
+    # a listed Round's ready ports are the round's readiness, and an empty
+    # set readies nothing, whatever the unlisted rounds ready
     c, auto = compiled(MINIMAL_SYNC_TEXT)
     offer = (("a", "ok"),)
-    for policy in (sim.POLICY_CLOSED, sim.POLICY_ALL_READY):
+    for idle in (frozenset(), c.outputs):
         for ready, fired in ((frozenset({"b"}), [1]), (frozenset(), [])):
-            env = sim.EnvScript(((1, sim.Round(offer, ready)),), default_policy=policy)
-            assert env.round(1, c.outputs) == ({"a": "ok"}, ready)
+            env = sim.EnvScript({1: sim.Round(offer, ready)}, idle)
+            assert env.round(1) == (offer, ready)
             trace = sim.simulate(auto, env, sim.SimConfig(), c.name)
-            assert [f.round for f in trace.firings()] == fired, (policy, ready)
+            assert [f.round for f in trace.firings()] == fired, (idle, ready)
 
 
 def test_simulate_unknown_port_rejected_before_round_one():
@@ -321,9 +321,21 @@ def test_simulate_unknown_port_rejected_before_round_one():
         sim.Round(ready=frozenset({"a"})),
     ]
     for bad in bad_rounds:
-        env = sim.EnvScript(rounds=((1, sim.Round()), (2, bad)))
+        env = sim.EnvScript({1: sim.Round(), 2: bad}, frozenset())
         with pytest.raises(sim.EnvMismatchError):
             sim.simulate(auto, env, sim.SimConfig(), c.name)
+
+
+def test_simulate_checks_the_idle_readiness_before_round_one(monkeypatch):
+    # what every unlisted round readies is checked with the listed rounds,
+    # even when no round is unlisted
+    c, auto = compiled(MINIMAL_SYNC_TEXT)
+    calls = counting(monkeypatch, sim, "step")
+    for idle in (frozenset({"zz"}), frozenset({"a"}), frozenset({"a", "b"})):
+        env = sim.EnvScript({1: sim.Round((("a", "ok"),), frozenset({"b"}))}, idle)
+        with pytest.raises(sim.EnvMismatchError, match="ready on .*not a boundary-out port"):
+            sim.simulate(auto, env, sim.SimConfig(), c.name)
+    assert calls == []
 
 
 def test_simulate_deterministic_across_runs():
@@ -350,8 +362,8 @@ def test_firings_are_sound_and_chain():
         if isinstance(stp, sim.Stall):
             continue
         assert stp.state_before == state
-        offers, ready = env.round(stp.round, c.outputs)
-        options = sim.enabled(auto, state, offers, ready)
+        offers, ready = env.round(stp.round)
+        options = sim.enabled(auto, state, dict(offers), ready)
         assert (stp.sync, stp.assignment) in [(t.sync, a) for t, a in options]
         state = stp.state_after
 

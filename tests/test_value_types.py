@@ -80,6 +80,19 @@ def test_value_replace_changes_only_the_named_field():
     assert hash(_PORT._replace(kind="out")) == hash(("a", "out"))
 
 
+def test_env_script_compares_as_its_field_tuple_and_does_not_hash():
+    # like an EventMap it holds a dict, so it compares but does not hash;
+    # ``len`` is its last listed round, not its field count
+    rounds, idle = {3: sim.Round((("a", "ok"),), frozenset({"b"}))}, frozenset({"b"})
+    env = sim.EnvScript(rounds, idle)
+    assert env == (rounds, idle) and tuple(env) == (rounds, idle)
+    assert env != sim.EnvScript(rounds, frozenset())
+    assert (env.rounds, env.idle) == (rounds, idle)
+    assert len(env) == 3 and len(sim.EnvScript({}, idle)) == 0
+    with pytest.raises(TypeError):
+        hash(env)
+
+
 @pytest.mark.parametrize(
     "make, names",
     [

@@ -404,9 +404,9 @@ def random_rescue_env(auto: A.ConstraintAutomaton, seed: int, rounds: int = 2000
     rng = random.Random(seed)
     values = sorted(auto.alphabet)
     ins, outs = sorted(auto.inputs), sorted(auto.names - auto.inputs)
-    script = []
+    script = {}
     for n in range(1, rounds + 1):
         offers = tuple((p, rng.choice(values)) for p in ins if rng.random() < 0.5)
         ready = frozenset(p for p in outs if rng.random() < 0.7)
-        script.append((n, sim.Round(offers, ready if rng.random() < 0.9 else None)))
-    return sim.EnvScript(tuple(script), default_policy=sim.POLICY_CLOSED)
+        script[n] = sim.Round(offers, ready if rng.random() < 0.9 else frozenset())
+    return sim.EnvScript(script, frozenset())
