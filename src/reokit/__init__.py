@@ -31,6 +31,6 @@ from .dsl import (
 )
 from .rescue import ScenarioReport, builtin_circuit, builtin_rules, map_trace, run_rescue
 from .semlog import ComplianceEngine, RuleBase, Verdict
-from .sim import EnvScript, Firing, SimConfig, Stall, Trace, enabled, simulate, step
+from .sim import EnvScript, Firing, Stall, Trace, enabled, simulate, step
 
 __version__ = "0.1.0"

@@ -8,6 +8,7 @@ bisimulation are exact without any symbolic reasoning.
 from __future__ import annotations
 
 import json
+from typing import NamedTuple
 
 from .automata import ConstraintAutomaton, state_name
 
@@ -86,19 +87,16 @@ def bisimilar(a: ConstraintAutomaton, b: ConstraintAutomaton) -> bool:
     return block[(0, a.initial)] == block[(1, b.initial)]
 
 
-class AnalysisReport:
-    def __init__(
-        self, reachable_count: int, deadlock_states: list[str], notes: list[str] | None = None
-    ):
-        self.reachable_count = reachable_count
-        self.deadlock_states = deadlock_states
-        self.notes = [] if notes is None else notes
+class AnalysisReport(NamedTuple):
+    reachable_count: int
+    deadlock_states: list[str]
 
     def to_dict(self) -> dict:
+        # "notes" is always empty; the key stays so the JSON form is stable
         return {
             "reachable": self.reachable_count,
             "deadlocks": self.deadlock_states,
-            "notes": self.notes,
+            "notes": [],
         }
 
     def to_json(self) -> str:
@@ -110,7 +108,6 @@ class AnalysisReport:
             lines.append(f"deadlock states: {', '.join(self.deadlock_states)}")
         else:
             lines.append("no deadlocks")
-        lines.extend(self.notes)
         return "\n".join(lines)
 
 

@@ -128,10 +128,9 @@ class Finding(NamedTuple):
     message: str
 
 
-class ValidationReport:
-    def __init__(self, errors: list[Finding] | None = None, warnings: list[Finding] | None = None):
-        self.errors = [] if errors is None else errors
-        self.warnings = [] if warnings is None else warnings
+class ValidationReport(NamedTuple):
+    errors: list[Finding]
+    warnings: list[Finding]
 
     @property
     def ok(self) -> bool:
@@ -164,7 +163,7 @@ class InvalidCircuitError(ValueError):
 
 def validate_circuit(c: Circuit) -> ValidationReport:
     """Check every structural invariant; errors and warnings are data."""
-    rep = ValidationReport()
+    rep = ValidationReport([], [])
     if not c.alphabet:
         rep.error("EMPTY_ALPHABET", c.name, "data alphabet must be non-empty")
 

@@ -22,7 +22,6 @@ from .semlog import ComplianceEngine, NotConvergedError, ORIGIN_SCRIPT, ORIGIN_T
 from .sim import (
     EnvMismatchError,
     Firing,
-    SimConfig,
     enabled,
     simulate,
     step,
@@ -91,8 +90,7 @@ def cmd_simulate(args) -> int:
     c = dsl.parse_circuit(_read(args.path))
     env = dsl.parse_env(_read(args.env), c)
     auto = compile_circuit(c)
-    cfg = SimConfig(seed=args.seed, max_rounds=args.rounds)
-    trace = simulate(auto, env, cfg, circuit_name=c.name)
+    trace = simulate(auto, env, args.seed, args.rounds, circuit_name=c.name)
     _emit(trace.to_json(), args.trace)
     fired = len(trace.firings())
     _note(args, f"{len(trace.steps)} rounds, {fired} firings")

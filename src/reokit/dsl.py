@@ -71,7 +71,6 @@ class ParseError(NamedTuple):
     span: SourceSpan
     code: str
     message: str
-    expected: frozenset[str] = frozenset()
 
     def render(self) -> str:
         return f"{self.span}: {self.code}: {self.message}"
@@ -157,35 +156,33 @@ class _Parser:
         tok = self.peek()
         return tok.kind == "ident" and (text is None or tok.text == text)
 
-    def fail(self, code: str, message: str, expected=()) -> "ParseFailure":
+    def fail(self, code: str, message: str) -> "ParseFailure":
         tok = self.peek()
-        return ParseFailure(
-            [ParseError(tok.span, code, f"{message}, found {tok.text!r}", frozenset(expected))]
-        )
+        return ParseFailure([ParseError(tok.span, code, f"{message}, found {tok.text!r}")])
 
     def fail_at(self, tok: Token, code: str, message: str) -> "ParseFailure":
         return ParseFailure([ParseError(tok.span, code, message)])
 
     def expect_sym(self, text: str) -> Token:
         if not self.at_sym(text):
-            raise self.fail("SYNTAX", f"expected {text!r}", {text})
+            raise self.fail("SYNTAX", f"expected {text!r}")
         return self.next()
 
     def expect_ident(self, text: str | None = None) -> Token:
         tok = self.peek()
         if tok.kind != "ident" or (text is not None and tok.text != text):
             what = repr(text) if text else "identifier"
-            raise self.fail("SYNTAX", f"expected {what}", {text or "identifier"})
+            raise self.fail("SYNTAX", f"expected {what}")
         return self.next()
 
     def expect_int(self) -> Token:
         if self.peek().kind != "int":
-            raise self.fail("SYNTAX", "expected integer", {"integer"})
+            raise self.fail("SYNTAX", "expected integer")
         return self.next()
 
     def expect_eof(self) -> None:
         if self.peek().kind != "eof":
-            raise self.fail("SYNTAX", "expected end of input", {"end of input"})
+            raise self.fail("SYNTAX", "expected end of input")
 
     def sep_list(self, item, sep: str = ","):
         """``item (sep item)*``: what each ``item()`` call returns, in order.
@@ -239,7 +236,7 @@ class _CircuitParser(_Parser):
             if tok.kind == "ident" and tok.text in ("in", "out"):
                 kind = PORT_IN if self.next().text == "in" else PORT_OUT
             else:
-                raise self.fail("SYNTAX", "expected 'in' or 'out'", {"in", "out"})
+                raise self.fail("SYNTAX", "expected 'in' or 'out'")
             name_tok = self.expect_ident()
             if name_tok.text in seen:
                 raise self.fail_at(
@@ -418,7 +415,7 @@ class _TermParser(_Parser):
                     "only (Very) or a count variable may prefix a term",
                 )
             return inner
-        raise self.fail("SYNTAX", "expected a term", {"identifier", "("})
+        raise self.fail("SYNTAX", "expected a term")
 
 
 def parse_term(text: str, allow_vars: bool = False) -> Term:
@@ -449,11 +446,7 @@ class _RuleParser(_TermParser):
             elif self.at_ident("rule"):
                 rules.append(self._rule())
             else:
-                raise self.fail(
-                    "SYNTAX",
-                    "expected 'protocol', 'fact' or 'rule'",
-                    {"protocol", "fact", "rule"},
-                )
+                raise self.fail("SYNTAX", "expected 'protocol', 'fact' or 'rule'")
         return RuleBase(orders=tuple(orders), facts=tuple(facts), rules=tuple(rules))
 
     def _protocol(self) -> tuple[str, ...]:
@@ -740,7 +733,7 @@ def _token_round(tokens, seen_rounds, ins, outs, alphabet, names, idle) -> tuple
             explicit_ready = True
             ready.update(p.sep_list(ready_port))
         else:
-            raise p.fail("SYNTAX", "expected 'offer' or 'ready'", {"offer", "ready"})
+            raise p.fail("SYNTAX", "expected 'offer' or 'ready'")
         if p.at_sym(";"):
             p.next()
     return number, Round(tuple(offers), frozenset(ready) if explicit_ready else idle)

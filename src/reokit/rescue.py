@@ -30,7 +30,7 @@ from .semlog import (
     Verdict,
     pretty,
 )
-from .sim import EnvScript, SimConfig, Trace, simulate
+from .sim import EnvScript, Trace, simulate
 
 
 _DATA = os.path.join(os.path.dirname(__file__), "data")
@@ -115,12 +115,11 @@ def run_rescue(
     this hook). ``automaton``, the compiled shipped circuit, can be passed
     to skip recompilation.
     """
-    cfg = SimConfig(seed=seed, max_rounds=rounds)
     engine = ComplianceEngine(builtin_rules(), max_depth=max_depth)
     c = builtin_circuit()
     auto = automaton if automaton is not None else compile_circuit(c)
     env = env if env is not None else builtin_env()
-    trace = simulate(auto, env, cfg, circuit_name=c.name)
+    trace = simulate(auto, env, seed, rounds, circuit_name=c.name)
     for term in map_trace(trace, builtin_map()):
         engine.ingest(term, origin=ORIGIN_TRACE)
     if extra_events is not None:

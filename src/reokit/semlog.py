@@ -359,7 +359,7 @@ class OrderViolation(NamedTuple):
     expected: tuple[str, ...]
 
 
-class Verdict:
+class Verdict(NamedTuple):
     """The judgements over a saturated fact store.
 
     ``diagnostics`` lists what the engine dropped on the way: events or
@@ -369,21 +369,12 @@ class Verdict:
     finding.
     """
 
-    def __init__(
-        self,
-        failures: list[tuple[Term, Derivation]],
-        warnings: list[tuple[Term, Derivation]],
-        resolved: list[tuple[Term, Derivation]],
-        order_violations: list[OrderViolation],
-        facts_total: int,
-        diagnostics: list[str] | None = None,
-    ):
-        self.failures = failures
-        self.warnings = warnings
-        self.resolved = resolved
-        self.order_violations = order_violations
-        self.facts_total = facts_total
-        self.diagnostics = [] if diagnostics is None else diagnostics
+    failures: list[tuple[Term, Derivation]]
+    warnings: list[tuple[Term, Derivation]]
+    resolved: list[tuple[Term, Derivation]]
+    order_violations: list[OrderViolation]
+    facts_total: int
+    diagnostics: list[str]
 
     @property
     def clean(self) -> bool:

@@ -49,15 +49,6 @@ class EnvScript(NamedTuple):
         return Round((), self.idle) if r is None else r
 
 
-class SimConfig:
-    def __init__(self, seed: int = 0, max_rounds: int | None = None):
-        # max_rounds None: the whole script
-        if max_rounds is not None and max_rounds < 0:
-            raise ValueError(f"round cap must be >= 0, got {max_rounds}")
-        self.seed = seed
-        self.max_rounds = max_rounds
-
-
 class Firing(NamedTuple):
     round: int
     sync: frozenset[str]
@@ -70,16 +61,10 @@ class Stall(NamedTuple):
     round: int
 
 
-class Trace:
-    def __init__(self, circuit: str, seed: int, steps: list | None = None):
-        self.circuit = circuit
-        self.seed = seed
-        self.steps = [] if steps is None else steps  # Firing | Stall per round
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.circuit, self.seed, self.steps) == (other.circuit, other.seed, other.steps)
+class Trace(NamedTuple):
+    circuit: str
+    seed: int
+    steps: list[Firing | Stall]  # one per round
 
     def firings(self) -> list[Firing]:
         return [s for s in self.steps if isinstance(s, Firing)]
@@ -111,8 +96,9 @@ def trace_from_json(text: str) -> Trace:
 
     Raises ValueError for a document that is not an object or that nests
     past the recursion limit, a missing key, a ``rounds`` entry that is not
-    an object, a step whose ``round`` is not an int or is not greater than
-    the round of the step before it, a firing whose ``sync`` is not a list
+    an object, a step whose ``round`` is not an int, is below 1 or is not
+    greater than the round of the step before it, a ``kind`` other than
+    ``stall`` and ``firing``, a firing whose ``sync`` is not a list
     of names or whose ``data`` does not map exactly those names to strings,
     or a state reference that is not ``s<int>``.
     """
@@ -123,16 +109,21 @@ def trace_from_json(text: str) -> Trace:
     if not isinstance(doc, dict):
         raise ValueError("trace JSON must be an object")
     try:
-        trace = Trace(circuit=doc["circuit"], seed=doc["seed"])
+        trace = Trace(doc["circuit"], doc["seed"], [])
         for entry in doc["rounds"]:
             number = entry["round"]
             if isinstance(number, bool) or not isinstance(number, int):
                 raise ValueError(f"round {number!r} is not an int")
+            if number < 1:
+                raise ValueError(f"round {number} is below 1")
             if trace.steps and number <= trace.steps[-1].round:
                 raise ValueError(f"round {number} does not follow round {trace.steps[-1].round}")
-            if entry["kind"] == "stall":
+            kind = entry["kind"]
+            if kind == "stall":
                 trace.steps.append(Stall(round=number))
                 continue
+            if kind != "firing":
+                raise ValueError(f"round {number} has kind {kind!r}, not 'stall' or 'firing'")
             sync, data = entry["sync"], entry["data"]
             if not (isinstance(sync, list) and all(isinstance(n, str) for n in sync)):
                 raise ValueError(f"firing sync {sync!r} is not a list of names")
@@ -242,11 +233,13 @@ def step(
 def simulate(
     a: ConstraintAutomaton,
     env: EnvScript,
-    cfg: SimConfig,
+    seed: int = 0,
+    rounds: int | None = None,
     circuit_name: str = "",
 ) -> Trace:
-    """Fold step over rounds 1..len(env), or up to ``max_rounds`` when that
-    is smaller.
+    """Fold step over rounds 1..len(env), or up to ``rounds`` when that is
+    smaller; None runs the whole script, and a negative cap raises
+    ValueError before round 1.
 
     Port direction comes from the automaton: offers must name its
     ``inputs`` and readiness, ``idle``'s too, its boundary-out names,
@@ -256,6 +249,8 @@ def simulate(
     readiness, so a state that stalls in one stalls in each until the next
     listed round: those rounds are recorded as stalls without stepping.
     """
+    if rounds is not None and rounds < 0:
+        raise ValueError(f"round cap must be >= 0, got {rounds}")
     inputs, outputs = a.inputs, a.names - a.inputs
     for r in (Round((), env.idle), *env.rounds.values()):
         for port, _tok in r.offers:
@@ -265,14 +260,14 @@ def simulate(
             if port not in outputs:
                 raise EnvMismatchError(f"ready on {port!r}: not a boundary-out port")
 
-    trace = Trace(circuit=circuit_name, seed=cfg.seed)
+    trace = Trace(circuit_name, seed, [])
     state = a.initial
     numbers = sorted(env.rounds)
-    last = len(env) if cfg.max_rounds is None else min(len(env), cfg.max_rounds)
+    last = len(env) if rounds is None else min(len(env), rounds)
     n = 1
     while n <= last:
         r = env.round(n)
-        outcome = step(a, state, n, dict(r.offers), r.ready, cfg.seed)
+        outcome = step(a, state, n, dict(r.offers), r.ready, seed)
         trace.steps.append(outcome)
         if isinstance(outcome, Firing):
             state = outcome.state_after

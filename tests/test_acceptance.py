@@ -24,7 +24,7 @@ from reokit.semlog import (
     Warning,
     pretty,
 )
-from reokit.sim import SimConfig, simulate
+from reokit.sim import simulate
 
 from util import (
     ALPHABET,
@@ -189,7 +189,7 @@ def test_criterion_5_rescue_behavior(rescue_circuit, rescue_auto):
         return [n for n in sorted(f.sync) if n.startswith("case")]
 
     for seed in range(50):
-        trace = simulate(rescue_auto, env, SimConfig(seed=seed), "rescue")
+        trace = simulate(rescue_auto, env, seed=seed, circuit_name="rescue")
         dispatched = [case_ports(f)[0] for f in trace.firings() if case_ports(f)]
         assert dispatched == ["case1", "case2", "case3"]
         ea = police = 0
@@ -207,12 +207,12 @@ def test_criterion_5_rescue_behavior(rescue_circuit, rescue_auto):
         rescue_circuit,
     )
     for seed in range(50):
-        trace = simulate(rescue_auto, bad_env, SimConfig(seed=seed), "rescue")
+        trace = simulate(rescue_auto, bad_env, seed=seed, circuit_name="rescue")
         assert all(not case_ports(f) for f in trace.firings())
 
     def alarm_order(lines):
         env = dsl.parse_env("policy all-ready\n" + "\n".join(lines), rescue_circuit)
-        trace = simulate(rescue_auto, env, SimConfig(seed=0), "rescue")
+        trace = simulate(rescue_auto, env, seed=0, circuit_name="rescue")
         return [
             alarm
             for f in trace.firings()
@@ -305,8 +305,8 @@ def test_criterion_8_determinism(rescue_circuit, rescue_auto):
     ]
     env = dsl.parse_env("policy all-ready\n" + "\n".join(lines), rescue_circuit)
     for seed in range(20):
-        first = simulate(rescue_auto, env, SimConfig(seed=seed), "rescue")
-        second = simulate(rescue_auto, env, SimConfig(seed=seed), "rescue")
+        first = simulate(rescue_auto, env, seed=seed, circuit_name="rescue")
+        second = simulate(rescue_auto, env, seed=seed, circuit_name="rescue")
         assert first.to_json() == second.to_json()
 
     stream = [HELI, Atom("FireRequest"), HELI, Very(BUDGET), HELI]

@@ -778,7 +778,7 @@ for _ in range(6):
         n: sim.Round(tuple((p, env_rng.choice(sorted(c.alphabet))) for p in sorted(c.inputs)), outs)
         for n in range(1, 31)
     }, outs)
-    print(sim.simulate(joined, env, sim.SimConfig(seed=3), c.name).to_json())
+    print(sim.simulate(joined, env, seed=3, circuit_name=c.name).to_json())
 """
 
 

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import re
@@ -392,7 +393,7 @@ def test_comply_checks_the_map_against_a_given_circuit(
 ):
     env = dsl.parse_env((DATA / "rescue.env").read_text(), rescue_circuit)
     trace = tmp_path / "t.json"
-    trace.write_text(sim.simulate(rescue_auto, env, sim.SimConfig(seed=0)).to_json())
+    trace.write_text(sim.simulate(rescue_auto, env, seed=0).to_json())
     shipped = (DATA / "rescue.map").read_text()
     bad_datum = shipped.replace("police_alarm ->", "police_alarm=zap ->")
     bad_port = shipped + "polise_alarm -> PoliceRequest\n"
@@ -424,7 +425,7 @@ def test_comply_malformed_trace_exits_two(tmp_path, rescue_circuit, rescue_auto)
               "data": {"police_alarm": "ok"}, "from": "s0", "to": "s1"}
     no_sync = {k: v for k, v in firing.items() if k != "sync"}
     env = dsl.parse_env((DATA / "rescue.env").read_text(), rescue_circuit)
-    rescue_trace = json.loads(sim.simulate(rescue_auto, env, sim.SimConfig(seed=0)).to_json())
+    rescue_trace = json.loads(sim.simulate(rescue_auto, env, seed=0).to_json())
     cases = {
         "rounds reversed": {**rescue_trace, "rounds": rescue_trace["rounds"][::-1]},
         "round repeated": {
@@ -443,6 +444,11 @@ def test_comply_malformed_trace_exits_two(tmp_path, rescue_circuit, rescue_auto)
         "stall round a bool": {
             "circuit": "rescue", "seed": 0, "rounds": [{"kind": "stall", "round": True}],
         },
+        # both once read as a firing, judged a PoliceRequest out of order
+        "kind neither stall nor firing": {
+            "circuit": "rescue", "seed": 0, "rounds": [{**firing, "kind": "fire"}],
+        },
+        "round 0": {"circuit": "rescue", "seed": 0, "rounds": [{**firing, "round": 0}]},
     }
     for what, doc in cases.items():
         trace = tmp_path / "t.json"
@@ -470,6 +476,16 @@ def test_scenario_runs_clean(tmp_path):
     doc = json.loads(out.read_text())
     assert doc["verdict"]["facts_total"] > 0
     assert doc["analysis"]["deadlocks"] == []
+
+
+def test_scenario_and_check_output_bytes_are_pinned():
+    scenario = run_cli("scenario", "--quiet")
+    assert scenario.returncode == 0, scenario.stderr
+    digest = hashlib.sha256(scenario.stdout.encode()).hexdigest()
+    assert digest == "382b71d5106c1e183b1e2ecf90e7c00cc6e109b4605d770a85a7e8515b6164c2"
+    check = run_cli("check", str(DATA / "rescue.circuit"), "--json", "--quiet")
+    assert check.returncode == 0, check.stderr
+    assert check.stdout == '{\n  "deadlocks": [],\n  "notes": [],\n  "reachable": 96\n}\n'
 
 
 def test_scenario_env_runs_the_whole_script(tmp_path):

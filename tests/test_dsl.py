@@ -549,7 +549,7 @@ def _env_outcome(text, circuit):
     try:
         return dsl.parse_env(text, circuit)
     except dsl.ParseFailure as exc:
-        return [(e.code, e.span, e.message, e.expected) for e in exc.errors]
+        return [(e.code, e.span, e.message) for e in exc.errors]
 
 
 @given(

@@ -6,7 +6,7 @@ from reokit import dsl, rescue
 from reokit.automata import sat_assignments
 from reokit.circuit import PORT_IN, PORT_OUT, validate_circuit
 from reokit.semlog import Atom, DoubleCheck, P, Very, Warning, pretty
-from reokit.sim import Firing, SimConfig, Trace, enabled, simulate
+from reokit.sim import Firing, Trace, enabled, simulate
 
 BUDGET = Atom("BudgetConsuming")
 
@@ -66,12 +66,12 @@ def test_builtin_rules_counts(rescue_rules):
 
 
 def test_map_trace_empty():
-    assert rescue.map_trace(Trace("rescue", 0), rescue.builtin_map()) == []
+    assert rescue.map_trace(Trace("rescue", 0, []), rescue.builtin_map()) == []
 
 
 def test_map_trace_specific_beats_port_only():
     mapping = dsl.parse_map("p=ok -> Hit\np -> Miss")
-    trace = Trace("t", 0)
+    trace = Trace("t", 0, [])
     trace.steps.append(Firing(1, frozenset({"p"}), (("p", "ok"),), 0, 0))
     trace.steps.append(Firing(2, frozenset({"p"}), (("p", "bad"),), 0, 0))
     assert rescue.map_trace(trace, mapping) == [Atom("Hit"), Atom("Miss")]
@@ -200,7 +200,7 @@ def busy_env():
 def test_exclusive_dispatch_and_round_robin_over_seeds(rescue_auto):
     env = busy_env()
     for seed in range(50):
-        trace = simulate(rescue_auto, env, SimConfig(seed=seed), "rescue")
+        trace = simulate(rescue_auto, env, seed=seed, circuit_name="rescue")
         dispatched = []
         ea_count = police_count = 0
         for f in trace.firings():

@@ -129,7 +129,7 @@ def test_simulate_expands_each_state_once(rescue_auto, monkeypatch):
         },
         outs,
     )
-    trace = sim.simulate(auto, env, sim.SimConfig(seed=6), "rescue")
+    trace = sim.simulate(auto, env, seed=6, circuit_name="rescue")
     assert len(trace.firings()) > 500
     assert 0 < len(calls) <= len({(t.sync, t.guard) for t in auto.transitions})
 
@@ -144,14 +144,14 @@ def test_step_stall_and_singleton():
         assert outcome.sync == frozenset({"a", "b"})
 
 
-def simulate_oracle(auto, env, cfg, circuit_name=""):
+def simulate_oracle(auto, env, seed=0, rounds=None, circuit_name=""):
     """``simulate`` by definition: ``step`` folded over every round."""
-    trace = sim.Trace(circuit=circuit_name, seed=cfg.seed)
+    trace = sim.Trace(circuit_name, seed, [])
     state = auto.initial
-    last = len(env) if cfg.max_rounds is None else min(len(env), cfg.max_rounds)
+    last = len(env) if rounds is None else min(len(env), rounds)
     for n in range(1, last + 1):
         offers, ready = env.round(n)
-        outcome = sim.step(auto, state, n, dict(offers), ready, cfg.seed)
+        outcome = sim.step(auto, state, n, dict(offers), ready, seed)
         trace.steps.append(outcome)
         if isinstance(outcome, sim.Firing):
             state = outcome.state_after
@@ -174,17 +174,16 @@ def test_simulate_skips_a_run_of_unlisted_stalls(monkeypatch):
     c, auto = compiled(MINIMAL_SYNC_TEXT)
     for policy, fired in (("all-ready", [50000]), ("closed", [])):
         env = env_lines(f"policy {policy}\nround 50000: offer a=ok", c)
-        cfg = sim.SimConfig(seed=2)
-        expected = simulate_oracle(auto, env, cfg, c.name)
+        expected = simulate_oracle(auto, env, 2, None, c.name)
         with monkeypatch.context() as patch:
             calls = counting(patch, sim, "enabled")
-            trace = sim.simulate(auto, env, cfg, c.name)
+            trace = sim.simulate(auto, env, 2, None, c.name)
         assert len(calls) <= 3
         assert trace == expected
         assert len(trace.steps) == 50000
         assert [f.round for f in trace.firings()] == fired
-        capped = sim.SimConfig(seed=2, max_rounds=700)
-        assert sim.simulate(auto, env, capped, c.name) == simulate_oracle(auto, env, capped, c.name)
+        capped = sim.simulate(auto, env, 2, 700, c.name)
+        assert capped == simulate_oracle(auto, env, 2, 700, c.name)
 
 
 def test_simulate_agrees_with_stepping_every_round():
@@ -207,9 +206,9 @@ def test_simulate_agrees_with_stepping_every_round():
                 ready = frozenset(p for p in sorted(c.outputs) if rng.random() < 0.5)
                 rounds[n] = sim.Round(offers, ready if rng.random() < 0.5 else idle)
             env = sim.EnvScript(rounds, idle)
-            for cfg in (sim.SimConfig(seed=rng.randrange(100)), sim.SimConfig(max_rounds=rng.randint(0, 60))):
-                trace = sim.simulate(auto, env, cfg, c.name)
-                assert trace == simulate_oracle(auto, env, cfg, c.name), (c, env, cfg)
+            for seed, cap in ((rng.randrange(100), None), (0, rng.randint(0, 60))):
+                trace = sim.simulate(auto, env, seed, cap, c.name)
+                assert trace == simulate_oracle(auto, env, seed, cap, c.name), (c, env, seed, cap)
                 unlisted_firings += sum(f.round not in listed for f in trace.firings())
     assert unlisted_firings
 
@@ -217,7 +216,7 @@ def test_simulate_agrees_with_stepping_every_round():
 def test_round_generator_only_for_a_choice(rescue_auto, monkeypatch):
     env = random_rescue_env(rescue_auto, 3, rounds=300)
     calls = counting(monkeypatch, sim, "round_rng")
-    trace = sim.simulate(rescue_auto, env, sim.SimConfig(seed=3), "rescue")
+    trace = sim.simulate(rescue_auto, env, seed=3, circuit_name="rescue")
     state, choices = rescue_auto.initial, 0
     for outcome in trace.steps:
         offers, ready = env.round(outcome.round)
@@ -230,7 +229,7 @@ def test_round_generator_only_for_a_choice(rescue_auto, monkeypatch):
     c, auto = compiled(MINIMAL_SYNC_TEXT)
     env = env_lines("\n".join(f"round {n}: offer a=ok" for n in range(1, 40, 2)), c)
     calls.clear()
-    trace = sim.simulate(auto, env, sim.SimConfig(seed=3), c.name)
+    trace = sim.simulate(auto, env, seed=3, circuit_name=c.name)
     assert len(trace.firings()) == 20 and len(trace.steps) == 39
     assert calls == []
 
@@ -267,20 +266,20 @@ def test_simulate_three_rounds_and_empty():
     env = env_lines(
         "round 1: offer a=ok\nround 2: offer a=ok\nround 3: offer a=ok", c
     )
-    trace = sim.simulate(auto, env, sim.SimConfig(seed=1), c.name)
+    trace = sim.simulate(auto, env, seed=1, circuit_name=c.name)
     assert len(trace.steps) == 3
     assert all(isinstance(s, sim.Firing) for s in trace.steps)
     assert all(s.sync == frozenset({"a", "b"}) for s in trace.steps)
-    empty = sim.simulate(auto, env, sim.SimConfig(seed=1, max_rounds=0), c.name)
+    empty = sim.simulate(auto, env, seed=1, rounds=0, circuit_name=c.name)
     assert empty.steps == []
-    with pytest.raises(ValueError, match="round cap"):
-        sim.SimConfig(seed=1, max_rounds=-1)
+    with pytest.raises(ValueError, match="round cap must be >= 0, got -1"):
+        sim.simulate(auto, env, seed=1, rounds=-1, circuit_name=c.name)
 
 
 def test_simulate_records_stalls_in_place():
     c, auto = compiled(MINIMAL_SYNC_TEXT)
     env = env_lines("round 1: offer a=ok\nround 3: offer a=ok", c)
-    trace = sim.simulate(auto, env, sim.SimConfig(seed=0), c.name)
+    trace = sim.simulate(auto, env, seed=0, circuit_name=c.name)
     kinds = [type(s).__name__ for s in trace.steps]
     assert kinds == ["Firing", "Stall", "Firing"]
     assert trace.steps[1].round == 2
@@ -292,7 +291,7 @@ def test_simulate_records_stalls_in_place():
         env = env_lines(f"policy {policy}\n{text}", c)
         assert len(env) == 10000
         assert env.round(7) == ((), outs if policy == "all-ready" else frozenset())
-        trace = sim.simulate(auto, env, sim.SimConfig(seed=0), c.name)
+        trace = sim.simulate(auto, env, seed=0, circuit_name=c.name)
         assert len(trace.steps) == 10000
         assert [f.round for f in trace.firings()] == fired
 
@@ -306,7 +305,7 @@ def test_a_round_given_ready_ports_makes_them_ready():
         for ready, fired in ((frozenset({"b"}), [1]), (frozenset(), [])):
             env = sim.EnvScript({1: sim.Round(offer, ready)}, idle)
             assert env.round(1) == (offer, ready)
-            trace = sim.simulate(auto, env, sim.SimConfig(), c.name)
+            trace = sim.simulate(auto, env, circuit_name=c.name)
             assert [f.round for f in trace.firings()] == fired, (idle, ready)
 
 
@@ -323,7 +322,7 @@ def test_simulate_unknown_port_rejected_before_round_one():
     for bad in bad_rounds:
         env = sim.EnvScript({1: sim.Round(), 2: bad}, frozenset())
         with pytest.raises(sim.EnvMismatchError):
-            sim.simulate(auto, env, sim.SimConfig(), c.name)
+            sim.simulate(auto, env, circuit_name=c.name)
 
 
 def test_simulate_checks_the_idle_readiness_before_round_one(monkeypatch):
@@ -334,7 +333,7 @@ def test_simulate_checks_the_idle_readiness_before_round_one(monkeypatch):
     for idle in (frozenset({"zz"}), frozenset({"a"}), frozenset({"a", "b"})):
         env = sim.EnvScript({1: sim.Round((("a", "ok"),), frozenset({"b"}))}, idle)
         with pytest.raises(sim.EnvMismatchError, match="ready on .*not a boundary-out port"):
-            sim.simulate(auto, env, sim.SimConfig(), c.name)
+            sim.simulate(auto, env, circuit_name=c.name)
     assert calls == []
 
 
@@ -348,15 +347,15 @@ def test_simulate_deterministic_across_runs():
         offers = ", ".join(f"{p}=ok" for p in sorted(c.inputs))
         env = env_lines("\n".join(f"round {n}: offer {offers}" for n in range(1, 9)), c)
         for seed in range(20):
-            t1 = sim.simulate(auto, env, sim.SimConfig(seed=seed), c.name)
-            t2 = sim.simulate(auto, env, sim.SimConfig(seed=seed), c.name)
+            t1 = sim.simulate(auto, env, seed=seed, circuit_name=c.name)
+            t2 = sim.simulate(auto, env, seed=seed, circuit_name=c.name)
             assert t1.to_json() == t2.to_json()
 
 
 def test_firings_are_sound_and_chain():
     c, auto = compiled(LOSSY_TEXT)
     env = env_lines("\n".join(f"round {n}: offer a=ok" for n in range(1, 9)), c)
-    trace = sim.simulate(auto, env, sim.SimConfig(seed=3), c.name)
+    trace = sim.simulate(auto, env, seed=3, circuit_name=c.name)
     state = auto.initial
     for stp in trace.steps:
         if isinstance(stp, sim.Stall):
@@ -371,7 +370,7 @@ def test_firings_are_sound_and_chain():
 def test_trace_json_roundtrip():
     c, auto = compiled(MINIMAL_SYNC_TEXT)
     env = env_lines("round 1: offer a=ok\nround 3: offer a=ok", c)
-    trace = sim.simulate(auto, env, sim.SimConfig(seed=0), c.name)
+    trace = sim.simulate(auto, env, seed=0, circuit_name=c.name)
     text = trace.to_json()
     back = sim.trace_from_json(text)
     assert back.circuit == c.name
@@ -387,7 +386,7 @@ def test_trace_json_roundtrip():
 def test_trace_roundtrip_is_exact(rescue_auto):
     # states, sync-sets, data, rounds and stalls all come back as written:
     # the rescue canned environment, then random circuits under random offers
-    trace = sim.simulate(rescue_auto, rescue.builtin_env(), sim.SimConfig(seed=0), "rescue")
+    trace = sim.simulate(rescue_auto, rescue.builtin_env(), seed=0, circuit_name="rescue")
     assert {f.state_after for f in trace.firings()} - {0}
     text = trace.to_json()
     # states are written sN, as compile --json names them
@@ -404,13 +403,13 @@ def test_trace_roundtrip_is_exact(rescue_auto):
             picks = ", ".join(f"{p}={rng.choice(sorted(ALPHABET))}" for p in offered)
             lines.append(f"round {n}: offer {picks}" if picks else f"round {n}:")
         env = env_lines("\n".join(lines), c)
-        trace = sim.simulate(auto, env, sim.SimConfig(seed=seed), c.name)
+        trace = sim.simulate(auto, env, seed=seed, circuit_name=c.name)
         assert len(trace.steps) == 12
         assert sim.trace_from_json(trace.to_json()) == trace, seed
 
 
 # sha256 of the trace JSON of the rescue automaton under
-# random_rescue_env(auto, seed) with SimConfig(seed=seed), 2,000 rounds each
+# random_rescue_env(auto, seed) simulated with that seed, 2,000 rounds each
 RESCUE_TRACE_SHA256 = {
     0: "6eccec6ab3882c92867789d4b4e4aad05af56135f7119143cabbfaecca9c7047",
     1: "5bc3afd6d1075710df7e78093de7b5c063d41cb1d3510d4e6a6e2b2e7fc5fbd9",
@@ -425,7 +424,7 @@ from reokit import automata, rescue, sim
 from util import random_rescue_env
 auto = automata.compile_circuit(rescue.builtin_circuit())
 for seed in range(5):
-    trace = sim.simulate(auto, random_rescue_env(auto, seed), sim.SimConfig(seed=seed), "rescue")
+    trace = sim.simulate(auto, random_rescue_env(auto, seed), seed=seed, circuit_name="rescue")
     print(seed, hashlib.sha256(trace.to_json().encode()).hexdigest())
 """
 
@@ -433,7 +432,7 @@ for seed in range(5):
 def test_rescue_traces_stay_byte_identical(rescue_auto):
     for seed, digest in RESCUE_TRACE_SHA256.items():
         env = random_rescue_env(rescue_auto, seed)
-        trace = sim.simulate(rescue_auto, env, sim.SimConfig(seed=seed), "rescue")
+        trace = sim.simulate(rescue_auto, env, seed=seed, circuit_name="rescue")
         assert hashlib.sha256(trace.to_json().encode()).hexdigest() == digest, seed
     # and in fresh processes, under two string hash seeds
     here = Path(__file__).resolve().parent

@@ -1,6 +1,6 @@
-"""The library's records: immutable values are named tuples, stateful ones
-plain classes, and importing reokit loads neither ``dataclasses`` nor
-``inspect``."""
+"""The library's records are named tuples, values and run records alike;
+only a stateful or caching type stays a plain class. Importing reokit
+loads neither ``dataclasses`` nor ``inspect``."""
 
 import os
 import subprocess
@@ -37,8 +37,8 @@ VALUES = [
     (circuit.Finding("UNKNOWN_KIND", "c1", "bad"), ("UNKNOWN_KIND", "c1", "bad")),
     (_SPAN, (2, 5, 3)),
     (
-        dsl.ParseError(_SPAN, "SYNTAX", "expected ';'", frozenset({";"})),
-        (_SPAN, "SYNTAX", "expected ';'", frozenset({";"})),
+        dsl.ParseError(_SPAN, "SYNTAX", "expected ';'"),
+        (_SPAN, "SYNTAX", "expected ';'"),
     ),
     (dsl.Token("ident", "a", _SPAN), ("ident", "a", _SPAN)),
     (_SCRIPTED, (_TERM, _SPAN)),
@@ -57,6 +57,16 @@ VALUES = [
         (4, frozenset({"a"}), (("a", "ok"),), 0, 1),
     ),
     (sim.Stall(5), (5,)),
+    (sim.Trace("t", 0, [sim.Stall(1)]), ("t", 0, [sim.Stall(1)])),
+    (
+        semlog.Verdict([], [], [], [semlog.OrderViolation(("A",), 0, "B", ("A",))], 3, ["cut"]),
+        ([], [], [], [(("A",), 0, "B", ("A",))], 3, ["cut"]),
+    ),
+    (analysis.AnalysisReport(96, ["s3"]), (96, ["s3"])),
+    (
+        circuit.ValidationReport([circuit.Finding("UNKNOWN_KIND", "c1", "bad")], []),
+        ([("UNKNOWN_KIND", "c1", "bad")], []),
+    ),
 ]
 
 
@@ -68,7 +78,7 @@ def test_value_hashes_and_compares_as_its_field_tuple(value, fields):
     assert value._replace() == value
     try:
         expected = hash(fields)
-    except TypeError:  # an EventMap holds a dict
+    except TypeError:  # an EventMap holds a dict, a run record holds lists
         with pytest.raises(TypeError):
             hash(value)
     else:
@@ -91,23 +101,6 @@ def test_env_script_compares_as_its_field_tuple_and_does_not_hash():
     assert len(env) == 3 and len(sim.EnvScript({}, idle)) == 0
     with pytest.raises(TypeError):
         hash(env)
-
-
-@pytest.mark.parametrize(
-    "make, names",
-    [
-        (lambda: sim.Trace("t", 0), ("steps",)),
-        (circuit.ValidationReport, ("errors", "warnings")),
-        (lambda: analysis.AnalysisReport(1, []), ("notes",)),
-        (lambda: semlog.Verdict([], [], [], [], 0), ("diagnostics",)),
-    ],
-    ids=["Trace", "ValidationReport", "AnalysisReport", "Verdict"],
-)
-def test_records_built_with_defaults_share_no_list(make, names):
-    first, second = make(), make()
-    for name in names:
-        getattr(first, name).append("x")
-        assert getattr(second, name) == []
 
 
 def test_import_loads_neither_dataclasses_nor_inspect():
