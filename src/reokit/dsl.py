@@ -578,14 +578,22 @@ def _content_lines(text: str):
 
 
 def parse_events(text: str) -> EventScript:
-    """One ground term per line; blank lines and # comments are skipped."""
+    """One ground term per line; blank lines and # comments are skipped.
+
+    Each distinct line is parsed once per call, so equal lines share one
+    term, and every entry keeps its own span. A bad line raises at its
+    first occurrence, with that line's span.
+    """
     entries = []
+    terms: dict[str, Term] = {}
     for line_no, column, stripped in _content_lines(text):
-        tokens = _lex(stripped, line_no, column)
-        p = _TermParser(tokens, allow_vars=False)
-        with p.nesting_limit():
-            term = p.parse_term()
-        p.expect_eof()
+        term = terms.get(stripped)
+        if term is None:
+            p = _TermParser(_lex(stripped, line_no, column), allow_vars=False)
+            with p.nesting_limit():
+                term = p.parse_term()
+            p.expect_eof()
+            terms[stripped] = term
         entries.append(ScriptedEvent(term, SourceSpan(line_no, column, len(stripped))))
     return EventScript(tuple(entries))
 
@@ -662,19 +670,24 @@ def _fast_body(body, ins, outs, alphabet, names, idle) -> Round | None:
     if body_re.fullmatch(body) is None:
         return None
     offers: list[tuple[str, str]] = []
+    # filled in text order, as ``_token_round`` fills its set, so that equal
+    # sets also share one table layout, and with it one iteration order
     ready: set[str] = set()
     explicit_ready = False
     for offer_list, ready_list in clause_re.findall(body):
         if offer_list:
             offers += pair_re.findall(offer_list)
         else:
-            ready.update(name_re.findall(ready_list))
+            for port in name_re.findall(ready_list):
+                if port not in outs:
+                    return None
+                ready.add(names[port])
             explicit_ready = True
-    if not (all(port in ins and tok in alphabet for port, tok in offers) and ready <= outs):
+    if not all(port in ins and tok in alphabet for port, tok in offers):
         return None
     return Round(
         tuple((names[port], names[tok]) for port, tok in offers),
-        frozenset(names[port] for port in ready) if explicit_ready else idle,
+        frozenset(ready) if explicit_ready else idle,
     )
 
 

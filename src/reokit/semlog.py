@@ -421,10 +421,14 @@ class DerivationNode(NamedTuple):
     children: list["DerivationNode"]
 
     def render(self, indent: int = 0) -> str:
-        pad = "  " * indent
-        lines = [f"{pad}{pretty(self.term)}  [{self.rule}]"]
-        for child in self.children:
-            lines.append(child.render(indent + 1))
+        """One line per node, in preorder, each indented two spaces per level;
+        iterative, so a deep tree renders without recursion."""
+        lines = []
+        stack = [(self, indent)]
+        while stack:
+            node, level = stack.pop()
+            lines.append(f"{'  ' * level}{pretty(node.term)}  [{node.rule}]")
+            stack.extend((child, level + 1) for child in reversed(node.children))
         return "\n".join(lines)
 
 
@@ -484,15 +488,21 @@ class ComplianceEngine:
         self.derivations: dict[Term, Derivation] = {}
         self.events: list[Event] = []
         self.diagnostics: list[str] = []
+        self._diagnosed: set[str] = set()  # the messages in ``diagnostics``
         self._counts: dict[Term, int] = {}
         self._converged = False  # the standing facts are the first delta
         self._event_rules = rulebase.event_implications()
-        # each fact-rule with its premises as (pattern, bucket) pairs; the
-        # bucket is the pattern's ``_tag``, or None for a variable
-        self._fact_rules = [
-            (rule, tuple((p, None if p[0] == VAR else _tag(p)) for p in rule.premises))
-            for rule in rulebase.fact_rules()
-        ]
+        # each fact-rule with its premises as (pattern, bucket) pairs, the
+        # bucket being the pattern's ``_tag`` or None for a variable, and the
+        # set of its premises' buckets, None when a premise is a variable or
+        # there is none (then any pass may fire it)
+        self._fact_rules = []
+        for rule in rulebase.fact_rules():
+            premises = tuple((p, None if p[0] == VAR else _tag(p)) for p in rule.premises)
+            buckets = frozenset(b for _, b in premises)
+            if not premises or None in buckets:
+                buckets = None
+            self._fact_rules.append((rule, premises, buckets))
         self._index: dict[tuple, list[Term]] = {}
         self._tags: list[tuple] = []
         self._fresh: list[Term] = []
@@ -606,7 +616,8 @@ class ComplianceEngine:
         self._fresh.append(term)
 
     def _diag(self, message: str) -> None:
-        if message not in self.diagnostics:
+        if message not in self._diagnosed:
+            self._diagnosed.add(message)
             self.diagnostics.append(message)
 
     # -- saturation -------------------------------------------------------
@@ -640,8 +651,14 @@ class ComplianceEngine:
         the previous pass began) are tried. Every other binding uses only
         facts the previous pass already saw, which then stored its
         conclusion, rejected it by a guard or dropped it with a diagnostic,
-        so skipping it changes neither the conclusions nor their order. New conclusions are stored only after
-        the enumeration, so the pass reads one fixed store.
+        so skipping it changes neither the conclusions nor their order.
+
+        A rule none of whose premise buckets holds a fresh fact is not
+        entered at all: a fact matches a non-variable pattern only within
+        the pattern's bucket, so such a rule has no binding that uses a
+        fresh fact. A rule with a variable premise is always entered. New
+        conclusions are stored only after the enumeration, so the pass reads
+        one fixed store.
         """
         fresh_facts = sorted(self._fresh)
         self._fresh = []
@@ -650,7 +667,9 @@ class ComplianceEngine:
             fresh.setdefault(_tag(fact), []).append(fact)
         fresh_terms = set(fresh_facts)
         pending: dict[Term, Derivation] = {}  # first derivation of each conclusion
-        for rule, premises in self._fact_rules:
+        for rule, premises, buckets in self._fact_rules:
+            if buckets is not None and buckets.isdisjoint(fresh):
+                continue
             for binding in self._bindings(premises, {}, fresh, fresh_terms, False):
                 if not all(self._guard_ok(g, binding) for g in rule.guards):
                     continue
@@ -743,11 +762,24 @@ class ComplianceEngine:
         return [(fact, self.derivations[fact]) for fact in bucket]
 
     def explain(self, fact: Term) -> DerivationNode:
+        """The derivation tree of ``fact``: each node's children are the
+        stored premises of its first derivation, in order.
+
+        Built with an explicit stack rather than by recursion, since a count
+        chain ``(k)A <- (k-1)A`` is k levels deep.
+        """
         if fact not in self.derivations:
             raise UnknownFactError(pretty(fact))
-        derivation = self.derivations[fact]
-        children = [self.explain(p) for p in derivation.premises if p in self.derivations]
-        return DerivationNode(fact, derivation.rule, children)
+        root = DerivationNode(fact, self.derivations[fact].rule, [])
+        stack = [root]
+        while stack:
+            node = stack.pop()
+            for p in self.derivations[node.term].premises:
+                if p in self.derivations:
+                    child = DerivationNode(p, self.derivations[p].rule, [])
+                    node.children.append(child)
+                    stack.append(child)
+        return root
 
     def sorted_facts(self) -> list[Term]:
         return [fact for tag in self._tags for fact in self._index[tag]]

@@ -264,6 +264,26 @@ def test_comply_explain_prints_derivations(tmp_path):
     assert "[event #1]" in result.stderr
 
 
+def test_comply_explain_prints_a_deep_count_chain(tmp_path):
+    # Failure(Alpha) rests on (1501)Alpha <- (1500)Alpha <- ... <- (1)Alpha,
+    # more levels than Python's default recursion limit
+    rules = tmp_path / "deep.rules"
+    rules.write_text("rule x: (I)A AND I>1500 => Failure(A)\n")
+    events = tmp_path / "alpha.events"
+    events.write_text("Alpha\n" * 1600)
+    result = run_cli(
+        "comply", "--rules", str(rules), "--events", str(events), "--explain",
+    )
+    assert result.returncode == 1
+    assert json.loads(result.stdout)["failures"] == ["Failure(Alpha)"]
+    assert "Traceback" not in result.stderr
+    lines = result.stderr.splitlines()
+    assert lines[0] == "Failure(Alpha)  [x]"
+    assert lines[1] == "  (1501)Alpha  [r10]"
+    assert lines[-2:] == [" " * 2 * 1501 + "(1)Alpha  [r11]", " " * 2 * 1502 + "Alpha  [event #1]"]
+    assert len(lines) == 1 + 2 * 1501
+
+
 def test_comply_resolved_still_exits_one(tmp_path):
     events = tmp_path / "heli.events"
     events.write_text(

@@ -1,8 +1,11 @@
 import hashlib
+import os
 import random
 import re
 import string
+import subprocess
 import sys
+from pathlib import Path
 from unittest import mock
 
 import pytest
@@ -354,6 +357,32 @@ def test_parse_events_rejects_variables():
         dsl.parse_events("(I)A")
 
 
+def test_parse_events_parses_each_distinct_line_once():
+    text = "Alpha\n  P(Beta) # note\n\nAlpha\nP(Beta)\n\tAlpha\n"
+    with mock.patch.object(dsl, "_lex", wraps=dsl._lex) as lex:
+        script = dsl.parse_events(text)
+    assert lex.call_count == 2
+    assert script.terms() == [S.Atom("Alpha"), S.P(S.Atom("Beta"))] * 2 + [S.Atom("Alpha")]
+    alpha = script.entries[0].term
+    assert script.entries[2].term is alpha and script.entries[4].term is alpha
+    assert script.entries[3].term is script.entries[1].term
+    assert [e.span for e in script.entries] == [
+        dsl.SourceSpan(1, 1, 5),
+        dsl.SourceSpan(2, 3, 7),
+        dsl.SourceSpan(4, 1, 5),
+        dsl.SourceSpan(5, 1, 7),
+        dsl.SourceSpan(6, 2, 5),
+    ]
+    # a repeated bad line reports its first occurrence; a later bad line its own
+    for bad_text, span in (
+        ("Alpha\nP(\nAlpha\nP(\n", dsl.SourceSpan(2, 3, 1)),
+        ("Alpha\nBeta\nAlpha\n  Beta)\n", dsl.SourceSpan(4, 7, 1)),
+    ):
+        with pytest.raises(dsl.ParseFailure) as exc:
+            dsl.parse_events(bad_text)
+        assert exc.value.errors[0].span == span
+
+
 def test_parse_env_offers_and_ready(rescue_circuit):
     env = dsl.parse_env("round 1: offer citizens=ok; ready case1,case2,case3", rescue_circuit)
     ((num, rnd),) = env.rounds.items()
@@ -572,6 +601,31 @@ def test_parse_env_line_grammar_agrees_with_token_parser(lines, odd_line, at, po
     got = _env_outcome(text, circuit)
     assert got == expected
     assert repr(got) == repr(expected)
+
+
+_READY_ORDER_SCRIPT = f"""
+from unittest import mock
+from reokit import dsl
+text = "round 1: ready b; offer a=ok ready ready offer offer=bad;"
+circuit = dsl.parse_circuit({KEYWORD_PORTS_TEXT!r})
+with mock.patch.object(dsl, "_fast_round", lambda *args: None):
+    expected = dsl.parse_env(text, circuit)
+print(repr(dsl.parse_env(text, circuit)) == repr(expected))
+"""
+
+
+def test_parse_env_ready_set_repr_agrees_under_any_hash_seed():
+    # Both paths must build a ready set by inserting the same ports in text
+    # order: equal sets filled in different orders can iterate differently,
+    # which shows under string hash seeds 0 and 6 for the ports b and ready.
+    src = Path(__file__).resolve().parent.parent / "src"
+    for hash_seed in ("0", "6"):
+        env = dict(os.environ, PYTHONHASHSEED=hash_seed, PYTHONPATH=str(src))
+        result = subprocess.run(
+            [sys.executable, "-c", _READY_ORDER_SCRIPT],
+            capture_output=True, text=True, env=env, timeout=120, check=True,
+        )
+        assert result.stdout == "True\n", hash_seed
 
 
 def _varied_env(rng: random.Random, rounds: int) -> list[str]:

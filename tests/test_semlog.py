@@ -563,3 +563,103 @@ def test_premise_buckets_are_worked_out_once(monkeypatch):
         eng.ingest(term)
         eng.verdict()
     assert 0 < calls[0] <= 2 * len(eng.facts)
+
+
+# -- rules a pass can skip ----------------------------------------------------
+
+
+# a variable premise (s2, s5), an implication fact (f1), a count guard (s3)
+# and event implications (e1, e2), beside plain two-premise rules
+SYNTHETIC_RULES_TEXT = """
+protocol { Alpha >> Beta >> Gamma }
+fact f1: (Alpha=>Beta)
+fact f2: Forbidden(Gamma)
+rule e1: Alpha => (Very)Gamma
+rule e2: Beta => P(Delta)
+rule s1: (A=>B) AND P(A) => P(B)
+rule s2: (A=>B) AND A => DoubleCheck(B)
+rule s3: (I)A AND I>1 => P(A)
+rule s4: Forbidden(A) AND P(A) => Warning(P(A))
+rule s5: X AND Forbidden(X) => Failure(X)
+rule s6: Warning(P(A)) AND DoubleCheck(A) => Resolved(Warning(P(A)))
+"""
+SYNTHETIC_POOL = [
+    dsl.parse_term(text)
+    for text in (
+        "Alpha", "Beta", "Gamma", "Delta", "(Very)Alpha", "P(Alpha)",
+        "(Gamma=>Delta)", "Forbidden(Delta)", "DoubleCheck(Gamma)",
+    )
+]
+
+
+def _judged_run(rules, stream, max_depth, online, skip):
+    """Every verdict and pass count of a run, then the store and diagnostics;
+    with ``skip`` off, every rule is entered on every pass."""
+    eng = ComplianceEngine(rules, max_depth=max_depth)
+    if not skip:
+        eng._fact_rules = [(rule, premises, None) for rule, premises, _ in eng._fact_rules]
+    verdicts = []
+    for term in stream:
+        eng.ingest(term)
+        if online:
+            verdicts.append((eng.saturate().passes, eng.verdict().to_json()))
+    verdicts.append((eng.saturate().passes, eng.verdict().to_json()))
+    return list(eng.derivations.items()), eng.diagnostics, verdicts
+
+
+@pytest.mark.parametrize("name", ["rescue", "synthetic"])
+def test_skipping_rules_no_fresh_fact_can_feed_changes_no_output(name, monkeypatch):
+    rules = dsl.parse_rulebase(RULES_TEXT if name == "rescue" else SYNTHETIC_RULES_TEXT)
+    pool = STREAM_POOL if name == "rescue" else SYNTHETIC_POOL
+    calls = [0]
+    real_match = semlog.match
+
+    def counting_match(pattern, term, binding):
+        calls[0] += 1
+        return real_match(pattern, term, binding)
+
+    monkeypatch.setattr(semlog, "match", counting_match)
+    matched = {True: 0, False: 0}
+    for seed in range(4):
+        rng = random.Random(seed)
+        stream = [rng.choice(pool) for _ in range(60)]
+        for max_depth in (1, 2, 3, 8):
+            for online in (True, False):
+                runs = {}
+                for skip in (True, False):
+                    before = calls[0]
+                    runs[skip] = _judged_run(rules, stream, max_depth, online, skip)
+                    matched[skip] += calls[0] - before
+                assert runs[True] == runs[False], (seed, max_depth, online)
+    assert matched[True] < matched[False]
+
+
+def test_a_rule_without_premises_is_entered_on_every_pass():
+    # no premise bucket can hold a fresh fact, yet its one binding fires
+    eng = ComplianceEngine(RuleBase(rules=(Rule("bare", (), (), Atom("a")),)))
+    assert eng.verdict().facts_total == 1
+    assert eng.derivations[Atom("a")] == semlog.Derivation("bare", ())
+
+
+def test_diagnostics_are_deduplicated_without_scanning_the_list():
+    class ScanCountingList(list):
+        scans = 0
+
+        def __contains__(self, item):
+            ScanCountingList.scans += 1
+            return super().__contains__(item)
+
+    # at max_depth 1 each count fact (k)A, of depth 2, is dropped with its
+    # own message, so the messages grow with the stream
+    eng = rescue_engine(max_depth=1)
+    eng.diagnostics = ScanCountingList()
+    for term in [Atom("AmbulanceRequest")] * 50 + [Very(Very(BUDGET))] * 3:
+        eng.ingest(term)
+    eng.verdict()
+    assert ScanCountingList.scans == 0
+    diags = list(eng.diagnostics)
+    assert len(diags) == len(set(diags))
+    assert [d for d in diags if "AmbulanceRequest" in d] == [
+        f"DEPTH_LIMIT: dropped ({k})AmbulanceRequest" for k in range(1, 51)
+    ]
+    assert diags.count("DEPTH_LIMIT: dropped event (Very)(Very)BudgetConsuming") == 1
