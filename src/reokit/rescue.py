@@ -69,13 +69,23 @@ def map_trace(trace: Trace, mapping: EventMap) -> list[Term]:
     order; a specific (port, datum) entry wins over a port-only one; a pair
     with no entry gives nothing. The compliance engine numbers the atoms
     as it ingests them.
+
+    A firing's atoms depend on its assignment alone, so each distinct
+    assignment is looked up once per call. The memo is keyed on the
+    assignment's value, since a trace read back from JSON holds equal
+    assignments as distinct tuples.
     """
-    atoms = []
+    atoms: list[Term] = []
+    memo: dict[tuple, list[Term]] = {}
     for firing in trace.firings():
-        for port, datum in sorted(firing.assignment):
-            atom = mapping.lookup(port, datum)
-            if atom is not None:
-                atoms.append(Atom(atom))
+        mapped = memo.get(firing.assignment)
+        if mapped is None:
+            mapped = memo[firing.assignment] = []
+            for port, datum in sorted(firing.assignment):
+                atom = mapping.lookup(port, datum)
+                if atom is not None:
+                    mapped.append(Atom(atom))
+        atoms.extend(mapped)
     return atoms
 
 

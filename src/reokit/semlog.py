@@ -23,6 +23,7 @@ set-based fact storage cannot observe "A AND A", so "A => (1)A" and
 from __future__ import annotations
 
 import bisect
+import functools
 import json
 from collections import deque
 from collections.abc import KeysView
@@ -343,6 +344,17 @@ class Derivation(NamedTuple):
     premises: tuple[Term, ...]
 
 
+# Event and Derivation from a field tuple, without the named tuple's
+# Python-level __new__: an ingest builds them per event
+_event = functools.partial(tuple.__new__, Event)
+_derivation = functools.partial(tuple.__new__, Derivation)
+
+# what an event-implication does with its conclusion at ingest
+_QUEUED = "queued"  # an occurrence-shaped one: a derived event
+_DROPPED = "dropped"  # one beyond max_depth: a DEPTH_LIMIT diagnostic
+_STORED = "stored"  # any other: a plain fact
+
+
 class SaturationResult(NamedTuple):
     """One ``saturate()`` run; ``NOT_CONVERGED`` in ``diagnostics`` is this
     run's alone, not the engine's, so a later run can still come out clean."""
@@ -492,6 +504,7 @@ class ComplianceEngine:
         self._counts: dict[Term, int] = {}
         self._converged = False  # the standing facts are the first delta
         self._event_rules = rulebase.event_implications()
+        self._plans: dict[Term, tuple] = {}  # see ``_plan``
         # each fact-rule with its premises as (pattern, bucket) pairs, the
         # bucket being the pattern's ``_tag`` or None for a variable, and the
         # set of its premises' buckets, None when a premise is a variable or
@@ -531,66 +544,92 @@ class ComplianceEngine:
 
         Event-implication rules run here: occurrence-shaped conclusions
         become derived events (queued, counted), deontic ones plain
-        facts. A worklist bounds runaway implication cycles.
+        facts. A worklist bounds runaway implication cycles. What the rules
+        conclude from a term is worked out once per distinct term (see
+        ``_plan``).
         """
         if not is_ground(term):
             raise ValueError(f"events must be ground terms: {pretty(term)}")
         new: set[Term] = set()
-        queue: deque[tuple[Term, str, tuple | None]] = deque([(term, origin, None)])
+        # each queued event with its derivation, None for the ingested one
+        queue: deque[tuple[Term, str, Derivation | None]] = deque([(term, origin, None)])
         processed = 0
         while queue:
-            current, current_origin, via = queue.popleft()
+            current, current_origin, derivation = queue.popleft()
             processed += 1
             if processed > _CASCADE_LIMIT:
                 self._diag(f"EVENT_CASCADE_LIMIT: dropped {pretty(current)}")
                 break
-            self._ingest_one(current, current_origin, via, new, queue)
+            self._ingest_one(current, current_origin, derivation, new, queue)
         self._converged = False
         return new
 
-    def _ingest_one(self, term, origin, via, new, queue):
-        if depth(term) > self.max_depth:
+    def _ingest_one(self, term, origin, derivation, new, queue):
+        plan = self._plans.get(term)
+        if plan is None:
+            plan = self._plans[term] = self._plan(term)
+        term_depth, counted, outcomes = plan
+        if term_depth > self.max_depth:
             self._diag(f"DEPTH_LIMIT: dropped event {pretty(term)}")
             return
-        event = Event(len(self.events) + 1, term, origin)
+        event = _event((len(self.events) + 1, term, origin))
         self.events.append(event)
         for watch in self._order_watches:
             watch.observe(event)
-        if via is None:
-            derivation = Derivation(f"event #{event.index}", ())
-        else:
-            rule_name, premise = via
-            derivation = Derivation(rule_name, (premise,))
+        if derivation is None:
+            derivation = _derivation((f"event #{event.index}", ()))
         self._add_fact(term, derivation, new)
-        if event_like(term):
+        if counted:
             k = self._counts.get(term, 0) + 1
             self._counts[term] = k
-            count_fact = Count(k, term)
-            if depth(count_fact) > self.max_depth:
+            count_fact = (COUNT, k, term)
+            if term_depth + 1 > self.max_depth:  # the count fact's depth
                 self._diag(f"DEPTH_LIMIT: dropped {pretty(count_fact)}")
+            elif k == 1:
+                self._add_fact(count_fact, _derivation(("r11", (term,))), new)
             else:
-                premises = (term,) if k == 1 else (term, Count(k - 1, term))
-                name = "r11" if k == 1 else "r10"
                 self._add_fact(
-                    count_fact,
-                    Derivation(name, premises),
-                    new,
+                    count_fact, _derivation(("r10", (term, (COUNT, k - 1, term)))), new
                 )
+        for kind, conclusion, rule_derivation in outcomes:
+            if kind is _QUEUED:
+                queue.append((conclusion, ORIGIN_DERIVED, rule_derivation))
+            elif kind is _DROPPED:
+                self._diag(conclusion)
+            else:
+                self._add_fact(conclusion, rule_derivation, new)
+
+    def _plan(self, term: Term) -> tuple:
+        """What ingesting the ground ``term`` does apart from numbering and
+        counting: ``(depth, counted, outcomes)``.
+
+        ``counted`` says whether the term is occurrence-shaped. ``outcomes``
+        lists the event-implications it fires, in rule order, as ``(kind,
+        conclusion, derivation)``: a ``_QUEUED`` conclusion is a derived
+        event, a ``_STORED`` one a plain fact, and a ``_DROPPED`` one stands
+        as its DEPTH_LIMIT message. A term beyond ``max_depth`` fires none.
+
+        ``_ingest_one`` keeps one plan per distinct term. That is exact:
+        ``match`` and ``substitute`` are pure, and the rules and
+        ``max_depth`` are fixed per engine.
+        """
+        term_depth = depth(term)
+        if term_depth > self.max_depth:
+            return term_depth, False, ()
+        outcomes = []
         for rule in self._event_rules:
             binding = match(rule.premises[0], term, {})
             if binding is None:
                 continue
             conclusion = substitute(rule.conclusion, binding)
+            derivation = _derivation((rule.name, (term,)))
             if event_like(conclusion):
-                queue.append((conclusion, ORIGIN_DERIVED, (rule.name, term)))
+                outcomes.append((_QUEUED, conclusion, derivation))
             elif depth(conclusion) > self.max_depth:
-                self._diag(f"DEPTH_LIMIT: dropped {pretty(conclusion)}")
+                outcomes.append((_DROPPED, f"DEPTH_LIMIT: dropped {pretty(conclusion)}", None))
             else:
-                self._add_fact(
-                    conclusion,
-                    Derivation(rule.name, (term,)),
-                    new,
-                )
+                outcomes.append((_STORED, conclusion, derivation))
+        return term_depth, event_like(term), tuple(outcomes)
 
     def add_fact(self, term: Term, label: str = "asserted") -> bool:
         """Directly assert a ground fact (no event, no counting)."""

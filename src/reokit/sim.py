@@ -3,19 +3,19 @@
 The environment is scripted per round: offers pin data on boundary-in
 ports, readiness enables boundary-out ports. One automaton transition
 fires per round (or the round stalls); ties between enabled steps are
-broken uniformly by a deterministic per-round generator, so the same
-(automaton, script, seed) always yields a byte-identical trace. The
-generator is built only in a round with a choice, two or more enabled
-steps, since it is used for nothing else.
-Unconsumed offers do not persist into the next round.
+broken uniformly by a pick that is a function of (seed, round) alone, a
+sha256 of the two, so the same (automaton, script, seed) always yields a
+byte-identical trace. The pick is made only in a round with a choice,
+two or more enabled steps. Unconsumed offers do not persist into the
+next round.
 """
 
 from __future__ import annotations
 
 import bisect
+import functools
 import hashlib
 import json
-import random
 from typing import NamedTuple
 
 from .automata import ConstraintAutomaton, Transition, state_index, state_name
@@ -59,6 +59,12 @@ class Firing(NamedTuple):
 
 class Stall(NamedTuple):
     round: int
+
+
+# Firing and Stall from a field tuple, without the named tuple's
+# Python-level __new__: a simulation builds one per round
+_firing = functools.partial(tuple.__new__, Firing)
+_stall = functools.partial(tuple.__new__, Stall)
 
 
 class Trace(NamedTuple):
@@ -196,10 +202,15 @@ def _admitted(key: tuple, assignments: tuple, memo: dict, alphabet: frozenset[st
     return matches
 
 
-def round_rng(seed: int, round_no: int) -> random.Random:
-    """Deterministic per-round generator, stable across platforms."""
+def round_pick(seed: int, round_no: int, k: int) -> int:
+    """The pick among ``k`` options in round ``round_no``: the first 8 bytes
+    of the sha256 of ``"seed:round_no"``, big-endian, modulo ``k``.
+
+    Stable across platforms and string hash seeds. The 64-bit value is
+    uniform, so the modulo bias is below k/2**64.
+    """
     digest = hashlib.sha256(f"{seed}:{round_no}".encode()).digest()
-    return random.Random(int.from_bytes(digest[:8], "big"))
+    return int.from_bytes(digest[:8], "big") % k
 
 
 def step(
@@ -212,22 +223,16 @@ def step(
 ) -> Firing | Stall:
     """One round: uniform choice over the enabled pairs, or a stall.
 
-    The choice is ``round_rng(seed, round_no).randrange(len(options))``.
-    That generator serves this one draw, and ``randrange(1)`` is always 0,
-    so it is built only when there are two or more options.
+    The choice is ``round_pick(seed, round_no, len(options))``. With one
+    option that is always 0, so the pick is made only when there are two
+    or more.
     """
     options = enabled(a, state, offers, ready)
     if not options:
-        return Stall(round_no)
-    pick = round_rng(seed, round_no).randrange(len(options)) if len(options) > 1 else 0
-    transition, assignment = options[pick]
-    return Firing(
-        round=round_no,
-        sync=transition.sync,
-        assignment=assignment,
-        state_before=state,
-        state_after=transition.dst,
-    )
+        return _stall((round_no,))
+    k = len(options)
+    transition, assignment = options[round_pick(seed, round_no, k) if k > 1 else 0]
+    return _firing((round_no, transition.sync, assignment, state, transition.dst))
 
 
 def simulate(
@@ -274,7 +279,7 @@ def simulate(
         elif n not in env.rounds:
             # a later round is listed, since the last one is
             resume = min(numbers[bisect.bisect(numbers, n)], last + 1)
-            trace.steps.extend(Stall(m) for m in range(n + 1, resume))
+            trace.steps.extend(_stall((m,)) for m in range(n + 1, resume))
             n = resume - 1
         n += 1
     return trace

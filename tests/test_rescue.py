@@ -6,7 +6,9 @@ from reokit import dsl, rescue
 from reokit.automata import sat_assignments
 from reokit.circuit import PORT_IN, PORT_OUT, validate_circuit
 from reokit.semlog import Atom, DoubleCheck, P, Very, Warning, pretty
-from reokit.sim import Firing, Trace, enabled, simulate
+from reokit.sim import Firing, Trace, enabled, simulate, trace_from_json
+
+from util import random_rescue_env
 
 BUDGET = Atom("BudgetConsuming")
 
@@ -86,6 +88,37 @@ def test_map_trace_reads_one_firing_in_sorted_port_order():
         assert rescue.map_trace(trace, rescue.builtin_map()) == [
             Atom("AmbulanceRequest"), Atom("FireRequest"), Atom("PoliceRequest")
         ]
+
+
+def test_map_trace_looks_up_each_distinct_assignment_once(rescue_auto, monkeypatch):
+    mapping = rescue.builtin_map()
+    calls = [0]
+    real_lookup = dsl.EventMap.lookup
+
+    def counting_lookup(self, port, datum):
+        calls[0] += 1
+        return real_lookup(self, port, datum)
+
+    for seed in range(3):
+        env = random_rescue_env(rescue_auto, seed, rounds=600)
+        trace = simulate(rescue_auto, env, seed=seed, circuit_name="rescue")
+        firings = trace.firings()
+        # the per-firing definition
+        expected = [
+            Atom(mapping.lookup(port, datum))
+            for f in firings
+            for port, datum in sorted(f.assignment)
+            if mapping.lookup(port, datum) is not None
+        ]
+        distinct = {f.assignment for f in firings}
+        assert len(distinct) * 4 < len(firings)
+        # a trace read back from JSON shares no assignment tuple between firings
+        for t in (trace, trace_from_json(trace.to_json())):
+            calls[0] = 0
+            with monkeypatch.context() as m:
+                m.setattr(dsl.EventMap, "lookup", counting_lookup)
+                assert rescue.map_trace(t, mapping) == expected, seed
+            assert 0 < calls[0] <= sum(len(a) for a in distinct), seed
 
 
 def test_canned_run_dispatches_in_order(rescue_auto):

@@ -34,7 +34,14 @@ from reokit.semlog import (
     substitute,
 )
 
-from util import check_sequence, counted, term_key
+from util import (
+    check_sequence,
+    counted,
+    naive_engine,
+    random_events,
+    random_rulebase,
+    term_key,
+)
 
 BUDGET = Atom("BudgetConsuming")
 HELI = Atom("HelicopterMission")
@@ -663,3 +670,44 @@ def test_diagnostics_are_deduplicated_without_scanning_the_list():
         f"DEPTH_LIMIT: dropped ({k})AmbulanceRequest" for k in range(1, 51)
     ]
     assert diags.count("DEPTH_LIMIT: dropped event (Very)(Very)BudgetConsuming") == 1
+
+
+# -- the engine against a naive oracle -----------------------------------------
+
+
+def _engine_run(rules, events, max_depth):
+    eng = ComplianceEngine(rules, max_depth=max_depth)
+    for term in events:
+        eng.ingest(term)
+    verdict = eng.verdict()
+    recorded = [(e.index, e.term, e.origin) for e in eng.events]
+    return recorded, list(eng.derivations.items()), eng.diagnostics, verdict.to_json()
+
+
+def test_engine_matches_naive_oracle_on_random_rulebases():
+    # the oracle matches every event-implication afresh for every event, so
+    # this also checks the engine's per-term ingest plans; drops, counts and
+    # both kinds of event-implication conclusion all occur among the draws
+    seen = {"dropped": 0, "derived": 0, "counted": 0}
+    for draw in range(120):
+        rng = random.Random(draw)
+        rules = random_rulebase(rng)
+        events = random_events(rng, rng.randint(4, 16))
+        max_depth = rng.randint(1, 4)
+        recorded, derivations, diagnostics, verdict = naive_engine(rules, events, max_depth)
+        got = _engine_run(rules, events, max_depth)
+        assert got == (recorded, derivations, diagnostics, verdict.to_json()), draw
+        seen["dropped"] += any(d.startswith("DEPTH_LIMIT") for d in diagnostics)
+        seen["derived"] += any(origin == semlog.ORIGIN_DERIVED for _, _, origin in recorded)
+        seen["counted"] += any(t[0] == semlog.COUNT for t, _ in derivations)
+    assert all(n >= 10 for n in seen.values()), seen
+
+
+def test_engine_matches_naive_oracle_at_the_cascade_limit():
+    a, b = Atom("a"), Atom("b")
+    rules = RuleBase(rules=(Rule("e1", (a,), (), b), Rule("e2", (b,), (), a)))
+    recorded, derivations, diagnostics, verdict = naive_engine(rules, [a, b], 2)
+    assert diagnostics == ["EVENT_CASCADE_LIMIT: dropped a", "EVENT_CASCADE_LIMIT: dropped b"]
+    assert _engine_run(rules, [a, b], 2) == (
+        recorded, derivations, diagnostics, verdict.to_json()
+    )

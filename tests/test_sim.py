@@ -215,7 +215,7 @@ def test_simulate_agrees_with_stepping_every_round():
 
 def test_round_generator_only_for_a_choice(rescue_auto, monkeypatch):
     env = random_rescue_env(rescue_auto, 3, rounds=300)
-    calls = counting(monkeypatch, sim, "round_rng")
+    calls = counting(monkeypatch, sim, "round_pick")
     trace = sim.simulate(rescue_auto, env, seed=3, circuit_name="rescue")
     state, choices = rescue_auto.initial, 0
     for outcome in trace.steps:
@@ -223,7 +223,7 @@ def test_round_generator_only_for_a_choice(rescue_auto, monkeypatch):
         choices += len(enabled_oracle(rescue_auto, state, dict(offers), ready)) > 1
         if isinstance(outcome, sim.Firing):
             state = outcome.state_after
-    assert [n for _, n in calls] == sorted(n for _, n in calls)
+    assert [n for _, n, _ in calls] == sorted(n for _, n, _ in calls)
     assert len(calls) == choices > 50
     # sync(a, b) never has two options: a stall or a single firing
     c, auto = compiled(MINIMAL_SYNC_TEXT)
@@ -243,6 +243,48 @@ def test_step_uniform_tie_break_on_lossy():
         if "b" in outcome.sync:
             passes += 1
     assert 35 <= passes <= 65  # 0.5 +/- 0.15
+
+
+# round_pick(seed, round, k) for a few arguments, the last seed past 32 bits
+ROUND_PICKS = {
+    (0, 1, 2): 1,
+    (0, 2, 2): 1,
+    (5, 17, 3): 0,
+    (5, 4106, 7): 5,
+    (7, 12000, 10): 4,
+    (123456, 1, 1000): 956,
+    (2**40, 99, 5): 4,
+}
+
+_PICK_SCRIPT = """
+from reokit.sim import round_pick
+for args in %r:
+    print(*args, round_pick(*args))
+""" % (list(ROUND_PICKS),)
+
+
+def test_round_pick_is_pinned_across_processes():
+    for args, pick in ROUND_PICKS.items():
+        assert sim.round_pick(*args) == pick, args
+    expected = "".join(f"{s} {n} {k} {pick}\n" for (s, n, k), pick in ROUND_PICKS.items())
+    src = Path(__file__).resolve().parent.parent / "src"
+    for hash_seed in ("0", "1"):
+        env = dict(os.environ, PYTHONHASHSEED=hash_seed, PYTHONPATH=str(src))
+        result = subprocess.run(
+            [sys.executable, "-c", _PICK_SCRIPT],
+            capture_output=True, text=True, env=env, timeout=60, check=True,
+        )
+        assert result.stdout == expected, hash_seed
+
+
+def test_round_pick_spreads_evenly():
+    # 30,000 rounds over 3 options: each residue 10,000 +/- 300, which is
+    # more than 3.5 standard deviations (81.6) of a uniform draw
+    for seed in (0, 5):
+        tally = [0, 0, 0]
+        for n in range(1, 30001):
+            tally[sim.round_pick(seed, n, 3)] += 1
+        assert all(abs(t - 10000) <= 300 for t in tally), (seed, tally)
 
 
 def test_merger_sees_both_alternatives():
@@ -411,11 +453,11 @@ def test_trace_roundtrip_is_exact(rescue_auto):
 # sha256 of the trace JSON of the rescue automaton under
 # random_rescue_env(auto, seed) simulated with that seed, 2,000 rounds each
 RESCUE_TRACE_SHA256 = {
-    0: "6eccec6ab3882c92867789d4b4e4aad05af56135f7119143cabbfaecca9c7047",
-    1: "5bc3afd6d1075710df7e78093de7b5c063d41cb1d3510d4e6a6e2b2e7fc5fbd9",
-    2: "f62f4cfc4242c706c0045a7b052f31988b219e8f5a468bbf197c3e17228a8fab",
-    3: "ee871039910d3affaf31e787a4888c087c13edee795582769067b0ee4d3adbeb",
-    4: "e5fb6c2906ff18976a20e006e579051372b76f81257acb210a121f47f4f0dbbb",
+    0: "a0dfcd55b7f98c4beb9b94db0522876f2e055ebf51e11b9db094213d5d95e76e",
+    1: "3badab66bd8ac30c6911f21025246c26844016862cde3f1edef446d6f446e322",
+    2: "8a66c1b63c840df9acfe67be303e7076c46bdc1c8dde2dd466ed70708761569a",
+    3: "6e85d757b826ed790061f877e10a142abae94ef16f2f926fa4ae982ec51416d2",
+    4: "1d474420a86fa6104fd4f47fc4bb360b43d194f99fa6ea717eecbe3c9267581c",
 }
 
 _DIGEST_SCRIPT = """

@@ -410,3 +410,202 @@ def random_rescue_env(auto: A.ConstraintAutomaton, seed: int, rounds: int = 2000
         ready = frozenset(p for p in outs if rng.random() < 0.7)
         script[n] = sim.Round(offers, ready if rng.random() < 0.9 else frozenset())
     return sim.EnvScript(script, frozenset())
+
+
+def naive_engine(rulebase: S.RuleBase, events, max_depth: int):
+    """Oracle: ingest the ground ``events`` (script origin), then saturate,
+    the plain way, without ``ComplianceEngine.ingest``.
+
+    Each event's cascade matches every event-implication afresh: it records
+    the event, counts it when occurrence-shaped, and queues, stores or drops
+    each conclusion, with the engine's depth drops and cascade limit. Each
+    saturation pass enumerates every binding of every fact-rule over the
+    whole sorted store. Returns the recorded events as ``(index, term,
+    origin)``, the ``(fact, derivation)`` pairs in insertion order, the
+    diagnostics in order, and the verdict.
+    """
+    derivations: dict[S.Term, S.Derivation] = {}
+    diagnostics: list[str] = []
+
+    def diag(message):
+        if message not in diagnostics:
+            diagnostics.append(message)
+
+    def add(term, rule, premises):
+        if term not in derivations:
+            derivations[term] = S.Derivation(rule, premises)
+
+    event_rules = [r for r in rulebase.rules if r.rule_class == S.EVENT_IMPLICATION]
+    fact_rules = [r for r in rulebase.rules if r.rule_class == S.FACT_RULE]
+    for sf in rulebase.facts:
+        add(sf.term, f"standing fact {sf.name}" if sf.name else "standing fact", ())
+    for r in event_rules:
+        if S.is_ground(r.premises[0]) and S.is_ground(r.conclusion):
+            add(S.Implies(r.premises[0], r.conclusion), f"reified {r.name}", ())
+
+    recorded: list[tuple[int, S.Term, str]] = []
+    counts: dict[S.Term, int] = {}
+    for event in events:
+        queue = [(event, S.ORIGIN_SCRIPT, None, None)]  # term, origin, rule, premise
+        processed = 0
+        while queue:
+            term, origin, rule_name, premise = queue.pop(0)
+            processed += 1
+            if processed > 1000:
+                diag(f"EVENT_CASCADE_LIMIT: dropped {S.pretty(term)}")
+                break
+            if S.depth(term) > max_depth:
+                diag(f"DEPTH_LIMIT: dropped event {S.pretty(term)}")
+                continue
+            recorded.append((len(recorded) + 1, term, origin))
+            if rule_name is None:
+                add(term, f"event #{len(recorded)}", ())
+            else:
+                add(term, rule_name, (premise,))
+            if S.event_like(term):
+                k = counts[term] = counts.get(term, 0) + 1
+                if S.depth(S.Count(k, term)) > max_depth:
+                    diag(f"DEPTH_LIMIT: dropped {S.pretty(S.Count(k, term))}")
+                elif k == 1:
+                    add(S.Count(1, term), "r11", (term,))
+                else:
+                    add(S.Count(k, term), "r10", (term, S.Count(k - 1, term)))
+            for r in event_rules:
+                binding = S.match(r.premises[0], term, {})
+                if binding is None:
+                    continue
+                conclusion = S.substitute(r.conclusion, binding)
+                if S.event_like(conclusion):
+                    queue.append((conclusion, S.ORIGIN_DERIVED, r.name, term))
+                elif S.depth(conclusion) > max_depth:
+                    diag(f"DEPTH_LIMIT: dropped {S.pretty(conclusion)}")
+                else:
+                    add(conclusion, r.name, (term,))
+
+    def bindings(premises, facts, binding):
+        if not premises:
+            yield binding
+            return
+        for fact in facts:
+            extended = S.match(premises[0], fact, binding)
+            if extended is not None:
+                yield from bindings(premises[1:], facts, extended)
+
+    while True:
+        facts = sorted(derivations)
+        pending: dict[S.Term, S.Derivation] = {}
+        for r in fact_rules:
+            for binding in bindings(r.premises, facts, {}):
+                if not all(
+                    isinstance(binding.get(g.var), int) and binding[g.var] > g.bound
+                    for g in r.guards
+                ):
+                    continue
+                conclusion = S.substitute(r.conclusion, binding)
+                if conclusion in derivations or conclusion in pending:
+                    continue
+                if S.depth(conclusion) > max_depth:
+                    diag(f"DEPTH_LIMIT: dropped {S.pretty(conclusion)}")
+                    continue
+                premises = tuple(S.substitute(p, binding) for p in r.premises)
+                pending[conclusion] = S.Derivation(r.name, premises)
+        if not pending:
+            break
+        derivations.update(pending)
+
+    facts = sorted(derivations)
+
+    def judged(head):
+        return [(f, derivations[f]) for f in facts if f[0] == head(S.Atom("x"))[0]]
+
+    verdict = S.Verdict(
+        failures=judged(S.Failure),
+        warnings=judged(S.Warning),
+        resolved=[(f[1], d) for f, d in judged(S.Resolved)],
+        order_violations=check_sequence(
+            [S.Event(*e) for e in recorded], rulebase.orders
+        ),
+        facts_total=len(derivations),
+        diagnostics=list(diagnostics),
+    )
+    return recorded, list(derivations.items()), diagnostics, verdict
+
+
+def random_rulebase(rng: random.Random) -> S.RuleBase:
+    """A seeded rulebase over the atoms a, b, c for ``naive_engine`` draws.
+
+    Event-implications have ground and variable premises, with
+    occurrence-shaped and deontic conclusions; an occurrence-shaped
+    conclusion is deeper than its premise, or a later atom than an atom
+    premise, so no cascade cycles. Fact-rules include counts with ``I>n``
+    guards and two-premise joins.
+    """
+    X, Y, I = S.Var("X"), S.Var("Y"), S.Var("I")
+    atoms = [S.Atom(n) for n in "abc"]
+
+    def atom():
+        return rng.choice(atoms)
+
+    def deontic(base):
+        return rng.choice(
+            [S.P(base), S.Forbidden(base), S.DoubleCheck(base), S.P(S.Very(base)),
+             S.Implies(base, atom())]
+        )
+
+    rules = []
+    for n in range(rng.randint(1, 4)):
+        shape = rng.randrange(4)
+        if shape == 0:  # an atom premise
+            premise = atom()
+            later = atoms[atoms.index(premise) + 1:]
+            occurrences = [S.Very(atom()), S.Very(premise)] + later
+            base = premise
+        elif shape == 1:  # a ground intensity premise
+            premise = S.Very(atom())
+            occurrences = [S.Very(premise), S.Very(S.Very(atom()))]
+            base = premise
+        else:  # a variable premise, bare or under Very
+            premise = X if shape == 2 else S.Very(X)
+            occurrences = [S.Very(premise), S.Very(S.Very(X))]
+            base = X
+        if rng.random() < 0.5:
+            conclusion = rng.choice(occurrences)
+        else:
+            conclusion = deontic(base if rng.random() < 0.7 else atom())
+        rules.append(S.Rule(f"e{n}", (premise,), (), conclusion))
+    for n in range(rng.randint(1, 4)):
+        shape = rng.randrange(3)
+        if shape == 0:  # a count with a guard
+            arg = rng.choice([X, X, atom()])
+            premises = (S.Count(I, arg),)
+            guards = (S.Guard("I", rng.randint(0, 3)),)
+            base = arg
+        elif shape == 1:  # a join on X
+            first = rng.choice([X, S.P(X), S.Forbidden(X), S.DoubleCheck(X), S.Very(X)])
+            second = rng.choice([S.P(X), S.Forbidden(X), S.Warning(X), S.DoubleCheck(S.P(X))])
+            premises, guards, base = (first, second), (), X
+        else:  # modus ponens over a reified implication
+            premises, guards, base = (S.Implies(X, Y), X), (), Y
+        conclusion = rng.choice(
+            [S.Warning(base), S.Failure(base), S.Resolved(S.Warning(base)),
+             S.P(S.Very(base)), S.DoubleCheck(base)]
+        )
+        rules.append(S.Rule(f"s{n}", premises, guards, conclusion))
+    standing = tuple(
+        S.StandingFact(f"f{n}", rng.choice([S.P(atom()), S.Forbidden(S.Very(atom())),
+                                            S.Warning(atom())]))
+        for n in range(rng.randint(0, 2))
+    )
+    orders = ()
+    if rng.random() < 0.5:
+        orders = (tuple(rng.sample("abc", rng.randint(2, 3))),)
+    return S.RuleBase(orders, standing, tuple(rules))
+
+
+def random_events(rng: random.Random, n: int) -> list[S.Term]:
+    """``n`` ground events over a, b, c for ``naive_engine`` draws: atoms,
+    intensity-modified atoms of two depths, and status-headed terms."""
+    a, b, c = (S.Atom(x) for x in "abc")
+    pool = [a, b, c, a, b, S.Very(a), S.Very(b), S.Very(c), S.Very(S.Very(a)),
+            S.P(a), S.Forbidden(b), S.Implies(a, c)]
+    return [rng.choice(pool) for _ in range(n)]
