@@ -27,9 +27,9 @@ def describe(report, title):
             print(f"  round {step.round:>2}: stall")
     print(f"  events: {[pretty(e.term) for e in report.events]}")
     verdict = report.verdict
-    print(f"  warnings:   {[pretty(t) for t, _ in verdict.warnings]}")
-    print(f"  resolved:   {[pretty(t) for t in verdict.resolved_warnings()]}")
-    print(f"  failures:   {[pretty(t) for t, _ in verdict.failures]}")
+    print(f"  warnings:   {[pretty(t) for t in verdict.warnings]}")
+    print(f"  resolved:   {[pretty(t) for t in verdict.resolved]}")
+    print(f"  failures:   {[pretty(t) for t in verdict.failures]}")
     print(f"  violations: {len(verdict.order_violations)}")
     print()
 

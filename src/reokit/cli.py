@@ -133,8 +133,8 @@ def cmd_comply(args) -> int:
     verdict = engine.verdict()
     sys.stdout.write(verdict.to_json())
     if args.explain:
-        for term, _ in verdict.failures + verdict.warnings:
-            _note(args, engine.explain(term).render())
+        for term in verdict.failures + verdict.warnings:
+            _note(args, engine.explain(term))
     return EXIT_OK if verdict.clean else EXIT_FINDINGS
 
 

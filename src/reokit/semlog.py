@@ -314,18 +314,6 @@ class RuleBase(NamedTuple):
     facts: tuple[StandingFact, ...] = ()
     rules: tuple[Rule, ...] = ()
 
-    @property
-    def declaration_count(self) -> int:
-        return len(self.orders) + len(self.facts) + len(self.rules)
-
-    @property
-    def builtin_count(self) -> int:
-        return len(BUILTIN_RULE_NAMES)
-
-    @property
-    def total_rule_count(self) -> int:
-        return self.declaration_count + self.builtin_count
-
     def event_implications(self) -> list[Rule]:
         return [r for r in self.rules if r.rule_class == EVENT_IMPLICATION]
 
@@ -356,12 +344,12 @@ _STORED = "stored"  # any other: a plain fact
 
 
 class SaturationResult(NamedTuple):
-    """One ``saturate()`` run; ``NOT_CONVERGED`` in ``diagnostics`` is this
-    run's alone, not the engine's, so a later run can still come out clean."""
+    """One ``saturate()`` run: whether it reached the fixpoint, and in how
+    many passes. A run that did not leaves no diagnostic behind, so a later
+    run can still come out clean."""
 
     converged: bool
     passes: int
-    diagnostics: list[str]
 
 
 class OrderViolation(NamedTuple):
@@ -381,9 +369,9 @@ class Verdict(NamedTuple):
     finding.
     """
 
-    failures: list[tuple[Term, Derivation]]
-    warnings: list[tuple[Term, Derivation]]
-    resolved: list[tuple[Term, Derivation]]
+    failures: list[Term]
+    warnings: list[Term]
+    resolved: list[Term]  # the Warning(...) terms that carry a Resolved fact
     order_violations: list[OrderViolation]
     facts_total: int
     diagnostics: list[str]
@@ -394,18 +382,14 @@ class Verdict(NamedTuple):
             self.failures or self.warnings or self.order_violations or self.diagnostics
         )
 
-    def resolved_warnings(self) -> list[Term]:
-        """The Warning(...) terms that carry a matching Resolved fact."""
-        return [t for t, _ in self.resolved]
-
     def to_dict(self) -> dict:
         """JSON form; ``diagnostics`` appears only when there are some."""
-        resolved_terms = {pretty(t) for t in self.resolved_warnings()}
+        resolved_terms = {pretty(t) for t in self.resolved}
         doc = {
-            "failures": [pretty(t) for t, _ in self.failures],
+            "failures": [pretty(t) for t in self.failures],
             "warnings": [
                 {"term": pretty(t), "resolved": pretty(t) in resolved_terms}
-                for t, _ in self.warnings
+                for t in self.warnings
             ],
             "resolved": sorted(resolved_terms),
             "order_violations": [
@@ -425,23 +409,6 @@ class Verdict(NamedTuple):
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), indent=2, sort_keys=True) + "\n"
-
-
-class DerivationNode(NamedTuple):
-    term: Term
-    rule: str
-    children: list["DerivationNode"]
-
-    def render(self, indent: int = 0) -> str:
-        """One line per node, in preorder, each indented two spaces per level;
-        iterative, so a deep tree renders without recursion."""
-        lines = []
-        stack = [(self, indent)]
-        while stack:
-            node, level = stack.pop()
-            lines.append(f"{'  ' * level}{pretty(node.term)}  [{node.rule}]")
-            stack.extend((child, level + 1) for child in reversed(node.children))
-        return "\n".join(lines)
 
 
 class NotConvergedError(RuntimeError):
@@ -522,13 +489,12 @@ class ComplianceEngine:
         self._order_watches = [_OrderWatch(order) for order in rulebase.orders]
         for sf in rulebase.facts:
             label = f"standing fact {sf.name}" if sf.name else "standing fact"
-            self._add_fact(sf.term, Derivation(label, ()), set())
+            self._add_fact(sf.term, Derivation(label, ()))
         for rule in self._event_rules:
             if is_ground(rule.premises[0]) and is_ground(rule.conclusion):
                 self._add_fact(
                     Implies(rule.premises[0], rule.conclusion),
                     Derivation(f"reified {rule.name}", ()),
-                    set(),
                 )
 
     @property
@@ -538,9 +504,9 @@ class ComplianceEngine:
 
     # -- ingest -----------------------------------------------------------
 
-    def ingest(self, term: Term, origin: str = ORIGIN_SCRIPT) -> set[Term]:
-        """Record one occurrence of the ground ``term``; returns the facts it
-        introduced. Each event recorded goes to ``events``, numbered here.
+    def ingest(self, term: Term, origin: str = ORIGIN_SCRIPT) -> None:
+        """Record one occurrence of the ground ``term``. Each event recorded
+        goes to ``events``, numbered here.
 
         Event-implication rules run here: occurrence-shaped conclusions
         become derived events (queued, counted), deontic ones plain
@@ -550,7 +516,6 @@ class ComplianceEngine:
         """
         if not is_ground(term):
             raise ValueError(f"events must be ground terms: {pretty(term)}")
-        new: set[Term] = set()
         # each queued event with its derivation, None for the ingested one
         queue: deque[tuple[Term, str, Derivation | None]] = deque([(term, origin, None)])
         processed = 0
@@ -560,11 +525,10 @@ class ComplianceEngine:
             if processed > _CASCADE_LIMIT:
                 self._diag(f"EVENT_CASCADE_LIMIT: dropped {pretty(current)}")
                 break
-            self._ingest_one(current, current_origin, derivation, new, queue)
+            self._ingest_one(current, current_origin, derivation, queue)
         self._converged = False
-        return new
 
-    def _ingest_one(self, term, origin, derivation, new, queue):
+    def _ingest_one(self, term, origin, derivation, queue):
         plan = self._plans.get(term)
         if plan is None:
             plan = self._plans[term] = self._plan(term)
@@ -578,7 +542,7 @@ class ComplianceEngine:
             watch.observe(event)
         if derivation is None:
             derivation = _derivation((f"event #{event.index}", ()))
-        self._add_fact(term, derivation, new)
+        self._add_fact(term, derivation)
         if counted:
             k = self._counts.get(term, 0) + 1
             self._counts[term] = k
@@ -586,18 +550,16 @@ class ComplianceEngine:
             if term_depth + 1 > self.max_depth:  # the count fact's depth
                 self._diag(f"DEPTH_LIMIT: dropped {pretty(count_fact)}")
             elif k == 1:
-                self._add_fact(count_fact, _derivation(("r11", (term,))), new)
+                self._add_fact(count_fact, _derivation(("r11", (term,))))
             else:
-                self._add_fact(
-                    count_fact, _derivation(("r10", (term, (COUNT, k - 1, term)))), new
-                )
+                self._add_fact(count_fact, _derivation(("r10", (term, (COUNT, k - 1, term)))))
         for kind, conclusion, rule_derivation in outcomes:
             if kind is _QUEUED:
                 queue.append((conclusion, ORIGIN_DERIVED, rule_derivation))
             elif kind is _DROPPED:
                 self._diag(conclusion)
             else:
-                self._add_fact(conclusion, rule_derivation, new)
+                self._add_fact(conclusion, rule_derivation)
 
     def _plan(self, term: Term) -> tuple:
         """What ingesting the ground ``term`` does apart from numbering and
@@ -635,17 +597,16 @@ class ComplianceEngine:
         """Directly assert a ground fact (no event, no counting)."""
         if not is_ground(term):
             raise ValueError("facts must be ground")
-        new: set[Term] = set()
-        self._add_fact(term, Derivation(label, ()), new)
-        if new:
+        stored = self._add_fact(term, Derivation(label, ()))
+        if stored:
             self._converged = False
-        return bool(new)
+        return stored
 
-    def _add_fact(self, term, derivation, new) -> None:
+    def _add_fact(self, term, derivation) -> bool:
+        """Store ``term`` with its first derivation; returns whether it is new."""
         if term in self.derivations:
-            return
+            return False
         self.derivations[term] = derivation
-        new.add(term)
         tag = _tag(term)
         bucket = self._index.get(tag)
         if bucket is None:
@@ -653,6 +614,7 @@ class ComplianceEngine:
             bisect.insort(self._tags, tag)
         bisect.insort(bucket, term)
         self._fresh.append(term)
+        return True
 
     def _diag(self, message: str) -> None:
         if message not in self._diagnosed:
@@ -675,12 +637,7 @@ class ComplianceEngine:
                 converged = True
                 break
         self._converged = converged
-        stopped = f"NOT_CONVERGED: no fixpoint within {self.max_iterations} passes"
-        return SaturationResult(
-            converged=converged,
-            passes=passes,
-            diagnostics=self.diagnostics + ([] if converged else [stopped]),
-        )
+        return SaturationResult(converged, passes)
 
     def _pass(self) -> bool:
         """One semi-naive pass; returns whether it added a fact.
@@ -722,9 +679,8 @@ class ComplianceEngine:
                     substitute(p, binding) for p in rule.premises
                 )
                 pending[conclusion] = Derivation(rule.name, premises)
-        new: set[Term] = set()
         for conclusion, derivation in pending.items():
-            self._add_fact(conclusion, derivation, new)
+            self._add_fact(conclusion, derivation)
         return bool(pending)
 
     def _candidates(self, bucket: tuple | None, fresh) -> list[Term]:
@@ -779,7 +735,7 @@ class ComplianceEngine:
     # -- reporting --------------------------------------------------------
 
     def verdict(self) -> Verdict:
-        """Saturate if needed, then collect judgements with provenance."""
+        """Saturate if needed, then collect the judgements."""
         if not self._converged:
             result = self.saturate()
             if not result.converged:
@@ -789,39 +745,41 @@ class ComplianceEngine:
         return Verdict(
             failures=self._judged(FAILURE_OP),
             warnings=self._judged(WARNING_OP),
-            # the warned Warning(...) term, with the provenance of its Resolved fact
-            resolved=[(fact[1], d) for fact, d in self._judged(RESOLVED_OP)],
+            resolved=[fact[1] for fact in self._judged(RESOLVED_OP)],
             order_violations=[v for w in self._order_watches for v in w.violations],
             facts_total=len(self.derivations),
             diagnostics=list(self.diagnostics),
         )
 
-    def _judged(self, op: str) -> list[tuple[Term, Derivation]]:
-        bucket = self._index.get((_OP_RANK[op],), ())
-        return [(fact, self.derivations[fact]) for fact in bucket]
+    def _judged(self, op: str) -> list[Term]:
+        return list(self._index.get((_OP_RANK[op],), ()))
 
-    def explain(self, fact: Term) -> DerivationNode:
-        """The derivation tree of ``fact``: each node's children are the
-        stored premises of its first derivation, in order.
+    def explain(self, fact: Term) -> str:
+        """The derivation of ``fact`` as text, one line per fact in preorder,
+        each indented two spaces under the fact it supports; a fact's
+        children are the premises of its first derivation, in order.
 
-        Built with an explicit stack rather than by recursion, since a count
-        chain ``(k)A <- (k-1)A`` is k levels deep.
+        A fact with premises that is met again is marked `` (above)`` and
+        its premises are not repeated, so the text grows with the
+        derivation DAG rather than with its paths. Walked with an explicit
+        stack, since a count chain ``(k)A <- (k-1)A`` is k levels deep.
         """
         if fact not in self.derivations:
             raise UnknownFactError(pretty(fact))
-        root = DerivationNode(fact, self.derivations[fact].rule, [])
-        stack = [root]
+        lines = []
+        shown = set()
+        stack = [(fact, 0)]
         while stack:
-            node = stack.pop()
-            for p in self.derivations[node.term].premises:
-                if p in self.derivations:
-                    child = DerivationNode(p, self.derivations[p].rule, [])
-                    node.children.append(child)
-                    stack.append(child)
-        return root
+            term, level = stack.pop()
+            rule, premises = self.derivations[term]
+            line = f"{'  ' * level}{pretty(term)}  [{rule}]"
+            if premises and term in shown:
+                lines.append(line + " (above)")
+                continue
+            shown.add(term)
+            lines.append(line)
+            stack.extend((p, level + 1) for p in reversed(premises))
+        return "\n".join(lines)
 
     def sorted_facts(self) -> list[Term]:
         return [fact for tag in self._tags for fact in self._index[tag]]
-
-    def max_count(self, term: Term) -> int:
-        return self._counts.get(term, 0)

@@ -248,13 +248,13 @@ def test_criterion_6_compliance_chain():
 
     eng.ingest(DoubleCheck(P(Very(BUDGET))))
     verdict = eng.verdict()
-    assert [pretty(t) for t in verdict.resolved_warnings()] == [
+    assert [pretty(t) for t in verdict.resolved] == [
         "Warning(P((Very)BudgetConsuming))"
     ]
 
     eng.ingest(Very(BUDGET))
     verdict = eng.verdict()
-    assert [pretty(t) for t, _ in verdict.failures] == ["Failure((Very)BudgetConsuming)"]
+    assert [pretty(t) for t in verdict.failures] == ["Failure((Very)BudgetConsuming)"]
 
     r13 = rescue_engine()
     r13.add_fact(Implies(HELI, BUDGET))

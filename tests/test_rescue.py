@@ -57,8 +57,7 @@ def test_compiled_regression_counts(rescue_auto):
 
 
 def test_builtin_rules_counts(rescue_rules):
-    assert rescue_rules.declaration_count == 13
-    assert rescue_rules.builtin_count == 2
+    assert len(rescue_rules.rules) == 11
     assert [pretty(f.term) for f in rescue_rules.facts] == [
         "Forbidden((Very)BudgetConsuming)"
     ]
@@ -261,14 +260,14 @@ def test_exclusive_dispatch_and_round_robin_over_seeds(rescue_auto):
 def test_end_to_end_compliance_demo(rescue_auto):
     extra = dsl.parse_events("HelicopterMission\n" * 3)
     report = run(extra=extra, auto=rescue_auto)
-    warned = [pretty(t) for t, _ in report.verdict.warnings]
+    warned = [pretty(t) for t in report.verdict.warnings]
     assert "Warning(P((Very)BudgetConsuming))" in warned
     assert report.verdict.failures == []
     extra2 = dsl.parse_events(
         "HelicopterMission\n" * 3 + "DoubleCheck(P((Very)BudgetConsuming))\n"
     )
     report2 = run(extra=extra2, auto=rescue_auto)
-    resolved = [pretty(t) for t in report2.verdict.resolved_warnings()]
+    resolved = [pretty(t) for t in report2.verdict.resolved]
     assert "Warning(P((Very)BudgetConsuming))" in resolved
 
 

@@ -516,12 +516,12 @@ def naive_engine(rulebase: S.RuleBase, events, max_depth: int):
     facts = sorted(derivations)
 
     def judged(head):
-        return [(f, derivations[f]) for f in facts if f[0] == head(S.Atom("x"))[0]]
+        return [f for f in facts if f[0] == head(S.Atom("x"))[0]]
 
     verdict = S.Verdict(
         failures=judged(S.Failure),
         warnings=judged(S.Warning),
-        resolved=[(f[1], d) for f, d in judged(S.Resolved)],
+        resolved=[f[1] for f in judged(S.Resolved)],
         order_violations=check_sequence(
             [S.Event(*e) for e in recorded], rulebase.orders
         ),
