@@ -12,10 +12,9 @@ from typing import NamedTuple
 
 from .automata import ConstraintAutomaton, state_name
 
-# A step is (sorted sync tuple, sorted (name, item) pairs); a word is a
-# tuple of steps. Plain tuples keep everything orderable and hashable.
+# A step is (sorted sync tuple, sorted (name, item) pairs). Plain tuples
+# keep everything orderable and hashable.
 Step = tuple[tuple[str, ...], tuple[tuple[str, str], ...]]
-Word = tuple[Step, ...]
 
 
 def expanded_steps(a: ConstraintAutomaton, state: int) -> list[tuple[Step, int]]:

@@ -199,7 +199,15 @@ class Transition(NamedTuple):
         return (tuple(sorted(self.sync)), tuple(sorted(self.guard)), self.dst)
 
 
-class ConstraintAutomaton:
+class _AutomatonFields(NamedTuple):
+    names: frozenset[str]
+    rows: tuple[tuple[Transition, ...], ...]
+    initial: int
+    alphabet: frozenset[str]
+    inputs: frozenset[str] = frozenset()
+
+
+class ConstraintAutomaton(_AutomatonFields):
     """States are the ints ``0..n_states-1``, written by ``state_name``, and
     ``rows[s]`` holds the transitions that leave state ``s``.
 
@@ -218,34 +226,11 @@ class ConstraintAutomaton:
     ``compile_circuit``'s fold, the products' guards leave the names that
     are finished (neither a boundary port nor a name of an automaton still
     to join) unconstrained, though those names still fire.
-    Two automata are equal, and hash alike, when their five fields are;
-    what ``transitions`` and ``moves`` cache takes no part.
+    A named tuple of its five fields, so two automata are equal, and hash
+    alike, when their fields are. The class has no ``__slots__``: what
+    ``transitions`` and ``moves`` cache lives in the instance dict, takes
+    no part in equality, and starts empty in a ``_replace`` copy.
     """
-
-    def __init__(
-        self,
-        names: frozenset[str],
-        rows: tuple[tuple[Transition, ...], ...],
-        initial: int,
-        alphabet: frozenset[str],
-        inputs: frozenset[str] = frozenset(),
-    ):
-        self.names = names
-        self.rows = rows
-        self.initial = initial
-        self.alphabet = alphabet
-        self.inputs = inputs
-
-    def _key(self) -> tuple:
-        return (self.names, self.rows, self.initial, self.alphabet, self.inputs)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._key() == other._key()
-
-    def __hash__(self) -> int:
-        return hash(self._key())
 
     @property
     def n_states(self) -> int:
@@ -675,7 +660,7 @@ def compile_circuit(c: Circuit) -> ConstraintAutomaton:
     joined = join_many(autos, ports)
     hidden = hide(joined, joined.names - ports)
     rows = tuple(tuple(sorted(row, key=Transition.sort_key)) for row in hidden.rows)
-    return ConstraintAutomaton(hidden.names, rows, hidden.initial, hidden.alphabet, hidden.inputs)
+    return hidden._replace(rows=rows)
 
 
 def automaton_to_json(a: ConstraintAutomaton) -> str:

@@ -557,7 +557,7 @@ class ScriptedEvent(NamedTuple):
 
 
 class EventScript(NamedTuple):
-    entries: tuple[ScriptedEvent, ...] = ()
+    entries: tuple[ScriptedEvent, ...]
 
     def terms(self) -> list[Term]:
         return [e.term for e in self.entries]

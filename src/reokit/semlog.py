@@ -58,6 +58,7 @@ ORIGIN_TRACE = "trace-mapped"
 ORIGIN_DERIVED = "derived-event"
 
 _CASCADE_LIMIT = 1000
+_MAX_PASSES = 10000
 
 
 # A term is a plain tagged tuple whose natural order is the engine's
@@ -453,7 +454,7 @@ class ComplianceEngine:
     since the last saturation pass began, which is the next pass's delta.
     """
 
-    def __init__(self, rulebase: RuleBase, max_depth: int = 8, max_iterations: int = 10000):
+    def __init__(self, rulebase: RuleBase, max_depth: int = 8):
         if max_depth < 0:
             raise ValueError(f"max depth must be >= 0, got {max_depth}")
         for rule in rulebase.rules:
@@ -461,9 +462,7 @@ class ComplianceEngine:
                 raise ValueError(
                     f"rule {rule.name} shadows a built-in counting rule"
                 )
-        self.rulebase = rulebase
         self.max_depth = max_depth
-        self.max_iterations = max_iterations
         self.derivations: dict[Term, Derivation] = {}
         self.events: list[Event] = []
         self.diagnostics: list[str] = []
@@ -627,11 +626,11 @@ class ComplianceEngine:
         """Apply fact-rules to a least fixpoint, deterministically.
 
         Each pass is semi-naive (see ``_pass``). A run cut off by
-        ``max_iterations`` leaves its last delta for the next run.
+        ``_MAX_PASSES`` leaves its last delta for the next run.
         """
         passes = 0
         converged = False
-        while passes < self.max_iterations:
+        while passes < _MAX_PASSES:
             passes += 1
             if not self._pass():
                 converged = True
@@ -740,7 +739,7 @@ class ComplianceEngine:
             result = self.saturate()
             if not result.converged:
                 raise NotConvergedError(
-                    f"saturation did not converge within {self.max_iterations} passes"
+                    f"saturation did not converge within {_MAX_PASSES} passes"
                 )
         return Verdict(
             failures=self._judged(FAILURE_OP),

@@ -26,8 +26,8 @@ class EnvMismatchError(ValueError):
 
 
 class Round(NamedTuple):
-    offers: tuple[tuple[str, str], ...] = ()
-    ready: frozenset[str] = frozenset()
+    offers: tuple[tuple[str, str], ...]
+    ready: frozenset[str]
 
 
 class EnvScript(NamedTuple):

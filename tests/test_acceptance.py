@@ -359,7 +359,7 @@ def test_criterion_9_convergence():
     ]
     rng = random.Random(999)
     for _ in range(200):
-        eng = ComplianceEngine(rescue.builtin_rules(), max_depth=8, max_iterations=10000)
+        eng = ComplianceEngine(rescue.builtin_rules(), max_depth=8)
         for _ in range(rng.randint(0, 20)):
             eng.ingest(Atom(rng.choice(atoms)))
         result = eng.saturate()

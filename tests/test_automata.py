@@ -22,7 +22,6 @@ from util import (
     MINIMAL_SYNC_TEXT,
     SEQ3_TEXT,
     brute_product,
-    copy_automaton,
     dispatch_circuit,
     holds,
     project_over_names,
@@ -441,9 +440,8 @@ def test_compile_agrees_with_the_full_guard_fold(rescue_circuit):
     rng = random.Random(15)
     for c in [rescue_circuit] + [random_circuit(rng, max_extra=4) for _ in range(200)]:
         reference = join_all_then_hide(c, A.circuit_automata(c))
-        reference = copy_automaton(
-            reference,
-            rows=tuple(tuple(sorted(row, key=A.Transition.sort_key)) for row in reference.rows),
+        reference = reference._replace(
+            rows=tuple(tuple(sorted(row, key=A.Transition.sort_key)) for row in reference.rows)
         )
         assert A.automaton_to_json(A.compile_circuit(c)) == A.automaton_to_json(reference)
 
@@ -696,7 +694,7 @@ def test_moves_expand_each_label_once_and_share_it():
 
 
 def test_analyze_expands_each_label_once(rescue_auto, monkeypatch):
-    auto = copy_automaton(rescue_auto)  # no expansion cached yet
+    auto = rescue_auto._replace()  # no expansion cached yet
     calls = []
     real = A.sat_assignments
 

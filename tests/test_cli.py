@@ -319,10 +319,7 @@ def test_comply_not_converged_exits_two(tmp_path, monkeypatch, capsys):
     rules.write_text("fact s: P(x)\nrule g: P(A) => P(P(A))\n")
     events = tmp_path / "e.events"
     events.write_text("x\n")
-    monkeypatch.setattr(
-        cli, "ComplianceEngine",
-        lambda rb, **kw: semlog.ComplianceEngine(rb, max_iterations=1, **kw),
-    )
+    monkeypatch.setattr(semlog, "_MAX_PASSES", 1)
     code = cli.main(["comply", "--rules", str(rules), "--events", str(events)])
     assert code == 2
     assert capsys.readouterr().err.startswith("error: saturation did not converge")

@@ -295,26 +295,28 @@ def test_count_coherence():
         assert counted(eng.facts, t) == list(range(1, k + 1))
 
 
-def test_nonconvergence_detected():
+def test_nonconvergence_detected(monkeypatch):
     # a fact-rule (two premises) that grows terms one level per pass;
     # with a generous depth cap it cannot reach a fixpoint in 3 passes
+    monkeypatch.setattr(semlog, "_MAX_PASSES", 3)
     grow = Rule("grow", (Var("A"), Var("A")), (), P(Var("A")))
     rb = RuleBase(rules=(grow,))
     assert grow.rule_class == "fact-rule"
-    eng = ComplianceEngine(rb, max_depth=50, max_iterations=3)
+    eng = ComplianceEngine(rb, max_depth=50)
     eng.add_fact(Atom("x"))
     result = eng.saturate()
-    assert not result.converged
-    with pytest.raises(NotConvergedError):
+    assert not result.converged and result.passes == 3
+    with pytest.raises(NotConvergedError, match="within 3 passes"):
         eng.verdict()
 
 
-def test_later_convergence_leaves_verdict_clean():
+def test_later_convergence_leaves_verdict_clean(monkeypatch):
     # P(P(A)) => P(A) strips one P per pass, so from P^5(x) three passes
     # are too few; the next saturate() reaches the fixpoint, and the
     # verdict must carry nothing of the earlier run that stopped short
+    monkeypatch.setattr(semlog, "_MAX_PASSES", 3)
     strip = Rule("strip", (P(P(Var("A"))),), (), P(Var("A")))
-    eng = ComplianceEngine(RuleBase(rules=(strip,)), max_iterations=3)
+    eng = ComplianceEngine(RuleBase(rules=(strip,)))
     eng.add_fact(P(P(P(P(P(Atom("x")))))))
     assert not eng.saturate().converged
     assert eng.saturate().converged

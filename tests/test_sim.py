@@ -19,7 +19,6 @@ from util import (
     MERGER_TEXT,
     MINIMAL_SYNC_TEXT,
     SEQ3_TEXT,
-    copy_automaton,
     holds,
     random_circuit,
     random_rescue_env,
@@ -108,7 +107,7 @@ def test_offer_memo_stays_small_for_values_outside_the_alphabet():
 def test_simulate_expands_each_state_once(rescue_auto, monkeypatch):
     # the guards are enumerated once per sync-set and guard, not once per
     # transition or per round
-    auto = copy_automaton(rescue_auto)  # no expansion cached yet
+    auto = rescue_auto._replace()  # no expansion cached yet
     calls = []
     real = A.sat_assignments
 
@@ -356,13 +355,13 @@ def test_simulate_unknown_port_rejected_before_round_one():
     c, auto = compiled(MINIMAL_SYNC_TEXT)
     assert (auto.inputs, auto.names - auto.inputs) == ({"a"}, {"b"})
     bad_rounds = [
-        sim.Round(offers=(("zz", "ok"),)),
-        sim.Round(offers=(("b", "ok"),)),
-        sim.Round(ready=frozenset({"zz"})),
-        sim.Round(ready=frozenset({"a"})),
+        sim.Round((("zz", "ok"),), frozenset()),
+        sim.Round((("b", "ok"),), frozenset()),
+        sim.Round((), frozenset({"zz"})),
+        sim.Round((), frozenset({"a"})),
     ]
     for bad in bad_rounds:
-        env = sim.EnvScript({1: sim.Round(), 2: bad}, frozenset())
+        env = sim.EnvScript({1: sim.Round((), frozenset()), 2: bad}, frozenset())
         with pytest.raises(sim.EnvMismatchError):
             sim.simulate(auto, env, circuit_name=c.name)
 

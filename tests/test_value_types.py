@@ -1,5 +1,5 @@
 """The library's records are named tuples, values and run records alike;
-only a stateful or caching type stays a plain class. Importing reokit
+only a stateful type stays a plain class. Importing reokit
 loads neither ``dataclasses`` nor ``inspect``."""
 
 import os
@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from reokit import analysis, circuit, dsl, semlog, sim
+from reokit import analysis, automata, circuit, dsl, semlog, sim
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -21,6 +21,13 @@ _GUARD = semlog.Guard("I", 2)
 _RULE = semlog.Rule("r1", (_TERM,), (_GUARD,), semlog.Op(semlog.P_OP, _TERM))
 _FACT = semlog.StandingFact("f1", _TERM)
 _SCRIPTED = dsl.ScriptedEvent(_TERM, _SPAN)
+_AUTOMATON_FIELDS = (
+    frozenset({"a", "b"}),
+    ((automata.Transition(frozenset({"a", "b"}), automata.TRUE, 0),),),
+    0,
+    frozenset({"ok"}),
+    frozenset({"a"}),
+)
 
 # each immutable value with the tuple of its fields, in declaration order
 VALUES = [
@@ -67,6 +74,7 @@ VALUES = [
         circuit.ValidationReport([circuit.Finding("UNKNOWN_KIND", "c1", "bad")], []),
         ([("UNKNOWN_KIND", "c1", "bad")], []),
     ),
+    (automata.ConstraintAutomaton(*_AUTOMATON_FIELDS), _AUTOMATON_FIELDS),
 ]
 
 
@@ -88,6 +96,21 @@ def test_value_hashes_and_compares_as_its_field_tuple(value, fields):
 def test_value_replace_changes_only_the_named_field():
     assert _PORT._replace(kind=circuit.PORT_OUT) == circuit.PortId("a", "out")
     assert hash(_PORT._replace(kind="out")) == hash(("a", "out"))
+
+
+def test_automaton_caches_take_no_part_in_its_value():
+    # ``transitions`` and ``moves`` cache in the instance dict, which
+    # neither equality nor hashing reads, and a ``_replace`` copy starts
+    # with none of it
+    a = automata.ConstraintAutomaton(*_AUTOMATON_FIELDS)
+    assert isinstance(a, tuple)
+    assert a._fields == ("names", "rows", "initial", "alphabet", "inputs")
+    assert a.moves(0) and a.transitions == a.rows[0]
+    assert vars(a)
+    copy = a._replace()
+    assert a == copy and hash(a) == hash(copy) == hash(_AUTOMATON_FIELDS)
+    assert vars(copy) == {}
+    assert automata.ConstraintAutomaton(*_AUTOMATON_FIELDS[:4]).inputs == frozenset()
 
 
 def test_env_script_compares_as_its_field_tuple_and_does_not_hash():

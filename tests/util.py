@@ -10,7 +10,7 @@ from pathlib import Path
 from reokit import automata as A
 from reokit import circuit as C
 from reokit import semlog as S
-from reokit.analysis import Word, expanded_steps
+from reokit.analysis import Step, expanded_steps
 from reokit.dsl import parse_circuit
 
 ALPHABET = frozenset({"ok", "bad"})
@@ -97,6 +97,10 @@ def project_over_names(
             else:
                 atoms.add((A.MEMBER, members[0], tuple(sorted(vals))))
     return frozenset(atoms)
+
+
+# a word is a tuple of steps, what the trace enumerators collect
+Word = tuple[Step, ...]
 
 
 def traces_upto(a: A.ConstraintAutomaton, k: int) -> list[Word]:
@@ -228,13 +232,6 @@ def dispatch_circuit(k: int) -> C.Circuit:
     gen = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(gen)
     return parse_circuit(gen.dispatch_circuit(k))
-
-
-def copy_automaton(a: A.ConstraintAutomaton, rows=None) -> A.ConstraintAutomaton:
-    """``a`` built anew, with ``rows`` in place of its rows when given, so
-    nothing ``a`` has cached (its flat transitions, its moves) carries over."""
-    rows = a.rows if rows is None else rows
-    return A.ConstraintAutomaton(a.names, rows, a.initial, a.alphabet, a.inputs)
 
 
 def random_guard(rng: random.Random, sync: list[str], alphabet=ALPHABET) -> frozenset[tuple]:
