@@ -49,14 +49,17 @@ def main() -> int:
     for seed in range(args.seeds):
         trace = simulate(auto, env, seed, args.rounds, circuit.name)
         dispatched = []
-        ea = police = 0
+        ea = police = fire = 0
         first_pair = []
         for f in trace.firings():
             cases = [n for n in sorted(f.sync) if n.startswith("case")]
             dispatched.extend(cases)
             if "police_alarm" in f.sync:
-                assert ea > police, f"gating violated at seed {seed}"
+                assert ea > police, f"police alarm gating violated at seed {seed}"
                 police += 1
+            if "fire_alarm" in f.sync:
+                assert ea > fire, f"fire alarm gating violated at seed {seed}"
+                fire += 1
             if "emergency_alarm" in f.sync:
                 ea += 1
             for alarm in ("police_alarm", "fire_alarm"):

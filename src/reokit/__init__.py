@@ -5,7 +5,7 @@ constraint automaton, which simulates against scripted environments;
 boundary firings map to compliance events that a rule engine judges.
 """
 
-from .analysis import AnalysisReport, analyze, bisimilar, deadlocks, reachable
+from .analysis import AnalysisReport, analyze, bisimilar, reachable
 from .automata import (
     ConstraintAutomaton,
     ca_of_channel,

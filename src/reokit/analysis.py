@@ -39,15 +39,6 @@ def reachable(a: ConstraintAutomaton) -> set[int]:
     return seen
 
 
-def deadlocks(a: ConstraintAutomaton) -> list[int]:
-    """Reachable states with no satisfiable outgoing transition."""
-    return [
-        s
-        for s in sorted(reachable(a))
-        if not any(assignments for _, _, assignments, _ in a.moves(s))
-    ]
-
-
 def bisimilar(a: ConstraintAutomaton, b: ConstraintAutomaton) -> bool:
     """Strong bisimilarity of the initial states.
 
@@ -89,14 +80,18 @@ def bisimilar(a: ConstraintAutomaton, b: ConstraintAutomaton) -> bool:
 class AnalysisReport(NamedTuple):
     reachable_count: int
     deadlock_states: list[str]
+    dead_ports: list[str]  # the names no satisfiable reachable move fires
 
     def to_dict(self) -> dict:
         # "notes" is always empty; the key stays so the JSON form is stable
-        return {
+        doc = {
             "reachable": self.reachable_count,
             "deadlocks": self.deadlock_states,
             "notes": [],
         }
+        if self.dead_ports:
+            doc["dead_ports"] = self.dead_ports
+        return doc
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), indent=2, sort_keys=True) + "\n"
@@ -107,13 +102,21 @@ class AnalysisReport(NamedTuple):
             lines.append(f"deadlock states: {', '.join(self.deadlock_states)}")
         else:
             lines.append("no deadlocks")
+        if self.dead_ports:
+            lines.append(f"dead ports: {', '.join(self.dead_ports)}")
         return "\n".join(lines)
 
 
 def analyze(a: ConstraintAutomaton) -> AnalysisReport:
+    """One reachability walk, read for its deadlocks (reachable states with
+    no satisfiable outgoing move) and dead ports (names of ``a`` that no
+    satisfiable move from a reachable state fires)."""
     reach = reachable(a)
-    dead = deadlocks(a)
-    return AnalysisReport(
-        reachable_count=len(reach),
-        deadlock_states=[state_name(s) for s in dead],
-    )
+    deadlocks = []
+    fired: set[str] = set()
+    for s in sorted(reach):
+        live = [ports for _, ports, assignments, _ in a.moves(s) if assignments]
+        if not live:
+            deadlocks.append(state_name(s))
+        fired.update(*live)
+    return AnalysisReport(len(reach), deadlocks, sorted(a.names - fired))

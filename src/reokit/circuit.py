@@ -23,6 +23,14 @@ CHANNEL_KINDS = frozenset(
     {SYNC, LOSSY_SYNC, FIFO1, SYNC_DRAIN, ASYNC_DRAIN, FILTER, TRANSFORM}
 )
 
+# Each channel parameter by its DSL word: the Channel field it fills and
+# the one kind that takes it. Every other kind takes no parameter.
+CHANNEL_PARAMS = {
+    "init": ("init", FIFO1),
+    "accept": ("accept", FILTER),
+    "map": ("transform", TRANSFORM),
+}
+
 # Drains take data in at both ends; every other kind flows a -> b.
 DRAIN_KINDS = frozenset({SYNC_DRAIN, ASYNC_DRAIN})
 
@@ -183,12 +191,9 @@ def validate_circuit(c: Circuit) -> ValidationReport:
         if ch.kind not in CHANNEL_KINDS:
             rep.error("UNKNOWN_KIND", ch.id, f"unknown channel kind {ch.kind!r}")
             continue
-        if ch.init is not None and ch.kind != FIFO1:
-            rep.error("BAD_PARAM", ch.id, f"'init' is not a {ch.kind} parameter")
-        if ch.accept is not None and ch.kind != FILTER:
-            rep.error("BAD_PARAM", ch.id, f"'accept' is not a {ch.kind} parameter")
-        if ch.transform is not None and ch.kind != TRANSFORM:
-            rep.error("BAD_PARAM", ch.id, f"'map' is not a {ch.kind} parameter")
+        for word, (field, kind) in CHANNEL_PARAMS.items():
+            if getattr(ch, field) is not None and ch.kind != kind:
+                rep.error("BAD_PARAM", ch.id, f"'{word}' is not a {ch.kind} parameter")
         if ch.kind == FIFO1 and ch.init is not None and ch.init not in c.alphabet:
             rep.error(
                 "INIT_NOT_IN_ALPHABET",

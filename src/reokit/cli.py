@@ -1,11 +1,11 @@
 """Command-line front end.
 
 Exit codes are part of the contract: 0 means success with no findings,
-1 means the tool ran fine but found something (deadlocks, failures,
-warnings, order violations, or derivations dropped at a limit), 2 means
-usage, parse or I/O errors and saturation that found no fixpoint. Structured
-output is JSON with sorted keys; human-readable notes go to stderr so
-scripts can consume stdout directly.
+1 means the tool ran fine but found something (deadlocks, dead ports,
+failures, warnings, order violations, or derivations dropped at a limit),
+2 means usage, parse or I/O errors and saturation that found no
+fixpoint. Structured output is JSON with sorted keys; human-readable
+notes go to stderr so scripts can consume stdout directly.
 """
 
 from __future__ import annotations
@@ -106,7 +106,7 @@ def cmd_check(args) -> int:
         _note(args, report.render())
     else:
         print(report.render())
-    return EXIT_FINDINGS if report.deadlock_states else EXIT_OK
+    return EXIT_FINDINGS if report.deadlock_states or report.dead_ports else EXIT_OK
 
 
 def cmd_comply(args) -> int:
@@ -251,7 +251,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trace", help="write trace JSON here instead of stdout")
     p.set_defaults(fn=cmd_simulate)
 
-    p = sub.add_parser("check", parents=[quiet], help="reachability and deadlock analysis")
+    p = sub.add_parser("check", parents=[quiet], help="reachability, deadlock and dead-port analysis")
     p.add_argument("path")
     p.add_argument("--json", action="store_true", help="emit the report as JSON")
     p.set_defaults(fn=cmd_check)

@@ -27,11 +27,9 @@ from typing import NamedTuple
 from . import semlog
 from .circuit import (
     CHANNEL_KINDS,
-    FIFO1,
-    FILTER,
+    CHANNEL_PARAMS,
     PORT_IN,
     PORT_OUT,
-    TRANSFORM,
     Channel,
     Circuit,
     PortId,
@@ -209,7 +207,7 @@ class _CircuitParser(_Parser):
         ports = self._ports_block()
         channels = []
         while not self.at_sym("}"):
-            channels.append(self._channel(len(channels) + 1, alphabet))
+            channels.append(self._channel(len(channels) + 1))
         self.expect_sym("}")
         self.expect_eof()
         return Circuit(
@@ -248,7 +246,7 @@ class _CircuitParser(_Parser):
         self.expect_sym("}")
         return ports
 
-    def _channel(self, number: int, alphabet: list[str]) -> Channel:
+    def _channel(self, number: int) -> Channel:
         kind_tok = self.expect_ident()
         if kind_tok.text not in CHANNEL_KINDS:
             raise self.fail_at(
@@ -261,51 +259,30 @@ class _CircuitParser(_Parser):
         end_a = self.expect_ident().text
         self.expect_sym(",")
         end_b = self.expect_ident().text
-        init = None
-        accept = None
-        transform = None
+        params = {}
         while self.at_sym(","):
             self.next()
             param_tok = self.expect_ident()
             self.expect_sym("=")
-            if param_tok.text == "init":
-                if kind != FIFO1 or init is not None:
-                    raise self.fail_at(
-                        param_tok, "BAD_PARAM", f"'init' not valid here on {kind}"
-                    )
-                init = self.expect_ident().text
-            elif param_tok.text == "accept":
-                if kind != FILTER or accept is not None:
-                    raise self.fail_at(
-                        param_tok, "BAD_PARAM", f"'accept' not valid here on {kind}"
-                    )
-                self.expect_sym("{")
-                accept = frozenset(tok.text for tok in self.sep_list(self.expect_ident))
-                self.expect_sym("}")
-            elif param_tok.text == "map":
-                if kind != TRANSFORM or transform is not None:
-                    raise self.fail_at(
-                        param_tok, "BAD_PARAM", f"'map' not valid here on {kind}"
-                    )
-                self.expect_sym("{")
-                transform = tuple(sorted(self.sep_list(self._map_pair)))
-                self.expect_sym("}")
+            word = param_tok.text
+            if word not in CHANNEL_PARAMS:
+                raise self.fail_at(param_tok, "BAD_PARAM", f"unknown parameter {word!r}")
+            field, param_kind = CHANNEL_PARAMS[word]
+            if kind != param_kind or field in params:
+                raise self.fail_at(param_tok, "BAD_PARAM", f"'{word}' not valid here on {kind}")
+            if word == "init":
+                params[field] = self.expect_ident().text
+                continue
+            self.expect_sym("{")
+            if word == "accept":
+                params[field] = frozenset(tok.text for tok in self.sep_list(self.expect_ident))
             else:
-                raise self.fail_at(
-                    param_tok, "BAD_PARAM", f"unknown parameter {param_tok.text!r}"
-                )
+                params[field] = tuple(sorted(self.sep_list(self._map_pair)))
+            self.expect_sym("}")
         self.expect_sym(")")
         if self.at_sym(";"):
             self.next()
-        return Channel(
-            id=f"c{number}",
-            kind=kind,
-            end_a=end_a,
-            end_b=end_b,
-            init=init,
-            accept=accept,
-            transform=transform,
-        )
+        return Channel(f"c{number}", kind, end_a, end_b, **params)
 
     def _map_pair(self) -> tuple[str, str]:
         src = self.expect_ident().text
@@ -418,12 +395,17 @@ class _TermParser(_Parser):
         raise self.fail("SYNTAX", "expected a term")
 
 
-def parse_term(text: str, allow_vars: bool = False) -> Term:
-    p = _TermParser(_lex(text), allow_vars)
+def _read_term(tokens, allow_vars: bool) -> Term:
+    """One whole term from ``tokens``, which must hold nothing else."""
+    p = _TermParser(tokens, allow_vars)
     with p.nesting_limit():
         term = p.parse_term()
     p.expect_eof()
     return term
+
+
+def parse_term(text: str, allow_vars: bool = False) -> Term:
+    return _read_term(_lex(text), allow_vars)
 
 
 # --------------------------------------------------------------------------
@@ -589,11 +571,7 @@ def parse_events(text: str) -> EventScript:
     for line_no, column, stripped in _content_lines(text):
         term = terms.get(stripped)
         if term is None:
-            p = _TermParser(_lex(stripped, line_no, column), allow_vars=False)
-            with p.nesting_limit():
-                term = p.parse_term()
-            p.expect_eof()
-            terms[stripped] = term
+            term = terms[stripped] = _read_term(_lex(stripped, line_no, column), False)
         entries.append(ScriptedEvent(term, SourceSpan(line_no, column, len(stripped))))
     return EventScript(tuple(entries))
 

@@ -47,10 +47,6 @@ UNARY_OPS = (
     DOUBLECHECK_OP,
 )
 
-# Heads that denote a state or judgement rather than an occurrence; terms
-# headed by these never feed occurrence counting.
-STATUS_OPS = frozenset(UNARY_OPS) - {VERY_OP}
-
 BUILTIN_RULE_NAMES = ("r10", "r11")
 
 ORIGIN_SCRIPT = "script"
@@ -272,9 +268,6 @@ def _event_shaped_pattern(t: Term) -> bool:
     return tag == _VERY and _event_shaped_pattern(t[1])
 
 
-EVENT_IMPLICATION = "event-implication"
-FACT_RULE = "fact-rule"
-
 # Conclusions under these heads are judgements; a rule producing one is
 # a fact-rule no matter how its premise is shaped.
 _DIAGNOSTIC_RANKS = frozenset(_OP_RANK[op] for op in (WARNING_OP, FAILURE_OP, RESOLVED_OP))
@@ -293,16 +286,17 @@ class Rule(NamedTuple):
     guards: tuple[Guard, ...]
     conclusion: Term
 
-    @property
-    def rule_class(self) -> str:
-        if (
-            len(self.premises) == 1
-            and not self.guards
-            and _event_shaped_pattern(self.premises[0])
-            and self.conclusion[0] not in _DIAGNOSTIC_RANKS
-        ):
-            return EVENT_IMPLICATION
-        return FACT_RULE
+
+def is_event_implication(rule: Rule) -> bool:
+    """Whether ``rule`` runs at ingest: one occurrence-shaped premise, no
+    guard, and no judgement concluded. Every other rule is a fact-rule,
+    applied by saturation."""
+    return (
+        len(rule.premises) == 1
+        and not rule.guards
+        and _event_shaped_pattern(rule.premises[0])
+        and rule.conclusion[0] not in _DIAGNOSTIC_RANKS
+    )
 
 
 class StandingFact(NamedTuple):
@@ -314,12 +308,6 @@ class RuleBase(NamedTuple):
     orders: tuple[tuple[str, ...], ...] = ()
     facts: tuple[StandingFact, ...] = ()
     rules: tuple[Rule, ...] = ()
-
-    def event_implications(self) -> list[Rule]:
-        return [r for r in self.rules if r.rule_class == EVENT_IMPLICATION]
-
-    def fact_rules(self) -> list[Rule]:
-        return [r for r in self.rules if r.rule_class == FACT_RULE]
 
 
 class Event(NamedTuple):
@@ -469,14 +457,18 @@ class ComplianceEngine:
         self._diagnosed: set[str] = set()  # the messages in ``diagnostics``
         self._counts: dict[Term, int] = {}
         self._converged = False  # the standing facts are the first delta
-        self._event_rules = rulebase.event_implications()
         self._plans: dict[Term, tuple] = {}  # see ``_plan``
-        # each fact-rule with its premises as (pattern, bucket) pairs, the
-        # bucket being the pattern's ``_tag`` or None for a variable, and the
-        # set of its premises' buckets, None when a premise is a variable or
-        # there is none (then any pass may fire it)
+        # the event-implications, and each fact-rule with its premises as
+        # (pattern, bucket) pairs, the bucket being the pattern's ``_tag`` or
+        # None for a variable, and the set of its premises' buckets, None
+        # when a premise is a variable or there is none (then any pass may
+        # fire it)
+        self._event_rules = []
         self._fact_rules = []
-        for rule in rulebase.fact_rules():
+        for rule in rulebase.rules:
+            if is_event_implication(rule):
+                self._event_rules.append(rule)
+                continue
             premises = tuple((p, None if p[0] == VAR else _tag(p)) for p in rule.premises)
             buckets = frozenset(b for _, b in premises)
             if not premises or None in buckets:

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from reokit import analysis as AN
 from reokit import automata as A
 from reokit import circuit as C
+from reokit import sim
 from reokit.dsl import parse_circuit
 
 from util import (
@@ -51,17 +52,17 @@ def test_reachable_counts():
 
 
 def test_deadlock_free_sync():
-    assert AN.deadlocks(sync_ab()) == []
+    assert AN.analyze(sync_ab()).deadlock_states == []
 
 
 def test_blocker_has_one_deadlock():
     auto = A.compile_circuit(parse_circuit(BLOCKER_TEXT))
     assert len(AN.reachable(auto)) == 1
-    assert AN.deadlocks(auto) == [0]
+    assert AN.analyze(auto).deadlock_states == ["s0"]
 
 
 def test_rescue_deadlock_free(rescue_auto):
-    assert AN.deadlocks(rescue_auto) == []
+    assert AN.analyze(rescue_auto)[1:] == ([], [])
     assert AN.reachable(rescue_auto) == set(range(rescue_auto.n_states))
 
 
@@ -167,3 +168,39 @@ def test_analysis_report_render_and_json():
     assert report.reachable_count == 1
     assert "no deadlocks" in report.render()
     assert '"deadlocks"' in report.to_json()
+    assert report.dead_ports == []
+    assert "dead_ports" not in report.to_dict() and "dead ports" not in report.render()
+
+
+def _random_env(rng, auto, alphabet, rounds):
+    outs = sorted(auto.names - auto.inputs)
+    ins = sorted(auto.inputs)
+    return sim.EnvScript(
+        {
+            n: sim.Round(
+                tuple((p, rng.choice(alphabet)) for p in ins if rng.random() < 0.7),
+                frozenset(p for p in outs if rng.random() < 0.7),
+            )
+            for n in range(1, rounds + 1)
+        },
+        frozenset(outs),
+    )
+
+
+def test_dead_ports_never_fire_in_simulation():
+    rng = random.Random(29)
+    env_rng = random.Random(30)
+    draws_with_dead = 0
+    fired_total = 0
+    for _ in range(60):
+        c = random_circuit(rng)
+        auto = A.compile_circuit(c)
+        dead = set(AN.analyze(auto).dead_ports)
+        draws_with_dead += bool(dead)
+        for seed in range(3):
+            env = _random_env(env_rng, auto, sorted(c.alphabet), 20)
+            for firing in sim.simulate(auto, env, seed).firings():
+                assert not firing.sync & dead, (sorted(firing.sync & dead), c)
+                fired_total += 1
+    # the draws hold dead ports and live ones, so the check is not vacuous
+    assert draws_with_dead > 5 and fired_total > 500

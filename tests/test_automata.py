@@ -400,7 +400,7 @@ def test_replicator_into_merger_deadlocks_atomically():
     assert len(c.channels) == 2  # parallel channels stay distinct
     auto = A.compile_circuit(c)
     assert auto.transitions == ()
-    assert AN.deadlocks(auto) == [0]
+    assert AN.analyze(auto) == (1, ["s0"], ["a", "b"])
 
 
 def test_compile_order_insensitive():

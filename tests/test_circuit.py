@@ -111,6 +111,50 @@ def test_params_on_wrong_kind_rejected():
     assert [f.code for f in C.validate_circuit(c).errors] == ["BAD_PARAM"]
 
 
+# each Channel parameter field: its DSL word, the one kind that takes it, and
+# a value valid on the alphabet { ok, bad }
+_PARAM_FIELDS = {
+    "init": ("init", C.FIFO1, "ok"),
+    "accept": ("accept", C.FILTER, frozenset({"ok"})),
+    "transform": ("map", C.TRANSFORM, (("bad", "ok"), ("ok", "bad"))),
+}
+_BOUNDARY = [C.PortId("a", C.PORT_IN), C.PortId("b", C.PORT_OUT)]
+
+
+def _bad_params(channel):
+    report = C.validate_circuit(make([channel], _BOUNDARY))
+    return [f for f in report.errors if f.code == "BAD_PARAM"]
+
+
+@pytest.mark.parametrize("kind", sorted(C.CHANNEL_KINDS))
+@pytest.mark.parametrize("field", sorted(_PARAM_FIELDS))
+def test_validator_bad_param_per_kind(field, kind):
+    word, owner, value = _PARAM_FIELDS[field]
+    found = _bad_params(C.Channel("c1", kind, "a", "b", **{field: value}))
+    if kind == owner:
+        assert found == []
+    else:
+        assert found == [C.Finding("BAD_PARAM", "c1", f"'{word}' is not a {kind} parameter")]
+
+
+@pytest.mark.parametrize(
+    "kind, fields, words",
+    [
+        (C.SYNC, ("transform", "accept", "init"), ["init", "accept", "map"]),
+        (C.SYNC_DRAIN, ("transform", "init"), ["init", "map"]),
+        (C.FIFO1, ("transform", "accept"), ["accept", "map"]),
+        (C.FILTER, ("transform", "init"), ["init", "map"]),
+        (C.TRANSFORM, ("accept", "init"), ["init", "accept"]),
+    ],
+)
+def test_validator_bad_params_come_in_field_order(kind, fields, words):
+    # one finding per wrong parameter, always in the order init, accept, map
+    values = {field: _PARAM_FIELDS[field][2] for field in fields}
+    assert _bad_params(C.Channel("c1", kind, "a", "b", **values)) == [
+        C.Finding("BAD_PARAM", "c1", f"'{word}' is not a {kind} parameter") for word in words
+    ]
+
+
 def test_boundary_ports_requires_valid_circuit():
     c = make([C.Channel("c1", C.FIFO1, "a", "b", init="zap")],
              [C.PortId("a", C.PORT_IN), C.PortId("b", C.PORT_OUT)])

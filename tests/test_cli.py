@@ -231,6 +231,24 @@ def test_check_blocker_reports_deadlock(blocker):
     assert "deadlock states: s0" in result.stdout
 
 
+def test_check_dead_port_exits_one(tmp_path):
+    # random_circuit(random.Random(8)): i0 fires into the filter and the
+    # asyncdrain at once, and the drain's ends never fire together, so x0,
+    # and with it o0, can never fire; the filter still takes and loses ok,
+    # so nothing deadlocks
+    path = tmp_path / "dead.circuit"
+    path.write_text(
+        "circuit rnd { data { bad, ok } ports { in i0; out o0; }"
+        " filter(i0, x0, accept={bad}); sync(x0, o0); asyncdrain(i0, x0); }"
+    )
+    result = run_cli("check", str(path))
+    assert result.returncode == 1
+    assert result.stdout == "reachable states: 1\nno deadlocks\ndead ports: o0\n"
+    result = run_cli("check", str(path), "--json", "--quiet")
+    assert result.returncode == 1
+    assert json.loads(result.stdout)["dead_ports"] == ["o0"]
+
+
 def test_comply_warning_chain(tmp_path):
     events = tmp_path / "heli.events"
     events.write_text("HelicopterMission\n" * 3)

@@ -98,6 +98,58 @@ def test_parse_unknown_kind_and_bad_param():
     assert exc.value.errors[0].code == "BAD_PARAM"
 
 
+# each channel parameter word: the one kind that takes it, a value as written,
+# and the Channel field with the value it stores
+_PARAM_WORDS = {
+    "init": ("fifo1", "ok", "init", "ok"),
+    "accept": ("filter", "{ok}", "accept", frozenset({"ok"})),
+    "map": ("transform", "{ok->bad, bad->ok}", "transform", (("bad", "ok"), ("ok", "bad"))),
+}
+_KINDS = ("sync", "lossysync", "fifo1", "syncdrain", "asyncdrain", "filter", "transform")
+
+
+def _channel_text(kind, params):
+    return f"circuit t {{ data {{ ok, bad }} ports {{ }} {kind}(a, b, {params}) }}"
+
+
+def _bad_param(text, word, at, message):
+    """The one BAD_PARAM error for the ``word`` token found at index ``at``."""
+    column = text.index(f"{word}=", at) + 1
+    return [dsl.ParseError(dsl.SourceSpan(1, column, len(word)), "BAD_PARAM", message)]
+
+
+@pytest.mark.parametrize("kind", _KINDS)
+@pytest.mark.parametrize("word", sorted(_PARAM_WORDS))
+def test_channel_parameter_word_per_kind(word, kind):
+    owner, written, field, stored = _PARAM_WORDS[word]
+    text = _channel_text(kind, f"{word}={written}")
+    if kind == owner:
+        (channel,) = dsl.parse_circuit(text).channels
+        assert getattr(channel, field) == stored
+        return
+    with pytest.raises(dsl.ParseFailure) as exc:
+        dsl.parse_circuit(text)
+    assert exc.value.errors == _bad_param(text, word, 0, f"'{word}' not valid here on {kind}")
+
+
+@pytest.mark.parametrize("kind", _KINDS)
+def test_unknown_channel_parameter_word(kind):
+    text = _channel_text(kind, "size=ok")
+    with pytest.raises(dsl.ParseFailure) as exc:
+        dsl.parse_circuit(text)
+    assert exc.value.errors == _bad_param(text, "size", 0, "unknown parameter 'size'")
+
+
+@pytest.mark.parametrize("word", sorted(_PARAM_WORDS))
+def test_repeated_channel_parameter_word(word):
+    owner, written, _, _ = _PARAM_WORDS[word]
+    text = _channel_text(owner, f"{word}={written}, {word}={written}")
+    with pytest.raises(dsl.ParseFailure) as exc:
+        dsl.parse_circuit(text)
+    second = text.index(f"{word}=") + 1
+    assert exc.value.errors == _bad_param(text, word, second, f"'{word}' not valid here on {owner}")
+
+
 def test_print_parse_roundtrip_minimal():
     c = dsl.parse_circuit(MINIMAL_SYNC_TEXT)
     again = dsl.parse_circuit(dsl.print_circuit(c))
@@ -233,7 +285,7 @@ def test_shipped_program_parses_with_fifteen_rules():
     assert {r.name for r in rb.rules} == {
         "r2", "r3", "r4", "r5", "r7", "r8", "r9", "r12", "r13", "r14", "r15"
     }
-    assert [r.name for r in rb.event_implications()] == ["r2", "r3", "r4", "r5"]
+    assert [r.name for r in rb.rules if S.is_event_implication(r)] == ["r2", "r3", "r4", "r5"]
 
 
 # -- terms --------------------------------------------------------------------

@@ -1,9 +1,14 @@
 """Smoke runs of the scripts under ``scripts/``: each exits 0 and states its laws."""
 
+import importlib.util
 import os
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
+
+from reokit.sim import Firing, Trace
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -27,6 +32,21 @@ def test_seed_sweep_smoke():
     assert "seeds: 2, rounds each: 6" in out
     assert "(round-robin law held for every seed)" in out
     assert "alarm gating (pending notification required) held for every seed" in out
+
+
+def test_seed_sweep_fails_on_ungated_fire_alarm(monkeypatch):
+    # a fire alarm with no emergency alarm before it breaks the gating law
+    spec = importlib.util.spec_from_file_location("seed_sweep", ROOT / "scripts" / "seed_sweep.py")
+    seed_sweep = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(seed_sweep)
+    steps = [
+        Firing(1, frozenset({"fire_alarm"}), (), 0, 0),
+        Firing(2, frozenset({"emergency_alarm"}), (), 0, 0),
+    ]
+    monkeypatch.setattr(seed_sweep, "simulate", lambda *args: Trace("rescue", 0, steps))
+    monkeypatch.setattr(sys, "argv", ["seed_sweep.py", "--seeds", "1", "--rounds", "2"])
+    with pytest.raises(AssertionError, match="fire alarm gating violated at seed 0"):
+        seed_sweep.main()
 
 
 def test_seed_sweep_negative_rounds_exits_two():

@@ -28,6 +28,7 @@ from reokit.semlog import (
     Very,
     Warning,
     depth,
+    is_event_implication,
     is_ground,
     match,
     pretty,
@@ -301,7 +302,7 @@ def test_nonconvergence_detected(monkeypatch):
     monkeypatch.setattr(semlog, "_MAX_PASSES", 3)
     grow = Rule("grow", (Var("A"), Var("A")), (), P(Var("A")))
     rb = RuleBase(rules=(grow,))
-    assert grow.rule_class == "fact-rule"
+    assert not is_event_implication(grow)
     eng = ComplianceEngine(rb, max_depth=50)
     eng.add_fact(Atom("x"))
     result = eng.saturate()
@@ -346,15 +347,15 @@ def test_cyclic_event_implications_hit_cascade_guard():
 
 def test_rule_classification():
     shaped = Rule("ei", (Atom("X"),), (), Atom("Y"))
-    assert shaped.rule_class == "event-implication"
+    assert is_event_implication(shaped)
     deontic = Rule("ei2", (Atom("X"),), (), P(Atom("Y")))
-    assert deontic.rule_class == "event-implication"
+    assert is_event_implication(deontic)
     diagnostic = Rule("fr", (Atom("X"),), (), Warning(Atom("X")))
-    assert diagnostic.rule_class == "fact-rule"
+    assert not is_event_implication(diagnostic)
     guarded = Rule("fr2", (Count(Var("I"), Var("A")),), (Guard("I", 2),), P(Var("A")))
-    assert guarded.rule_class == "fact-rule"
+    assert not is_event_implication(guarded)
     modal_premise = Rule("fr3", (P(P(Var("A"))),), (), P(Var("A")))
-    assert modal_premise.rule_class == "fact-rule"
+    assert not is_event_implication(modal_premise)
 
 
 # -- sequence checking --------------------------------------------------------

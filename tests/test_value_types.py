@@ -69,7 +69,7 @@ VALUES = [
         semlog.Verdict([], [], [], [semlog.OrderViolation(("A",), 0, "B", ("A",))], 3, ["cut"]),
         ([], [], [], [(("A",), 0, "B", ("A",))], 3, ["cut"]),
     ),
-    (analysis.AnalysisReport(96, ["s3"]), (96, ["s3"])),
+    (analysis.AnalysisReport(96, ["s3"], ["o0"]), (96, ["s3"], ["o0"])),
     (
         circuit.ValidationReport([circuit.Finding("UNKNOWN_KIND", "c1", "bad")], []),
         ([("UNKNOWN_KIND", "c1", "bad")], []),

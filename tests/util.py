@@ -432,8 +432,8 @@ def naive_engine(rulebase: S.RuleBase, events, max_depth: int):
         if term not in derivations:
             derivations[term] = S.Derivation(rule, premises)
 
-    event_rules = [r for r in rulebase.rules if r.rule_class == S.EVENT_IMPLICATION]
-    fact_rules = [r for r in rulebase.rules if r.rule_class == S.FACT_RULE]
+    event_rules = [r for r in rulebase.rules if S.is_event_implication(r)]
+    fact_rules = [r for r in rulebase.rules if not S.is_event_implication(r)]
     for sf in rulebase.facts:
         add(sf.term, f"standing fact {sf.name}" if sf.name else "standing fact", ())
     for r in event_rules:
