@@ -55,10 +55,12 @@ def main() -> int:
             cases = [n for n in sorted(f.sync) if n.startswith("case")]
             dispatched.extend(cases)
             if "police_alarm" in f.sync:
-                assert ea > police, f"police alarm gating violated at seed {seed}"
+                if ea <= police:
+                    raise SystemExit(f"police alarm gating violated at seed {seed}")
                 police += 1
             if "fire_alarm" in f.sync:
-                assert ea > fire, f"fire alarm gating violated at seed {seed}"
+                if ea <= fire:
+                    raise SystemExit(f"fire alarm gating violated at seed {seed}")
                 fire += 1
             if "emergency_alarm" in f.sync:
                 ea += 1
@@ -66,7 +68,8 @@ def main() -> int:
                 if alarm in f.sync and len(first_pair) < 2 and alarm not in first_pair:
                     first_pair.append(alarm)
         cycle = ["case1", "case2", "case3"] * (len(dispatched) // 3 + 1)
-        assert dispatched == cycle[: len(dispatched)], f"round-robin broken at seed {seed}"
+        if dispatched != cycle[: len(dispatched)]:
+            raise SystemExit(f"round-robin broken at seed {seed}")
         dispatch_total += len(dispatched)
         if len(first_pair) == 2:
             alarm_orders[tuple(first_pair)] += 1

@@ -112,13 +112,11 @@ def cmd_check(args) -> int:
 def cmd_comply(args) -> int:
     rules = dsl.parse_rulebase(_read(args.rules))
     if bool(args.events) == bool(args.trace):
-        raise ToolError("exactly one of --events or --trace/--map is required")
-    if args.trace and not args.map:
-        raise ToolError("--trace requires --map")
-    if args.map and not args.trace:
-        raise ToolError("--map requires --trace")
-    if args.circuit and not args.trace:
-        raise ToolError("--circuit requires --trace and --map")
+        raise ToolError("exactly one of --events or --trace is required")
+    if args.trace and not (args.map and args.circuit):
+        raise ToolError("--trace requires --map and --circuit")
+    if not args.trace and (args.map or args.circuit):
+        raise ToolError("--map and --circuit require --trace")
     engine = ComplianceEngine(rules, max_depth=args.max_depth)
     if args.events:
         script = dsl.parse_events(_read(args.events))
@@ -126,7 +124,7 @@ def cmd_comply(args) -> int:
             engine.ingest(term, origin=ORIGIN_SCRIPT)
     else:
         trace = trace_from_json(_read(args.trace))
-        circuit = dsl.parse_circuit(_read(args.circuit)) if args.circuit else None
+        circuit = dsl.parse_circuit(_read(args.circuit))
         mapping = dsl.parse_map(_read(args.map), circuit)
         for term in rescue.map_trace(trace, mapping):
             engine.ingest(term, origin=ORIGIN_TRACE)
@@ -205,9 +203,9 @@ def cmd_repl(args) -> int:
             else:
                 print(f"unknown command {cmd!r}")
         except dsl.ParseFailure as exc:  # at the column of the line typed
-            for err in exc.errors:
-                column = err.span.column - len(prefix)
-                print(f"error: {line_no}:{column}: {err.code}: {err.message}")
+            err = exc.error
+            column = err.span.column - len(prefix)
+            print(f"error: {line_no}:{column}: {err.code}: {err.message}")
         except Exception as exc:  # keep the session alive
             print(f"error: {exc}")
     return EXIT_OK
@@ -260,10 +258,9 @@ def build_parser() -> argparse.ArgumentParser:
                        help="judge an event stream against rules")
     p.add_argument("--rules", required=True)
     p.add_argument("--events", help="event script (one ground term per line)")
-    p.add_argument("--trace", help="trace JSON (needs --map)")
+    p.add_argument("--trace", help="trace JSON (needs --map and --circuit)")
     p.add_argument("--map", help="event map for --trace")
-    p.add_argument("--circuit",
-                   help="the trace's circuit: check the --map ports and data against it")
+    p.add_argument("--circuit", help="the trace's circuit, which the --map is checked against")
     p.add_argument("--explain", action="store_true",
                    help="print derivation trees for findings on stderr")
     p.set_defaults(fn=cmd_comply)
@@ -289,8 +286,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         return args.fn(args)
     except dsl.ParseFailure as exc:
-        for err in exc.errors:
-            print(err.render(), file=sys.stderr)
+        print(exc.error.render(), file=sys.stderr)
         return EXIT_USAGE
     except (ToolError, EnvMismatchError, NotConvergedError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -75,9 +75,9 @@ class ParseError(NamedTuple):
 
 
 class ParseFailure(Exception):
-    def __init__(self, errors: list[ParseError]):
-        self.errors = errors
-        super().__init__("; ".join(e.render() for e in errors))
+    def __init__(self, error: ParseError):
+        self.error = error
+        super().__init__(error.render())
 
 
 class Token(NamedTuple):
@@ -114,15 +114,8 @@ def _lex(text: str, first_line: int = 1, first_column: int = 1) -> list[Token]:
             line += 1
             col = 1
         elif kind == "other":
-            raise ParseFailure(
-                [
-                    ParseError(
-                        SourceSpan(line, col, 1),
-                        "LEX_ERROR",
-                        f"unknown character {m.group()!r}",
-                    )
-                ]
-            )
+            message = f"unknown character {m.group()!r}"
+            raise ParseFailure(ParseError(SourceSpan(line, col, 1), "LEX_ERROR", message))
         elif kind != "comment":
             word = m.group()
             if kind != "blank":
@@ -156,10 +149,10 @@ class _Parser:
 
     def fail(self, code: str, message: str) -> "ParseFailure":
         tok = self.peek()
-        return ParseFailure([ParseError(tok.span, code, f"{message}, found {tok.text!r}")])
+        return ParseFailure(ParseError(tok.span, code, f"{message}, found {tok.text!r}"))
 
     def fail_at(self, tok: Token, code: str, message: str) -> "ParseFailure":
-        return ParseFailure([ParseError(tok.span, code, message)])
+        return ParseFailure(ParseError(tok.span, code, message))
 
     def expect_sym(self, text: str) -> Token:
         if not self.at_sym(text):
@@ -486,15 +479,8 @@ class _RuleParser(_TermParser):
         conclusion = self.parse_term()
         for var, span in self.var_spans:
             if var not in bound:
-                raise ParseFailure(
-                    [
-                        ParseError(
-                            span,
-                            "UNBOUND_VAR",
-                            f"conclusion variable {var!r} is not bound by any premise",
-                        )
-                    ]
-                )
+                message = f"conclusion variable {var!r} is not bound by any premise"
+                raise ParseFailure(ParseError(span, "UNBOUND_VAR", message))
         for g in guards:
             if g.var not in bound:
                 raise self.fail_at(
@@ -669,9 +655,15 @@ def _fast_body(body, ins, outs, alphabet, names, idle) -> Round | None:
     )
 
 
+def _check_port(p: _Parser, tok: Token, ports, kind: str) -> None:
+    """Raise UNKNOWN_PORT at ``tok`` unless it is one of ``ports``, the ``kind`` ports."""
+    if tok.text not in ports:
+        raise p.fail_at(tok, "UNKNOWN_PORT", f"{tok.text!r} is not a {kind} port")
+
+
 def _check_datum(p: _Parser, tok: Token, alphabet) -> None:
-    """Raise UNKNOWN_TOKEN at ``tok`` unless it is in ``alphabet`` (None: no check)."""
-    if alphabet is not None and tok.text not in alphabet:
+    """Raise UNKNOWN_TOKEN at ``tok`` unless it is in ``alphabet``."""
+    if tok.text not in alphabet:
         raise p.fail_at(tok, "UNKNOWN_TOKEN", f"{tok.text!r} is not in the data alphabet")
 
 
@@ -697,19 +689,13 @@ def _token_round(tokens, seen_rounds, ins, outs, alphabet, names, idle) -> tuple
         port_tok = p.expect_ident()
         p.expect_sym("=")
         tok = p.expect_ident()
-        if port_tok.text not in ins:
-            raise p.fail_at(
-                port_tok, "UNKNOWN_PORT", f"{port_tok.text!r} is not a boundary-in port"
-            )
+        _check_port(p, port_tok, ins, "boundary-in")
         _check_datum(p, tok, alphabet)
         return names[port_tok.text], names[tok.text]
 
     def ready_port() -> str:
         port_tok = p.expect_ident()
-        if port_tok.text not in outs:
-            raise p.fail_at(
-                port_tok, "UNKNOWN_PORT", f"{port_tok.text!r} is not a boundary-out port"
-            )
+        _check_port(p, port_tok, outs, "boundary-out")
         return names[port_tok.text]
 
     offers: list[tuple[str, str]] = []
@@ -775,7 +761,7 @@ def parse_env(text: str, circuit: Circuit) -> EnvScript:
                 else:
                     idle = outs if value == POLICY_ALL_READY else frozenset()
                     continue
-                raise ParseFailure([ParseError(span, "BAD_POLICY", message)])
+                raise ParseFailure(ParseError(span, "BAD_POLICY", message))
             entry = _token_round(_lex(stripped, line_no, column), rounds, *checks)
         number, r = entry
         rounds[number] = r
@@ -799,14 +785,13 @@ class EventMap(NamedTuple):
         return atom if atom is not None else self.table.get((port, None))
 
 
-def parse_map(text: str, circuit: Circuit | None = None) -> EventMap:
+def parse_map(text: str, circuit: Circuit) -> EventMap:
     """Lines of ``port[=tok] -> Atom``, each ``(port, tok)`` at most once.
 
-    With a circuit supplied, each port must be a boundary port and each
-    ``tok`` in the data alphabet, since an entry for any other can never fire.
+    Each port must be one of ``circuit``'s boundary ports and each ``tok`` in
+    its data alphabet, since an entry for any other can never fire.
     """
-    ports = None if circuit is None else circuit.inputs | circuit.outputs
-    alphabet = None if circuit is None else circuit.alphabet
+    ports = circuit.inputs | circuit.outputs
     table: dict[tuple[str, str | None], str] = {}
     for line_no, column, stripped in _content_lines(text):
         p = _Parser(_lex(stripped, line_no, column))
@@ -818,12 +803,9 @@ def parse_map(text: str, circuit: Circuit | None = None) -> EventMap:
         p.expect_sym("->")
         atom = p.expect_ident().text
         p.expect_eof()
-        if ports is not None and port_tok.text not in ports:
-            raise p.fail_at(
-                port_tok, "UNKNOWN_PORT", f"{port_tok.text!r} is not a boundary port"
-            )
+        _check_port(p, port_tok, ports, "boundary")
         if datum_tok is not None:
-            _check_datum(p, datum_tok, alphabet)
+            _check_datum(p, datum_tok, circuit.alphabet)
         key = (port_tok.text, datum_tok.text if datum_tok else None)
         if key in table:
             raise p.fail_at(

@@ -155,6 +155,49 @@ def test_validator_bad_params_come_in_field_order(kind, fields, words):
     ]
 
 
+def _findings(c):
+    return [(f.code, f.element, f.message) for f in C.validate_circuit(c).errors]
+
+
+@pytest.mark.parametrize(
+    "ports, body, finding",
+    [
+        (
+            "in a; out b;",
+            "transform(a, b, map={ok->ok, zz->ok})",
+            ("TRANSFORM_BAD_DOMAIN", "c1", "transform map keys outside alphabet: ['zz']"),
+        ),
+        (
+            "in a; out b;",
+            "transform(a, b, map={ok->zz})",
+            ("TRANSFORM_BAD_VALUE", "c1", "transform map values outside alphabet: ['zz']"),
+        ),
+        (
+            "in a; in p; out b;",  # no channel uses p
+            "sync(a, b)",
+            ("BOUNDARY_IN_NO_OUTGOING", "p", "boundary-in node needs at least one outgoing end"),
+        ),
+    ],
+)
+def test_validator_findings_on_parsed_circuits(ports, body, finding):
+    c = parse_circuit(f"circuit t {{ data {{ ok }} ports {{ {ports} }} {body} }}")
+    assert _findings(c) == [finding]
+
+
+def test_validator_findings_on_built_circuits():
+    sync = C.Channel("c1", C.SYNC, "a", "b")
+    assert _findings(make([sync], _BOUNDARY, alphabet=())) == [
+        ("EMPTY_ALPHABET", "t", "data alphabet must be non-empty")
+    ]
+    ports = [C.PortId("a", C.PORT_IN), C.PortId("b", "inout")]
+    assert _findings(make([sync], ports)) == [
+        ("BAD_PORT_KIND", "b", "port kind 'inout' is not in/out")
+    ]
+    assert _findings(make([sync, sync], _BOUNDARY)) == [
+        ("DUPLICATE_CHANNEL_ID", "c1", "channel id reused")
+    ]
+
+
 def test_boundary_ports_requires_valid_circuit():
     c = make([C.Channel("c1", C.FIFO1, "a", "b", init="zap")],
              [C.PortId("a", C.PORT_IN), C.PortId("b", C.PORT_OUT)])
@@ -186,6 +229,21 @@ def test_export_dot_deterministic_and_minimal():
     dot = C.export_dot(empty)
     assert "->" not in dot
     assert dot.startswith("digraph")
+
+
+def test_export_dot_labels_channel_parameters():
+    c = parse_circuit(
+        "circuit t { data { ok, bad } ports { in a; out o; }"
+        " filter(a, x, accept={ok}); transform(x, y, map={ok->bad, bad->ok});"
+        " fifo1(y, o, init=ok); fifo1(a, o) }"
+    )
+    assert C.export_dot(c).splitlines()[-5:] == [
+        '  "a" -> "x" [label="filter{ok}"];',
+        '  "x" -> "y" [label="transform{bad->ok,ok->bad}"];',
+        '  "y" -> "o" [label="fifo1(init=ok)"];',
+        '  "a" -> "o" [label="fifo1"];',
+        "}",
+    ]
 
 
 def test_export_dot_distinguishes_structures():

@@ -344,7 +344,7 @@ def test_comply_not_converged_exits_two(tmp_path, monkeypatch, capsys):
 
 
 @pytest.mark.parametrize("nested", ["events", "rules", "trace"])
-def test_deeply_nested_input_exits_two(nested, tmp_path, capsys):
+def test_deeply_nested_input_exits_two(nested, tmp_path, mini, capsys):
     # past Python's recursion limit a parser's descent fails; that is bad
     # input, reported on one line with exit 2, not a crash that exits 1
     files = {name: tmp_path / name for name in ("events", "rules", "trace", "map")}
@@ -358,7 +358,7 @@ def test_deeply_nested_input_exits_two(nested, tmp_path, capsys):
     }
     files[nested].write_text(deep[nested])
     source = (
-        ["--trace", str(files["trace"]), "--map", str(files["map"])]
+        ["--trace", str(files["trace"]), "--map", str(files["map"]), "--circuit", str(mini)]
         if nested == "trace"
         else ["--events", str(files["events"])]
     )
@@ -368,6 +368,15 @@ def test_deeply_nested_input_exits_two(nested, tmp_path, capsys):
         assert line == "error: trace JSON nests too deeply"
     else:
         assert re.fullmatch(r"1:[0-9]+: TOO_DEEP: the term nests too deeply", line), line
+
+
+def test_comply_exits_two_on_a_count_variable_concluded_as_a_term(tmp_path, capsys):
+    rules = tmp_path / "r.rules"
+    rules.write_text("rule r: (I)A => I\n")
+    events = tmp_path / "e.events"
+    events.write_text("X\n")
+    assert cli.main(["comply", "--rules", str(rules), "--events", str(events)]) == 2
+    assert capsys.readouterr().err == "error: variable I bound to count 1\n"
 
 
 def test_comply_empty_events_clean(tmp_path):
@@ -399,7 +408,7 @@ def test_comply_requires_exactly_one_source(tmp_path):
         "--events", str(events), "--map", str(DATA / "rescue.map"),
     )
     assert result.returncode == 2
-    assert result.stderr == "error: --map requires --trace\n"
+    assert result.stderr == "error: --map and --circuit require --trace\n"
 
 
 def test_comply_from_trace_and_map(mini, tmp_path):
@@ -416,7 +425,7 @@ def test_comply_from_trace_and_map(mini, tmp_path):
     rules.write_text("protocol { AmbulanceRequest >> PoliceRequest }\n")
     result = run_cli(
         "comply", "--rules", str(rules),
-        "--trace", str(trace_file), "--map", str(map_file),
+        "--trace", str(trace_file), "--map", str(map_file), "--circuit", str(mini),
     )
     assert result.returncode == 1
     doc = json.loads(result.stdout)
@@ -437,22 +446,46 @@ def test_comply_checks_the_map_against_a_given_circuit(
     for text, code in ((bad_datum, "UNKNOWN_TOKEN"), (bad_port, "UNKNOWN_PORT")):
         map_file = tmp_path / "m.map"
         map_file.write_text(text)
-        # without a circuit the entry is accepted and silently never fires
-        assert cli.main([*base, "--map", str(map_file)]) == 0
-        capsys.readouterr()
+        # a map is never read without its circuit
+        assert cli.main([*base, "--map", str(map_file)]) == 2
+        assert capsys.readouterr().err == "error: --trace requires --map and --circuit\n"
         assert cli.main([*base, "--map", str(map_file), *circuit]) == 2
         assert code in capsys.readouterr().err
-    # the shipped map passes the check, with the same verdict as without it
-    assert cli.main([*base, "--map", str(DATA / "rescue.map")]) == 0
-    unchecked = capsys.readouterr().out
+    # the shipped map passes the check
     assert cli.main([*base, "--map", str(DATA / "rescue.map"), *circuit]) == 0
-    assert capsys.readouterr().out == unchecked
     # --circuit only qualifies a trace's map
     events = tmp_path / "e.events"
     events.write_text("")
     argv = ["comply", "--rules", str(DATA / "rescue.rules"), "--events", str(events), *circuit]
     assert cli.main(argv) == 2
-    assert capsys.readouterr().err == "error: --circuit requires --trace and --map\n"
+    assert capsys.readouterr().err == "error: --map and --circuit require --trace\n"
+
+
+# a PoliceRequest comes before any FireRequest in this env's seed-0 trace
+WITNESS_ENV = """policy closed
+round 1: offer citizens=ok; ready case1
+round 4: offer act1=bad, citizens=ok; ready case2, emergency_alarm
+round 5: offer citizens=ok, ps_enable=bad; ready case3, police_alarm
+"""
+
+
+def test_comply_never_judges_a_trace_through_an_unchecked_map(
+    tmp_path, rescue_circuit, rescue_auto, capsys
+):
+    trace = tmp_path / "t.json"
+    env = dsl.parse_env(WITNESS_ENV, rescue_circuit)
+    trace.write_text(sim.simulate(rescue_auto, env, seed=0).to_json())
+    base = ["comply", "--rules", str(DATA / "rescue.rules"), "--trace", str(trace)]
+    circuit = ["--circuit", str(DATA / "rescue.circuit")]
+    assert cli.main([*base, "--map", str(DATA / "rescue.map"), *circuit]) == 1
+    assert json.loads(capsys.readouterr().out)["order_violations"][0]["atom"] == "PoliceRequest"
+    # misspelt, the port maps to nothing, so an unchecked map would read clean
+    misspelt = tmp_path / "m.map"
+    misspelt.write_text((DATA / "rescue.map").read_text().replace("police_alarm", "police_alrm"))
+    assert cli.main([*base, "--map", str(misspelt)]) == 2
+    assert capsys.readouterr().err == "error: --trace requires --map and --circuit\n"
+    assert cli.main([*base, "--map", str(misspelt), *circuit]) == 2
+    assert capsys.readouterr().err == "4:1: UNKNOWN_PORT: 'police_alrm' is not a boundary port\n"
 
 
 def test_comply_malformed_trace_exits_two(tmp_path, rescue_circuit, rescue_auto):
@@ -491,6 +524,7 @@ def test_comply_malformed_trace_exits_two(tmp_path, rescue_circuit, rescue_auto)
         result = run_cli(
             "comply", "--rules", str(DATA / "rescue.rules"),
             "--trace", str(trace), "--map", str(DATA / "rescue.map"),
+            "--circuit", str(DATA / "rescue.circuit"),
         )
         assert result.returncode == 2, what
         assert result.stderr.startswith("error: "), what
@@ -500,6 +534,7 @@ def test_comply_malformed_trace_exits_two(tmp_path, rescue_circuit, rescue_auto)
     result = run_cli(
         "comply", "--rules", str(DATA / "rescue.rules"),
         "--trace", str(trace), "--map", str(DATA / "rescue.map"),
+        "--circuit", str(DATA / "rescue.circuit"),
     )
     assert result.returncode == 0, result.stderr
 

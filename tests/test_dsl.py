@@ -29,6 +29,11 @@ def _mini_env(text):
     return dsl.parse_env(text, MINI)
 
 
+def _mini_map(text):
+    """``parse_map`` on the same boundary."""
+    return dsl.parse_map(text, MINI)
+
+
 # -- the lexer ----------------------------------------------------------------
 
 # Every character class _lex knows, plus characters it must reject: "-" outside
@@ -45,7 +50,7 @@ def _lex_record(text, first_line=1, first_column=1):
     try:
         tokens = dsl._lex(text, first_line, first_column)
     except dsl.ParseFailure as exc:
-        return [e.render() for e in exc.errors]
+        return [exc.error.render()]
     return [(t.kind, t.text, t.span.line, t.span.column, t.span.length) for t in tokens]
 
 
@@ -78,7 +83,7 @@ def test_parse_minimal_circuit():
 def test_parse_error_at_closing_paren():
     with pytest.raises(dsl.ParseFailure) as exc:
         dsl.parse_circuit("circuit t { data{ok} ports{in a;} sync(a,) }")
-    (err,) = exc.value.errors
+    err = exc.value.error
     assert err.span.line == 1
     assert "')'" in err.message
 
@@ -86,16 +91,16 @@ def test_parse_error_at_closing_paren():
 def test_parse_duplicate_port():
     with pytest.raises(dsl.ParseFailure) as exc:
         dsl.parse_circuit("circuit t { data{ok} ports{in a; out a;} }")
-    assert exc.value.errors[0].code == "DUPLICATE_PORT"
+    assert exc.value.error.code == "DUPLICATE_PORT"
 
 
 def test_parse_unknown_kind_and_bad_param():
     with pytest.raises(dsl.ParseFailure) as exc:
         dsl.parse_circuit("circuit t { data{ok} ports{} zap(a,b) }")
-    assert exc.value.errors[0].code == "UNKNOWN_KIND"
+    assert exc.value.error.code == "UNKNOWN_KIND"
     with pytest.raises(dsl.ParseFailure) as exc:
         dsl.parse_circuit("circuit t { data{ok} ports{} sync(a,b,init=ok) }")
-    assert exc.value.errors[0].code == "BAD_PARAM"
+    assert exc.value.error.code == "BAD_PARAM"
 
 
 # each channel parameter word: the one kind that takes it, a value as written,
@@ -115,7 +120,7 @@ def _channel_text(kind, params):
 def _bad_param(text, word, at, message):
     """The one BAD_PARAM error for the ``word`` token found at index ``at``."""
     column = text.index(f"{word}=", at) + 1
-    return [dsl.ParseError(dsl.SourceSpan(1, column, len(word)), "BAD_PARAM", message)]
+    return dsl.ParseError(dsl.SourceSpan(1, column, len(word)), "BAD_PARAM", message)
 
 
 @pytest.mark.parametrize("kind", _KINDS)
@@ -129,7 +134,7 @@ def test_channel_parameter_word_per_kind(word, kind):
         return
     with pytest.raises(dsl.ParseFailure) as exc:
         dsl.parse_circuit(text)
-    assert exc.value.errors == _bad_param(text, word, 0, f"'{word}' not valid here on {kind}")
+    assert exc.value.error == _bad_param(text, word, 0, f"'{word}' not valid here on {kind}")
 
 
 @pytest.mark.parametrize("kind", _KINDS)
@@ -137,7 +142,7 @@ def test_unknown_channel_parameter_word(kind):
     text = _channel_text(kind, "size=ok")
     with pytest.raises(dsl.ParseFailure) as exc:
         dsl.parse_circuit(text)
-    assert exc.value.errors == _bad_param(text, "size", 0, "unknown parameter 'size'")
+    assert exc.value.error == _bad_param(text, "size", 0, "unknown parameter 'size'")
 
 
 @pytest.mark.parametrize("word", sorted(_PARAM_WORDS))
@@ -147,7 +152,7 @@ def test_repeated_channel_parameter_word(word):
     with pytest.raises(dsl.ParseFailure) as exc:
         dsl.parse_circuit(text)
     second = text.index(f"{word}=") + 1
-    assert exc.value.errors == _bad_param(text, word, second, f"'{word}' not valid here on {owner}")
+    assert exc.value.error == _bad_param(text, word, second, f"'{word}' not valid here on {owner}")
 
 
 def test_print_parse_roundtrip_minimal():
@@ -209,8 +214,8 @@ LINE_MALFORMED = [
     (_mini_env, "\t round 1 offer a=ok"),
     (_mini_env, "  policy"),
     (_mini_env, "  policy bogus"),
-    (dsl.parse_map, "  a -> X Y"),
-    (dsl.parse_map, "\t a ->"),
+    (_mini_map, "  a -> X Y"),
+    (_mini_map, "\t a ->"),
 ]
 
 
@@ -225,7 +230,7 @@ def test_malformed_corpus_spans_point_at_reported_token():
             parse = dsl.parse_circuit
         with pytest.raises(dsl.ParseFailure) as exc:
             parse(text)
-        err = exc.value.errors[0]
+        err = exc.value.error
         assert err.span.line >= 1 and err.span.column >= 1
         line = text.splitlines()[err.span.line - 1]
         token = line[err.span.column - 1 : err.span.column - 1 + err.span.length]
@@ -267,13 +272,13 @@ def test_protocol_declaration():
 def test_unbound_conclusion_variable_rejected():
     with pytest.raises(dsl.ParseFailure) as exc:
         dsl.parse_rulebase("rule bad: A => B")
-    assert exc.value.errors[0].code == "UNBOUND_VAR"
+    assert exc.value.error.code == "UNBOUND_VAR"
 
 
 def test_builtin_rule_names_rejected():
     with pytest.raises(dsl.ParseFailure) as exc:
         dsl.parse_rulebase("rule r11: A => A")
-    assert exc.value.errors[0].code == "BUILTIN_OVERRIDE"
+    assert exc.value.error.code == "BUILTIN_OVERRIDE"
 
 
 def test_shipped_program_parses_with_fifteen_rules():
@@ -335,12 +340,27 @@ def test_nested_prefix_terms():
     assert dsl.parse_term("(2)(Very)X") == S.Count(2, S.Very(S.Atom("X")))
 
 
-def _env_error(text, circuit=MINI):
-    """``(code, (line, column, length), message)`` of the one error parse_env raises."""
+def _error(parse, text):
+    """``(code, (line, column, length), message)`` of the error ``parse(text)`` raises."""
     with pytest.raises(dsl.ParseFailure) as exc:
-        dsl.parse_env(text, circuit)
-    (err,) = exc.value.errors
+        parse(text)
+    err = exc.value.error
     return err.code, (err.span.line, err.span.column, err.span.length), err.message
+
+
+def _env_error(text, circuit=MINI):
+    return _error(lambda t: dsl.parse_env(t, circuit), text)
+
+
+def test_rule_and_term_errors_pinned():
+    assert _error(dsl.parse_events, "(0)A") == ("BAD_COUNT", (1, 2, 1), "counts start at 1")
+    assert _error(dsl.parse_rulebase, "frobnicate") == (
+        "SYNTAX", (1, 1, 10), "expected 'protocol', 'fact' or 'rule', found 'frobnicate'"
+    )
+    # a guard's unbound variable is reported at the rule's name
+    assert _error(dsl.parse_rulebase, "rule r: A AND I>2 => P(A)") == (
+        "UNBOUND_VAR", (1, 6, 1), "guard variable 'I' is not bound by any premise"
+    )
 
 
 def test_env_round_numbering_errors():
@@ -360,6 +380,7 @@ def test_env_round_numbering_errors():
 
 
 def test_env_syntax_errors_pinned():
+    assert _env_error("round x:") == ("SYNTAX", (1, 7, 1), "expected integer, found 'x'")
     assert _env_error("round 1 offer a=ok") == ("SYNTAX", (1, 9, 5), "expected ':', found 'offer'")
     assert _env_error("round 1: offer a=ok;;") == (
         "SYNTAX", (1, 21, 1), "expected 'offer' or 'ready', found ';'"
@@ -431,7 +452,7 @@ def test_parse_events_parses_each_distinct_line_once():
     ):
         with pytest.raises(dsl.ParseFailure) as exc:
             dsl.parse_events(bad_text)
-        assert exc.value.errors[0].span == span
+        assert exc.value.error.span == span
 
 
 def test_parse_env_offers_and_ready(rescue_circuit):
@@ -488,21 +509,25 @@ def test_parse_env_cross_checks_circuit():
 
 
 def test_parse_map_entries_and_precedence():
-    m = dsl.parse_map("emergency_alarm -> AmbulanceRequest\nport=ok -> Specific\nport -> General")
-    assert m.lookup("emergency_alarm", "ok") == "AmbulanceRequest"
-    assert m.lookup("port", "ok") == "Specific"
-    assert m.lookup("port", "bad") == "General"
+    m = _mini_map("a -> AmbulanceRequest\nb=ok -> Specific\nb -> General")
+    assert m.lookup("a", "ok") == "AmbulanceRequest"
+    assert m.lookup("b", "ok") == "Specific"
+    assert m.lookup("b", "bad") == "General"
     assert m.lookup("other", "ok") is None
 
 
 def test_map_lookup_agrees_with_a_scan_of_its_entries():
     rng = random.Random(20)
     ports, data = ("p0", "p1", "p2", "p3"), ("ok", "bad", "tick")
+    circuit = dsl.parse_circuit(
+        "circuit t { data { ok, bad, tick } ports { in p0; out p1; in p2; out p3; }"
+        " sync(p0, p1) sync(p2, p3) }"
+    )
     for _ in range(300):
         keys = rng.sample([(p, d) for p in ports for d in (None, *data)], rng.randint(0, 10))
         entries = [(p, d, f"A{i}") for i, (p, d) in enumerate(keys)]
         text = "\n".join(f"{p}{'' if d is None else '=' + d} -> {atom}" for p, d, atom in entries)
-        m = dsl.parse_map(text)
+        m = dsl.parse_map(text, circuit)
         assert m.table == {(p, d): atom for p, d, atom in entries}
         # "p4" and "zap" are named by no entry
         for port in (*ports, "p4"):
@@ -512,24 +537,22 @@ def test_map_lookup_agrees_with_a_scan_of_its_entries():
 
 def test_parse_map_duplicate_and_unknown_port():
     with pytest.raises(dsl.ParseFailure) as exc:
-        dsl.parse_map("p -> A\np -> B")
-    assert exc.value.errors[0].code == "DUP_MAP_ENTRY"
-    c = dsl.parse_circuit(MINIMAL_SYNC_TEXT)
+        _mini_map("a -> A\na -> B")
+    assert exc.value.error.code == "DUP_MAP_ENTRY"
     with pytest.raises(dsl.ParseFailure) as exc:
-        dsl.parse_map("zz -> A", c)
-    assert exc.value.errors[0].code == "UNKNOWN_PORT"
+        _mini_map("zz -> A")
+    assert exc.value.error.code == "UNKNOWN_PORT"
 
 
 def test_parse_map_data_must_be_in_the_alphabet():
     c = dsl.parse_circuit(MINIMAL_SYNC_TEXT)
     with pytest.raises(dsl.ParseFailure) as exc:
         dsl.parse_map("b -> Y\n  a=zap -> X\n", c)
-    (err,) = exc.value.errors
+    err = exc.value.error
     assert (err.code, err.span) == ("UNKNOWN_TOKEN", dsl.SourceSpan(2, 5, 3))
     assert err.message == _env_error("round 1: offer a=zap", c)[2]
     table = dsl.parse_map("a=ok -> X\nb=bad -> Y", c).table
     assert list(table.items()) == [(("a", "ok"), "X"), (("b", "bad"), "Y")]
-    assert dsl.parse_map("a=zap -> X").table == {("a", "zap"): "X"}  # no circuit, no check
 
 
 # str.splitlines breaks at each of these, str.strip drops \xa0; _lex does neither
@@ -544,14 +567,14 @@ ODD_CHARS = ["\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029",
         (_mini_env, "policy{}closed"),
         (dsl.parse_events, "A{}B"),
         (dsl.parse_events, "A{}"),
-        (dsl.parse_map, "a -> X{}b -> Y"),
+        (_mini_map, "a -> X{}b -> Y"),
     ],
     ids=["env-round", "env-policy", "events", "events-trailing", "map"],
 )
 def test_line_formats_split_lines_like_lex(parse, text, odd):
     with pytest.raises(dsl.ParseFailure) as exc:
         parse("# first\n" + text.format(odd))
-    (err,) = exc.value.errors
+    err = exc.value.error
     assert (err.code, err.span.line, err.span.column) == ("LEX_ERROR", 2, text.index("{") + 1)
     assert err.message == f"unknown character {odd!r}"
 
@@ -562,7 +585,7 @@ def test_line_formats_read_crlf():
     events = dsl.parse_events("A\r\n  B \r\n")
     assert events.terms() == [S.Atom("A"), S.Atom("B")]
     assert [e.span for e in events.entries] == [dsl.SourceSpan(1, 1, 1), dsl.SourceSpan(2, 3, 1)]
-    table = dsl.parse_map("a -> X\r\nb=ok -> Y\r\n").table
+    table = _mini_map("a -> X\r\nb=ok -> Y\r\n").table
     assert list(table.items()) == [(("a", None), "X"), (("b", "ok"), "Y")]
 
 
@@ -629,7 +652,7 @@ def _env_outcome(text, circuit):
     try:
         return dsl.parse_env(text, circuit)
     except dsl.ParseFailure as exc:
-        return [(e.code, e.span, e.message) for e in exc.errors]
+        return exc.error
 
 
 @given(
@@ -722,7 +745,7 @@ def test_parse_env_fast_path_never_lexes_well_formed_lines():
         ):
             with pytest.raises(dsl.ParseFailure) as exc:
                 dsl.parse_env("\n".join(lines[:1000] + [broken] + lines[1000:]), circuit)
-            assert exc.value.errors[0].code == code
+            assert exc.value.error.code == code
             assert len(calls) == 1, broken
             calls.clear()
     with mock.patch.object(dsl, "_fast_round", lambda *args: None):

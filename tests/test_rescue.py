@@ -8,7 +8,7 @@ from reokit.circuit import PORT_IN, PORT_OUT, validate_circuit
 from reokit.semlog import Atom, DoubleCheck, P, Very, Warning, pretty
 from reokit.sim import Firing, Trace, enabled, simulate, trace_from_json
 
-from util import random_rescue_env
+from util import MINIMAL_SYNC_TEXT, random_rescue_env
 
 BUDGET = Atom("BudgetConsuming")
 
@@ -71,10 +71,10 @@ def test_map_trace_empty():
 
 
 def test_map_trace_specific_beats_port_only():
-    mapping = dsl.parse_map("p=ok -> Hit\np -> Miss")
+    mapping = dsl.parse_map("a=ok -> Hit\na -> Miss", dsl.parse_circuit(MINIMAL_SYNC_TEXT))
     trace = Trace("t", 0, [])
-    trace.steps.append(Firing(1, frozenset({"p"}), (("p", "ok"),), 0, 0))
-    trace.steps.append(Firing(2, frozenset({"p"}), (("p", "bad"),), 0, 0))
+    trace.steps.append(Firing(1, frozenset({"a"}), (("a", "ok"),), 0, 0))
+    trace.steps.append(Firing(2, frozenset({"a"}), (("a", "bad"),), 0, 0))
     assert rescue.map_trace(trace, mapping) == [Atom("Hit"), Atom("Miss")]
 
 

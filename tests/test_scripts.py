@@ -45,8 +45,41 @@ def test_seed_sweep_fails_on_ungated_fire_alarm(monkeypatch):
     ]
     monkeypatch.setattr(seed_sweep, "simulate", lambda *args: Trace("rescue", 0, steps))
     monkeypatch.setattr(sys, "argv", ["seed_sweep.py", "--seeds", "1", "--rounds", "2"])
-    with pytest.raises(AssertionError, match="fire alarm gating violated at seed 0"):
+    with pytest.raises(SystemExit, match="fire alarm gating violated at seed 0"):
         seed_sweep.main()
+
+
+# the trace above, swept in a fresh interpreter; argv[1] is the script's path
+_UNGATED_SWEEP = """
+import importlib.util, sys
+from reokit.sim import Firing, Trace
+spec = importlib.util.spec_from_file_location("seed_sweep", sys.argv[1])
+seed_sweep = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(seed_sweep)
+steps = [
+    Firing(1, frozenset({"fire_alarm"}), (), 0, 0),
+    Firing(2, frozenset({"emergency_alarm"}), (), 0, 0),
+]
+seed_sweep.simulate = lambda *args: Trace("rescue", 0, steps)
+sys.argv = ["seed_sweep.py", "--seeds", "1", "--rounds", "2"]
+seed_sweep.main()
+"""
+
+
+def test_seed_sweep_laws_hold_without_asserts():
+    # python -O strips assert statements, so the laws must not be asserts
+    env = dict(os.environ)
+    env["PYTHONPATH"] = str(ROOT / "src")
+    result = subprocess.run(
+        [sys.executable, "-O", "-c", _UNGATED_SWEEP, str(ROOT / "scripts" / "seed_sweep.py")],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=300,
+    )
+    assert result.returncode != 0
+    assert "fire alarm gating violated at seed 0" in result.stderr
+    assert "held for every seed" not in result.stdout
 
 
 def test_seed_sweep_negative_rounds_exits_two():

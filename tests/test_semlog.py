@@ -243,6 +243,43 @@ def test_rule13_modus_ponens_on_reified_implication():
     assert P(BUDGET) in eng.facts
 
 
+def test_a_literal_count_index_matches_only_that_count():
+    eng = unit_engine("rule r: (2)A => P(A)\n")
+    eng.ingest(Atom("X"))
+    eng.saturate()
+    assert P(Atom("X")) not in eng.facts
+    for _ in range(2):
+        eng.ingest(Atom("X"))
+    eng.saturate()
+    # (1)X and (3)X miss the pattern's index
+    assert eng.derivations[P(Atom("X"))] == ("r", (Count(2, Atom("X")),))
+
+
+def test_a_count_variable_binds_one_index_across_premises():
+    eng = unit_engine("rule r: (I)A AND (I)B => P((I)(A=>B))\n")
+    for name in ("X", "X", "Y"):
+        eng.ingest(Atom(name))
+    eng.saturate()
+    # (2)X never pairs with (1)Y
+    assert [pretty(f) for f in eng.sorted_facts() if pretty(f).startswith("P(")] == [
+        "P((1)(X=>X))", "P((1)(X=>Y))", "P((1)(Y=>X))", "P((1)(Y=>Y))", "P((2)(X=>X))"
+    ]
+
+
+def test_an_implication_pattern_matches_only_its_left_side():
+    eng = unit_engine("fact a: (Alarm=>Fire)\nfact s: (Smoke=>Flood)\nrule r: (Alarm=>B) => P(B)\n")
+    eng.saturate()
+    assert P(Atom("Fire")) in eng.facts
+    assert P(Atom("Flood")) not in eng.facts
+
+
+def test_a_count_variable_concluded_as_a_term_is_an_error():
+    eng = unit_engine("rule r: (I)A => I\n")
+    eng.ingest(Atom("X"))
+    with pytest.raises(ValueError, match="^variable I bound to count 1$"):
+        eng.verdict()
+
+
 def test_standing_facts_saturate_without_events():
     eng = unit_engine(
         "fact f: Forbidden(x)\nfact p: P(x)\nrule r7: Forbidden(A) AND P(A) => Warning(P(A))\n"
