@@ -125,6 +125,14 @@ def cmd_comply(args) -> int:
     else:
         trace = trace_from_json(_read(args.trace))
         circuit = dsl.parse_circuit(_read(args.circuit))
+        ports = circuit.inputs | circuit.outputs
+        for firing in trace.firings():
+            outside = sorted(firing.sync - ports)
+            if outside:
+                raise ToolError(
+                    f"round {firing.round}: {outside[0]!r} is not a boundary port"
+                    f" of circuit {circuit.name!r}"
+                )
         mapping = dsl.parse_map(_read(args.map), circuit)
         for term in rescue.map_trace(trace, mapping):
             engine.ingest(term, origin=ORIGIN_TRACE)

@@ -602,15 +602,16 @@ def _round_grammar() -> tuple[re.Pattern, re.Pattern, re.Pattern, re.Pattern, re
     )
 
 
-def _fast_round(stripped, seen_rounds, bodies, checks) -> tuple[int, Round] | None:
+def _fast_round(stripped, seen_rounds, bodies, clauses, checks) -> tuple[int, Round] | None:
     """``_token_round`` for a line the round patterns match that passes every check.
 
     The round number is checked on every line. The body after ``round N:``
     goes through ``_fast_body`` once per distinct text: ``bodies``, one dict
     per ``parse_env`` call, keeps its ``Round``, or None when the token
-    parser must decide, so equal bodies share one ``Round``. Never raises:
-    any other line gives None, and ``_token_round`` then parses it again and
-    reports the error.
+    parser must decide, so equal bodies share one ``Round``. ``clauses`` is
+    ``_fast_body``'s memo of clause lists, also one dict per call. Never
+    raises: any other line gives None, and ``_token_round`` then parses it
+    again and reports the error.
     """
     m = _round_grammar()[0].match(stripped)
     if m is None or len(m[1]) > _ROUND_DIGITS:
@@ -620,39 +621,65 @@ def _fast_round(stripped, seen_rounds, bodies, checks) -> tuple[int, Round] | No
         return None
     body = stripped[m.end() :]
     if body not in bodies:
-        bodies[body] = _fast_body(body, *checks)
+        bodies[body] = _fast_body(body, clauses, *checks)
     parsed = bodies[body]
     return None if parsed is None else (number, parsed)
 
 
-def _fast_body(body, ins, outs, alphabet, names, idle) -> Round | None:
+def _fast_body(body, clauses, ins, outs, alphabet, names, idle) -> Round | None:
     """The ``Round`` of a round body the body pattern matches and every name
-    passes; None otherwise. ``names`` maps each of the circuit's names to
-    itself, so the ``Round`` holds the circuit's own strings; ``idle`` is
-    what a body with no ready clause readies."""
-    _, body_re, clause_re, pair_re, name_re = _round_grammar()
+    passes; None otherwise. ``idle`` is what a body with no ready clause
+    readies.
+
+    Each clause is the clause pattern's ``(offer list, ready list)`` pair,
+    one of them empty. ``clauses`` maps each distinct pair to what
+    ``_read_clause`` made of it, so a clause list is read once per
+    ``parse_env`` call, and rounds share what it built: a body with one
+    offer clause uses that clause's tuple, and one with one ready clause
+    its frozenset. Several clauses of one kind are joined in text order.
+    """
+    _, body_re, clause_re, _, _ = _round_grammar()
     if body_re.fullmatch(body) is None:
         return None
-    offers: list[tuple[str, str]] = []
-    # filled in text order, as ``_token_round`` fills its set, so that equal
-    # sets also share one table layout, and with it one iteration order
-    ready: set[str] = set()
-    explicit_ready = False
-    for offer_list, ready_list in clause_re.findall(body):
-        if offer_list:
-            offers += pair_re.findall(offer_list)
+    offers: tuple[tuple[str, str], ...] = ()
+    ready: tuple[tuple[str, ...], frozenset[str]] | None = None
+    for clause in clause_re.findall(body):
+        if clause not in clauses:
+            clauses[clause] = _read_clause(clause, ins, outs, alphabet, names)
+        read = clauses[clause]
+        if read is None:
+            return None
+        if clause[0]:
+            offers = offers + read if offers else read
         else:
-            for port in name_re.findall(ready_list):
-                if port not in outs:
-                    return None
-                ready.add(names[port])
-            explicit_ready = True
-    if not all(port in ins and tok in alphabet for port, tok in offers):
+            ready = read if ready is None else _ready_set(ready[0] + read[0])
+    return Round(offers, idle if ready is None else ready[1])
+
+
+def _read_clause(clause, ins, outs, alphabet, names) -> tuple | None:
+    """One clause list, read once: an offer list's ``(port, tok)`` pairs, or a
+    ready list's ports in text order with their frozenset (``_ready_set``);
+    None if a port or token fails its check. ``names`` maps each of the
+    circuit's names to itself, so what it returns holds the circuit's own
+    strings."""
+    _, _, _, pair_re, name_re = _round_grammar()
+    offer_list, ready_list = clause
+    if offer_list:
+        pairs = pair_re.findall(offer_list)
+        if not all(port in ins and tok in alphabet for port, tok in pairs):
+            return None
+        return tuple((names[port], names[tok]) for port, tok in pairs)
+    ports = name_re.findall(ready_list)
+    if not all(port in outs for port in ports):
         return None
-    return Round(
-        tuple((names[port], names[tok]) for port, tok in offers),
-        frozenset(ready) if explicit_ready else idle,
-    )
+    return _ready_set(tuple(names[port] for port in ports))
+
+
+def _ready_set(ports: tuple[str, ...]) -> tuple[tuple[str, ...], frozenset[str]]:
+    """``ports`` and their frozenset, filled in text order as ``_token_round``
+    fills its set, so that equal sets also share one table layout, and with
+    it one iteration order."""
+    return ports, frozenset(set(ports))
 
 
 def _check_port(p: _Parser, tok: Token, ports, kind: str) -> None:
@@ -733,19 +760,22 @@ def parse_env(text: str, circuit: Circuit) -> EnvScript:
 
     Each round line tries the round patterns first (``_fast_round``); that
     path never raises. It parses each distinct round body once per call, so
-    rounds with equal bodies share one ``Round``. A line it does not take
+    rounds with equal bodies share one ``Round``, and each distinct offer
+    or ready clause list once per call, so rounds share the offer tuples
+    and ready frozensets built from those. A line it does not take
     goes to the token parser (``_token_round``), the one place a round
     line's ParseError comes from. Both paths name ports and tokens by the
     circuit's own strings, so a long script holds no copies of them.
     """
     rounds: dict[int, Round] = {}
     bodies: dict[str, Round | None] = {}
+    clauses: dict[tuple[str, str], tuple | None] = {}
     ins, outs, alphabet = circuit.inputs, circuit.outputs, circuit.alphabet
     names = {name: name for name in ins | outs | alphabet}
     idle = outs
     for index, (line_no, column, stripped) in enumerate(_content_lines(text)):
         checks = (ins, outs, alphabet, names, idle)
-        entry = _fast_round(stripped, rounds, bodies, checks)
+        entry = _fast_round(stripped, rounds, bodies, clauses, checks)
         if entry is None:
             words = re.split(f"{_BLANK}+", stripped, maxsplit=1)
             if words[0] == "policy":

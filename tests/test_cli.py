@@ -488,6 +488,26 @@ def test_comply_never_judges_a_trace_through_an_unchecked_map(
     assert capsys.readouterr().err == "4:1: UNKNOWN_PORT: 'police_alrm' is not a boundary port\n"
 
 
+def test_comply_checks_the_trace_against_the_circuit(
+    mini, tmp_path, rescue_circuit, rescue_auto, capsys
+):
+    # a rescue trace judged with another circuit and a map of that circuit's
+    # ports would map nothing and read clean
+    trace = tmp_path / "t.json"
+    env = dsl.parse_env((DATA / "rescue.env").read_text(), rescue_circuit)
+    trace.write_text(sim.simulate(rescue_auto, env, seed=0).to_json())
+    map_file = tmp_path / "m.map"
+    map_file.write_text("a -> PoliceRequest\n")
+    argv = [
+        "comply", "--rules", str(DATA / "rescue.rules"),
+        "--trace", str(trace), "--map", str(map_file), "--circuit", str(mini),
+    ]
+    assert cli.main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: round 1: 'case1' is not a boundary port of circuit 'mini'\n"
+
+
 def test_comply_malformed_trace_exits_two(tmp_path, rescue_circuit, rescue_auto):
     firing = {"round": 1, "kind": "firing", "sync": ["police_alarm"],
               "data": {"police_alarm": "ok"}, "from": "s0", "to": "s1"}

@@ -18,7 +18,7 @@ from reokit.sim import Round
 
 from importlib import resources
 
-from util import MINIMAL_SYNC_TEXT, circuit_signature, random_circuit, scan_lookup
+from util import MINIMAL_SYNC_TEXT, circuit_signature, perfbench_gen, random_circuit, scan_lookup
 
 RULES_TEXT = resources.files("reokit").joinpath("data/rescue.rules").read_text()
 MINI = dsl.parse_circuit(MINIMAL_SYNC_TEXT)
@@ -620,23 +620,34 @@ _ENV_FAULTS = tuple(
 )
 
 
+_GAPS = ("", " ", "\t", " \t")
+_WORD_GAPS = (" ", "\t", "  ")
+
+
 @st.composite
-def _env_line(draw, faults=()):
-    """A round line for KEYWORD_PORTS_TEXT, well-formed but for one of ``faults``, if given."""
-    gap = lambda: draw(st.sampled_from(("", " ", "\t", " \t")))
-    word_gap = lambda: draw(st.sampled_from((" ", "\t", "  ")))
+def _env_clause(draw):
+    """An offer or a ready clause for KEYWORD_PORTS_TEXT, without a separator."""
+    gap = lambda: draw(st.sampled_from(_GAPS))
+    if draw(st.booleans()):
+        pairs = [
+            f"{draw(st.sampled_from(('a', 'offer')))}{gap()}={gap()}"
+            + draw(st.sampled_from(("ok", "bad")))
+            for _ in range(draw(st.integers(1, 3)))
+        ]
+        return f"offer{draw(st.sampled_from(_WORD_GAPS))}" + f"{gap()},{gap()}".join(pairs)
+    ports = [draw(st.sampled_from(("b", "ready"))) for _ in range(draw(st.integers(1, 3)))]
+    return f"ready{draw(st.sampled_from(_WORD_GAPS))}" + f"{gap()},{gap()}".join(ports)
+
+
+@st.composite
+def _env_line(draw, clauses, faults=()):
+    """A round line for KEYWORD_PORTS_TEXT whose clauses are drawn from
+    ``clauses``, well-formed but for one of ``faults``, if given."""
+    gap = lambda: draw(st.sampled_from(_GAPS))
+    word_gap = lambda: draw(st.sampled_from(_WORD_GAPS))
     body = ""
     for _ in range(draw(st.integers(1 if faults else 0, 3))):
-        if draw(st.booleans()):
-            pairs = [
-                f"{draw(st.sampled_from(('a', 'offer')))}{gap()}={gap()}"
-                + draw(st.sampled_from(("ok", "bad")))
-                for _ in range(draw(st.integers(1, 3)))
-            ]
-            body += f"offer{word_gap()}" + f"{gap()},{gap()}".join(pairs)
-        else:
-            ports = [draw(st.sampled_from(("b", "ready"))) for _ in range(draw(st.integers(1, 3)))]
-            body += f"ready{word_gap()}" + f"{gap()},{gap()}".join(ports)
+        body += draw(st.sampled_from(clauses))
         body += draw(st.sampled_from((" ", ";", "; ", " ;\t", "\t", "")))  # "": okready b
     line = f"round{word_gap()}{draw(st.integers(1, 12))}{gap()}:{gap()}{body}"
     if faults:
@@ -648,6 +659,17 @@ def _env_line(draw, faults=()):
     return line
 
 
+@st.composite
+def _env_lines(draw):
+    """Up to three round lines and one line with a fault, all drawing their
+    clauses from one pool of up to four. A clause text thus recurs in
+    different bodies, in different orders and beside different clauses, a
+    body may hold two clauses of one kind, and a fault that falls in a
+    clause makes a bad clause first met beside good ones."""
+    clauses = draw(st.lists(_env_clause(), min_size=1, max_size=4))
+    return draw(st.lists(_env_line(clauses), max_size=3)), draw(_env_line(clauses, _ENV_FAULTS))
+
+
 def _env_outcome(text, circuit):
     try:
         return dsl.parse_env(text, circuit)
@@ -656,18 +678,25 @@ def _env_outcome(text, circuit):
 
 
 @given(
-    lines=st.lists(_env_line(), max_size=3),
-    odd_line=_env_line(_ENV_FAULTS),
+    script=_env_lines(),
     at=st.integers(0, 3),
     policy=st.sampled_from(("", "", "policy closed\n", "policy\tall-ready\n", "policyclosed\n")),
     late_policy=st.booleans(),
 )
-@example([], "round 1: offer a=okready b", 0, "", False)
-@example(["round 1: offer offer=ok; ready ready"], "round 2x: ready b", 1, "", False)
-@example([], "round 1: ready b; offer a=ok ready ready offer offer=bad;", 0, "", False)
+@example(([], "round 1: offer a=okready b"), 0, "", False)
+@example((["round 1: offer offer=ok; ready ready"], "round 2x: ready b"), 1, "", False)
+@example(([], "round 1: ready b; offer a=ok ready ready offer offer=bad;"), 0, "", False)
+@example(
+    (
+        ["round 1: ready b; offer a=ok", "round 2: offer a=ok; ready ready; ready b"],
+        "round 3: offer a=ok; ready b, nope; offer offer=bad",
+    ),
+    2, "", False,
+)
 @settings(max_examples=400, deadline=None)
-def test_parse_env_line_grammar_agrees_with_token_parser(lines, odd_line, at, policy, late_policy):
-    lines.insert(at, odd_line)
+def test_parse_env_line_grammar_agrees_with_token_parser(script, at, policy, late_policy):
+    lines, odd_line = script
+    lines = lines[:at] + [odd_line] + lines[at:]
     text = policy + "\n".join(lines) + ("\npolicy closed" if late_policy else "")
     circuit = dsl.parse_circuit(KEYWORD_PORTS_TEXT)
     with mock.patch.object(dsl, "_fast_round", lambda *args: None):
@@ -702,19 +731,38 @@ def test_parse_env_ready_set_repr_agrees_under_any_hash_seed():
         assert result.stdout == "True\n", hash_seed
 
 
+def _assert_same_env(got, expected):
+    """``got`` equals ``expected`` down to each round's ``repr``; the rounds
+    that differ are listed, not the whole script."""
+    assert got.idle == expected.idle and list(got.rounds) == list(expected.rounds)
+    assert [n for n, r in got.rounds.items() if repr(r) != repr(expected.rounds[n])] == []
+
+
 def _varied_env(rng: random.Random, rounds: int) -> list[str]:
-    """Well-formed lines for KEYWORD_PORTS_TEXT in every accepted clause form."""
+    """Well-formed lines for KEYWORD_PORTS_TEXT in every accepted clause form.
+
+    Each body draws its clauses from a small pool, so the same clause text
+    recurs in different bodies, in different orders and beside different
+    clauses, and some bodies hold two offer or two ready clauses.
+    """
     gap = lambda: rng.choice(("", " ", "\t", "  "))
-    lines = ["# seeded env", "policy closed"]
-    for n in range(1, rounds + 1):
-        offer = "offer " + f"{gap()},{gap()}".join(
+    offers = [
+        f"offer{rng.choice((' ', chr(9)))}"
+        + f"{gap()},{gap()}".join(
             f"{p}{gap()}={gap()}{rng.choice(('ok', 'bad'))}"
             for p in rng.sample(("a", "offer"), rng.randint(1, 2))
         )
-        ready = "ready " + ", ".join(rng.sample(("b", "ready"), rng.randint(1, 2)))
-        clauses = rng.choice(
-            ([], [offer], [ready], [offer, ready], [ready, offer], [offer, offer], [ready, ready, offer])
-        )
+        for _ in range(6)
+    ]
+    readies = [
+        f"ready{rng.choice((' ', '  '))}"
+        + f"{gap()},{gap()}".join(rng.sample(("b", "ready"), rng.randint(1, 2)))
+        for _ in range(4)
+    ]
+    lines = ["# seeded env", "policy closed"]
+    for n in range(1, rounds + 1):
+        kinds = rng.choice(("", "o", "r", "or", "ro", "oo", "rr", "rro", "oro"))
+        clauses = [rng.choice(offers if kind == "o" else readies) for kind in kinds]
         sep = rng.choice((";", "; ", " ", " ;\t"))
         number = f"{n:0{rng.randint(1, 6)}d}"
         line = f"round{rng.choice((' ', chr(9), '  '))}{number}{gap()}:{gap()}" + sep.join(clauses)
@@ -734,22 +782,57 @@ def test_parse_env_fast_path_never_lexes_well_formed_lines():
         calls.append(args)
         return real_lex(*args, **kwargs)
 
+    broken_lines = (
+        ("round 2001: offer a=", "SYNTAX"),
+        ("round 2001: ready nope", "UNKNOWN_PORT"),
+        ("round 2001: offer a=zap", "UNKNOWN_TOKEN"),
+        # a bad clause first met beside clauses read before
+        ("round 2001: offer a=ok; ready b, nope; ready ready", "UNKNOWN_PORT"),
+        ("round 2001: ready b; offer offer=ok, a=zap; ready b", "UNKNOWN_TOKEN"),
+    )
+    errors = []
     with mock.patch.object(dsl, "_lex", counting_lex):
         env = dsl.parse_env("\n".join(lines), circuit)
         assert calls == []
         assert len(env.rounds) == 2000
-        for broken, code in (
-            ("round 2001: offer a=", "SYNTAX"),
-            ("round 2001: ready nope", "UNKNOWN_PORT"),
-            ("round 2001: offer a=zap", "UNKNOWN_TOKEN"),
-        ):
+        for broken, code in broken_lines:
             with pytest.raises(dsl.ParseFailure) as exc:
                 dsl.parse_env("\n".join(lines[:1000] + [broken] + lines[1000:]), circuit)
             assert exc.value.error.code == code
+            errors.append(exc.value.error)
             assert len(calls) == 1, broken
             calls.clear()
     with mock.patch.object(dsl, "_fast_round", lambda *args: None):
-        assert dsl.parse_env("\n".join(lines), circuit) == env
+        _assert_same_env(dsl.parse_env("\n".join(lines), circuit), env)
+        for (broken, _), error in zip(broken_lines, errors):
+            text = "\n".join(lines[:1000] + [broken] + lines[1000:])
+            assert _env_outcome(text, circuit) == error, broken
+
+
+def test_parse_env_reads_each_distinct_clause_list_once(rescue_circuit):
+    # the seed-5 busy-sim env: 12,000 rounds, 4,720 distinct bodies, built
+    # from 287 distinct offer lists and 63 distinct ready lists
+    text = perfbench_gen().busy_env(5, 12000)
+    reads = []
+    real_read = dsl._read_clause
+
+    def counting_read(clause, *args):
+        reads.append(clause)
+        return real_read(clause, *args)
+
+    with mock.patch.object(dsl, "_read_clause", counting_read):
+        env = dsl.parse_env(text, rescue_circuit)
+    assert len(set(reads)) == len(reads)
+    offer_lists = [offer_list for offer_list, _ in reads if offer_list]
+    assert (len(offer_lists), len(reads) - len(offer_lists)) == (287, 63)
+    # every body here holds at most one clause of each kind, so rounds with
+    # equal offers or equal ready sets share one tuple or one frozenset
+    rounds = env.rounds.values()
+    assert len({id(r) for r in rounds}) == 4720
+    assert len({id(r.offers) for r in rounds}) == len({r.offers for r in rounds})
+    assert len({id(r.ready) for r in rounds}) == len({r.ready for r in rounds})
+    with mock.patch.object(dsl, "_fast_round", lambda *args: None):
+        _assert_same_env(dsl.parse_env(text, rescue_circuit), env)
 
 
 def _assert_circuit_strings(env, circuit):

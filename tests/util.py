@@ -224,14 +224,19 @@ def counted(facts, term: S.Term) -> list[int]:
     return sorted(f[1] for f in facts if f[0] == S.COUNT and f[2] == term)
 
 
-def dispatch_circuit(k: int) -> C.Circuit:
-    """The benchmark's dispatch circuit with ``k`` staff branches, parsed
-    from ``perfbench/gen.py``'s text."""
+def perfbench_gen():
+    """The benchmark's input generators, ``perfbench/gen.py``, as a module."""
     path = Path(__file__).resolve().parents[1] / "perfbench" / "gen.py"
     spec = importlib.util.spec_from_file_location("perfbench_gen", path)
     gen = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(gen)
-    return parse_circuit(gen.dispatch_circuit(k))
+    return gen
+
+
+def dispatch_circuit(k: int) -> C.Circuit:
+    """The benchmark's dispatch circuit with ``k`` staff branches, parsed
+    from ``perfbench/gen.py``'s text."""
+    return parse_circuit(perfbench_gen().dispatch_circuit(k))
 
 
 def random_guard(rng: random.Random, sync: list[str], alphabet=ALPHABET) -> frozenset[tuple]:
