@@ -133,6 +133,12 @@ def cmd_comply(args) -> int:
                     f"round {firing.round}: {outside[0]!r} is not a boundary port"
                     f" of circuit {circuit.name!r}"
                 )
+            for port, datum in firing.assignment:
+                if datum not in circuit.alphabet:
+                    raise ToolError(
+                        f"round {firing.round}: {datum!r} on {port!r} is not in the data"
+                        f" alphabet of circuit {circuit.name!r}"
+                    )
         mapping = dsl.parse_map(_read(args.map), circuit)
         for term in rescue.map_trace(trace, mapping):
             engine.ingest(term, origin=ORIGIN_TRACE)

@@ -626,7 +626,7 @@ def _fast_round(stripped, seen_rounds, bodies, clauses, checks) -> tuple[int, Ro
     return None if parsed is None else (number, parsed)
 
 
-def _fast_body(body, clauses, ins, outs, alphabet, names, idle) -> Round | None:
+def _fast_body(body, clauses, ins, outs, alphabet, idle) -> Round | None:
     """The ``Round`` of a round body the body pattern matches and every name
     passes; None otherwise. ``idle`` is what a body with no ready clause
     readies.
@@ -636,50 +636,43 @@ def _fast_body(body, clauses, ins, outs, alphabet, names, idle) -> Round | None:
     ``_read_clause`` made of it, so a clause list is read once per
     ``parse_env`` call, and rounds share what it built: a body with one
     offer clause uses that clause's tuple, and one with one ready clause
-    its frozenset. Several clauses of one kind are joined in text order.
+    its frozenset. Several offer clauses are joined in text order, several
+    ready clauses by union.
     """
     _, body_re, clause_re, _, _ = _round_grammar()
     if body_re.fullmatch(body) is None:
         return None
     offers: tuple[tuple[str, str], ...] = ()
-    ready: tuple[tuple[str, ...], frozenset[str]] | None = None
+    ready: frozenset[str] | None = None
     for clause in clause_re.findall(body):
         if clause not in clauses:
-            clauses[clause] = _read_clause(clause, ins, outs, alphabet, names)
+            clauses[clause] = _read_clause(clause, ins, outs, alphabet)
         read = clauses[clause]
         if read is None:
             return None
         if clause[0]:
             offers = offers + read if offers else read
         else:
-            ready = read if ready is None else _ready_set(ready[0] + read[0])
-    return Round(offers, idle if ready is None else ready[1])
+            ready = read if ready is None else ready | read
+    return Round(offers, idle if ready is None else ready)
 
 
-def _read_clause(clause, ins, outs, alphabet, names) -> tuple | None:
+def _read_clause(clause, ins, outs, alphabet) -> tuple | frozenset | None:
     """One clause list, read once: an offer list's ``(port, tok)`` pairs, or a
-    ready list's ports in text order with their frozenset (``_ready_set``);
-    None if a port or token fails its check. ``names`` maps each of the
-    circuit's names to itself, so what it returns holds the circuit's own
-    strings."""
+    ready list's frozenset of ports; None if a port or token fails its check.
+
+    Names are interned, so a long script holds one string per distinct name,
+    not one per clause list that names it.
+    """
     _, _, _, pair_re, name_re = _round_grammar()
     offer_list, ready_list = clause
     if offer_list:
         pairs = pair_re.findall(offer_list)
         if not all(port in ins and tok in alphabet for port, tok in pairs):
             return None
-        return tuple((names[port], names[tok]) for port, tok in pairs)
+        return tuple((sys.intern(port), sys.intern(tok)) for port, tok in pairs)
     ports = name_re.findall(ready_list)
-    if not all(port in outs for port in ports):
-        return None
-    return _ready_set(tuple(names[port] for port in ports))
-
-
-def _ready_set(ports: tuple[str, ...]) -> tuple[tuple[str, ...], frozenset[str]]:
-    """``ports`` and their frozenset, filled in text order as ``_token_round``
-    fills its set, so that equal sets also share one table layout, and with
-    it one iteration order."""
-    return ports, frozenset(set(ports))
+    return frozenset(map(sys.intern, ports)) if outs.issuperset(ports) else None
 
 
 def _check_port(p: _Parser, tok: Token, ports, kind: str) -> None:
@@ -694,11 +687,8 @@ def _check_datum(p: _Parser, tok: Token, alphabet) -> None:
         raise p.fail_at(tok, "UNKNOWN_TOKEN", f"{tok.text!r} is not in the data alphabet")
 
 
-def _token_round(tokens, seen_rounds, ins, outs, alphabet, names, idle) -> tuple[int, Round]:
-    """One ``round`` line's tokens through the token parser; raises its ParseFailure.
-
-    Like ``_fast_body``, it names ports and tokens by the circuit's own strings.
-    """
+def _token_round(tokens, seen_rounds, ins, outs, alphabet, idle) -> tuple[int, Round]:
+    """One ``round`` line's tokens through the token parser; raises its ParseFailure."""
     p = _Parser(tokens)
     p.expect_ident("round")
     number_tok = p.expect_int()
@@ -718,12 +708,12 @@ def _token_round(tokens, seen_rounds, ins, outs, alphabet, names, idle) -> tuple
         tok = p.expect_ident()
         _check_port(p, port_tok, ins, "boundary-in")
         _check_datum(p, tok, alphabet)
-        return names[port_tok.text], names[tok.text]
+        return port_tok.text, tok.text
 
     def ready_port() -> str:
         port_tok = p.expect_ident()
         _check_port(p, port_tok, outs, "boundary-out")
-        return names[port_tok.text]
+        return port_tok.text
 
     offers: list[tuple[str, str]] = []
     ready: set[str] = set()
@@ -764,17 +754,15 @@ def parse_env(text: str, circuit: Circuit) -> EnvScript:
     or ready clause list once per call, so rounds share the offer tuples
     and ready frozensets built from those. A line it does not take
     goes to the token parser (``_token_round``), the one place a round
-    line's ParseError comes from. Both paths name ports and tokens by the
-    circuit's own strings, so a long script holds no copies of them.
+    line's ParseError comes from.
     """
     rounds: dict[int, Round] = {}
     bodies: dict[str, Round | None] = {}
-    clauses: dict[tuple[str, str], tuple | None] = {}
+    clauses: dict[tuple[str, str], tuple | frozenset | None] = {}
     ins, outs, alphabet = circuit.inputs, circuit.outputs, circuit.alphabet
-    names = {name: name for name in ins | outs | alphabet}
     idle = outs
     for index, (line_no, column, stripped) in enumerate(_content_lines(text)):
-        checks = (ins, outs, alphabet, names, idle)
+        checks = (ins, outs, alphabet, idle)
         entry = _fast_round(stripped, rounds, bodies, clauses, checks)
         if entry is None:
             words = re.split(f"{_BLANK}+", stripped, maxsplit=1)

@@ -584,11 +584,11 @@ class ComplianceEngine:
                 outcomes.append((_STORED, conclusion, derivation))
         return term_depth, event_like(term), tuple(outcomes)
 
-    def add_fact(self, term: Term, label: str = "asserted") -> bool:
+    def add_fact(self, term: Term) -> bool:
         """Directly assert a ground fact (no event, no counting)."""
         if not is_ground(term):
             raise ValueError("facts must be ground")
-        stored = self._add_fact(term, Derivation(label, ()))
+        stored = self._add_fact(term, Derivation("asserted", ()))
         if stored:
             self._converged = False
         return stored

@@ -508,6 +508,42 @@ def test_comply_checks_the_trace_against_the_circuit(
     assert captured.err == "error: round 1: 'case1' is not a boundary port of circuit 'mini'\n"
 
 
+def test_comply_checks_the_trace_data_against_the_circuit(mini, tmp_path, capsys):
+    # a datum outside the circuit's alphabet cannot fire, so such a trace is
+    # not judged: judged, this one read as a PoliceRequest out of order
+    firing = {"round": 1, "kind": "firing", "from": "s0", "to": "s0"}
+    rounds = [
+        {"kind": "stall", "round": 1},
+        {**firing, "round": 2, "sync": ["a", "b"], "data": {"a": "ok", "b": "ok"}},
+        {**firing, "round": 3, "sync": ["a", "b"], "data": {"a": "zzz", "b": "zzz"}},
+        {**firing, "round": 4, "sync": ["a", "b"], "data": {"a": "ok", "b": "yyy"}},
+    ]
+    trace = tmp_path / "t.json"
+    map_file = tmp_path / "m.map"
+    map_file.write_text("a -> PoliceRequest\n")
+    rules = tmp_path / "r.rules"
+    rules.write_text("protocol { AmbulanceRequest >> PoliceRequest }\n")
+    argv = [
+        "comply", "--rules", str(rules),
+        "--trace", str(trace), "--map", str(map_file), "--circuit", str(mini),
+    ]
+    for kept, err in (
+        (2, ""),
+        (3, "error: round 3: 'zzz' on 'a' is not in the data alphabet of circuit 'mini'\n"),
+        (4, "error: round 3: 'zzz' on 'a' is not in the data alphabet of circuit 'mini'\n"),
+    ):
+        trace.write_text(json.dumps({"circuit": "mini", "seed": 0, "rounds": rounds[:kept]}))
+        assert cli.main(argv) == (2 if err else 1)
+        captured = capsys.readouterr()
+        assert captured.err == err
+        assert (captured.out == "") == bool(err)
+    trace.write_text(json.dumps({"circuit": "mini", "seed": 0, "rounds": rounds[3:]}))
+    assert cli.main(argv) == 2
+    assert capsys.readouterr().err == (
+        "error: round 4: 'yyy' on 'b' is not in the data alphabet of circuit 'mini'\n"
+    )
+
+
 def test_comply_malformed_trace_exits_two(tmp_path, rescue_circuit, rescue_auto):
     firing = {"round": 1, "kind": "firing", "sync": ["police_alarm"],
               "data": {"police_alarm": "ok"}, "from": "s0", "to": "s1"}

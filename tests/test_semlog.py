@@ -241,6 +241,12 @@ def test_rule13_modus_ponens_on_reified_implication():
     eng.add_fact(P(HELI))
     eng.saturate()
     assert P(BUDGET) in eng.facts
+    # the implication is already a reified rule; add_fact labels what it stores
+    assert eng.explain(P(BUDGET)).splitlines() == [
+        "P(BudgetConsuming)  [r13]",
+        "  (HelicopterMission=>BudgetConsuming)  [reified r5]",
+        "  P(HelicopterMission)  [asserted]",
+    ]
 
 
 def test_a_literal_count_index_matches_only_that_count():
