@@ -17,6 +17,7 @@ finite-domain enumeration; no solver.
 from __future__ import annotations
 
 import functools
+import gc
 import itertools
 import json
 import re
@@ -37,7 +38,6 @@ from .circuit import (
     InvalidCircuitError,
     Node,
     dot_quote,
-    partition,
     validate_circuit,
     value_domains,
 )
@@ -98,20 +98,49 @@ def pretty(g: frozenset[tuple]) -> str:
 
 
 def _classes(
-    g: frozenset[tuple], names, alphabet: frozenset[str]
+    g: frozenset[tuple], alphabet: frozenset[str]
 ) -> tuple[dict[str, str], dict[str, frozenset[str]]]:
-    """Equality classes of ``names`` under the eq atoms of guard ``g``.
+    """Equality classes of the names guard ``g`` mentions, in one pass over
+    its atoms.
 
-    Returns the class root of each name and the values each root still
-    allows after the const and member atoms.
+    Returns the class root of each mentioned name, and the values still
+    allowed at each root that a const or member atom constrains; any other
+    root allows the whole ``alphabet``. This small union-find over the
+    guard's own names is what ``project`` and ``sat_assignments`` use, as
+    they run once per guard, thousands of times per compile;
+    ``circuit.partition`` serves the circuit-level callers.
     """
-    root = partition(names, ((a[1], a[2]) for a in g if a[0] == EQ))
-    allowed = {r: alphabet for r in root.values()}
+    up: dict[str, str] = {}  # a name to the one its class was merged into
+    root: dict[str, str] = {}
+    bounds = []
     for atom in g:
+        if atom[0] == EQ:
+            a = atom[1]
+            b = atom[2]
+            root[a] = a
+            root[b] = b
+            while a in up:
+                a = up[a]
+            while b in up:
+                b = up[b]
+            if a != b:
+                up[a] = b
+        else:
+            root[atom[1]] = atom[1]
+            bounds.append(atom)
+    for n in root:
+        r = n
+        while r in up:
+            r = up[r]
+        root[n] = r
+    allowed: dict[str, frozenset[str]] = {}
+    for atom in bounds:
+        r = root[atom[1]]
+        vals = allowed.get(r, alphabet)
         if atom[0] == CONST:
-            allowed[root[atom[1]]] &= {atom[2]}
-        elif atom[0] == MEMBER:
-            allowed[root[atom[1]]] &= frozenset(atom[2])
+            allowed[r] = vals & {atom[2]}
+        else:
+            allowed[r] = vals.intersection(atom[2])
     return root, allowed
 
 
@@ -135,22 +164,24 @@ def project(
     """
     if not alphabet and names:
         return None
-    mentioned = guard_names(g)
-    root, allowed = _classes(g, mentioned, alphabet)
+    root, allowed = _classes(g, alphabet)
     if not all(allowed.values()):
         return None
     visible: dict[str, list[str]] = {}
-    for n in sorted(mentioned & keep):
+    for n in sorted(root.keys() & keep):
         visible.setdefault(root[n], []).append(n)
-    atoms = set()
+    atoms = []
     for r, members in visible.items():
-        atoms.update((EQ, a, b) for a, b in zip(members, members[1:]))
-        vals = allowed[r]
+        prev = members[0]
+        vals = allowed.get(r, alphabet)
         if vals != alphabet:
             if len(vals) == 1:
-                atoms.add((CONST, members[0], next(iter(vals))))
+                atoms.append((CONST, prev, next(iter(vals))))
             else:
-                atoms.add((MEMBER, members[0], tuple(sorted(vals))))
+                atoms.append((MEMBER, prev, tuple(sorted(vals))))
+        for n in members[1:]:
+            atoms.append((EQ, prev, n))
+            prev = n
     return frozenset(atoms)
 
 
@@ -162,14 +193,16 @@ def sat_assignments(
 
     Conjunctions only relate names through equality, so the satisfying
     set factors over equality classes: enumerate one value per class
-    from its allowed set instead of the full alphabet^|sync| product.
+    from its allowed set instead of the full alphabet^|sync| product. A
+    sync name the guard does not mention is a class of its own.
     """
-    extra = guard_names(g) - sync
-    if extra:
-        raise UnknownNameError(f"constraint names {sorted(extra)} outside sync-set")
-    root, allowed = _classes(g, sync, alphabet)
-    roots = sorted(allowed)
-    choices = [sorted(allowed[r]) for r in roots]
+    root, allowed = _classes(g, alphabet)
+    if not root.keys() <= sync:
+        raise UnknownNameError(f"constraint names {sorted(root.keys() - sync)} outside sync-set")
+    for n in sync:
+        root.setdefault(n, n)
+    roots = sorted(set(root.values()))
+    choices = [sorted(allowed.get(r, alphabet)) for r in roots]
     if not all(choices):
         return ()
     ports = sorted(sync)
@@ -649,18 +682,34 @@ def compile_circuit(c: Circuit) -> ConstraintAutomaton:
     The result has exactly the boundary ports as names, with the
     boundary-in ports as ``inputs``. States are numbered in discovery
     order, and each row is sorted by ``Transition.sort_key``, once, here.
+
+    The cyclic garbage collector is paused for the whole compile, and
+    switched back on at the end only if it was on before. Every product's
+    transitions, moves and memo lists are tracked containers that live
+    through many young collections, so the collector would walk them
+    again and again, for about a tenth of a rescue compile, and find
+    nothing: a compile makes no reference cycles, so each product is
+    freed by reference counting once the next join drops it, and the
+    pause leaves no garbage behind. The pause ends as the compile
+    returns, so the collection that follows finds the products freed.
     """
-    report = validate_circuit(c)
-    if not report.ok:
-        raise InvalidCircuitError(report)
-    autos = circuit_automata(c)
-    if not autos:
-        return identity_automaton(c.alphabet)
-    ports = c.inputs | c.outputs
-    joined = join_many(autos, ports)
-    hidden = hide(joined, joined.names - ports)
-    rows = tuple(tuple(sorted(row, key=Transition.sort_key)) for row in hidden.rows)
-    return hidden._replace(rows=rows)
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        report = validate_circuit(c)
+        if not report.ok:
+            raise InvalidCircuitError(report)
+        autos = circuit_automata(c)
+        if not autos:
+            return identity_automaton(c.alphabet)
+        ports = c.inputs | c.outputs
+        joined = join_many(autos, ports)
+        hidden = hide(joined, joined.names - ports)
+        rows = tuple(tuple(sorted(row, key=Transition.sort_key)) for row in hidden.rows)
+        return hidden._replace(rows=rows)
+    finally:
+        if enabled:
+            gc.enable()
 
 
 def automaton_to_json(a: ConstraintAutomaton) -> str:

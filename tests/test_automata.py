@@ -1,5 +1,7 @@
 import collections
+import gc
 import hashlib
+import itertools
 import json
 import os
 import random
@@ -71,8 +73,6 @@ def test_sat_assignments_matches_naive_enumeration():
                 g = A.conj(g, A.member(rng.choice(names), rng.sample(values, rng.randint(1, 2))))
         fast = A.sat_assignments(g, sync, ALPHABET)
         slow = []
-        import itertools
-
         for combo in itertools.product(values, repeat=len(names)):
             assignment = dict(zip(sorted(names), combo))
             if holds(g, assignment):
@@ -162,6 +162,64 @@ def test_project_over_its_guards_names_agrees_with_the_whole_names_oracle():
         cases["keep > names"] += keep > names
         cases["empty alphabet"] += not alphabet and bool(names)
         cases["true, empty alphabet"] += not alphabet and bool(names) and not g
+    assert all(n >= 20 for n in cases.values()), cases
+
+
+def _kernel_guard(rng, pool, alphabet):
+    """A guard whose equality classes are hard to get wrong: a random tree of
+    eq atoms over 6 or more names with some redundant links, and const and
+    in atoms that may contradict each other, name no value, or read ``in ()``."""
+    chain = rng.sample(pool, rng.randint(6, len(pool)))
+    g = A.conj(*(A.eq(n, rng.choice(chain[:i])) for i, n in enumerate(chain) if i))
+    for _ in range(rng.randint(0, 2)):
+        g = A.conj(g, A.eq(*rng.sample(chain, 2)))
+    values = sorted(alphabet | {"ok", "stray"})
+    for _ in range(rng.randint(0, 3)):
+        kind = rng.randrange(3)
+        if kind == 0:
+            g = A.conj(g, A.const(rng.choice(chain), rng.choice(values)))
+        elif kind == 1:
+            items = rng.sample(values, rng.randint(1, len(values)))
+            g = A.conj(g, A.member(rng.choice(chain), items))
+        else:
+            g = A.conj(g, A.member(rng.choice(chain), ()))
+    return g
+
+
+def test_guard_kernel_agrees_with_its_oracles_on_long_chains():
+    # project's classes come from a union-find over the guard's own names;
+    # the oracle's from circuit.partition over every name of ``names``, and
+    # sat_assignments must list exactly the assignments that satisfy the guard
+    rng = random.Random(34)
+    pool = [f"n{i}" for i in range(8)]
+    alphabets = [ALPHABET, frozenset({"ok"}), frozenset({"ok", "bad", "odd"}), frozenset()]
+    cases = collections.Counter()
+    for _ in range(1500):
+        alphabet = rng.choice(alphabets)
+        g = _kernel_guard(rng, pool, alphabet)
+        mentioned = A.guard_names(g)
+        names = mentioned | frozenset(rng.sample(pool, rng.randint(0, 2)))
+        canonical = project_over_names(g, mentioned, mentioned, alphabet)
+        keep = frozenset(rng.sample(pool, rng.randint(0, len(pool))))
+        for guard in {g, canonical} - {None}:
+            assert A.project(guard, keep, names, alphabet) == project_over_names(
+                guard, keep, names, alphabet
+            ), (guard, keep, names, alphabet)
+        empty_member = any(atom[0] == A.MEMBER and not atom[2] for atom in g)
+        cases["in ()"] += empty_member
+        cases["contradiction"] += canonical is None and not empty_member and bool(alphabet)
+        cases["satisfiable, constrained"] += bool(canonical) and len(alphabet) > 1
+        cases["empty alphabet"] += not alphabet
+        cases["wider names"] += names > mentioned
+        if len(names) <= 7 and len(alphabet) <= 2 or len(names) <= 6:
+            expected = tuple(
+                tuple(zip(sorted(names), combo))
+                for combo in itertools.product(sorted(alphabet), repeat=len(names))
+                if holds(g, dict(zip(sorted(names), combo)))
+            )
+            assert A.sat_assignments(g, names, alphabet) == expected, (g, names, alphabet)
+            cases["enumerated"] += 1
+            cases["enumerated, satisfiable"] += bool(expected)
     assert all(n >= 20 for n in cases.values()), cases
 
 
@@ -580,6 +638,67 @@ def test_compile_keeps_nothing_once_its_result_is_dropped():
     assert int(result.stdout) < 1_000_000
 
 
+def test_compile_restores_the_collectors_state(monkeypatch):
+    # compile pauses the cyclic collector and switches it back on only if it
+    # was on, also when the fold raises
+    c = parse_circuit(MINIMAL_SYNC_TEXT)
+    was_enabled = gc.isenabled()
+    try:
+        for enabled in (True, False):
+            (gc.enable if enabled else gc.disable)()
+            A.compile_circuit(c)
+            assert gc.isenabled() == enabled
+
+        def failing_join(*args):
+            raise RuntimeError("join failed")
+
+        monkeypatch.setattr(A, "join", failing_join)
+        for enabled in (True, False):
+            (gc.enable if enabled else gc.disable)()
+            with pytest.raises(RuntimeError, match="join failed"):
+                A.compile_circuit(c)
+            assert gc.isenabled() == enabled
+    finally:
+        (gc.enable if was_enabled else gc.disable)()
+
+
+def test_rescue_compile_runs_no_cyclic_collection(rescue_circuit):
+    collections_run = []
+
+    def count(phase, info):
+        if phase == "start":
+            collections_run.append(info["generation"])
+
+    gc.callbacks.append(count)
+    try:
+        A.compile_circuit(rescue_circuit)
+    finally:
+        gc.callbacks.remove(count)
+    assert collections_run == []
+
+
+def test_compile_makes_no_reference_cycles(rescue_circuit):
+    # the premise of compile's collector pause: with the collector off, a
+    # compile leaves nothing that only a cyclic collection would free
+    rng = random.Random(34)
+    circuits = [rescue_circuit] + [dispatch_circuit(k) for k in (2, 3, 4)]
+    circuits += [random_circuit(rng, max_extra=4) for _ in range(100)]
+    was_enabled = gc.isenabled()
+    found = {}
+    gc.collect()
+    gc.freeze()  # so each collection below walks only what the compiles made
+    try:
+        gc.disable()
+        for i, c in enumerate(circuits):
+            A.compile_circuit(c)
+            found[i, c.name] = gc.collect()
+    finally:
+        gc.unfreeze()
+        (gc.enable if was_enabled else gc.disable)()
+    assert len(found) == 104
+    assert not any(found.values()), {key: n for key, n in found.items() if n}
+
+
 def test_rescue_compile_projects_only_combined_guards(rescue_circuit):
     with mock.patch.object(A, "project", wraps=A.project) as project:
         A.compile_circuit(rescue_circuit)
@@ -757,6 +876,19 @@ def test_rescue_compile_json_pinned(rescue_auto):
     for atom in (r"d\([^)]+\)=d\(", r"d\([^)]+\)=(ok|bad|late)", r"d\([^)]+\) in \{", r"\} true"):
         assert re.search(atom, exported), atom  # every guard kind is pinned
     assert hashlib.sha256(exported.encode()).hexdigest() == RANDOM_EXPORT_SHA256
+
+
+# sha256 of automaton_to_json(compile_circuit(dispatch_circuit(4))), the
+# largest compile in tier-1: a change to the compile that renumbers states
+# or rewrites a guard at scale moves it
+DISPATCH4_JSON_SHA256 = "a59e1fa07648a421fb4a10eaa8ea0a73dbb8bdd3e051ed6ce0b338d78a43cf1e"
+
+
+def test_dispatch4_compile_pinned():
+    auto = A.compile_circuit(dispatch_circuit(4))
+    assert (auto.n_states, len(auto.transitions)) == (256, 2_528)
+    text = A.automaton_to_json(auto)
+    assert hashlib.sha256(text.encode()).hexdigest() == DISPATCH4_JSON_SHA256
 
 
 _ORDER_SCRIPT = """
