@@ -21,7 +21,7 @@ def expanded_steps(a: ConstraintAutomaton, state: int) -> list[tuple[Step, int]]
     """All (label, successor) pairs from a state, fully expanded and sorted."""
     return sorted(
         ((ports, assignment), t.dst)
-        for t, ports, assignments, _ in a.moves(state)
+        for t, ports, assignments, _ in a.moves[state]
         for assignment in assignments
     )
 
@@ -32,7 +32,7 @@ def reachable(a: ConstraintAutomaton) -> set[int]:
     stack = [a.initial]
     while stack:
         s = stack.pop()
-        for t, _, assignments, _ in a.moves(s):
+        for t, _, assignments, _ in a.moves[s]:
             if assignments and t.dst not in seen:
                 seen.add(t.dst)
                 stack.append(t.dst)
@@ -115,7 +115,7 @@ def analyze(a: ConstraintAutomaton) -> AnalysisReport:
     deadlocks = []
     fired: set[str] = set()
     for s in sorted(reach):
-        live = [ports for _, ports, assignments, _ in a.moves(s) if assignments]
+        live = [ports for _, ports, assignments, _ in a.moves[s] if assignments]
         if not live:
             deadlocks.append(state_name(s))
         fired.update(*live)

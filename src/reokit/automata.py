@@ -250,8 +250,9 @@ class ConstraintAutomaton(_AutomatonFields):
     ``Transition.sort_key`` order; those of ``join`` and ``hide`` are in
     the order they were found. Each transition's guard is a frozenset of
     atom tuples over names in its sync-set, so it is its own key in the
-    memos of ``join``, ``hide`` and ``moves``. ``moves`` is the one
-    expansion of a state into steps, which simulation and analysis read.
+    memos of ``join``, ``hide`` and ``moves``. ``moves`` is the one table
+    of every state's steps, which simulation and analysis read as
+    ``moves[s]``.
     Invariant: every guard is canonical,
     ``project(t.guard, t.sync, t.sync, alphabet) == t.guard``;
     ``build_automaton``, ``join`` and ``hide`` keep it, and ``join`` relies on it.
@@ -275,30 +276,30 @@ class ConstraintAutomaton(_AutomatonFields):
         return tuple(itertools.chain.from_iterable(self.rows))
 
     @functools.cached_property
-    def _moves(self) -> tuple[dict, dict]:
-        return {}, {}  # by state, and by (sync, guard)
-
-    def moves(self, state: int) -> tuple:
-        """``state``'s transitions in ``Transition.sort_key`` order, each as
-        ``(transition, ports, assignments, memo)``: ``ports`` is the sorted
-        sync-set, ``assignments`` its ``sat_assignments``, and ``memo`` a
-        dict that ``sim.enabled`` fills. The last three depend only on the
-        sync-set and the guard, so each such label is expanded once and
-        shared by every state; a state is expanded on first use and kept."""
-        by_state, by_label = self._moves
-        if state not in by_state:
+    def moves(self) -> tuple[tuple[tuple, ...], ...]:
+        """The move table: ``moves[s]`` holds state ``s``'s transitions in
+        ``Transition.sort_key`` order, each as ``(transition, ports,
+        assignments, memo)``: ``ports`` is the sorted sync-set,
+        ``assignments`` its ``sat_assignments``, and ``memo`` a dict that
+        ``sim.enabled`` fills. The last three depend only on the sync-set
+        and the guard, so each such label is expanded once and shared by
+        every state. The whole table is built on first use: every state of
+        a compiled automaton is reachable, and ``analyze`` reads them all."""
+        labels: dict = {}
+        table = []
+        for row in self.rows:
             moves = []
-            for t in sorted(self.rows[state], key=Transition.sort_key):
-                label = by_label.get((t.sync, t.guard))
+            for t in sorted(row, key=Transition.sort_key):
+                label = labels.get((t.sync, t.guard))
                 if label is None:
-                    label = by_label[t.sync, t.guard] = (
+                    label = labels[t.sync, t.guard] = (
                         tuple(sorted(t.sync)),
                         sat_assignments(t.guard, t.sync, self.alphabet),
                         {},
                     )
                 moves.append((t, *label))
-            by_state[state] = tuple(moves)
-        return by_state[state]
+            table.append(tuple(moves))
+        return tuple(table)
 
 
 # Transition from a field tuple, without the named tuple's Python-level

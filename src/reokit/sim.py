@@ -19,6 +19,7 @@ import json
 from typing import NamedTuple
 
 from .automata import ConstraintAutomaton, Transition, state_index, state_name
+from .circuit import Circuit
 
 
 class EnvMismatchError(ValueError):
@@ -97,16 +98,21 @@ class Trace(NamedTuple):
         return json.dumps(self.to_dict(), indent=2, sort_keys=True) + "\n"
 
 
-def trace_from_json(text: str) -> Trace:
-    """Rebuild a Trace from its JSON form, exactly: state ``sN`` is ``N``.
+def trace_from_json(text: str, circuit: Circuit) -> Trace:
+    """Rebuild a Trace of ``circuit`` from its JSON form, exactly: state
+    ``sN`` is ``N``.
 
     Raises ValueError for a document that is not an object or that nests
-    past the recursion limit, a missing key, a ``rounds`` entry that is not
+    past the recursion limit, a missing key, a ``circuit`` that is not a
+    string, a ``seed`` that is not an int, a ``rounds`` entry that is not
     an object, a step whose ``round`` is not an int, is below 1 or is not
     greater than the round of the step before it, a ``kind`` other than
-    ``stall`` and ``firing``, a firing whose ``sync`` is not a list
-    of names or whose ``data`` does not map exactly those names to strings,
-    or a state reference that is not ``s<int>``.
+    ``stall`` and ``firing``, a firing whose ``sync`` is not a non-empty
+    list of distinct names or whose ``data`` does not map exactly those
+    names to strings, or a state reference that is not ``s<int>``. Once the
+    whole document has read clean, each firing in round order must fire
+    only boundary ports of ``circuit`` and carry only values of its data
+    alphabet, or ValueError names the first that does not.
     """
     try:
         doc = json.loads(text)
@@ -116,9 +122,13 @@ def trace_from_json(text: str) -> Trace:
         raise ValueError("trace JSON must be an object")
     try:
         trace = Trace(doc["circuit"], doc["seed"], [])
+        if not isinstance(trace.circuit, str):
+            raise ValueError(f"trace circuit {trace.circuit!r} is not a string")
+        if type(trace.seed) is not int:
+            raise ValueError(f"trace seed {trace.seed!r} is not an int")
         for entry in doc["rounds"]:
             number = entry["round"]
-            if isinstance(number, bool) or not isinstance(number, int):
+            if type(number) is not int:
                 raise ValueError(f"round {number!r} is not an int")
             if number < 1:
                 raise ValueError(f"round {number} is below 1")
@@ -133,6 +143,8 @@ def trace_from_json(text: str) -> Trace:
             sync, data = entry["sync"], entry["data"]
             if not (isinstance(sync, list) and all(isinstance(n, str) for n in sync)):
                 raise ValueError(f"firing sync {sync!r} is not a list of names")
+            if not sync or len(set(sync)) < len(sync):
+                raise ValueError(f"firing sync {sync!r} is empty or names a port twice")
             if not (isinstance(data, dict) and data.keys() == set(sync)):
                 raise ValueError(f"firing data {data!r} does not name exactly {sorted(set(sync))}")
             if not all(isinstance(v, str) for v in data.values()):
@@ -150,12 +162,21 @@ def trace_from_json(text: str) -> Trace:
         raise ValueError(f"trace JSON lacks key {exc}") from None
     except (TypeError, AttributeError) as exc:
         raise ValueError(f"malformed trace JSON: {exc}") from None
+    ports = circuit.inputs | circuit.outputs
+    for firing in trace.firings():
+        outside = sorted(firing.sync - ports)
+        if outside:
+            raise ValueError(
+                f"round {firing.round}: {outside[0]!r} is not a boundary port"
+                f" of circuit {circuit.name!r}"
+            )
+        for port, datum in firing.assignment:
+            if datum not in circuit.alphabet:
+                raise ValueError(
+                    f"round {firing.round}: {datum!r} on {port!r} is not in the data"
+                    f" alphabet of circuit {circuit.name!r}"
+                )
     return trace
-
-
-# stands for every offered value outside the alphabet in a memo key: no
-# assignment carries one, so they all admit the same (no) assignments
-_OUTSIDE = object()
 
 
 def enabled(
@@ -164,7 +185,7 @@ def enabled(
     offers: dict[str, str],
     ready: frozenset[str],
 ) -> list[tuple[Transition, tuple[tuple[str, str], ...]]]:
-    """The (transition, assignment) pairs of ``a.moves(state)``, in that
+    """The (transition, assignment) pairs of ``a.moves[state]``, in that
     order, whose sync-set names are all offered or ready and whose offered
     names all carry the offered value. An assignment is the sorted
     ``(name, value)`` tuple the move holds, shared, not copied.
@@ -173,33 +194,25 @@ def enabled(
     ready names. Which of its assignments match then depends only on the
     values offered on its sync-set, so that filter is memoized in the
     move's memo, keyed on those values (None where a name is only ready).
+    The offered values are taken from ``a.alphabet``, as ``simulate``
+    checks and ``parse_env`` ensures; any other value matches no
+    assignment, and each one adds a key to the memo.
     """
     avail = ready | offers.keys()
     options = []
-    for t, ports, assignments, memo in a.moves(state):
+    for t, ports, assignments, memo in a.moves[state]:
         if t.sync <= avail:
             key = tuple(map(offers.get, ports))
             matches = memo.get(key)
             if matches is None:
-                matches = _admitted(key, assignments, memo, a.alphabet)
+                matches = memo[key] = tuple(
+                    assignment
+                    for assignment in assignments
+                    if all(v is None or v == w for v, (_, w) in zip(key, assignment))
+                )
             for assignment in matches:
                 options.append((t, assignment))
     return options
-
-
-def _admitted(key: tuple, assignments: tuple, memo: dict, alphabet: frozenset[str]) -> tuple:
-    """The assignments that agree with every offered value in ``key``, stored
-    in ``memo`` under ``key`` with each value outside the alphabet replaced
-    by ``_OUTSIDE``, so such values add at most one key per pattern."""
-    key = tuple(v if v is None or v in alphabet else _OUTSIDE for v in key)
-    matches = memo.get(key)
-    if matches is None:
-        matches = memo[key] = tuple(
-            assignment
-            for assignment in assignments
-            if all(v is None or v == w for v, (_, w) in zip(key, assignment))
-        )
-    return matches
 
 
 def round_pick(seed: int, round_no: int, k: int) -> int:
@@ -247,8 +260,10 @@ def simulate(
     ValueError before round 1.
 
     Port direction comes from the automaton: offers must name its
-    ``inputs`` and readiness, ``idle``'s too, its boundary-out names,
-    ``names - inputs``; the script is checked against them before round 1.
+    ``inputs`` with values of its ``alphabet``, and readiness, ``idle``'s
+    too, its boundary-out names, ``names - inputs``. The whole script is
+    checked against them before round 1, and EnvMismatchError names the
+    first offer or readiness that does not fit.
 
     Every round the script does not list has the same offers (none) and
     readiness, so a state that stalls in one stalls in each until the next
@@ -258,9 +273,11 @@ def simulate(
         raise ValueError(f"round cap must be >= 0, got {rounds}")
     inputs, outputs = a.inputs, a.names - a.inputs
     for r in (Round((), env.idle), *env.rounds.values()):
-        for port, _tok in r.offers:
+        for port, tok in r.offers:
             if port not in inputs:
                 raise EnvMismatchError(f"offer on {port!r}: not a boundary-in port")
+            if tok not in a.alphabet:
+                raise EnvMismatchError(f"offer {tok!r} on {port!r}: not in the data alphabet")
         for port in r.ready:
             if port not in outputs:
                 raise EnvMismatchError(f"ready on {port!r}: not a boundary-out port")

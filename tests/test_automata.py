@@ -800,8 +800,9 @@ def test_moves_expand_each_label_once_and_share_it():
     for _ in range(40):
         auto = A.compile_circuit(random_circuit(rng, max_extra=3))
         by_label = {}
+        assert len(auto.moves) == auto.n_states
         for s in range(auto.n_states):
-            moves = auto.moves(s)
+            moves = auto.moves[s]
             assert [t for t, *_ in moves] == sorted(auto.rows[s], key=A.Transition.sort_key)
             for t, ports, assignments, memo in moves:
                 assert ports == tuple(sorted(t.sync))

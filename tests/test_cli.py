@@ -573,6 +573,13 @@ def test_comply_malformed_trace_exits_two(tmp_path, rescue_circuit, rescue_auto)
             "circuit": "rescue", "seed": 0, "rounds": [{**firing, "kind": "fire"}],
         },
         "round 0": {"circuit": "rescue", "seed": 0, "rounds": [{**firing, "round": 0}]},
+        # a firing fires at least one port, each once; an empty one was judged clean
+        "sync empty": {"circuit": "rescue", "seed": 0, "rounds": [{**firing, "sync": [], "data": {}}]},
+        "sync names a port twice": {
+            "circuit": "rescue", "seed": 0, "rounds": [{**firing, "sync": ["police_alarm"] * 2}],
+        },
+        "circuit not a string": {"circuit": 7, "seed": 0, "rounds": [firing]},
+        "seed not an int": {"circuit": "rescue", "seed": "0", "rounds": [firing]},
     }
     for what, doc in cases.items():
         trace = tmp_path / "t.json"

@@ -89,7 +89,7 @@ def test_map_trace_reads_one_firing_in_sorted_port_order():
         ]
 
 
-def test_map_trace_looks_up_each_distinct_assignment_once(rescue_auto, monkeypatch):
+def test_map_trace_looks_up_each_distinct_assignment_once(rescue_circuit, rescue_auto, monkeypatch):
     mapping = rescue.builtin_map()
     calls = [0]
     real_lookup = dsl.EventMap.lookup
@@ -112,7 +112,7 @@ def test_map_trace_looks_up_each_distinct_assignment_once(rescue_auto, monkeypat
         distinct = {f.assignment for f in firings}
         assert len(distinct) * 4 < len(firings)
         # a trace read back from JSON shares no assignment tuple between firings
-        for t in (trace, trace_from_json(trace.to_json())):
+        for t in (trace, trace_from_json(trace.to_json(), rescue_circuit)):
             calls[0] = 0
             with monkeypatch.context() as m:
                 m.setattr(dsl.EventMap, "lookup", counting_lookup)

@@ -105,7 +105,7 @@ def test_automaton_caches_take_no_part_in_its_value():
     a = automata.ConstraintAutomaton(*_AUTOMATON_FIELDS)
     assert isinstance(a, tuple)
     assert a._fields == ("names", "rows", "initial", "alphabet", "inputs")
-    assert a.moves(0) and a.transitions == a.rows[0]
+    assert a.moves[0] and a.transitions == a.rows[0]
     assert vars(a)
     copy = a._replace()
     assert a == copy and hash(a) == hash(copy) == hash(_AUTOMATON_FIELDS)

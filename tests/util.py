@@ -333,7 +333,7 @@ def random_tame_circuit(rng: random.Random, max_branching: int = 4):
         c = random_circuit(rng, max_extra=1, max_ins=1)
         auto = A.compile_circuit(c)
         widths = [
-            sum(len(assignments) for _, _, assignments, _ in auto.moves(s))
+            sum(len(assignments) for _, _, assignments, _ in auto.moves[s])
             for s in range(auto.n_states)
         ]
         if max(widths, default=0) <= max_branching:
