@@ -16,6 +16,7 @@ finite-domain enumeration; no solver.
 
 from __future__ import annotations
 
+import collections
 import functools
 import gc
 import itertools
@@ -258,8 +259,8 @@ class ConstraintAutomaton(_AutomatonFields):
     ``build_automaton``, ``join`` and ``hide`` keep it, and ``join`` relies on it.
     A canonical guard need not constrain every name of its sync-set: within
     ``compile_circuit``'s fold, the products' guards leave the names that
-    are finished (neither a boundary port nor a name of an automaton still
-    to join) unconstrained, though those names still fire.
+    are finished (neither a boundary port nor a name of an automaton
+    outside the product) unconstrained, though those names still fire.
     A named tuple of its five fields, so two automata are equal, and hash
     alike, when their fields are. The class has no ``__slots__``: what
     ``transitions`` and ``moves`` cache lives in the instance dict, takes
@@ -641,34 +642,85 @@ def circuit_automata(c: Circuit) -> list[ConstraintAutomaton]:
     return autos
 
 
+def _name_groups(run: list[ConstraintAutomaton]) -> list[list[ConstraintAutomaton]]:
+    """The name-connected groups of ``run``: automata share a group when
+    they share a name, directly or through other members.
+
+    Groups come in the order of their first member. Each group lists its
+    first member, then again and again the earliest remaining member that
+    shares a name with those before it, so a fold of the group never joins
+    two automata with no name in common, whose product would pair every
+    move of one with every move of the other.
+    """
+    pending = list(run)
+    groups = []
+    while pending:
+        group = [pending.pop(0)]
+        names = set(group[0].names)
+        while True:
+            nxt = next((auto for auto in pending if not names.isdisjoint(auto.names)), None)
+            if nxt is None:
+                break
+            pending.remove(nxt)
+            group.append(nxt)
+            names |= nxt.names
+        groups.append(group)
+    return groups
+
+
 def join_many(
     autos: list[ConstraintAutomaton], keep: frozenset[str] | None = None
 ) -> ConstraintAutomaton:
-    """Fold join over the automata, left to right.
+    """Fold join over the automata, left to right, one-state runs grouped.
+
+    Each maximal run of consecutive one-state automata (nodes and every
+    channel but a ``fifo1`` that can hold a value) is split into its
+    name-connected groups (``_name_groups``). Each group is folded on its
+    own, and its one-state product is joined into the running product
+    once, in the place of its first member; an automaton with more states
+    is joined alone, in its place. A one-state join keeps the product's
+    state count but builds every transition of it again, so the running
+    product is built once per group instead of once per member, and a
+    group stays small (at most 66 transitions for perfbench's dispatch-5).
 
     Join is associative and commutative up to bisimulation, so the order
-    of ``autos`` changes only the sizes of the intermediate products and
-    the state numbering.
+    and grouping of ``autos`` change only the sizes of the intermediate
+    products and the state numbering. The plain fold, one join per
+    automaton, renumbers after each join; grouped, a one-state automaton
+    that blocks moves of the product shifts its breadth-first depths only
+    once the group joins, so a few products number their states otherwise.
 
     With ``keep``, the names a later ``hide`` leaves visible, a name is
-    finished once it is not in ``keep`` and no later automaton has it, and
-    each join's combined guards forget their finished names (``join``'s
-    ``live``). No later guard mentions a finished name, so
+    finished in a product once it is not in ``keep`` and every automaton
+    that has it is in the product, and each join, into a group or into the
+    running product, lets its combined guards forget their finished names
+    (``join``'s ``live``). No later guard mentions a finished name, so
     ``hide(result, result.names - keep)`` is the same automaton as without
     ``keep``; the reachable state pairs, their numbering and the sync-sets
     are the same at every step, and only guards are weaker.
     """
     if not autos:
         raise ValueError("nothing to join")
-    # built backward, so lives[-1] holds the names still needed once the
-    # next automaton is joined, and each set is dropped once it is used
-    lives = [keep] * (len(autos) - 1)
-    if keep is not None:
-        for i, auto in enumerate(autos[:1:-1], start=1):
-            lives[i] = lives[i - 1] | auto.names
-    joined = autos[0]
-    for auto in autos[1:]:
-        joined = join(joined, auto, lives.pop())
+    parts: list[list[ConstraintAutomaton]] = []
+    for one_state, run in itertools.groupby(autos, key=lambda auto: auto.n_states == 1):
+        parts += _name_groups(list(run)) if one_state else [[auto] for auto in run]
+    # how many automata have each name: a name is finished in a product
+    # that holds all of them, unless keep has it
+    total = collections.Counter(n for auto in autos for n in auto.names)
+
+    def live(held: collections.Counter) -> frozenset[str] | None:
+        if keep is None:
+            return None
+        return keep.union(n for n, k in held.items() if k < total[n])
+
+    joined, held = None, collections.Counter()
+    for part in parts:
+        group, in_group = part[0], collections.Counter(part[0].names)
+        for auto in part[1:]:
+            in_group.update(auto.names)
+            group = join(group, auto, live(in_group))
+        held.update(in_group)
+        joined = group if joined is None else join(joined, group, live(held))
     return joined
 
 
@@ -677,9 +729,11 @@ def compile_circuit(c: Circuit) -> ConstraintAutomaton:
 
     The automata are joined in ``circuit_automata``'s order and every name
     that is not a declared boundary port is hidden once, at the end, which
-    is the definition of the circuit's behaviour. The fold passes the ports
-    to ``join_many`` as ``keep``, so each product's guards forget the names
-    already finished, which makes each join cheaper and changes no output.
+    is the definition of the circuit's behaviour. ``join_many`` folds each
+    name-connected group of a run of one-state automata on its own and
+    joins it into the product once. It gets the ports as ``keep``, so each
+    product's guards forget the names already finished, which makes each
+    join cheaper and changes no output.
     The result has exactly the boundary ports as names, with the
     boundary-in ports as ``inputs``. States are numbered in discovery
     order, and each row is sorted by ``Transition.sort_key``, once, here.

@@ -19,7 +19,7 @@ from .analysis import analyze
 from .automata import automaton_to_dot, automaton_to_json, compile_circuit, state_name
 from .circuit import export_dot, validate_circuit
 from .semlog import ComplianceEngine, NotConvergedError, ORIGIN_SCRIPT, ORIGIN_TRACE
-from .sim import Firing, enabled, simulate, step, trace_from_json
+from .sim import Firing, enabled, replay, simulate, step, trace_from_json
 
 EXIT_OK = 0
 EXIT_FINDINGS = 1
@@ -118,6 +118,7 @@ def cmd_comply(args) -> int:
     else:
         circuit = dsl.parse_circuit(_read(args.circuit))
         trace = trace_from_json(_read(args.trace), circuit)
+        replay(compile_circuit(circuit), trace)
         mapping = dsl.parse_map(_read(args.map), circuit)
         for term in rescue.map_trace(trace, mapping):
             engine.ingest(term, origin=ORIGIN_TRACE)
@@ -254,7 +255,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trace", help="trace JSON (needs --map and --circuit)")
     p.add_argument("--map", help="event map for --trace")
     p.add_argument("--circuit",
-                   help="the trace's circuit, which the trace and the --map are checked against")
+                   help="the trace's circuit: the trace must be a run of it, "
+                   "and the --map is checked against it")
     p.add_argument("--explain", action="store_true",
                    help="print derivation trees for findings on stderr")
     p.set_defaults(fn=cmd_comply)

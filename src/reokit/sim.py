@@ -179,6 +179,31 @@ def trace_from_json(text: str, circuit: Circuit) -> Trace:
     return trace
 
 
+def replay(a: ConstraintAutomaton, trace: Trace) -> None:
+    """Check that ``trace`` is a run of ``a``.
+
+    The run starts at ``a.initial`` and a stall keeps its state. Each
+    firing must leave the state the run is in, by a move of that state
+    with the firing's sync-set and target whose assignments hold the
+    firing's; the target matters, since a state may have two moves of one
+    label to different states. Raises ValueError naming the round, the
+    state and the first firing that is not such a move.
+    """
+    state = a.initial
+    for f in trace.firings():
+        if f.state_before != state or not any(
+            t.sync == f.sync and t.dst == f.state_after and f.assignment in assignments
+            for t, _, assignments, _ in a.moves[state]
+        ):
+            data = ", ".join(f"{port}={datum}" for port, datum in f.assignment)
+            raise ValueError(
+                f"round {f.round}: firing {{{data}}} from {state_name(f.state_before)}"
+                f" to {state_name(f.state_after)} is not a move from the run's state"
+                f" {state_name(state)}"
+            )
+        state = f.state_after
+
+
 def enabled(
     a: ConstraintAutomaton,
     state: int,

@@ -602,6 +602,59 @@ def test_comply_malformed_trace_exits_two(tmp_path, rescue_circuit, rescue_auto)
     assert result.returncode == 0, result.stderr
 
 
+def test_comply_judges_only_a_run_of_the_circuit(tmp_path, rescue_circuit, rescue_auto, capsys):
+    # comply replays the trace on the compiled circuit before it maps a
+    # single firing; a trace that is not a run exits 2, like a malformed one
+    env = dsl.parse_env((DATA / "rescue.env").read_text(), rescue_circuit)
+    rescue_trace = json.loads(sim.simulate(rescue_auto, env, seed=0).to_json())
+    trace = tmp_path / "t.json"
+    argv = [
+        "comply", "--rules", str(DATA / "rescue.rules"), "--trace", str(trace),
+        "--map", str(DATA / "rescue.map"), "--circuit", str(DATA / "rescue.circuit"),
+    ]
+    trace.write_text(json.dumps(rescue_trace))
+    assert cli.main(argv) == 0
+    capsys.readouterr()
+    firings = [i for i, r in enumerate(rescue_trace["rounds"]) if r["kind"] == "firing"]
+    # the first firing that changes state, and the firing after it
+    i = next(i for i in firings if rescue_trace["rounds"][i]["from"] != rescue_trace["rounds"][i]["to"])
+    j = firings[firings.index(i) + 1]
+
+    def mutated(change):
+        rounds = [dict(r) for r in rescue_trace["rounds"]]
+        change(rounds)
+        return {**rescue_trace, "rounds": rounds}
+
+    def swap(rounds):
+        for key in ("sync", "data", "from", "to"):
+            rounds[i][key], rounds[j][key] = rounds[j][key], rounds[i][key]
+
+    cases = {
+        "a to changed": mutated(lambda rounds: rounds[i].update(to=rounds[i]["from"])),
+        "a firing dropped": mutated(lambda rounds: rounds.pop(i)),
+        "two firings swapped": mutated(swap),
+        # judged, this once read as a PoliceRequest out of order, exit 1
+        "a firing s0 has no move for": {
+            "circuit": "rescue", "seed": 0,
+            "rounds": [{"round": 1, "kind": "firing", "sync": ["police_alarm"],
+                        "data": {"police_alarm": "ok"}, "from": "s0", "to": "s1"}],
+        },
+    }
+    for what, doc in cases.items():
+        trace.write_text(json.dumps(doc))
+        assert cli.main(argv) == 2, what
+        captured = capsys.readouterr()
+        assert captured.out == "", what
+        assert re.fullmatch(
+            r"error: round \d+: firing \{.*\} from s\d+ to s\d+ is not a move"
+            r" from the run's state s\d+\n", captured.err,
+        ), (what, captured.err)
+    assert captured.err == (
+        "error: round 1: firing {police_alarm=ok} from s0 to s1 is not a move"
+        " from the run's state s0\n"
+    )
+
+
 def test_scenario_runs_clean(tmp_path):
     out = tmp_path / "report.json"
     result = run_cli("scenario", "--seed", "7", "--json", str(out), "--quiet")

@@ -435,6 +435,72 @@ def test_trace_roundtrip_is_exact(rescue_circuit, rescue_auto):
         assert sim.trace_from_json(trace.to_json(), c) == trace, seed
 
 
+def test_simulated_traces_replay(rescue_circuit, rescue_auto):
+    # every simulated trace, read back through JSON, is a run of its
+    # automaton: rescue under random envs, then random circuits under
+    # random offers and readiness
+    subjects = [
+        (rescue_circuit, rescue_auto, random_rescue_env(rescue_auto, seed, rounds=300))
+        for seed in range(3)
+    ]
+    rng = random.Random(36)
+    for _ in range(60):
+        c = random_circuit(rng, max_extra=rng.randint(2, 8))
+        values = sorted(c.alphabet)
+        rounds = {
+            n: sim.Round(
+                tuple((p, rng.choice(values)) for p in sorted(c.inputs) if rng.random() < 0.7),
+                frozenset(p for p in sorted(c.outputs) if rng.random() < 0.7),
+            )
+            for n in range(1, 41)
+        }
+        subjects.append((c, A.compile_circuit(c), sim.EnvScript(rounds, frozenset())))
+    moved = 0
+    for seed, (c, auto, env) in enumerate(subjects):
+        trace = sim.simulate(auto, env, seed=seed, circuit_name=c.name)
+        sim.replay(auto, sim.trace_from_json(trace.to_json(), c))
+        moved += sum(f.state_before != f.state_after for f in trace.firings())
+    assert moved > 500
+
+
+def test_replay_names_the_round_the_state_and_the_firing(rescue_auto):
+    # s0 fires only {case1, citizens}, {case1, sensors}, {citizens} and
+    # {sensors}; a judged trace once read this firing as an order violation
+    alarm = sim.Firing(2, frozenset({"police_alarm"}), (("police_alarm", "ok"),), 0, 1)
+    with pytest.raises(ValueError) as exc:
+        sim.replay(rescue_auto, sim.Trace("rescue", 0, [sim.Stall(1), alarm]))
+    assert str(exc.value) == (
+        "round 2: firing {police_alarm=ok} from s0 to s1 is not a move from the run's state s0"
+    )
+    # a real move, but of a state the run is not in
+    trace = sim.simulate(rescue_auto, rescue.builtin_env(), seed=0, circuit_name="rescue")
+    first, second = trace.firings()[:2]
+    assert second.state_before != rescue_auto.initial
+    with pytest.raises(ValueError, match=f"^round {second.round}: .* the run's state s0$"):
+        sim.replay(rescue_auto, sim.Trace("rescue", 0, [second]))
+    sim.replay(rescue_auto, sim.Trace("rescue", 0, [first, second]))
+    sim.replay(rescue_auto, sim.Trace("rescue", 0, []))
+
+
+def test_replay_matches_the_target_and_the_data_of_a_move():
+    toggle = A.build_automaton(
+        {"a"}, ["q0", "q1"], "q0", [("q0", {"a"}, A.TRUE, "q1"), ("q1", {"a"}, A.TRUE, "q0")],
+        ALPHABET,
+    )
+
+    def fire(n, before, after, value="ok"):
+        return sim.Firing(n, frozenset({"a"}), (("a", value),), before, after)
+
+    sim.replay(toggle, sim.Trace("toggle", 0, [fire(1, 0, 1), fire(2, 1, 0, "bad")]))
+    # s0 fires {a} under any value, but only to s1
+    with pytest.raises(ValueError, match=r"^round 1: firing \{a=ok\} from s0 to s0 "):
+        sim.replay(toggle, sim.Trace("toggle", 0, [fire(1, 0, 0)]))
+    _, mini = compiled(MINIMAL_SYNC_TEXT)
+    unequal = sim.Firing(1, frozenset({"a", "b"}), (("a", "ok"), ("b", "bad")), 0, 0)
+    with pytest.raises(ValueError, match=r"^round 1: firing \{a=ok, b=bad\} from s0 to s0 "):
+        sim.replay(mini, sim.Trace("mini", 0, [unequal]))
+
+
 # sha256 of the trace JSON of the rescue automaton under
 # random_rescue_env(auto, seed) simulated with that seed, 2,000 rounds each
 RESCUE_TRACE_SHA256 = {

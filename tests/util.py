@@ -397,6 +397,30 @@ def brute_product(a: A.ConstraintAutomaton, b: A.ConstraintAutomaton):
     return pairs, transitions, reach
 
 
+def plain_fold(
+    autos: list[A.ConstraintAutomaton], keep: frozenset[str] | None = None
+) -> A.ConstraintAutomaton:
+    """Reference for ``join_many``: one ``join`` per automaton, left to
+    right, no grouping. With ``keep``, each join's combined guards forget
+    the names neither in ``keep`` nor in a later automaton."""
+    joined = autos[0]
+    for i, auto in enumerate(autos[1:], start=2):
+        live = None if keep is None else keep.union(*(later.names for later in autos[i:]))
+        joined = A.join(joined, auto, live)
+    return joined
+
+
+def plain_compile(c: C.Circuit) -> A.ConstraintAutomaton:
+    """Reference for ``compile_circuit``: ``plain_fold`` of the circuit's
+    automata with its ports kept, the internal names hidden, rows sorted."""
+    ports = c.inputs | c.outputs
+    joined = plain_fold(A.circuit_automata(c), ports)
+    hidden = A.hide(joined, joined.names - ports)
+    return hidden._replace(
+        rows=tuple(tuple(sorted(row, key=A.Transition.sort_key)) for row in hidden.rows)
+    )
+
+
 def random_rescue_env(auto: A.ConstraintAutomaton, seed: int, rounds: int = 2000):
     """A seeded env for the rescue automaton under policy closed: each round
     offers a random subset of the inputs with random values (``bad`` among
