@@ -671,24 +671,34 @@ def _name_groups(run: list[ConstraintAutomaton]) -> list[list[ConstraintAutomato
 def join_many(
     autos: list[ConstraintAutomaton], keep: frozenset[str] | None = None
 ) -> ConstraintAutomaton:
-    """Fold join over the automata, left to right, one-state runs grouped.
+    """Fold join over the automata, one-state runs grouped, each group
+    joined as soon as it meets the product.
 
     Each maximal run of consecutive one-state automata (nodes and every
     channel but a ``fifo1`` that can hold a value) is split into its
-    name-connected groups (``_name_groups``). Each group is folded on its
-    own, and its one-state product is joined into the running product
-    once, in the place of its first member; an automaton with more states
-    is joined alone, in its place. A one-state join keeps the product's
-    state count but builds every transition of it again, so the running
-    product is built once per group instead of once per member, and a
-    group stays small (at most 66 transitions for perfbench's dispatch-5).
+    name-connected groups (``_name_groups``), and each group is folded on
+    its own; an automaton with more states, a stateful one, is a part of
+    its own. The parts join the running product in list order, except
+    that after each join the earliest ready group joins first: a group is
+    ready once it shares a name with the product and none with the idle
+    names of a stateful automaton not yet joined, the names that
+    automaton cannot fire from its initial state (the b-end of an empty
+    ``fifo1``, the a-end of one with an ``init``). A one-state join keeps
+    the product's state count but builds every transition of it again, so
+    the running product is built once per group instead of once per
+    member, a group costs least while the product is small, and a group
+    stays small (at most 66 transitions for perfbench's dispatch-5). A
+    group that would meet such an idle name waits for its automaton, since
+    joining it earlier shifts breadth-first depths and renumbers the
+    rescue circuit.
 
     Join is associative and commutative up to bisimulation, so the order
     and grouping of ``autos`` change only the sizes of the intermediate
     products and the state numbering. The plain fold, one join per
-    automaton, renumbers after each join; grouped, a one-state automaton
-    that blocks moves of the product shifts its breadth-first depths only
-    once the group joins, so a few products number their states otherwise.
+    automaton, renumbers after each join; grouped and reordered, a
+    one-state automaton that blocks moves of the product shifts its
+    breadth-first depths at another step, so a few products number their
+    states otherwise.
 
     With ``keep``, the names a later ``hide`` leaves visible, a name is
     finished in a product once it is not in ``keep`` and every automaton
@@ -701,9 +711,23 @@ def join_many(
     """
     if not autos:
         raise ValueError("nothing to join")
-    parts: list[list[ConstraintAutomaton]] = []
+    # each part with its names, and for a stateful automaton its idle names
+    parts: list[tuple[list[ConstraintAutomaton], frozenset[str], frozenset[str]]] = []
     for one_state, run in itertools.groupby(autos, key=lambda auto: auto.n_states == 1):
-        parts += _name_groups(list(run)) if one_state else [[auto] for auto in run]
+        if one_state:
+            parts += [
+                (group, frozenset().union(*(auto.names for auto in group)), frozenset())
+                for group in _name_groups(list(run))
+            ]
+        else:
+            parts += [
+                (
+                    [auto],
+                    auto.names,
+                    auto.names.difference(*(t.sync for t in auto.rows[auto.initial])),
+                )
+                for auto in run
+            ]
     # how many automata have each name: a name is finished in a product
     # that holds all of them, unless keep has it
     total = collections.Counter(n for auto in autos for n in auto.names)
@@ -714,9 +738,24 @@ def join_many(
         return keep.union(n for n, k in held.items() if k < total[n])
 
     joined, held = None, collections.Counter()
-    for part in parts:
-        group, in_group = part[0], collections.Counter(part[0].names)
-        for auto in part[1:]:
+    while parts:
+        # the earliest ready group, or else the next part in list order
+        i = 0
+        if joined is not None:
+            waiting = frozenset().union(*(idle for _, _, idle in parts))
+            i = next(
+                (
+                    k
+                    for k, (members, names, _) in enumerate(parts)
+                    if members[0].n_states == 1
+                    and not names.isdisjoint(joined.names)
+                    and names.isdisjoint(waiting)
+                ),
+                0,
+            )
+        members = parts.pop(i)[0]
+        group, in_group = members[0], collections.Counter(members[0].names)
+        for auto in members[1:]:
             in_group.update(auto.names)
             group = join(group, auto, live(in_group))
         held.update(in_group)
@@ -731,9 +770,12 @@ def compile_circuit(c: Circuit) -> ConstraintAutomaton:
     that is not a declared boundary port is hidden once, at the end, which
     is the definition of the circuit's behaviour. ``join_many`` folds each
     name-connected group of a run of one-state automata on its own and
-    joins it into the product once. It gets the ports as ``keep``, so each
-    product's guards forget the names already finished, which makes each
-    join cheaper and changes no output.
+    joins it into the product once, as soon as it shares a name with the
+    product and waits for no stateful automaton; for the rescue circuit
+    that builds 6,634 product transitions in 62 joins, and its result is
+    byte-identical to one join per automaton in list order. It gets the
+    ports as ``keep``, so each product's guards forget the names already
+    finished, which makes each join cheaper and changes no output.
     The result has exactly the boundary ports as names, with the
     boundary-in ports as ``inputs``. States are numbered in discovery
     order, and each row is sorted by ``Transition.sort_key``, once, here.

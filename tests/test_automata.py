@@ -507,7 +507,8 @@ def test_compile_agrees_with_the_full_guard_fold(rescue_circuit):
 
 def test_compile_is_byte_identical_to_the_plain_fold(rescue_circuit):
     # join_many joins each name-connected group of one-state automata into
-    # the running product once; the plain fold joins them one at a time
+    # the running product once, as soon as it is ready; the plain fold joins
+    # them one at a time, in list order
     for c in [rescue_circuit] + [dispatch_circuit(k) for k in (2, 3, 4)]:
         assert A.automaton_to_json(A.compile_circuit(c)) == A.automaton_to_json(plain_compile(c))
 
@@ -517,9 +518,10 @@ def _labels(auto):
 
 
 def test_compile_agrees_with_the_plain_fold_up_to_state_numbering():
-    # a one-state automaton inside a group can block moves of the product
-    # and so shift the breadth-first depths that the plain fold renumbers
-    # after each join; the first draw below is numbered differently
+    # a one-state automaton inside a group, or in a group joined ahead of its
+    # list turn, can block moves of the product and so shift the
+    # breadth-first depths that the plain fold renumbers after each join;
+    # the first draw below is numbered differently
     draws = [random_circuit(random.Random(1886), max_extra=10, max_ins=2)]
     rng = random.Random(37)
     draws += [random_circuit(rng, max_extra=rng.randint(3, 16)) for _ in range(150)]
@@ -612,7 +614,7 @@ def test_compile_products_forget_exactly_the_finished_names(rescue_circuit, monk
 # compile_circuit(builtin_circuit()) joins: a change to the join order or to
 # the grouping of one-state automata moves it even where the compiled
 # automaton stays the same
-RESCUE_JOIN_SIZES_SHA256 = "65ebf1e320a8e23aedfe6f799a9b493e04aa65b3e67d62915bebce24cc489013"
+RESCUE_JOIN_SIZES_SHA256 = "e3841c82867a72768f4ac00794ff1d917598c9010b9f8c07b9630f8206a68e3a"
 
 
 def test_rescue_join_sequence_pinned(rescue_circuit, monkeypatch):
@@ -626,9 +628,97 @@ def test_rescue_join_sequence_pinned(rescue_circuit, monkeypatch):
     monkeypatch.setattr(A, "join", recording_join)
     A.compile_circuit(rescue_circuit)
     assert len(sizes) == 62
-    assert (max(s for s, _ in sizes), max(t for _, t in sizes)) == (96, 1_826)
-    assert sum(t for _, t in sizes) == 16_528
+    assert (max(s for s, _ in sizes), max(t for _, t in sizes)) == (96, 1_400)
+    assert sum(t for _, t in sizes) == 6_634
     assert hashlib.sha256(repr(sizes).encode()).hexdigest() == RESCUE_JOIN_SIZES_SHA256
+
+
+def _compile_work(c):
+    """(joins, project calls, product transitions built) of compile_circuit(c)."""
+    join, built = A.join, []
+
+    def recording_join(*args):
+        product = join(*args)
+        built.append(len(product.transitions))
+        return product
+
+    with mock.patch.object(A, "join", recording_join):
+        with mock.patch.object(A, "project", wraps=A.project) as project:
+            A.compile_circuit(c)
+    return len(built), project.call_count, sum(built)
+
+
+# the kernel's work grows with the number of staff branches much faster than
+# the result (256 and 640 states); a change to the join order or to join's
+# memo moves these counts even where every compiled automaton stays the same
+@pytest.mark.parametrize("k, work", [(4, (75, 1_185, 28_962)), (5, (88, 2_125, 128_945))])
+def test_dispatch_compile_work_pinned(k, work):
+    assert _compile_work(dispatch_circuit(k)) == work
+
+
+def _idle_names(auto):
+    """The names ``auto`` cannot fire from its initial state."""
+    return auto.names.difference(*(t.sync for t in auto.rows[auto.initial]))
+
+
+def test_compile_pulls_a_group_only_once_it_is_ready(rescue_circuit, monkeypatch):
+    # join_many joins the parts (name-connected groups of one-state automata,
+    # and each stateful automaton) in list order, but pulls a later group
+    # into the running product as soon as it shares a name with the product
+    # and none with a name that a stateful automaton still to join cannot
+    # fire from its initial state; the stateful automata keep their order
+    rng = random.Random(39)
+    circuits = [rescue_circuit] + [dispatch_circuit(k) for k in (2, 3, 4, 5)]
+    circuits += [random_circuit(rng, max_extra=rng.randint(3, 16)) for _ in range(150)]
+    name_groups, join, circuit_automata = A._name_groups, A.join, A.circuit_automata
+    lists, groups, calls = [], [], []
+
+    def recording_circuit_automata(c):
+        lists.append(circuit_automata(c))
+        return lists[-1]
+
+    def recording_name_groups(run):
+        found = name_groups(run)
+        groups.extend(found)
+        return found
+
+    def recording_join(a, b, live=None):
+        calls.append((a, b, join(a, b, live)))
+        return calls[-1][-1]
+
+    monkeypatch.setattr(A, "circuit_automata", recording_circuit_automata)
+    monkeypatch.setattr(A, "_name_groups", recording_name_groups)
+    monkeypatch.setattr(A, "join", recording_join)
+    pulled = 0
+    for c in circuits:
+        lists.clear()
+        groups.clear()
+        calls.clear()
+        A.compile_circuit(c)
+        (autos,) = lists
+        # each part as the list positions of its automata; an operand no
+        # recorded join made is one of the listed automata
+        position = {id(auto): i for i, auto in enumerate(autos)}
+        parts = {frozenset(position[id(auto)] for auto in group) for group in groups}
+        parts |= {frozenset([i]) for i, auto in enumerate(autos) if auto.n_states > 1}
+        assert sorted(i for part in parts for i in part) == list(range(len(autos)))
+        idle = {i: _idle_names(auto) for i, auto in enumerate(autos) if auto.n_states > 1}
+        held = {}
+        for a, b, product in calls:
+            in_a, in_b = (held.get(id(x)) or frozenset([position[id(x)]]) for x in (a, b))
+            held[id(product)] = in_a | in_b
+            if in_b not in parts:
+                continue  # a join inside a group's own fold
+            # b is the next part to join the running product a
+            later = sorted(min(part) for part in parts if not part <= in_a | in_b)
+            if min(in_b) in idle:
+                assert not [i for i in later if i in idle and i < min(in_b)], c.name
+            elif later and later[0] < min(in_b):
+                pulled += 1
+                assert not b.names.isdisjoint(a.names), c.name
+                waiting = set().union(*(idle[i] for i in later if i in idle))
+                assert b.names.isdisjoint(waiting), (c.name, sorted(b.names & waiting))
+    assert pulled > 150
 
 
 def test_compile_hides_once(rescue_circuit):
@@ -773,14 +863,15 @@ def test_rescue_compile_projects_only_combined_guards(rescue_circuit):
     assert project.call_count <= 2_000
     # exact: a join that projected a combined pair more than once would
     # raise it, though every output stayed the same
-    assert project.call_count == 981
+    assert project.call_count == 652
 
 
 def test_join_projects_a_combined_pair_once_for_every_b_state():
     # both states of the toggle fire {a} under true, so the pair with the
     # sync's move is met at each of them and projected at each: join keeps
-    # no memo across B states, since in a compile's fold B is a primitive,
-    # which holds each label in one row (see the test below)
+    # no memo across B states, since every B of a compile's fold (a
+    # primitive, or a group's one-state product) holds each label in one
+    # row (see the test below)
     toggle = A.build_automaton(
         {"a"}, ["q0", "q1"], "q0", [("q0", {"a"}, A.TRUE, "q1"), ("q1", {"a"}, A.TRUE, "q0")],
         ALPHABET,
@@ -791,16 +882,32 @@ def test_join_projects_a_combined_pair_once_for_every_b_state():
     assert (joined.n_states, len(joined.transitions), project.call_count) == (2, 2, 2)
 
 
-def test_primitive_automata_hold_each_label_in_one_row(rescue_circuit):
-    # join memoizes a combined pair per (A label, B state) only; with B a
-    # primitive that is once per pair, because no primitive repeats a label
+def test_join_b_operands_hold_each_label_in_one_row(rescue_circuit, monkeypatch):
+    # join memoizes a combined pair per (A label, B state) only; that is once
+    # per pair when no B repeats a label in two states, which must hold for
+    # every B a compile joins: a primitive, one-state or stateful, or a
+    # group's one-state product
     rng = random.Random(18)
     circuits = [rescue_circuit] + [dispatch_circuit(k) for k in (2, 3, 4)]
-    circuits += [random_circuit(rng, max_extra=4) for _ in range(300)]
+    circuits += [random_circuit(rng, max_extra=rng.randint(3, 16)) for _ in range(300)]
+    join, operands = A.join, []
+
+    def recording_join(a, b, live=None):
+        operands.append(b)
+        return join(a, b, live)
+
+    monkeypatch.setattr(A, "join", recording_join)
+    kinds = collections.Counter()
     for c in circuits:
-        for auto in A.circuit_automata(c):
-            labels = [label for row in auto.rows for label in {(t.sync, t.guard) for t in row}]
-            assert len(labels) == len(set(labels)), (c.name, sorted(auto.names))
+        operands.clear()
+        A.compile_circuit(c)
+        primitives = A.circuit_automata(c)
+        assert len(operands) == len(primitives) - 1
+        for b in operands:
+            labels = [label for row in b.rows for label in {(t.sync, t.guard) for t in row}]
+            assert len(labels) == len(set(labels)), (c.name, sorted(b.names))
+            kinds["stateful" if b.n_states > 1 else "primitive" if b in primitives else "group"] += 1
+    assert len(kinds) == 3 and min(kinds.values()) > 100, kinds
 
 
 def test_circuit_automata_lists_one_automaton_per_channel_and_node(rescue_circuit):
