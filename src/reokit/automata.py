@@ -314,9 +314,10 @@ def state_name(i: int) -> str:
 
 
 def state_index(name) -> int:
-    """The state a ``state_name`` stands for; ValueError for anything else."""
-    if not (isinstance(name, str) and re.fullmatch(r"s[0-9]+", name)):
-        raise ValueError(f"state reference {name!r} is not s<int>")
+    """The state a ``state_name`` stands for; ValueError for anything else,
+    such as ``s01``, which ``state_name`` never writes."""
+    if not (isinstance(name, str) and re.fullmatch(r"s(0|[1-9][0-9]*)", name)):
+        raise ValueError(f"state reference {name!r} is not s<int> with no leading zero")
     return int(name[1:])
 
 
@@ -500,20 +501,15 @@ def join(
 
     What an A transition does at B state ``q`` depends only on its sync-set
     and guard, so it is worked out once per call for each such label and
-    ``q``: the move that fires alone, then one move per B partner in
-    B's order, each as (sync, guard, B successor). A product state then
-    only pairs its A successors with that list.
+    ``q``: the move that fires alone, then one move per B partner, each B
+    move of row ``q`` in row order whose footprint on A's names is the
+    label's on B's, each as (sync, guard, B successor). A product state
+    then only pairs its A successors with that list, and adds the moves of
+    row ``q`` that avoid A's names, which fire alone.
     """
     if a.alphabet != b.alphabet:
         raise ValueError("join requires a common alphabet")
-    # group B's transitions by their footprint on A's names, so each A
-    # transition only meets compatible partners
-    b_by_shared: list[dict[frozenset, list[Transition]]] = []
-    for row in b.rows:
-        groups: dict[frozenset, list[Transition]] = {}
-        for tb in row:
-            groups.setdefault(tb.sync & a.names, []).append(tb)
-        b_by_shared.append(groups)
+    b_alone = [[tb for tb in row if tb.sync.isdisjoint(a.names)] for row in b.rows]
     by_label: dict[tuple, list[tuple]] = {}
 
     def label_moves(sync_a: frozenset, guard_a: frozenset, q: int) -> list[tuple]:
@@ -521,7 +517,9 @@ def join(
         # (sync, guard, B successor): alone first, then with each partner
         shared = sync_a & b.names
         moves = [] if shared else [(sync_a, guard_a, q)]
-        for tb in b_by_shared[q].get(shared, ()):
+        for tb in b.rows[q]:
+            if tb.sync & a.names != shared:
+                continue
             sync = sync_a | tb.sync
             keep = sync if live is None else sync & live
             guard = project(conj(guard_a, tb.guard), keep, sync, a.alphabet)
@@ -541,7 +539,7 @@ def join(
             base = ta.dst * nb
             for sync, guard, dst in moves:
                 yield sync, guard, base + dst
-        for tb in b_by_shared[q].get(frozenset(), ()):
+        for tb in b_alone[q]:
             yield tb.sync, tb.guard, p * nb + tb.dst
 
     return _explore(
@@ -668,29 +666,30 @@ def _name_groups(run: list[ConstraintAutomaton]) -> list[list[ConstraintAutomato
     return groups
 
 
-def join_many(
-    autos: list[ConstraintAutomaton], keep: frozenset[str] | None = None
-) -> ConstraintAutomaton:
-    """Fold join over the automata, one-state runs grouped, each group
-    joined as soon as it meets the product.
+def join_many(autos: list[ConstraintAutomaton], keep: frozenset[str]) -> ConstraintAutomaton:
+    """Fold join over the automata in parts, each one-state group joined
+    as soon as it meets the product.
 
     Each maximal run of consecutive one-state automata (nodes and every
-    channel but a ``fifo1`` that can hold a value) is split into its
-    name-connected groups (``_name_groups``), and each group is folded on
-    its own; an automaton with more states, a stateful one, is a part of
-    its own. The parts join the running product in list order, except
-    that after each join the earliest ready group joins first: a group is
-    ready once it shares a name with the product and none with the idle
-    names of a stateful automaton not yet joined, the names that
-    automaton cannot fire from its initial state (the b-end of an empty
-    ``fifo1``, the a-end of one with an ``init``). A one-state join keeps
-    the product's state count but builds every transition of it again, so
-    the running product is built once per group instead of once per
-    member, a group costs least while the product is small, and a group
-    stays small (at most 66 transitions for perfbench's dispatch-5). A
-    group that would meet such an idle name waits for its automaton, since
-    joining it earlier shifts breadth-first depths and renumbers the
-    rescue circuit.
+    channel but a ``fifo1`` that can hold a value), and each run of
+    stateful ones, is split into its name-connected groups
+    (``_name_groups``), and each group, a part, is folded on its own. Two
+    channels share no name, so a stateful run splits into single automata.
+    Each part carries its names and its idle names: a stateful automaton's
+    are the names it cannot fire from its initial state (the b-end of an
+    empty ``fifo1``, the a-end of one with an ``init``), and a one-state
+    group has none. The next part to join the running product is the
+    earliest one that shares a name with the product and none with the
+    idle names of the parts still to join; otherwise it is the first part.
+    A stateful automaton's own idle names are among those, so the stateful
+    automata keep their list order, and only one-state groups are pulled
+    ahead. A one-state join keeps the product's state count but builds
+    every transition of it again, so the running product is built once per
+    group instead of once per member, a group costs least while the
+    product is small, and a group stays small (at most 66 transitions for
+    perfbench's dispatch-5). A group that would meet an idle name waits
+    for its automaton, since joining it earlier shifts breadth-first depths
+    and renumbers the rescue circuit.
 
     Join is associative and commutative up to bisimulation, so the order
     and grouping of ``autos`` change only the sizes of the intermediate
@@ -700,56 +699,43 @@ def join_many(
     breadth-first depths at another step, so a few products number their
     states otherwise.
 
-    With ``keep``, the names a later ``hide`` leaves visible, a name is
+    ``keep`` holds the names a later ``hide`` leaves visible. A name is
     finished in a product once it is not in ``keep`` and every automaton
     that has it is in the product, and each join, into a group or into the
     running product, lets its combined guards forget their finished names
     (``join``'s ``live``). No later guard mentions a finished name, so
-    ``hide(result, result.names - keep)`` is the same automaton as without
-    ``keep``; the reachable state pairs, their numbering and the sync-sets
-    are the same at every step, and only guards are weaker.
+    ``hide(result, result.names - keep)`` is the same automaton as with
+    every name in ``keep``, where no guard forgets anything; the reachable
+    state pairs, their numbering and the sync-sets are the same at every
+    step, and only guards are weaker.
     """
     if not autos:
         raise ValueError("nothing to join")
-    # each part with its names, and for a stateful automaton its idle names
+    # each part with its names and its idle names
     parts: list[tuple[list[ConstraintAutomaton], frozenset[str], frozenset[str]]] = []
     for one_state, run in itertools.groupby(autos, key=lambda auto: auto.n_states == 1):
-        if one_state:
-            parts += [
-                (group, frozenset().union(*(auto.names for auto in group)), frozenset())
-                for group in _name_groups(list(run))
-            ]
-        else:
-            parts += [
-                (
-                    [auto],
-                    auto.names,
-                    auto.names.difference(*(t.sync for t in auto.rows[auto.initial])),
-                )
-                for auto in run
-            ]
+        for group in _name_groups(list(run)):
+            names = frozenset().union(*(auto.names for auto in group))
+            fired = (t.sync for auto in group for t in auto.rows[auto.initial])
+            parts.append((group, names, frozenset() if one_state else names.difference(*fired)))
     # how many automata have each name: a name is finished in a product
     # that holds all of them, unless keep has it
     total = collections.Counter(n for auto in autos for n in auto.names)
 
-    def live(held: collections.Counter) -> frozenset[str] | None:
-        if keep is None:
-            return None
+    def live(held: collections.Counter) -> frozenset[str]:
         return keep.union(n for n, k in held.items() if k < total[n])
 
     joined, held = None, collections.Counter()
     while parts:
-        # the earliest ready group, or else the next part in list order
+        # the earliest ready part, or else the next one in list order
         i = 0
         if joined is not None:
             waiting = frozenset().union(*(idle for _, _, idle in parts))
             i = next(
                 (
                     k
-                    for k, (members, names, _) in enumerate(parts)
-                    if members[0].n_states == 1
-                    and not names.isdisjoint(joined.names)
-                    and names.isdisjoint(waiting)
+                    for k, (_, names, _) in enumerate(parts)
+                    if not names.isdisjoint(joined.names) and names.isdisjoint(waiting)
                 ),
                 0,
             )

@@ -109,10 +109,11 @@ def trace_from_json(text: str, circuit: Circuit) -> Trace:
     greater than the round of the step before it, a ``kind`` other than
     ``stall`` and ``firing``, a firing whose ``sync`` is not a non-empty
     list of distinct names or whose ``data`` does not map exactly those
-    names to strings, or a state reference that is not ``s<int>``. Once the
-    whole document has read clean, each firing in round order must fire
-    only boundary ports of ``circuit`` and carry only values of its data
-    alphabet, or ValueError names the first that does not.
+    names to strings, or a state reference that ``state_name`` does not
+    write (``s<int>`` with no leading zero). Once the whole document has
+    read clean, each firing in round order must fire only boundary ports
+    of ``circuit`` and carry only values of its data alphabet, or
+    ValueError names the first that does not.
     """
     try:
         doc = json.loads(text)

@@ -29,6 +29,7 @@ from reokit.sim import simulate
 from util import (
     ALPHABET,
     SEQ3_TEXT,
+    every_name,
     observable_traces,
     random_automaton,
     random_circuit,
@@ -145,7 +146,8 @@ def test_criterion_3_hiding_correctness():
     rng = random.Random(30303)
     for _ in range(20):
         c, hidden = random_tame_circuit(rng)
-        full = A.join_many(A.circuit_automata(c))
+        autos = A.circuit_automata(c)
+        full = A.join_many(autos, every_name(autos))
         ports = frozenset(p.name for p in c.ports)
         assert observable_traces(full, ports, 6) == traces_upto(hidden, 6)
     sync_ab = A.build_automaton(

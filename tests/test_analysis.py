@@ -14,6 +14,7 @@ from util import (
     ALPHABET,
     BLOCKER_TEXT,
     SEQ3_TEXT,
+    every_name,
     observable_traces,
     random_automaton,
     random_circuit,
@@ -158,7 +159,7 @@ def test_hiding_preserves_observable_traces():
     for _ in range(20):
         c, hidden = random_tame_circuit(rng)
         autos = A.circuit_automata(c)
-        full = A.join_many(autos)
+        full = A.join_many(autos, every_name(autos))
         ports = frozenset(p.name for p in c.ports)
         assert observable_traces(full, ports, 6) == traces_upto(hidden, 6)
 

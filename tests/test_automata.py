@@ -25,7 +25,9 @@ from util import (
     SEQ3_TEXT,
     brute_product,
     dispatch_circuit,
+    every_name,
     holds,
+    join_numbering,
     plain_compile,
     project_over_names,
     random_automaton,
@@ -330,27 +332,26 @@ def test_join_agrees_with_brute_force_oracle_on_fifo_pair():
     assert len(reach) == 4
     joined = A.join(fab, fbc)
     assert joined.n_states == len(reach)
-    # number the oracle's pairs as join documents it: breadth-first from
-    # the joint initial, each level's new pairs in sorted order
-    start = (fab.initial, fbc.initial)
-    number = {start: 0}
-    level = [start]
-    while level:
-        level = sorted({d for s, _, _, d in transitions if s in level and d not in number})
-        for pq in level:
-            number[pq] = len(number)
+    number = join_numbering(transitions, (fab.initial, fbc.initial))
     assert number.keys() == reach
-    mapped = {
-        (number[src], tuple(sorted(sync)), guard_key, number[dst])
-        for src, sync, guard_key, dst in transitions
+    assert _relation(joined) == _numbered(transitions, number)
+
+
+def _numbered(transitions, number):
+    """``brute_product``'s ``transitions`` from the pairs ``number`` holds,
+    numbered by it, each as (src, sorted sync, guard, dst)."""
+    return {
+        (number[src], tuple(sorted(sync)), guard, number[dst])
+        for src, sync, guard, dst in transitions
         if src in number
     }
-    ours = {
-        (src, tuple(sorted(t.sync)), t.guard, t.dst)
-        for src, row in enumerate(joined.rows)
-        for t in row
+
+
+def _relation(auto):
+    """``auto``'s transitions, each as (src, sorted sync, guard, dst)."""
+    return {
+        (src, tuple(sorted(t.sync)), t.guard, t.dst) for src, row in enumerate(auto.rows) for t in row
     }
-    assert ours == mapped
 
 
 def test_join_identity_is_neutral():
@@ -363,12 +364,22 @@ def test_join_identity_is_neutral():
 
 
 def test_join_random_agreement_with_oracle():
+    # every other B is over {b, c} instead of A's {a, b}, so some B states
+    # hold moves with several footprints on A's names, of which join pairs
+    # each A move only with those that match its own footprint on B's
     rng = random.Random(99)
-    for _ in range(40):
-        a, b = random_automaton(rng), random_automaton(rng)
+    mixed = 0
+    for draw in range(400):
+        a = random_automaton(rng)
+        b = random_automaton(rng, names=("b", "c") if draw % 2 else ("a", "b"))
         _, transitions, reach = brute_product(a, b)
         joined = A.join(a, b)
+        number = join_numbering(transitions, (a.initial, b.initial))
+        assert number.keys() == reach
         assert joined.n_states == len(reach)
+        assert _relation(joined) == _numbered(transitions, number)
+        mixed += any(len({t.sync & a.names for t in row}) > 1 for row in b.rows)
+    assert mixed > 10
 
 
 def test_hide_noop_and_degenerate():
@@ -470,14 +481,14 @@ def test_compile_order_insensitive():
         autos = A.circuit_automata(c)
         rng.shuffle(autos)
         ports = frozenset(p.name for p in c.ports)
-        joined = A.join_many(autos)
+        joined = A.join_many(autos, every_name(autos))
         shuffled = A.hide(joined, joined.names - ports)
         assert AN.bisimilar(reference, shuffled)
 
 
 def join_all_then_hide(c, autos):
     """The definition: join every automaton, then hide the internal names once."""
-    joined = A.join_many(autos)
+    joined = A.join_many(autos, every_name(autos))
     return A.hide(joined, joined.names - frozenset(p.name for p in c.ports))
 
 
@@ -661,6 +672,26 @@ def _idle_names(auto):
     return auto.names.difference(*(t.sync for t in auto.rows[auto.initial]))
 
 
+def test_stateful_automata_share_no_name_and_each_has_an_idle_name(rescue_circuit):
+    # join_many splits a run of stateful automata into name-connected groups
+    # and pulls ahead any part that shares no name with an idle name still
+    # to join; the stateful automata keep their list order, each a part of
+    # its own, only because no two of them share a name and each has a name
+    # it cannot fire from its initial state
+    rng = random.Random(40)
+    circuits = [rescue_circuit] + [dispatch_circuit(k) for k in (2, 3, 4, 5)]
+    circuits += [random_circuit(rng, max_extra=rng.randint(3, 16)) for _ in range(500)]
+    checked = 0
+    for c in circuits:
+        stateful = [auto for auto in A.circuit_automata(c) if auto.n_states > 1]
+        for x, y in itertools.combinations(stateful, 2):
+            assert x.names.isdisjoint(y.names), (c.name, sorted(x.names & y.names))
+        for auto in stateful:
+            assert _idle_names(auto), (c.name, sorted(auto.names))
+        checked += len(stateful)
+    assert checked > 500
+
+
 def test_compile_pulls_a_group_only_once_it_is_ready(rescue_circuit, monkeypatch):
     # join_many joins the parts (name-connected groups of one-state automata,
     # and each stateful automaton) in list order, but pulls a later group
@@ -740,7 +771,8 @@ def test_join_and_hide_keep_guards_canonical():
         autos += [A.join(a, b), joined, A.hide(joined, hidden)]
     for _ in range(30):
         c = random_circuit(rng, max_extra=4)
-        autos += [A.compile_circuit(c), A.join_many(A.circuit_automata(c))]
+        primitives = A.circuit_automata(c)
+        autos += [A.compile_circuit(c), A.join_many(primitives, every_name(primitives))]
     guarded = 0
     for auto in autos:
         for t in auto.transitions:
@@ -768,7 +800,7 @@ def test_products_carry_the_per_state_index_of_their_transitions():
         c = random_circuit(rng, max_extra=4)
         autos = A.circuit_automata(c)
         ports = frozenset(p.name for p in c.ports)
-        for joined in (A.join_many(autos), A.join_many(autos, ports)):
+        for joined in (A.join_many(autos, every_name(autos)), A.join_many(autos, ports)):
             checked += check(joined) + check(A.hide(joined, joined.names - ports))
     assert checked > 2000
 
@@ -921,7 +953,8 @@ def test_circuit_automata_lists_one_automaton_per_channel_and_node(rescue_circui
 
 def test_join_many_in_reverse_order_is_bisimilar():
     autos = A.circuit_automata(parse_circuit(MINIMAL_SYNC_TEXT))
-    assert AN.bisimilar(A.join_many(autos[::-1]), A.join_many(autos))
+    names = every_name(autos)
+    assert AN.bisimilar(A.join_many(autos[::-1], names), A.join_many(autos, names))
 
 
 # A synchronous cycle fed by nothing can still carry any value, because
@@ -1082,12 +1115,13 @@ def test_dispatch5_compile_pinned():
 _ORDER_SCRIPT = """
 import random
 from reokit import automata as A, sim
-from util import random_circuit
+from util import every_name, random_circuit
 rng = random.Random(11)
 env_rng = random.Random(5)
 for _ in range(6):
     c = random_circuit(rng, max_extra=3)
-    joined = A.join_many(A.circuit_automata(c))
+    autos = A.circuit_automata(c)
+    joined = A.join_many(autos, every_name(autos))
     ports = frozenset(p.name for p in c.ports)
     for auto in (A.compile_circuit(c), joined, A.hide(joined, joined.names - ports)):
         print(A.automaton_to_json(auto))

@@ -580,6 +580,13 @@ def test_comply_malformed_trace_exits_two(tmp_path, rescue_circuit, rescue_auto)
         },
         "circuit not a string": {"circuit": 7, "seed": 0, "rounds": [firing]},
         "seed not an int": {"circuit": "rescue", "seed": "0", "rounds": [firing]},
+        # state_name never writes a leading zero; s01 once read as s1, and
+        # this trace, a run of the circuit as s1, was judged clean
+        "state with a leading zero": {
+            **rescue_trace,
+            "rounds": [{**r, "from": "s01"} if r.get("from") == "s1" else r
+                       for r in rescue_trace["rounds"]],
+        },
     }
     for what, doc in cases.items():
         trace = tmp_path / "t.json"

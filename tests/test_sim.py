@@ -19,6 +19,7 @@ from util import (
     MERGER_TEXT,
     MINIMAL_SYNC_TEXT,
     SEQ3_TEXT,
+    every_name,
     holds,
     random_circuit,
     random_rescue_env,
@@ -69,7 +70,8 @@ def test_enabled_matches_brute_force_oracle():
     unsorted_states = forbidden_offers = 0
     for _ in range(12):
         c = random_circuit(rng, max_extra=3)
-        for auto in (A.compile_circuit(c), A.join_many(A.circuit_automata(c))):
+        autos = A.circuit_automata(c)
+        for auto in (A.compile_circuit(c), A.join_many(autos, every_name(autos))):
             values = sorted(auto.alphabet) + ["elsewhere"]
             names = sorted(auto.names)
             for state in range(auto.n_states):

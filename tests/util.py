@@ -253,9 +253,16 @@ def random_guard(rng: random.Random, sync: list[str], alphabet=ALPHABET) -> froz
     return A.member(rng.choice(sync), subset)
 
 
-def random_automaton(rng: random.Random, alphabet=ALPHABET) -> A.ConstraintAutomaton:
-    """Small automaton: <= 3 states, <= 2 names, <= 4 transitions."""
-    names = ["a", "b"][: rng.randint(0, 2)]
+def random_automaton(
+    rng: random.Random, alphabet=ALPHABET, names=("a", "b")
+) -> A.ConstraintAutomaton:
+    """Small automaton: <= 3 states, <= 2 of ``names``, <= 4 transitions.
+
+    The draw depends on the order of ``names``, not on the names
+    themselves, so ``("b", "c")`` gives the automaton of ``("a", "b")``
+    with a renamed to b and b to c.
+    """
+    names = list(names)[: rng.randint(0, 2)]
     n_states = rng.randint(1, 3)
     labels = [f"q{i}" for i in range(n_states)]
     transitions = []
@@ -395,6 +402,25 @@ def brute_product(a: A.ConstraintAutomaton, b: A.ConstraintAutomaton):
                     nxt.append(dst)
         frontier = nxt
     return pairs, transitions, reach
+
+
+def join_numbering(transitions, start) -> dict:
+    """The number ``join`` gives each state pair that ``brute_product``'s
+    ``transitions`` reach from ``start``: breadth-first from ``start``, each
+    level's new pairs in sorted order."""
+    number = {start: 0}
+    level = [start]
+    while level:
+        level = sorted({d for s, _, _, d in transitions if s in level and d not in number})
+        for pq in level:
+            number[pq] = len(number)
+    return number
+
+
+def every_name(autos: list[A.ConstraintAutomaton]) -> frozenset[str]:
+    """Every name of ``autos``: as ``join_many``'s ``keep`` it forgets nothing,
+    so every product keeps its whole guards."""
+    return frozenset().union(*(auto.names for auto in autos))
 
 
 def plain_fold(
