@@ -19,7 +19,7 @@ from .analysis import analyze
 from .automata import automaton_to_dot, automaton_to_json, compile_circuit, state_name
 from .circuit import export_dot, validate_circuit
 from .semlog import ComplianceEngine, NotConvergedError, ORIGIN_SCRIPT, ORIGIN_TRACE
-from .sim import Firing, enabled, replay, simulate, step, trace_from_json
+from .sim import Firing, enabled, simulate, step, trace_from_json
 
 EXIT_OK = 0
 EXIT_FINDINGS = 1
@@ -117,8 +117,7 @@ def cmd_comply(args) -> int:
             engine.ingest(term, origin=ORIGIN_SCRIPT)
     else:
         circuit = dsl.parse_circuit(_read(args.circuit))
-        trace = trace_from_json(_read(args.trace), circuit)
-        replay(compile_circuit(circuit), trace)
+        trace = trace_from_json(_read(args.trace), compile_circuit(circuit))
         mapping = dsl.parse_map(_read(args.map), circuit)
         for term in rescue.map_trace(trace, mapping):
             engine.ingest(term, origin=ORIGIN_TRACE)

@@ -19,7 +19,6 @@ import json
 from typing import NamedTuple
 
 from .automata import ConstraintAutomaton, Transition, state_index, state_name
-from .circuit import Circuit
 
 
 class EnvMismatchError(ValueError):
@@ -98,22 +97,22 @@ class Trace(NamedTuple):
         return json.dumps(self.to_dict(), indent=2, sort_keys=True) + "\n"
 
 
-def trace_from_json(text: str, circuit: Circuit) -> Trace:
-    """Rebuild a Trace of ``circuit`` from its JSON form, exactly: state
-    ``sN`` is ``N``.
+def trace_from_json(text: str, a: ConstraintAutomaton) -> Trace:
+    """Rebuild a run of ``a`` from its JSON form, exactly: state ``sN`` is
+    ``N``. The run starts at ``a.initial`` and a stall keeps its state.
 
     Raises ValueError for a document that is not an object or that nests
     past the recursion limit, a missing key, a ``circuit`` that is not a
     string, a ``seed`` that is not an int, a ``rounds`` entry that is not
     an object, a step whose ``round`` is not an int, is below 1 or is not
     greater than the round of the step before it, a ``kind`` other than
-    ``stall`` and ``firing``, a firing whose ``sync`` is not a non-empty
-    list of distinct names or whose ``data`` does not map exactly those
-    names to strings, or a state reference that ``state_name`` does not
-    write (``s<int>`` with no leading zero). Once the whole document has
-    read clean, each firing in round order must fire only boundary ports
-    of ``circuit`` and carry only values of its data alphabet, or
-    ValueError names the first that does not.
+    ``stall`` and ``firing``, a firing whose ``sync`` is not a list or
+    whose ``data`` is not an object, a state reference that ``state_name``
+    does not write (``s<int>`` with no leading zero), or a firing that is
+    not a move of the run's state with its sorted ``sync``, its ``to`` and
+    its sorted ``data``, which holds no port outside ``a``, no datum
+    outside its alphabet and no name twice. The error is the first in
+    round order.
     """
     try:
         doc = json.loads(text)
@@ -121,6 +120,7 @@ def trace_from_json(text: str, circuit: Circuit) -> Trace:
         raise ValueError("trace JSON nests too deeply") from None
     if not isinstance(doc, dict):
         raise ValueError("trace JSON must be an object")
+    state = a.initial
     try:
         trace = Trace(doc["circuit"], doc["seed"], [])
         if not isinstance(trace.circuit, str):
@@ -142,67 +142,31 @@ def trace_from_json(text: str, circuit: Circuit) -> Trace:
             if kind != "firing":
                 raise ValueError(f"round {number} has kind {kind!r}, not 'stall' or 'firing'")
             sync, data = entry["sync"], entry["data"]
-            if not (isinstance(sync, list) and all(isinstance(n, str) for n in sync)):
+            if not isinstance(sync, list):  # "ab" would sort to ports a, b
                 raise ValueError(f"firing sync {sync!r} is not a list of names")
-            if not sync or len(set(sync)) < len(sync):
-                raise ValueError(f"firing sync {sync!r} is empty or names a port twice")
-            if not (isinstance(data, dict) and data.keys() == set(sync)):
-                raise ValueError(f"firing data {data!r} does not name exactly {sorted(set(sync))}")
-            if not all(isinstance(v, str) for v in data.values()):
-                raise ValueError(f"firing data {data!r} has a value that is not a string")
-            trace.steps.append(
-                Firing(
-                    round=number,
-                    sync=frozenset(sync),
-                    assignment=tuple(sorted(data.items())),
-                    state_before=state_index(entry["from"]),
-                    state_after=state_index(entry["to"]),
+            if not isinstance(data, dict):
+                raise ValueError(f"firing data {data!r} is not an object")
+            before, after = state_index(entry["from"]), state_index(entry["to"])
+            # key=str: a sync with a name that is no string sorts, then matches no move
+            ports = tuple(sorted(sync, key=str))
+            assignment = tuple(sorted(data.items()))
+            if before != state or not any(
+                p == ports and t.dst == after and assignment in assignments
+                for t, p, assignments, _ in a.moves[state]
+            ):
+                shown = ", ".join(f"{port}={datum}" for port, datum in assignment)
+                raise ValueError(
+                    f"round {number}: firing {{{shown}}} from {state_name(before)}"
+                    f" to {state_name(after)} is not a move from the run's state"
+                    f" {state_name(state)}"
                 )
-            )
+            trace.steps.append(Firing(number, frozenset(ports), assignment, before, after))
+            state = after
     except KeyError as exc:
         raise ValueError(f"trace JSON lacks key {exc}") from None
     except (TypeError, AttributeError) as exc:
         raise ValueError(f"malformed trace JSON: {exc}") from None
-    ports = circuit.inputs | circuit.outputs
-    for firing in trace.firings():
-        outside = sorted(firing.sync - ports)
-        if outside:
-            raise ValueError(
-                f"round {firing.round}: {outside[0]!r} is not a boundary port"
-                f" of circuit {circuit.name!r}"
-            )
-        for port, datum in firing.assignment:
-            if datum not in circuit.alphabet:
-                raise ValueError(
-                    f"round {firing.round}: {datum!r} on {port!r} is not in the data"
-                    f" alphabet of circuit {circuit.name!r}"
-                )
     return trace
-
-
-def replay(a: ConstraintAutomaton, trace: Trace) -> None:
-    """Check that ``trace`` is a run of ``a``.
-
-    The run starts at ``a.initial`` and a stall keeps its state. Each
-    firing must leave the state the run is in, by a move of that state
-    with the firing's sync-set and target whose assignments hold the
-    firing's; the target matters, since a state may have two moves of one
-    label to different states. Raises ValueError naming the round, the
-    state and the first firing that is not such a move.
-    """
-    state = a.initial
-    for f in trace.firings():
-        if f.state_before != state or not any(
-            t.sync == f.sync and t.dst == f.state_after and f.assignment in assignments
-            for t, _, assignments, _ in a.moves[state]
-        ):
-            data = ", ".join(f"{port}={datum}" for port, datum in f.assignment)
-            raise ValueError(
-                f"round {f.round}: firing {{{data}}} from {state_name(f.state_before)}"
-                f" to {state_name(f.state_after)} is not a move from the run's state"
-                f" {state_name(state)}"
-            )
-        state = f.state_after
 
 
 def enabled(

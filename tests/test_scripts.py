@@ -49,6 +49,24 @@ def test_seed_sweep_fails_on_ungated_fire_alarm(monkeypatch):
         seed_sweep.main()
 
 
+def test_seed_sweep_counts_alarms_first_fired_together(monkeypatch, capsys):
+    # both alarms first fire in one firing, so neither came before the other
+    spec = importlib.util.spec_from_file_location("seed_sweep", ROOT / "scripts" / "seed_sweep.py")
+    seed_sweep = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(seed_sweep)
+    steps = [
+        Firing(1, frozenset({"emergency_alarm"}), (), 0, 0),
+        Firing(2, frozenset({"emergency_alarm"}), (), 0, 0),
+        Firing(3, frozenset({"police_alarm", "fire_alarm"}), (), 0, 0),
+    ]
+    monkeypatch.setattr(seed_sweep, "simulate", lambda *args: Trace("rescue", 0, steps))
+    monkeypatch.setattr(sys, "argv", ["seed_sweep.py", "--seeds", "1", "--rounds", "3"])
+    assert seed_sweep.main() == 0
+    out = capsys.readouterr().out
+    assert "  police_alarm and fire_alarm in one firing: 1\n" in out
+    assert " before " not in out
+
+
 # the trace above, swept in a fresh interpreter; argv[1] is the script's path
 _UNGATED_SWEEP = """
 import importlib.util, sys

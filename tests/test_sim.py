@@ -401,7 +401,7 @@ def test_trace_json_roundtrip():
     env = env_lines("round 1: offer a=ok\nround 3: offer a=ok", c)
     trace = sim.simulate(auto, env, seed=0, circuit_name=c.name)
     text = trace.to_json()
-    back = sim.trace_from_json(text, c)
+    back = sim.trace_from_json(text, auto)
     assert back.circuit == c.name
     assert [type(s).__name__ for s in back.steps] == [
         type(s).__name__ for s in trace.steps
@@ -412,7 +412,7 @@ def test_trace_json_roundtrip():
     assert back == trace
 
 
-def test_trace_roundtrip_is_exact(rescue_circuit, rescue_auto):
+def test_trace_roundtrip_is_exact(rescue_auto):
     # states, sync-sets, data, rounds and stalls all come back as written:
     # the rescue canned environment, then random circuits under random offers
     trace = sim.simulate(rescue_auto, rescue.builtin_env(), seed=0, circuit_name="rescue")
@@ -421,7 +421,7 @@ def test_trace_roundtrip_is_exact(rescue_circuit, rescue_auto):
     # states are written sN, as compile --json names them
     written = [(r["from"], r["to"]) for r in json.loads(text)["rounds"] if r["kind"] == "firing"]
     assert written == [(f"s{f.state_before}", f"s{f.state_after}") for f in trace.firings()]
-    assert sim.trace_from_json(text, rescue_circuit) == trace
+    assert sim.trace_from_json(text, rescue_auto) == trace
     rng = random.Random(4321)
     for seed in range(8):
         c = random_circuit(rng, max_extra=2)
@@ -434,15 +434,15 @@ def test_trace_roundtrip_is_exact(rescue_circuit, rescue_auto):
         env = env_lines("\n".join(lines), c)
         trace = sim.simulate(auto, env, seed=seed, circuit_name=c.name)
         assert len(trace.steps) == 12
-        assert sim.trace_from_json(trace.to_json(), c) == trace, seed
+        assert sim.trace_from_json(trace.to_json(), auto) == trace, seed
 
 
-def test_simulated_traces_replay(rescue_circuit, rescue_auto):
-    # every simulated trace, read back through JSON, is a run of its
-    # automaton: rescue under random envs, then random circuits under
-    # random offers and readiness
+def test_simulated_traces_read_back(rescue_auto):
+    # every simulated trace, read back against its automaton, is that trace
+    # and writes the same bytes: rescue under random envs, then random
+    # circuits under random offers and readiness
     subjects = [
-        (rescue_circuit, rescue_auto, random_rescue_env(rescue_auto, seed, rounds=300))
+        ("rescue", rescue_auto, random_rescue_env(rescue_auto, seed, rounds=300))
         for seed in range(3)
     ]
     rng = random.Random(36)
@@ -456,51 +456,125 @@ def test_simulated_traces_replay(rescue_circuit, rescue_auto):
             )
             for n in range(1, 41)
         }
-        subjects.append((c, A.compile_circuit(c), sim.EnvScript(rounds, frozenset())))
+        subjects.append((c.name, A.compile_circuit(c), sim.EnvScript(rounds, frozenset())))
     moved = 0
-    for seed, (c, auto, env) in enumerate(subjects):
-        trace = sim.simulate(auto, env, seed=seed, circuit_name=c.name)
-        sim.replay(auto, sim.trace_from_json(trace.to_json(), c))
+    for seed, (name, auto, env) in enumerate(subjects):
+        trace = sim.simulate(auto, env, seed=seed, circuit_name=name)
+        text = trace.to_json()
+        back = sim.trace_from_json(text, auto)
+        assert back == trace, seed
+        assert back.to_json() == text, seed
         moved += sum(f.state_before != f.state_after for f in trace.firings())
     assert moved > 500
 
 
-def test_replay_names_the_round_the_state_and_the_firing(rescue_auto):
-    # s0 fires only {case1, citizens}, {case1, sensors}, {citizens} and
-    # {sensors}; a judged trace once read this firing as an order violation
-    alarm = sim.Firing(2, frozenset({"police_alarm"}), (("police_alarm", "ok"),), 0, 1)
-    with pytest.raises(ValueError) as exc:
-        sim.replay(rescue_auto, sim.Trace("rescue", 0, [sim.Stall(1), alarm]))
-    assert str(exc.value) == (
-        "round 2: firing {police_alarm=ok} from s0 to s1 is not a move from the run's state s0"
+def _not_a_move(number, data, before, after, state):
+    return (
+        f"round {number}: firing {{{data}}} from {before} to {after}"
+        f" is not a move from the run's state {state}"
     )
-    # a real move, but of a state the run is not in
-    trace = sim.simulate(rescue_auto, rescue.builtin_env(), seed=0, circuit_name="rescue")
-    first, second = trace.firings()[:2]
-    assert second.state_before != rescue_auto.initial
-    with pytest.raises(ValueError, match=f"^round {second.round}: .* the run's state s0$"):
-        sim.replay(rescue_auto, sim.Trace("rescue", 0, [second]))
-    sim.replay(rescue_auto, sim.Trace("rescue", 0, [first, second]))
-    sim.replay(rescue_auto, sim.Trace("rescue", 0, []))
 
 
-def test_replay_matches_the_target_and_the_data_of_a_move():
+def test_reader_turns_away_each_firing_that_is_not_a_move(rescue_auto):
+    # the canned run starts s0 -1-> s1 -2-> s4 -3-> s17, firing
+    # {case1, citizens}, then {case2, sensors}, then {case3, citizens}
+    doc = json.loads(
+        sim.simulate(rescue_auto, rescue.builtin_env(), seed=0, circuit_name="rescue").to_json()
+    )
+    first, second, third = doc["rounds"][:3]
+    assert (first["from"], second["from"], third["from"], third["to"]) == ("s0", "s1", "s4", "s17")
+    alarm = {"round": 2, "kind": "firing", "sync": ["police_alarm"],
+             "data": {"police_alarm": "ok"}, "from": "s0", "to": "s1"}
+    swapped = [{**first, **{k: second[k] for k in ("sync", "data", "from", "to")}},
+               {**second, **{k: first[k] for k in ("sync", "data", "from", "to")}}]
+    ok = "case1=ok, citizens=ok"
+    cases = {
+        "sync names a port twice": (
+            [{**first, "sync": ["case1", "case1", "citizens"]}],
+            _not_a_move(1, ok, "s0", "s1", "s0"),
+        ),
+        "sync empty": ([{**first, "sync": [], "data": {}}], _not_a_move(1, "", "s0", "s1", "s0")),
+        "a sync name not a string": (
+            [{**first, "sync": [1, "citizens"]}], _not_a_move(1, ok, "s0", "s1", "s0"),
+        ),
+        "a port outside the automaton": (
+            [{**first, "sync": ["case1", "citizenz"], "data": {"case1": "ok", "citizenz": "ok"}}],
+            _not_a_move(1, "case1=ok, citizenz=ok", "s0", "s1", "s0"),
+        ),
+        "a datum outside the alphabet": (
+            [{**first, "data": {"case1": "ok", "citizens": "zzz"}}],
+            _not_a_move(1, "case1=ok, citizens=zzz", "s0", "s1", "s0"),
+        ),
+        "a data value not a string": (
+            [{**first, "data": {"case1": "ok", "citizens": ["ok"]}}],
+            _not_a_move(1, "case1=ok, citizens=['ok']", "s0", "s1", "s0"),
+        ),
+        "data missing a sync port": (
+            [{**first, "data": {"case1": "ok"}}], _not_a_move(1, "case1=ok", "s0", "s1", "s0"),
+        ),
+        "data naming a port outside the sync": (
+            [{**first, "data": {"case1": "ok", "citizens": "ok", "sensors": "ok"}}],
+            _not_a_move(1, "case1=ok, citizens=ok, sensors=ok", "s0", "s1", "s0"),
+        ),
+        "a to changed": ([{**first, "to": "s0"}], _not_a_move(1, ok, "s0", "s0", "s0")),
+        # s0's move, written as leaving another state
+        "a from changed": ([{**first, "from": "s4"}], _not_a_move(1, ok, "s4", "s1", "s0")),
+        "a firing dropped": (
+            [first, third], _not_a_move(3, "case3=ok, citizens=ok", "s4", "s17", "s1"),
+        ),
+        "two firings swapped": (swapped, _not_a_move(1, "case2=ok, sensors=ok", "s1", "s4", "s0")),
+        "a real move of a state the run is not in": (
+            [second], _not_a_move(2, "case2=ok, sensors=ok", "s1", "s4", "s0"),
+        ),
+        # s0 has no {police_alarm} move; judged, this once read as a
+        # PoliceRequest out of order
+        "a label the state has no move for": (
+            [{"round": 1, "kind": "stall"}, alarm],
+            _not_a_move(2, "police_alarm=ok", "s0", "s1", "s0"),
+        ),
+        # the first bad round in round order, though a later one is malformed
+        "a bad firing before a malformed round": (
+            [{**first, "to": "s0"}, {**second, "kind": "fire"}],
+            _not_a_move(1, ok, "s0", "s0", "s0"),
+        ),
+    }
+    for what, (rounds, message) in cases.items():
+        with pytest.raises(ValueError) as exc:
+            sim.trace_from_json(json.dumps({**doc, "rounds": rounds}), rescue_auto)
+        assert str(exc.value) == message, what
+    for rounds in ([], [first, second]):
+        back = sim.trace_from_json(json.dumps({**doc, "rounds": rounds}), rescue_auto)
+        assert back.to_dict() == {**doc, "rounds": rounds}
+
+
+def test_reader_matches_the_target_and_the_data_of_a_move():
     toggle = A.build_automaton(
         {"a"}, ["q0", "q1"], "q0", [("q0", {"a"}, A.TRUE, "q1"), ("q1", {"a"}, A.TRUE, "q0")],
         ALPHABET,
     )
 
-    def fire(n, before, after, value="ok"):
-        return sim.Firing(n, frozenset({"a"}), (("a", value),), before, after)
+    def trace(*firings):
+        rounds = [
+            {"round": n, "kind": "firing", "sync": sorted(data), "data": data,
+             "from": before, "to": after}
+            for n, (data, before, after) in enumerate(firings, 1)
+        ]
+        return json.dumps({"circuit": "c", "seed": 0, "rounds": rounds})
 
-    sim.replay(toggle, sim.Trace("toggle", 0, [fire(1, 0, 1), fire(2, 1, 0, "bad")]))
+    back = sim.trace_from_json(trace(({"a": "ok"}, "s0", "s1"), ({"a": "bad"}, "s1", "s0")), toggle)
+    assert [(f.assignment, f.state_after) for f in back.firings()] == [
+        ((("a", "ok"),), 1), ((("a", "bad"),), 0)
+    ]
     # s0 fires {a} under any value, but only to s1
-    with pytest.raises(ValueError, match=r"^round 1: firing \{a=ok\} from s0 to s0 "):
-        sim.replay(toggle, sim.Trace("toggle", 0, [fire(1, 0, 0)]))
+    with pytest.raises(ValueError) as exc:
+        sim.trace_from_json(trace(({"a": "ok"}, "s0", "s0")), toggle)
+    assert str(exc.value) == _not_a_move(1, "a=ok", "s0", "s0", "s0")
+    # mini's one move fires a and b with one value
     _, mini = compiled(MINIMAL_SYNC_TEXT)
-    unequal = sim.Firing(1, frozenset({"a", "b"}), (("a", "ok"), ("b", "bad")), 0, 0)
-    with pytest.raises(ValueError, match=r"^round 1: firing \{a=ok, b=bad\} from s0 to s0 "):
-        sim.replay(mini, sim.Trace("mini", 0, [unequal]))
+    assert sim.trace_from_json(trace(({"a": "bad", "b": "bad"}, "s0", "s0")), mini).firings()
+    with pytest.raises(ValueError) as exc:
+        sim.trace_from_json(trace(({"a": "ok", "b": "bad"}, "s0", "s0")), mini)
+    assert str(exc.value) == _not_a_move(1, "a=ok, b=bad", "s0", "s0", "s0")
 
 
 # sha256 of the trace JSON of the rescue automaton under
