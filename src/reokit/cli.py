@@ -117,8 +117,8 @@ def cmd_comply(args) -> int:
             engine.ingest(term, origin=ORIGIN_SCRIPT)
     else:
         circuit = dsl.parse_circuit(_read(args.circuit))
+        mapping = dsl.parse_map(_read(args.map), circuit)  # a bad map fails before the compile
         trace = trace_from_json(_read(args.trace), compile_circuit(circuit))
-        mapping = dsl.parse_map(_read(args.map), circuit)
         for term in rescue.map_trace(trace, mapping):
             engine.ingest(term, origin=ORIGIN_TRACE)
     verdict = engine.verdict()

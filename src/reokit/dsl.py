@@ -519,16 +519,11 @@ def parse_rulebase(text: str) -> RuleBase:
 # event script
 
 
-class ScriptedEvent(NamedTuple):
-    term: Term
-    span: SourceSpan
-
-
 class EventScript(NamedTuple):
-    entries: tuple[ScriptedEvent, ...]
+    entries: tuple[Term, ...]
 
     def terms(self) -> list[Term]:
-        return [e.term for e in self.entries]
+        return list(self.entries)
 
 
 def _content_lines(text: str):
@@ -549,8 +544,7 @@ def parse_events(text: str) -> EventScript:
     """One ground term per line; blank lines and # comments are skipped.
 
     Each distinct line is parsed once per call, so equal lines share one
-    term, and every entry keeps its own span. A bad line raises at its
-    first occurrence, with that line's span.
+    term. A bad line raises at its first occurrence, with that line's span.
     """
     entries = []
     terms: dict[str, Term] = {}
@@ -558,7 +552,7 @@ def parse_events(text: str) -> EventScript:
         term = terms.get(stripped)
         if term is None:
             term = terms[stripped] = _read_term(_lex(stripped, line_no, column), False)
-        entries.append(ScriptedEvent(term, SourceSpan(line_no, column, len(stripped))))
+        entries.append(term)
     return EventScript(tuple(entries))
 
 

@@ -326,11 +326,6 @@ class Derivation(NamedTuple):
 _event = functools.partial(tuple.__new__, Event)
 _derivation = functools.partial(tuple.__new__, Derivation)
 
-# what an event-implication does with its conclusion at ingest
-_QUEUED = "queued"  # an occurrence-shaped one: a derived event
-_DROPPED = "dropped"  # one beyond max_depth: a DEPTH_LIMIT diagnostic
-_STORED = "stored"  # any other: a plain fact
-
 
 class SaturationResult(NamedTuple):
     """One ``saturate()`` run: whether it reached the fixpoint, and in how
@@ -437,9 +432,9 @@ class ComplianceEngine:
     Each fact is a key of ``derivations``, which maps it to its first
     derivation; ``facts`` is a read-only view of those keys. The facts are
     also kept in one persistent index, ``_index``: per ``_tag`` bucket,
-    a list of the facts kept in term order by ``bisect.insort``; ``_tags``
-    lists the buckets in sorted order. ``_fresh`` collects the facts added
-    since the last saturation pass began, which is the next pass's delta.
+    a list of the facts kept in term order by ``bisect.insort``. ``_fresh``
+    collects the facts added since the last saturation pass began, which
+    is the next pass's delta.
     """
 
     def __init__(self, rulebase: RuleBase, max_depth: int = 8):
@@ -475,7 +470,6 @@ class ComplianceEngine:
                 buckets = None
             self._fact_rules.append((rule, premises, buckets))
         self._index: dict[tuple, list[Term]] = {}
-        self._tags: list[tuple] = []
         self._fresh: list[Term] = []
         self._order_watches = [_OrderWatch(order) for order in rulebase.orders]
         for sf in rulebase.facts:
@@ -523,7 +517,7 @@ class ComplianceEngine:
         plan = self._plans.get(term)
         if plan is None:
             plan = self._plans[term] = self._plan(term)
-        term_depth, counted, outcomes = plan
+        term_depth, counted, queued, stored, dropped = plan
         if term_depth > self.max_depth:
             self._diag(f"DEPTH_LIMIT: dropped event {pretty(term)}")
             return
@@ -544,23 +538,22 @@ class ComplianceEngine:
                 self._add_fact(count_fact, _derivation(("r11", (term,))))
             else:
                 self._add_fact(count_fact, _derivation(("r10", (term, (COUNT, k - 1, term)))))
-        for kind, conclusion, rule_derivation in outcomes:
-            if kind is _QUEUED:
-                queue.append((conclusion, ORIGIN_DERIVED, rule_derivation))
-            elif kind is _DROPPED:
-                self._diag(conclusion)
-            else:
-                self._add_fact(conclusion, rule_derivation)
+        queue.extend(queued)
+        for conclusion, rule_derivation in stored:
+            self._add_fact(conclusion, rule_derivation)
+        for message in dropped:
+            self._diag(message)
 
     def _plan(self, term: Term) -> tuple:
         """What ingesting the ground ``term`` does apart from numbering and
-        counting: ``(depth, counted, outcomes)``.
+        counting: ``(depth, counted, queued, stored, dropped)``.
 
-        ``counted`` says whether the term is occurrence-shaped. ``outcomes``
-        lists the event-implications it fires, in rule order, as ``(kind,
-        conclusion, derivation)``: a ``_QUEUED`` conclusion is a derived
-        event, a ``_STORED`` one a plain fact, and a ``_DROPPED`` one stands
-        as its DEPTH_LIMIT message. A term beyond ``max_depth`` fires none.
+        ``counted`` says whether the term is occurrence-shaped. The other
+        three hold what the event-implications it fires conclude, each in
+        rule order: ``queued`` the derived events, as ``(conclusion,
+        ORIGIN_DERIVED, derivation)``; ``stored`` the plain facts, as
+        ``(conclusion, derivation)``; ``dropped`` the DEPTH_LIMIT message of
+        each conclusion beyond ``max_depth``. A term beyond it fires none.
 
         ``_ingest_one`` keeps one plan per distinct term. That is exact:
         ``match`` and ``substitute`` are pure, and the rules and
@@ -568,8 +561,8 @@ class ComplianceEngine:
         """
         term_depth = depth(term)
         if term_depth > self.max_depth:
-            return term_depth, False, ()
-        outcomes = []
+            return term_depth, False, (), (), ()
+        queued, stored, dropped = [], [], []
         for rule in self._event_rules:
             binding = match(rule.premises[0], term, {})
             if binding is None:
@@ -577,12 +570,12 @@ class ComplianceEngine:
             conclusion = substitute(rule.conclusion, binding)
             derivation = _derivation((rule.name, (term,)))
             if event_like(conclusion):
-                outcomes.append((_QUEUED, conclusion, derivation))
+                queued.append((conclusion, ORIGIN_DERIVED, derivation))
             elif depth(conclusion) > self.max_depth:
-                outcomes.append((_DROPPED, f"DEPTH_LIMIT: dropped {pretty(conclusion)}", None))
+                dropped.append(f"DEPTH_LIMIT: dropped {pretty(conclusion)}")
             else:
-                outcomes.append((_STORED, conclusion, derivation))
-        return term_depth, event_like(term), tuple(outcomes)
+                stored.append((conclusion, derivation))
+        return term_depth, event_like(term), queued, stored, dropped
 
     def add_fact(self, term: Term) -> bool:
         """Directly assert a ground fact (no event, no counting)."""
@@ -598,12 +591,7 @@ class ComplianceEngine:
         if term in self.derivations:
             return False
         self.derivations[term] = derivation
-        tag = _tag(term)
-        bucket = self._index.get(tag)
-        if bucket is None:
-            bucket = self._index[tag] = []
-            bisect.insort(self._tags, tag)
-        bisect.insort(bucket, term)
+        bisect.insort(self._index.setdefault(_tag(term), []), term)
         self._fresh.append(term)
         return True
 
@@ -773,4 +761,5 @@ class ComplianceEngine:
         return "\n".join(lines)
 
     def sorted_facts(self) -> list[Term]:
-        return [fact for tag in self._tags for fact in self._index[tag]]
+        """Every fact in term order: a bucket's tag is a prefix of its facts."""
+        return [fact for tag in sorted(self._index) for fact in self._index[tag]]

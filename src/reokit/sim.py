@@ -12,7 +12,6 @@ next round.
 
 from __future__ import annotations
 
-import bisect
 import functools
 import hashlib
 import json
@@ -154,9 +153,12 @@ def trace_from_json(text: str, a: ConstraintAutomaton) -> Trace:
                 p == ports and t.dst == after and assignment in assignments
                 for t, p, assignments, _ in a.moves[state]
             ):
-                shown = ", ".join(f"{port}={datum}" for port, datum in assignment)
+                label = "{" + ", ".join(f"{port}={datum}" for port, datum in assignment) + "}"
+                # a sync that the data's ports do not show is written out too
+                if ports != tuple(port for port, _ in assignment):
+                    label += f" on sync {json.dumps(sync)}"
                 raise ValueError(
-                    f"round {number}: firing {{{shown}}} from {state_name(before)}"
+                    f"round {number}: firing {label} from {state_name(before)}"
                     f" to {state_name(after)} is not a move from the run's state"
                     f" {state_name(state)}"
                 )
@@ -256,8 +258,8 @@ def simulate(
     first offer or readiness that does not fit.
 
     Every round the script does not list has the same offers (none) and
-    readiness, so a state that stalls in one stalls in each until the next
-    listed round: those rounds are recorded as stalls without stepping.
+    readiness, so a state that stalls in one stalls in all of them: an
+    unlisted round in a state that has stalled in one is recorded unstepped.
     """
     if rounds is not None and rounds < 0:
         raise ValueError(f"round cap must be >= 0, got {rounds}")
@@ -274,19 +276,18 @@ def simulate(
 
     trace = Trace(circuit_name, seed, [])
     state = a.initial
-    numbers = sorted(env.rounds)
+    stalled = None  # the state that last stalled in an unlisted round
     last = len(env) if rounds is None else min(len(env), rounds)
-    n = 1
-    while n <= last:
+    for n in range(1, last + 1):
+        listed = n in env.rounds
+        if not listed and state == stalled:
+            trace.steps.append(_stall((n,)))
+            continue
         r = env.round(n)
         outcome = step(a, state, n, dict(r.offers), r.ready, seed)
         trace.steps.append(outcome)
         if isinstance(outcome, Firing):
             state = outcome.state_after
-        elif n not in env.rounds:
-            # a later round is listed, since the last one is
-            resume = min(numbers[bisect.bisect(numbers, n)], last + 1)
-            trace.steps.extend(_stall((m,)) for m in range(n + 1, resume))
-            n = resume - 1
-        n += 1
+        elif not listed:
+            stalled = state
     return trace

@@ -461,6 +461,32 @@ def test_comply_checks_the_map_against_a_given_circuit(
     assert capsys.readouterr().err == "error: --map and --circuit require --trace\n"
 
 
+def test_comply_reads_the_map_before_it_compiles(tmp_path, monkeypatch, capsys):
+    # a malformed or missing map exits 2 without paying for the compile
+    compiles = []
+    compile_circuit = cli.compile_circuit
+
+    def compile_counted(c):
+        compiles.append(c.name)
+        return compile_circuit(c)
+
+    monkeypatch.setattr(cli, "compile_circuit", compile_counted)
+    trace = tmp_path / "t.json"
+    trace.write_text('{"circuit": "rescue", "seed": 0, "rounds": []}')
+    bad_map = tmp_path / "m.map"
+    bad_map.write_text("police_alarm -> \n")
+    base = ["comply", "--rules", str(DATA / "rescue.rules"), "--trace", str(trace),
+            "--circuit", str(DATA / "rescue.circuit")]
+    missing = tmp_path / "missing.map"
+    for map_file, error in ((bad_map, "1:16: SYNTAX: "), (missing, "error: cannot read")):
+        assert cli.main([*base, "--map", str(map_file)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith(error)
+    assert compiles == []
+    assert cli.main([*base, "--map", str(DATA / "rescue.map")]) == 0
+    assert compiles == ["rescue"]
+
+
 # a PoliceRequest comes before any FireRequest in this env's seed-0 trace
 WITNESS_ENV = """policy closed
 round 1: offer citizens=ok; ready case1

@@ -435,16 +435,9 @@ def test_parse_events_parses_each_distinct_line_once():
         script = dsl.parse_events(text)
     assert lex.call_count == 2
     assert script.terms() == [S.Atom("Alpha"), S.P(S.Atom("Beta"))] * 2 + [S.Atom("Alpha")]
-    alpha = script.entries[0].term
-    assert script.entries[2].term is alpha and script.entries[4].term is alpha
-    assert script.entries[3].term is script.entries[1].term
-    assert [e.span for e in script.entries] == [
-        dsl.SourceSpan(1, 1, 5),
-        dsl.SourceSpan(2, 3, 7),
-        dsl.SourceSpan(4, 1, 5),
-        dsl.SourceSpan(5, 1, 7),
-        dsl.SourceSpan(6, 2, 5),
-    ]
+    alpha = script.entries[0]
+    assert script.entries[2] is alpha and script.entries[4] is alpha
+    assert script.entries[3] is script.entries[1]
     # a repeated bad line reports its first occurrence; a later bad line its own
     for bad_text, span in (
         ("Alpha\nP(\nAlpha\nP(\n", dsl.SourceSpan(2, 3, 1)),
@@ -580,7 +573,10 @@ def test_line_formats_read_crlf():
     assert env.idle == frozenset() and len(env) == 2
     events = dsl.parse_events("A\r\n  B \r\n")
     assert events.terms() == [S.Atom("A"), S.Atom("B")]
-    assert [e.span for e in events.entries] == [dsl.SourceSpan(1, 1, 1), dsl.SourceSpan(2, 3, 1)]
+    with pytest.raises(dsl.ParseFailure) as exc:
+        dsl.parse_events("A\r\n  B ?\r\n")
+    err = exc.value.error
+    assert (err.code, err.span.line, err.span.column) == ("LEX_ERROR", 2, 5)
     table = _mini_map("a -> X\r\nb=ok -> Y\r\n").table
     assert list(table.items()) == [(("a", None), "X"), (("b", "ok"), "Y")]
 

@@ -20,7 +20,6 @@ _CHANNEL = circuit.Channel("c1", circuit.FIFO1, "a", "b", "ok", None, None)
 _GUARD = semlog.Guard("I", 2)
 _RULE = semlog.Rule("r1", (_TERM,), (_GUARD,), semlog.Op(semlog.P_OP, _TERM))
 _FACT = semlog.StandingFact("f1", _TERM)
-_SCRIPTED = dsl.ScriptedEvent(_TERM, _SPAN)
 _AUTOMATON_FIELDS = (
     frozenset({"a", "b"}),
     ((automata.Transition(frozenset({"a", "b"}), automata.TRUE, 0),),),
@@ -48,8 +47,7 @@ VALUES = [
         (_SPAN, "SYNTAX", "expected ';'"),
     ),
     (dsl.Token("ident", "a", _SPAN), ("ident", "a", _SPAN)),
-    (_SCRIPTED, (_TERM, _SPAN)),
-    (dsl.EventScript((_SCRIPTED,)), ((_SCRIPTED,),)),
+    (dsl.EventScript((_TERM,)), ((_TERM,),)),
     (dsl.EventMap({("a", None): "Fire"}), ({("a", None): "Fire"},)),
     (_GUARD, ("I", 2)),
     (_RULE, ("r1", (_TERM,), (_GUARD,), semlog.Op(semlog.P_OP, _TERM))),
